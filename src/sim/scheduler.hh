@@ -9,6 +9,10 @@
  * order. Cores are modelled as serially reusable resources with an
  * optional context-switch penalty and a preemption quantum so
  * oversubscribed cores (the noise experiments) time-share fairly.
+ *
+ * Each thread's next event is cached as one key in an EventTree, so
+ * picking the next event is a root read and only the keys an event
+ * invalidates are recomputed (see eventKey()).
  */
 
 #ifndef COHERSIM_SIM_SCHEDULER_HH
@@ -20,6 +24,7 @@
 #include <vector>
 
 #include "common/types.hh"
+#include "sim/event_tree.hh"
 #include "sim/memory_backend.hh"
 #include "sim/task.hh"
 #include "sim/thread.hh"
@@ -118,10 +123,38 @@ class Scheduler
         ThreadId lastThread = invalidThread;
         Tick acquiredAt = 0;      //!< when lastThread got the core
         bool mustYield = false;   //!< quantum expired, switch next
+        /** Unfinished threads pinned here, in spawn order. */
+        std::vector<ThreadId> live;
     };
 
     /** Earliest tick at which @p t's pending op could start. */
     Tick effectiveStart(const SimThread &t) const;
+
+    /**
+     * @p t's next event as one ordered key: (time << 1 | is_issue),
+     * so events run by time, a resume (at its op's completion time)
+     * before an issue (at its op's start time) at equal times, and
+     * the lower thread id first at equal keys (the tree's tie rule).
+     * EventTree::none when @p t is finished, has nothing pending, or
+     * must let another unfinished thread have its core (quantum
+     * expired and it was the last to run there).
+     *
+     * The key reads @p t's clock and pending op and its core's
+     * freeAt / lastThread / mustYield / live, so it is recomputed
+     * after @p t's own execute or resume, after an execute or sleep
+     * on its core, a spawn or finish on its core, and the all-yield
+     * fallback in pickNext().
+     */
+    std::uint64_t eventKey(const SimThread &t) const;
+
+    /** eventKey() of an unfinished thread with an op to issue. */
+    std::uint64_t issueKey(const SimThread &t) const;
+
+    /** Recompute @p t's cached event key. */
+    void refresh(const SimThread &t);
+
+    /** Recompute the keys of every unfinished thread on @p core. */
+    void refreshCore(CoreId core);
 
     /** Pick the next thread to execute, or nullptr if all idle. */
     SimThread *pickNext();
@@ -135,8 +168,9 @@ class Scheduler
     /** Resume @p t's coroutine at its op's completion time. */
     void resume(SimThread &t);
 
-    /** True if another unfinished thread is pinned to @p core. */
-    bool hasWaiter(CoreId core, ThreadId except) const;
+    /** True if an unfinished thread other than @p t (itself
+     *  unfinished) is pinned to @p t's core. */
+    bool hasWaiter(const SimThread &t) const;
 
     MemoryBackend *backend_;
     SchedulerParams params_;
@@ -144,6 +178,8 @@ class Scheduler
     std::vector<std::unique_ptr<SimThread>> threads_;
     Tick globalNow_ = 0;
     TraceBus *trace_ = nullptr;
+    /** Cached event key per thread id. */
+    EventTree events_;
 };
 
 } // namespace csim
