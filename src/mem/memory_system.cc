@@ -176,7 +176,6 @@ MemorySystem::rekeyNow(Tick when)
         // (exclusive-mode victim fills never happen here, but the
         // iteration must not observe its own mutations).
         std::vector<CacheLine> resident;
-        resident.reserve(llc.occupancy());
         llc.forEachLine([&](const CacheLine &line) {
             resident.push_back(line);
         });
