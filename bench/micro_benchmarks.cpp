@@ -1,8 +1,8 @@
 /**
  * @file
  * google-benchmark micro-benchmarks of the simulator's primitives:
- * coherence protocol service paths, flushes, scheduler throughput,
- * KSM scanning and the edit-distance metric.
+ * coherence protocol service paths, flushes, KSM scanning and the
+ * edit-distance metric. Scheduler throughput is timed by perf_suite.
  */
 
 #include <benchmark/benchmark.h>
@@ -119,32 +119,6 @@ BM_FlushReloadRound(benchmark::State &state)
     }
 }
 BENCHMARK(BM_FlushReloadRound);
-
-void
-BM_SchedulerStepThroughput(benchmark::State &state)
-{
-    Machine m(quietConfig());
-    Process &p = m.kernel.createProcess("p");
-    const VAddr buf = p.mmap(1 << 20);
-    for (int i = 0; i < 4; ++i) {
-        m.kernel.spawnThread(
-            m.sched, "t" + std::to_string(i), i, p,
-            [buf, i](ThreadApi api) -> Task {
-                VAddr addr = buf + static_cast<VAddr>(i) * 4096;
-                for (;;) {
-                    co_await api.load(addr);
-                    co_await api.spin(50);
-                    addr += 64;
-                    if (addr >= buf + (1 << 20))
-                        addr = buf;
-                }
-            });
-    }
-    for (auto _ : state)
-        benchmark::DoNotOptimize(m.sched.stepOne());
-    state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_SchedulerStepThroughput);
 
 void
 BM_KsmScan(benchmark::State &state)

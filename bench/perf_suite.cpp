@@ -5,9 +5,10 @@
  *
  * Each kernel drives one hot path of `MemorySystem` in a steady state
  * (L1 hit, LLC serve, cross-socket forward, flush+reload round,
- * directory churn) plus one end-to-end run of the `fig08-sweep`
- * preset, and reports host ops/sec alongside the mean *virtual*
- * cycles per op. The results land in `BENCH_perf.json`.
+ * directory churn) or of the `Scheduler` (event steps with few threads
+ * and on oversubscribed cores), plus one end-to-end run of the
+ * `fig08-sweep` preset, and reports host ops/sec alongside the mean
+ * *virtual* cycles per op. The results land in `BENCH_perf.json`.
  *
  * Host throughput is machine-dependent, so the suite also times a
  * pure-arithmetic `host_ref` kernel that never touches the simulator.
@@ -253,6 +254,48 @@ kernelDirectoryChurn(int reps, double min_seconds)
 }
 
 /**
+ * Scheduler step throughput: @p threads threads pinned round-robin
+ * over @p cores cores, each looping a load and a 50-cycle spin while
+ * striding through a shared 1 MiB buffer from its own offset, so
+ * every step is one issue or one resume event. With
+ * more threads than cores, the quantum makes the threads of a core
+ * take turns. One op = one `stepOne()`; virtual cycles/op is not
+ * meaningful here and reported as 0.
+ */
+KernelResult
+kernelSchedStep(const char *name, int threads, int cores, int reps,
+                double min_seconds)
+{
+    SystemConfig cfg = quietConfig();
+    cfg.coresPerSocket =
+        std::max(cfg.coresPerSocket, cores / cfg.sockets);
+    Machine m(cfg);
+    Process &p = m.kernel.createProcess("p");
+    const VAddr buf = p.mmap(1 << 20);
+    for (int i = 0; i < threads; ++i) {
+        m.kernel.spawnThread(
+            m.sched, "t" + std::to_string(i), i % cores, p,
+            [buf, i](ThreadApi api) -> Task {
+                VAddr addr = buf + static_cast<VAddr>(i) * 4096;
+                for (;;) {
+                    co_await api.load(addr);
+                    co_await api.spin(50);
+                    addr += 64;
+                    if (addr >= buf + (1 << 20))
+                        addr = buf;
+                }
+            });
+    }
+    return measureKernel(
+        name, reps, min_seconds,
+        [&m](std::uint64_t &ops, std::uint64_t &) {
+            for (int i = 0; i < 1024; ++i)
+                m.sched.stepOne();
+            ops += 1024;
+        });
+}
+
+/**
  * End-to-end wall clock of the `fig08-sweep` preset on one worker:
  * the full stack (config resolution, calibration, channel runs) as a
  * user actually exercises it. One op = one grid cell.
@@ -490,6 +533,10 @@ main(int argc, char **argv)
     results.push_back(kernelRemoteOwnerForward(reps, min_seconds));
     results.push_back(kernelFlushReloadCycle(reps, min_seconds));
     results.push_back(kernelDirectoryChurn(reps, min_seconds));
+    results.push_back(
+        kernelSchedStep("sched_step_few", 4, 4, reps, min_seconds));
+    results.push_back(kernelSchedStep("sched_step_oversubscribed", 48,
+                                      16, reps, min_seconds));
     results.push_back(kernelFig08EndToEnd());
 
     TablePrinter table;
