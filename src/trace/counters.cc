@@ -10,20 +10,22 @@ namespace csim
 std::uint64_t &
 CounterRegistry::counter(const std::string &name)
 {
-    auto it = index_.find(name);
-    if (it == index_.end()) {
-        index_.emplace(name, entries_.size());
-        entries_.emplace_back(name, 0);
-        return entries_.back().second;
+    for (auto &[n, v] : entries_) {
+        if (n == name)
+            return v;
     }
-    return entries_[it->second].second;
+    entries_.emplace_back(name, 0);
+    return entries_.back().second;
 }
 
 std::uint64_t
 CounterRegistry::value(const std::string &name) const
 {
-    auto it = index_.find(name);
-    return it == index_.end() ? 0 : entries_[it->second].second;
+    for (const auto &[n, v] : entries_) {
+        if (n == name)
+            return v;
+    }
+    return 0;
 }
 
 void

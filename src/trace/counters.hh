@@ -16,7 +16,6 @@
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -27,7 +26,12 @@ class Json;
 struct Machine;
 class TraceRecorder;
 
-/** Insertion-ordered map of named uint64 counters. */
+/**
+ * Insertion-ordered map of named uint64 counters. Lookups scan the
+ * entries: a registry holds a few dozen counters, and every result
+ * keeps its own copy, so a hash index would cost each copy more memory
+ * than the scan costs time.
+ */
 class CounterRegistry
 {
   public:
@@ -61,7 +65,6 @@ class CounterRegistry
 
   private:
     std::vector<std::pair<std::string, std::uint64_t>> entries_;
-    std::unordered_map<std::string, std::size_t> index_;
 };
 
 /**
