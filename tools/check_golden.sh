@@ -31,7 +31,8 @@ golden_dir="${args[1]:-$repo/tests/golden}"
 bench_dir="$(cd "$bench_dir" && pwd)"
 
 BENCHES="table01_scenarios fig08_accuracy_vs_rate fig09_noise_accuracy \
-ablation_protocols ablation_mitigations ablation_detection"
+fig10_error_correction fig11_multibit_symbols ablation_protocols \
+ablation_mitigations ablation_detection"
 
 # Strip the fields that legitimately differ between runs/machines:
 # wall-clock seconds and the worker count, in both the stdout
