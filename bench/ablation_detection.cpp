@@ -33,35 +33,14 @@ main()
                   "bits leaked before flag", "channel accuracy"});
     for (const ScenarioInfo &sc : allScenarios()) {
         cfg.scenario = sc.id;
-        ExperimentRig rig(cfg, sc.localLoaders, sc.remoteLoaders,
-                          sc.csc);
         CoherenceChannelDetector detector;
-        detector.attach(rig.machine.mem.trace());
-
-        TrojanResult trojan;
-        SpyResult spy;
-        rig.machine.kernel.spawnThread(
-            rig.machine.sched, "trojan.ctl", rig.plan.controller,
-            *rig.trojanProc, [&](ThreadApi api) {
-                return trojanBody(api, *rig.crew,
-                                  rig.shared.trojanVa, sc, cal,
-                                  cfg.params, cfg.system.timing,
-                                  payload, trojan);
-            });
-        SimThread *spy_thread = rig.machine.kernel.spawnThread(
-            rig.machine.sched, "spy", rig.plan.spy, *rig.spyProc,
-            [&](ThreadApi api) {
-                return spyBody(api, rig.shared.spyVa, sc, cal,
-                               cfg.params, spy, false);
-            });
-        rig.machine.sched.runUntilFinished(spy_thread, cfg.timeout);
-        rig.crew->stopAll();
-
+        cfg.detector = &detector;
+        const ChannelReport rep =
+            runVectorTransmission(cfg, payload, &cal);
+        const TrojanResult &trojan = rep.trojan;
+        const ChannelMetrics &metrics = rep.metrics;
         const LineVerdict v =
-            detector.verdict(lineAlign(rig.shared.paddr));
-        const ChannelMetrics metrics = computeMetrics(
-            payload, spy.bits, trojan.txStart, trojan.txEnd,
-            cfg.system.timing);
+            detector.verdict(lineAlign(rep.shared.paddr));
         // Bits on the wire before the flag fired.
         double leaked = 0.0;
         if (v.suspicious && trojan.txEnd > trojan.txStart) {

@@ -33,7 +33,7 @@ main()
               << "Kbps with 2 background processes\n\n";
 
     const ChannelReport rep =
-        runCovertTransmission(cfg, textToBits(secret));
+        runVectorTransmission(cfg, textToBits(secret));
 
     std::cout << "shared page established via "
               << sharingModeName(cfg.sharing) << " (attempt "

@@ -4,7 +4,7 @@
 #include "common/logging.hh"
 #include "detect/cchunter.hh"
 #include "os/kernel.hh"
-#include "phy/phy_channel.hh"
+#include "prof/profiler.hh"
 
 namespace csim
 {
@@ -85,8 +85,7 @@ ExperimentRig::initProcesses()
 }
 
 void
-ExperimentRig::initShared(const ChannelConfig &cfg, Combo csc,
-                          std::uint64_t pattern_seed)
+ExperimentRig::initShared(Combo csc, std::uint64_t pattern_seed)
 {
     // The vector decides what "shared state" means: the page-fault
     // channel needs no shared mapping at all (its plugin creates two
@@ -130,8 +129,7 @@ ExperimentRig::initShared(const ChannelConfig &cfg, Combo csc,
 }
 
 void
-ExperimentRig::initCrew(const ChannelConfig &cfg, int n_local,
-                        int n_remote)
+ExperimentRig::initCrew(int n_local, int n_remote)
 {
     const std::vector<CoreId> local_cores(
         plan.localLoaders.begin(),
@@ -160,32 +158,62 @@ addChannelCounters(CounterRegistry &reg, const std::string &prefix,
     reg.counter(prefix + "ch.retransmits") = metrics.retransmits;
 }
 
-ExperimentRig::ExperimentRig(const ChannelConfig &cfg, int n_local,
-                             int n_remote, Combo csc)
-    : owned_(std::make_unique<Machine>(cfg.system)), machine(*owned_),
+namespace
+{
+
+/**
+ * The llc-notify defence is a hardware change: apply it to the
+ * timing model before anything (calibration included) samples it.
+ */
+ChannelConfig
+defendedConfig(const ChannelConfig &cfg_in)
+{
+    ChannelConfig cfg = cfg_in;
+    if (cfg.defense == Defense::llcNotify)
+        cfg.system.timing.llcNotifiedOfUpgrade = true;
+    return cfg;
+}
+
+/**
+ * The adversaries calibrate bands through self-measurement ahead of
+ * time (paper §VII-B) — on a quiet scratch machine.
+ */
+CalibrationResult
+learnCalibration(const ChannelConfig &cfg)
+{
+    ScopedSpan span("rig.calibrate");
+    return makeLeakageVector(cfg.vector)->calibrate(cfg);
+}
+
+} // namespace
+
+ExperimentRig::ExperimentRig(const ChannelConfig &cfg_in,
+                             const CalibrationResult *cal_in,
+                             int n_local, int n_remote, Combo csc)
+    : cfg(defendedConfig(cfg_in)),
+      ownCal_(cal_in ? CalibrationResult{} : learnCalibration(cfg)),
+      owned_(std::make_unique<Machine>(cfg.system)),
+      cal(cal_in ? *cal_in : ownCal_), machine(*owned_),
       plan(CorePlan::standard(cfg.system))
 {
     // Subscribe the caller's recorder and taps before anything else
     // touches memory, so the captures include share establishment
     // (KSM scans, COW splits, the ch.share_established milestone).
-    recorder_ = cfg.recorder;
-    if (recorder_)
-        recorder_->attach(machine.mem.trace(), cfg.system.numCores());
-    taps_ = cfg.taps;
-    for (BusTap *tap : taps_)
+    if (cfg.recorder)
+        cfg.recorder->attach(machine.mem.trace(), cfg.system.numCores());
+    for (BusTap *tap : cfg.taps)
         tap->attach(machine.mem.trace(), cfg.system.numCores());
-    detector_ = cfg.detector;
-    if (detector_)
-        detector_->attach(machine.mem.trace());
+    if (cfg.detector)
+        cfg.detector->attach(machine.mem.trace());
     initProcesses();
-    initShared(cfg, csc, cfg.system.seed ^ 0x6b5fca37);
+    initShared(csc, cfg.system.seed ^ 0x6b5fca37);
     // Noise agents start first: the channel must operate against an
     // already-busy machine.
     spawnNoiseAgents(machine, cfg.noiseThreads, plan.noise, cfg.noise,
                      cfg.system.seed * 77 + 5);
-    initCrew(cfg, n_local, n_remote);
+    initCrew(n_local, n_remote);
     // Runtime defences (§VIII-E techniques 1 and 2). Technique 3 is
-    // a timing-model change; see runCovertTransmission.
+    // the timing-model change applied by defendedConfig.
     if (cfg.defense == Defense::targetedNoise) {
         // Monitor thread: watches the shared page from a spare core
         // and issues extra loads, converting E-state blocks to S
@@ -215,7 +243,8 @@ ExperimentRig::ExperimentRig(Machine &host, const ChannelConfig &cfg,
                              int n_remote, Combo csc,
                              std::uint32_t pair_id,
                              std::uint64_t pattern_seed)
-    : machine(host), plan(pair_plan), pairId(pair_id)
+    : cfg(cfg), cal(ownCal_), machine(host), plan(pair_plan),
+      pairId(pair_id)
 {
     fatal_if(pair_id == 0,
              "fleet pairs are numbered from 1 (0 marks the "
@@ -225,29 +254,57 @@ ExperimentRig::ExperimentRig(Machine &host, const ChannelConfig &cfg,
     // machine-global defences are attached here — only this pair's
     // processes, shared block and loader crew.
     initProcesses();
-    initShared(cfg, csc, pattern_seed);
-    initCrew(cfg, n_local, n_remote);
+    initShared(csc, pattern_seed);
+    initCrew(n_local, n_remote);
 }
 
 ExperimentRig::~ExperimentRig()
 {
-    if (detector_)
-        detector_->detach();
-    for (BusTap *tap : taps_)
+    // An attached rig attached none of them: the machine's owner did.
+    if (!owned_)
+        return;
+    if (cfg.detector)
+        cfg.detector->detach();
+    for (BusTap *tap : cfg.taps)
         tap->detach();
-    if (recorder_)
-        recorder_->detach();
+    if (cfg.recorder)
+        cfg.recorder->detach();
 }
 
-ChannelReport
-runCovertTransmission(const ChannelConfig &cfg,
-                      const BitString &payload,
-                      const CalibrationResult *cal)
+bool
+ExperimentRig::run(std::function<Task(ThreadApi)> trojan,
+                   std::function<Task(ThreadApi)> spy,
+                   const TrojanResult &phases, Finisher until)
 {
-    // Deprecated shim: the whole single-pair flow (llc-notify timing
-    // change, PHY rerouting, calibration fallback, rig, spawn,
-    // metrics) lives in the vector-agnostic driver now.
-    return runVectorTransmission(cfg, payload, cal);
+    panic_if(!owned_, "an attached rig's pairs run under the "
+                      "machine owner's scheduler");
+    SimThread *trojan_thread = machine.kernel.spawnThread(
+        machine.sched, "trojan.ctl", plan.controller, *trojanProc,
+        std::move(trojan));
+    SimThread *spy_thread = machine.kernel.spawnThread(
+        machine.sched, "spy", plan.spy, *spyProc, std::move(spy));
+    SimThread *finisher =
+        until == Finisher::trojan ? trojan_thread : spy_thread;
+    {
+        ScopedSpan span("rig.run");
+        const Tick run_start = machine.sched.now();
+        machine.sched.runUntilFinished(finisher, cfg.timeout);
+        span.addVirtual(machine.sched.now() - run_start);
+    }
+    crew->stopAll();
+
+    // The sync and transmit phases interleave as coroutines inside
+    // rig.run, so they cannot be wall-scoped; reconstruct their
+    // virtual-cycle extents from the trojan's phase timestamps.
+    if (Profiler::enabled()) {
+        if (phases.syncEnd >= phases.syncStart)
+            profRecord("rig.sync", 0,
+                       phases.syncEnd - phases.syncStart);
+        if (phases.txEnd >= phases.txStart)
+            profRecord("rig.transmit", 0,
+                       phases.txEnd - phases.txStart);
+    }
+    return finisher->finished;
 }
 
 } // namespace csim

@@ -1,9 +1,13 @@
 /**
  * @file
- * High-level covert-channel experiment driver: builds a machine,
- * establishes shared memory, spawns noise/trojan/spy and runs one
- * complete covert transmission. This is the public API the examples
- * and benchmark harnesses use.
+ * Covert-channel experiment plumbing: the experiment configuration,
+ * its report, and the rig that builds a machine, establishes shared
+ * memory, spawns noise/trojan/spy and runs one trojan/spy pair. The
+ * drivers on top of it are runVectorTransmission
+ * (channel/vector.hh), runPhyTransmission (phy/phy_channel.hh),
+ * runEccTransmission (channel/ecc.hh) and runSymbolTransmission
+ * (channel/symbols.hh); runExperiment (channel/experiment.hh)
+ * routes a declarative spec to the right one.
  */
 
 #ifndef COHERSIM_CHANNEL_CHANNEL_HH
@@ -11,6 +15,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -82,8 +87,9 @@ struct ChannelConfig
     Defense defense = Defense::none;
     /**
      * PHY channel stack selection (`phy.*`, src/phy). The default
-     * legacy-parity profile keeps every classic code path; a hamming
-     * profile reroutes transmissions through the framed FEC stack.
+     * legacy-parity profile keeps every classic code path; with a
+     * hamming profile runExperiment routes the transmission through
+     * the framed FEC stack.
      */
     PhyConfig phy;
     /** Record the spy's raw latency trace (paper Fig. 7). */
@@ -177,23 +183,6 @@ struct ChannelReport
 };
 
 /**
- * Run one covert transmission of @p payload.
- *
- * @deprecated Thin shim over runVectorTransmission
- * (channel/vector.hh), kept for one release; new callers should use
- * runExperiment (channel/experiment.hh) or runVectorTransmission.
- *
- * @param cfg experiment configuration.
- * @param payload bits the trojan exfiltrates.
- * @param cal pre-computed calibration to reuse across a sweep;
- *            calibrated on a scratch machine when null.
- */
-ChannelReport runCovertTransmission(const ChannelConfig &cfg,
-                                    const BitString &payload,
-                                    const CalibrationResult *cal =
-                                        nullptr);
-
-/**
  * Core placement plan shared by all experiment drivers, mirroring the
  * paper's pinning (spy on socket 0; trojan loaders on both sockets;
  * noise threads spread over the remaining cores, oversubscribing
@@ -212,17 +201,37 @@ struct CorePlan
 };
 
 /**
- * Common experiment plumbing shared by the binary channel, the
- * multi-bit symbol channel and the error-corrected session: machine,
- * processes, shared block, noise agents and the trojan's loader crew.
+ * Common experiment plumbing shared by the binary channel, the PHY
+ * stack, the multi-bit symbol channel and the error-corrected
+ * session: machine, processes, shared block, noise agents and the
+ * trojan's loader crew.
+ *
+ * On the single-pair path the rig also owns the run's lifecycle:
+ * the constructor applies the llc-notify defence and calibrates,
+ * run() spawns and runs the pair. A driver adds only its own setup,
+ * coroutine bodies and decode.
  */
 class ExperimentRig
 {
   public:
+    /** Which adversary thread's exit ends a single-pair run. */
+    enum class Finisher : std::uint8_t
+    {
+        /** The spy stops at its end-of-reception marker. */
+        spy,
+        /** The spy loops until the trojan is done (parity+NACK). */
+        trojan,
+    };
+
     /**
      * Build a rig that owns its machine (the single-pair path).
+     * The llc-notify defence is applied to the timing model first,
+     * so calibration and machine both sample the defended hardware.
      *
      * @param cfg experiment configuration.
+     * @param cal pre-computed calibration to reuse across a sweep;
+     *        when null, cfg.vector calibrates on a scratch machine
+     *        under the "rig.calibrate" span.
      * @param n_local local loader threads to spawn.
      * @param n_remote remote loader threads to spawn.
      * @param csc the communication combo; the adversaries pick the
@@ -230,8 +239,9 @@ class ExperimentRig
      *        the combo's socket, so its re-fetches after each spy
      *        flush avoid the cross-socket memory penalty.
      */
-    ExperimentRig(const ChannelConfig &cfg, int n_local, int n_remote,
-                  Combo csc = Combo::localShared);
+    ExperimentRig(const ChannelConfig &cfg,
+                  const CalibrationResult *cal, int n_local,
+                  int n_remote, Combo csc = Combo::localShared);
 
     /**
      * Attach to an externally owned @p host machine instead of
@@ -257,9 +267,9 @@ class ExperimentRig
                   std::uint64_t pattern_seed);
 
     /**
-     * Detaches the config's recorder and taps (if any) from the
-     * machine's trace bus, which dies with the rig; their captured
-     * state stays readable afterwards.
+     * Detaches the config's recorder, taps and detector (if any)
+     * from an owned machine's trace bus, which dies with the rig;
+     * their captured state stays readable afterwards.
      */
     ~ExperimentRig();
 
@@ -269,13 +279,42 @@ class ExperimentRig
     /** Counter-name prefix: "" single-pair, "pairK." for pair K. */
     std::string counterPrefix() const;
 
+    /**
+     * Run the pair on an owned machine: spawn @p trojan as
+     * "trojan.ctl" on the controller core and @p spy as "spy" on the
+     * spy core, run under the "rig.run" span until @p until's thread
+     * finishes or cfg.timeout passes, stop the loader crew, then
+     * record the "rig.sync" and "rig.transmit" phases from the
+     * trojan's timestamps in @p phases.
+     *
+     * @return whether the finishing thread ended before the timeout.
+     */
+    bool run(std::function<Task(ThreadApi)> trojan,
+             std::function<Task(ThreadApi)> spy,
+             const TrojanResult &phases,
+             Finisher until = Finisher::spy);
+
+    /**
+     * The configuration the pair runs under: the caller's, with the
+     * llc-notify defence applied on the single-pair path.
+     */
+    const ChannelConfig cfg;
+
   private:
+    /** The calibration an owning rig learned itself (else empty). */
+    CalibrationResult ownCal_;
     /** Set when this rig owns its machine; null in attach mode.
      *  Declared before the reference so the owning constructor can
      *  materialize the machine first. */
     std::unique_ptr<Machine> owned_;
 
   public:
+    /**
+     * The bands the pair decodes with: the caller's calibration or
+     * the one learned at construction. Empty in attach mode, where
+     * the fleet owner calibrates once for every pair.
+     */
+    const CalibrationResult &cal;
     Machine &machine;
     CorePlan plan;
     Process *trojanProc = nullptr;
@@ -287,14 +326,8 @@ class ExperimentRig
 
   private:
     void initProcesses();
-    void initShared(const ChannelConfig &cfg, Combo csc,
-                    std::uint64_t pattern_seed);
-    void initCrew(const ChannelConfig &cfg, int n_local,
-                  int n_remote);
-
-    TraceRecorder *recorder_ = nullptr;
-    std::vector<BusTap *> taps_;
-    CoherenceChannelDetector *detector_ = nullptr;
+    void initShared(Combo csc, std::uint64_t pattern_seed);
+    void initCrew(int n_local, int n_remote);
 };
 
 } // namespace csim

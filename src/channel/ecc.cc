@@ -74,8 +74,9 @@ namespace
 struct SessionState
 {
     bool trojanDone = false;
-    Tick trojanEnd = 0;
-    Tick sessionStart = 0;
+    /** Sync phase, then the session: txStart at sync end (payload
+     *  clock starts), txEnd at trojan completion. */
+    TrojanResult trojan;
 };
 
 Task
@@ -86,9 +87,8 @@ eccTrojanBody(ThreadApi api, PlacerCrew &crew, VAddr block,
               const std::vector<BitString> &packets, EccReport &report,
               SessionState &state)
 {
-    TrojanResult sync;
-    co_await trojanSyncPhase(api, block, cal, params, sync);
-    state.sessionStart = api.now();
+    co_await trojanSyncPhase(api, block, cal, params, state.trojan);
+    state.trojan.txStart = api.now();
     const double cached_threshold = cal.dramBand.lo - 2.0;
 
     for (const BitString &packet : packets) {
@@ -137,7 +137,7 @@ eccTrojanBody(ThreadApi api, PlacerCrew &crew, VAddr block,
     }
     crew.idle();
     state.trojanDone = true;
-    state.trojanEnd = api.now();
+    state.trojan.txEnd = api.now();
 }
 
 Task
@@ -231,14 +231,14 @@ eccSpyBody(ThreadApi api, VAddr block, const ScenarioInfo &scenario,
 } // namespace
 
 EccReport
-runEccTransmission(const ChannelConfig &cfg, const BitString &payload,
-                   const EccParams &ecc, const CalibrationResult *cal)
+runEccTransmission(const ChannelConfig &cfg_in,
+                   const BitString &payload, const EccParams &ecc,
+                   const CalibrationResult *cal)
 {
-    CalibrationResult local_cal;
-    if (!cal) {
-        local_cal = calibrate(cfg.system, 400, cfg.params);
-        cal = &local_cal;
-    }
+    const ScenarioInfo &scenario = scenarioInfo(cfg_in.scenario);
+    ExperimentRig rig(cfg_in, cal, scenario.localLoaders,
+                      scenario.remoteLoaders, scenario.csc);
+    const ChannelConfig &cfg = rig.cfg;
 
     EccReport report;
     report.payloadBits = payload.size();
@@ -259,33 +259,26 @@ runEccTransmission(const ChannelConfig &cfg, const BitString &payload,
     }
     report.packets = static_cast<int>(packets.size());
 
-    const ScenarioInfo &scenario = scenarioInfo(cfg.scenario);
-    ExperimentRig rig(cfg, scenario.localLoaders,
-                      scenario.remoteLoaders, scenario.csc);
     const Tick period =
         cfg.params.nominalSamplePeriod(cfg.system.timing);
 
     SessionState state;
     std::vector<BitString> accepted;
-    SimThread *trojan_thread = rig.machine.kernel.spawnThread(
-        rig.machine.sched, "trojan.ctl", rig.plan.controller,
-        *rig.trojanProc, [&](ThreadApi api) {
-            return eccTrojanBody(api, *rig.crew, rig.shared.trojanVa,
-                                 scenario, *cal, cfg.params, ecc,
-                                 period, packets, report, state);
-        });
-    rig.machine.kernel.spawnThread(
-        rig.machine.sched, "spy", rig.plan.spy, *rig.spyProc,
+    // The spy loops until it sees trojanDone, so the trojan's exit
+    // ends the session.
+    report.completed = rig.run(
         [&](ThreadApi api) {
-            return eccSpyBody(api, rig.shared.spyVa, scenario, *cal,
-                              cfg.params, ecc, period,
+            return eccTrojanBody(api, *rig.crew, rig.shared.trojanVa,
+                                 scenario, rig.cal, cfg.params, ecc,
+                                 period, packets, report, state);
+        },
+        [&](ThreadApi api) {
+            return eccSpyBody(api, rig.shared.spyVa, scenario,
+                              rig.cal, cfg.params, ecc, period,
                               static_cast<int>(packets.size()),
                               accepted, state);
-        });
-
-    rig.machine.sched.runUntilFinished(trojan_thread, cfg.timeout);
-    report.completed = trojan_thread->finished;
-    rig.crew->stopAll();
+        },
+        state.trojan, ExperimentRig::Finisher::trojan);
 
     // Reassemble and truncate to the payload length.
     BitString delivered;
@@ -298,8 +291,9 @@ runEccTransmission(const ChannelConfig &cfg, const BitString &payload,
         if (i >= delivered.size() || delivered[i] != payload[i])
             ++report.residualErrors;
     }
-    report.durationCycles = state.trojanEnd > state.sessionStart
-                                ? state.trojanEnd - state.sessionStart
+    const TrojanResult &session = state.trojan;
+    report.durationCycles = session.txEnd > session.txStart
+                                ? session.txEnd - session.txStart
                                 : 0;
     report.effectiveKbps = cfg.system.timing.kbps(
         report.payloadBits, report.durationCycles);

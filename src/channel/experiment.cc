@@ -30,9 +30,7 @@ runExperiment(const ExperimentSpec &spec, const CalibrationResult *cal,
     }
     const ChannelConfig cfg = spec.toChannelConfig();
     const BitString bits = payload ? *payload : spec.makePayload();
-    if (cfg.vector == VectorKind::coherence &&
-        (cfg.phy.profile != PhyProfile::legacyParity ||
-         cfg.phy.adaptive)) {
+    if (cfg.vector == VectorKind::coherence && cfg.phy.framed()) {
         ScopedSpan span("experiment.phy");
         out.kind = ExperimentKind::phy;
         out.phy = runPhyTransmission(cfg, bits, cal, &out.channel);

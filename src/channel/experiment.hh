@@ -7,11 +7,10 @@
  * orchestrator (channel/fleet.hh) — returning one sum-type result.
  *
  * This sits at the top of the channel stack, one layer above the
- * config resolution it consumes; everything below it stays callable
- * directly (runVectorTransmission for a raw ChannelConfig, runFleet
- * for a raw FleetConfig), and the pre-redesign entry points
- * (runCovertTransmission, bare runPhyTransmission calls) remain as
- * thin deprecated shims for one release.
+ * config resolution it consumes, and is the only place that routes a
+ * run. The drivers below it stay callable directly for a raw config
+ * (runVectorTransmission, runPhyTransmission, runFleet); each runs
+ * exactly the kind it is named for.
  */
 
 #ifndef COHERSIM_CHANNEL_EXPERIMENT_HH
@@ -63,9 +62,9 @@ struct ExperimentResult
  * Resolve @p spec and run it end to end.
  *
  * Dispatch order: fleet.pairs > 1 runs the fleet; a coherence-vector
- * spec with a non-legacy PHY profile (or the adaptive controller)
- * runs the PHY stack; everything else runs one plain vector
- * transmission.
+ * spec with a PHY profile (PhyConfig::framed: a hamming profile or
+ * the adaptive controller) runs the PHY stack; everything else runs
+ * one plain vector transmission.
  *
  * @param spec the declarative experiment description.
  * @param cal pre-computed calibration to reuse across a sweep;

@@ -160,16 +160,14 @@ symbolSpyBody(ThreadApi api, VAddr block, const CalibrationResult &cal,
 } // namespace
 
 SymbolReport
-runSymbolTransmission(const ChannelConfig &cfg,
+runSymbolTransmission(const ChannelConfig &cfg_in,
                       const BitString &payload,
                       const SymbolParams &sym_params,
                       const CalibrationResult *cal)
 {
-    CalibrationResult local_cal;
-    if (!cal) {
-        local_cal = calibrate(cfg.system, 400, cfg.params);
-        cal = &local_cal;
-    }
+    // The symbol channel needs the full crew: two loaders per socket.
+    ExperimentRig rig(cfg_in, cal, 2, 2);
+    const ChannelConfig &cfg = rig.cfg;
 
     BitString padded = payload;
     if (padded.size() % bitsPerSymbol)
@@ -179,32 +177,23 @@ runSymbolTransmission(const ChannelConfig &cfg,
     report.sent = padded;
     report.sentSymbols = bitsToSymbols(padded, bitsPerSymbol);
 
-    // The symbol channel needs the full crew: two loaders per socket.
-    ExperimentRig rig(cfg, 2, 2);
     const Tick period =
         cfg.params.nominalSamplePeriod(cfg.system.timing);
-
-    rig.machine.kernel.spawnThread(
-        rig.machine.sched, "trojan.ctl", rig.plan.controller,
-        *rig.trojanProc, [&](ThreadApi api) {
+    report.completed = rig.run(
+        [&](ThreadApi api) {
             return symbolTrojanBody(api, *rig.crew,
-                                    rig.shared.trojanVa, *cal,
+                                    rig.shared.trojanVa, rig.cal,
                                     cfg.params, sym_params, period,
                                     report.sentSymbols,
                                     report.trojan);
-        });
-    SimThread *spy_thread = rig.machine.kernel.spawnThread(
-        rig.machine.sched, "spy", rig.plan.spy, *rig.spyProc,
+        },
         [&](ThreadApi api) {
-            return symbolSpyBody(api, rig.shared.spyVa, *cal,
+            return symbolSpyBody(api, rig.shared.spyVa, rig.cal,
                                  cfg.params, sym_params,
                                  report.receivedSymbols, report.trace,
                                  cfg.collectTrace);
-        });
-
-    rig.machine.sched.runUntilFinished(spy_thread, cfg.timeout);
-    report.completed = spy_thread->finished;
-    rig.crew->stopAll();
+        },
+        report.trojan);
 
     report.received =
         symbolsToBits(report.receivedSymbols, bitsPerSymbol);

@@ -5,7 +5,6 @@
 #include "common/logging.hh"
 #include "detect/cchunter.hh"
 #include "os/kernel.hh"
-#include "phy/phy_channel.hh"
 #include "prof/profiler.hh"
 
 namespace csim
@@ -112,47 +111,18 @@ runVectorTransmission(const ChannelConfig &cfg_in,
                       const BitString &payload,
                       const CalibrationResult *cal)
 {
-    // The llc-notify defence is a hardware change: apply it to the
-    // timing model before anything (calibration included) samples it.
-    ChannelConfig cfg = cfg_in;
-    if (cfg.defense == Defense::llcNotify)
-        cfg.system.timing.llcNotifiedOfUpgrade = true;
-
-    // A hamming profile (or the adaptive controller, which never
-    // picks legacy-parity) reroutes the whole transmission through
-    // the framed FEC stack (src/phy); runPhyTransmission re-applies
-    // the defence, so hand the original config over untouched. The
-    // PHY stack rides the coherence modulator only — the other
-    // vectors' configs reject non-legacy profiles at validation.
-    if (cfg.vector == VectorKind::coherence &&
-        (cfg.phy.profile != PhyProfile::legacyParity ||
-         cfg.phy.adaptive)) {
-        ChannelReport report;
-        runPhyTransmission(cfg_in, payload, cal, &report);
-        return report;
-    }
-    fatal_if(cfg.vector != VectorKind::coherence &&
-                 (cfg.phy.profile != PhyProfile::legacyParity ||
-                  cfg.phy.adaptive),
-             "the PHY stack only modulates the coherence vector; "
-             "vector '", vectorName(cfg.vector),
-             "' needs phy.profile = legacy-parity");
+    fatal_if(cfg_in.phy.framed(),
+             "runVectorTransmission runs raw modulation only; a PHY "
+             "profile (phy.profile other than legacy-parity, or "
+             "phy.adaptive) runs through runExperiment, and only on "
+             "the coherence vector");
 
     const std::unique_ptr<LeakageVector> vec =
-        makeLeakageVector(cfg.vector);
-
-    // The adversaries calibrate bands through self-measurement ahead
-    // of time (paper §VII-B) — on a quiet machine.
-    CalibrationResult local_cal;
-    if (!cal) {
-        ScopedSpan span("rig.calibrate");
-        local_cal = vec->calibrate(cfg);
-        cal = &local_cal;
-    }
-
-    const ScenarioInfo &scenario = scenarioInfo(cfg.scenario);
-    ExperimentRig rig(cfg, vec->localLoaders(scenario),
+        makeLeakageVector(cfg_in.vector);
+    const ScenarioInfo &scenario = scenarioInfo(cfg_in.scenario);
+    ExperimentRig rig(cfg_in, cal, vec->localLoaders(scenario),
                       vec->remoteLoaders(scenario), scenario.csc);
+    const ChannelConfig &cfg = rig.cfg;
 
     ChannelReport report;
     report.sent = payload;
@@ -160,7 +130,7 @@ runVectorTransmission(const ChannelConfig &cfg_in,
 
     // Retry-cost plumbing: count NACK/retransmit milestones off the
     // bus into the metrics. The handler only ever fires during
-    // sched.runUntilFinished below, so capturing locals is safe.
+    // rig.run below, so capturing locals is safe.
     std::uint64_t nacks = 0, retransmits = 0;
     rig.machine.mem.trace().subscribe(
         categoryBit(TraceCategory::channel),
@@ -171,39 +141,15 @@ runVectorTransmission(const ChannelConfig &cfg_in,
                 ++retransmits;
         });
 
-    VectorRun run{cfg,        scenario,   *cal,
+    VectorRun run{cfg,        scenario,   rig.cal,
                   payload,    rig,        report.trojan,
                   report.spy, cfg.collectTrace};
     vec->prepare(run);
 
-    rig.machine.kernel.spawnThread(
-        rig.machine.sched, "trojan.ctl", rig.plan.controller,
-        *rig.trojanProc, [&](ThreadApi api) {
-            return vec->trojanTask(api, run);
-        });
-    SimThread *spy_thread = rig.machine.kernel.spawnThread(
-        rig.machine.sched, "spy", rig.plan.spy, *rig.spyProc,
-        [&](ThreadApi api) { return vec->spyTask(api, run); });
-
-    {
-        ScopedSpan span("rig.run");
-        const Tick run_start = rig.machine.sched.now();
-        rig.machine.sched.runUntilFinished(spy_thread, cfg.timeout);
-        span.addVirtual(rig.machine.sched.now() - run_start);
-    }
-    report.completed = spy_thread->finished;
-    rig.crew->stopAll();
-
-    // The sync and transmit phases interleave as coroutines inside
-    // rig.run, so they cannot be wall-scoped; reconstruct their
-    // virtual-cycle extents from the trojan's phase timestamps.
-    if (Profiler::enabled()) {
-        const TrojanResult &tr = report.trojan;
-        if (tr.syncEnd >= tr.syncStart)
-            profRecord("rig.sync", 0, tr.syncEnd - tr.syncStart);
-        if (tr.txEnd >= tr.txStart)
-            profRecord("rig.transmit", 0, tr.txEnd - tr.txStart);
-    }
+    report.completed = rig.run(
+        [&](ThreadApi api) { return vec->trojanTask(api, run); },
+        [&](ThreadApi api) { return vec->spyTask(api, run); },
+        report.trojan);
 
     ScopedSpan decode_span("rig.decode");
     report.received = report.spy.bits;

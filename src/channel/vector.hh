@@ -136,15 +136,15 @@ class LeakageVector
 std::unique_ptr<LeakageVector> makeLeakageVector(VectorKind kind);
 
 /**
- * Run one covert transmission of @p payload over cfg.vector.
+ * Run one raw-modulation covert transmission of @p payload over
+ * cfg.vector.
  *
- * This is the vector-agnostic driver every single-pair entry point
- * funnels into: it applies the llc-notify timing change, reroutes
- * coherence+PHY configurations to the framed FEC stack, calibrates
- * (unless @p cal is given), builds an ExperimentRig, lets the vector
- * prepare, spawns its trojan/spy bodies and computes metrics. With
- * cfg.vector == coherence it reproduces the classic
- * runCovertTransmission sequence operation for operation.
+ * The ExperimentRig lifecycle applies the llc-notify timing change,
+ * calibrates with the vector (unless @p cal is given) and runs the
+ * pair; this driver lets the vector prepare, hands the rig its
+ * trojan/spy bodies, counts NACK/retransmit milestones and computes
+ * metrics. A PHY config (cfg.phy.framed()) is a fatal error here:
+ * runExperiment routes those to the framed FEC stack.
  */
 ChannelReport runVectorTransmission(const ChannelConfig &cfg,
                                     const BitString &payload,

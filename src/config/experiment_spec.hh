@@ -128,9 +128,9 @@ struct ExperimentSpec
 
     /**
      * Resolve the runnable per-experiment configuration: derive
-     * params from rateKbps, apply the llc-notify defence to the
-     * timing model, derive the timeout from the payload when a
-     * margin is set.
+     * params from rateKbps and the timeout from the payload when a
+     * margin is set. The defence stays a field: the experiment rig
+     * (or runFleet) applies llc-notify to the timing model.
      */
     ChannelConfig toChannelConfig() const;
 

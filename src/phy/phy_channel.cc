@@ -17,8 +17,7 @@ phyPrepareSession(PhySession &s, const ChannelConfig &cfg,
                   const BitString &payload,
                   const CalibrationResult &cal)
 {
-    panic_if(cfg.phy.profile == PhyProfile::legacyParity &&
-                 !cfg.phy.adaptive,
+    panic_if(!cfg.phy.framed(),
              "the PHY session needs a hamming profile (or adaptive "
              "mode); legacy-parity runs the classic drivers");
     s.scenario = &scenarioInfo(cfg.scenario);
@@ -330,58 +329,28 @@ runPhyTransmission(const ChannelConfig &cfg_in,
                    const CalibrationResult *cal,
                    ChannelReport *channel_report)
 {
-    // Mirror runCovertTransmission: the llc-notify defence changes
-    // the timing model before calibration samples it.
-    ChannelConfig cfg = cfg_in;
-    if (cfg.defense == Defense::llcNotify)
-        cfg.system.timing.llcNotifiedOfUpgrade = true;
-
-    CalibrationResult local_cal;
-    if (!cal) {
-        ScopedSpan span("rig.calibrate");
-        local_cal = calibrate(cfg.system, 400, cfg.params);
-        cal = &local_cal;
-    }
+    const ScenarioInfo &scenario = scenarioInfo(cfg_in.scenario);
+    ExperimentRig rig(cfg_in, cal, scenario.localLoaders,
+                      scenario.remoteLoaders, scenario.csc);
+    const ChannelConfig &cfg = rig.cfg;
 
     PhySession session;
-    phyPrepareSession(session, cfg, payload, *cal);
+    phyPrepareSession(session, cfg, payload, rig.cal);
 
-    ExperimentRig rig(cfg, session.scenario->localLoaders,
-                      session.scenario->remoteLoaders,
-                      session.scenario->csc);
-
-    rig.machine.kernel.spawnThread(
-        rig.machine.sched, "trojan.ctl", rig.plan.controller,
-        *rig.trojanProc, [&](ThreadApi api) {
+    const bool completed = rig.run(
+        [&](ThreadApi api) {
             return phyTrojanBody(api, *rig.crew, rig.shared.trojanVa,
                                  session);
-        });
-    SimThread *spy_thread = rig.machine.kernel.spawnThread(
-        rig.machine.sched, "spy", rig.plan.spy, *rig.spyProc,
+        },
         [&](ThreadApi api) {
             return phySpyBody(api, rig.shared.spyVa, session);
-        });
-
-    {
-        ScopedSpan span("rig.run");
-        const Tick run_start = rig.machine.sched.now();
-        rig.machine.sched.runUntilFinished(spy_thread, cfg.timeout);
-        span.addVirtual(rig.machine.sched.now() - run_start);
-    }
-    rig.crew->stopAll();
-
-    if (Profiler::enabled()) {
-        const TrojanResult &tr = session.trojan;
-        if (tr.syncEnd >= tr.syncStart)
-            profRecord("rig.sync", 0, tr.syncEnd - tr.syncStart);
-        if (tr.txEnd >= tr.txStart)
-            profRecord("rig.transmit", 0, tr.txEnd - tr.txStart);
-    }
+        },
+        session.trojan);
 
     PhyReport report = phyFinalizeSession(session, payload,
                                           cfg.system.timing,
                                           rig.machine.sched.now());
-    report.completed = spy_thread->finished;
+    report.completed = completed;
 
     if (channel_report) {
         channel_report->sent = payload;

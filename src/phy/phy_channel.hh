@@ -12,10 +12,10 @@
  * operating point sustains — the trade the adaptive controller
  * navigates (src/phy/adaptive.hh).
  *
- * The coroutine bodies and the session state are public so the fleet
- * orchestrator can run one PHY session per co-resident pair on its
- * shared machine, exactly like the single-pair driver below does on
- * an owned one.
+ * The coroutine bodies and the session state are public so a caller
+ * can run a PHY session on a rig of its own (the detection tests
+ * attach CC-Hunter this way), exactly like the single-pair driver
+ * below does through ExperimentRig::run.
  */
 
 #ifndef COHERSIM_PHY_PHY_CHANNEL_HH
@@ -166,15 +166,15 @@ void addPhyCounters(CounterRegistry &reg, const std::string &prefix,
                     const PhyReport &report);
 
 /**
- * Run one complete PHY-profile covert transmission (the single-pair
- * path; the fleet orchestrator drives the pieces itself).
+ * Run one complete PHY-profile covert transmission on one
+ * trojan/spy pair (runExperiment routes PHY specs here).
  *
  * @param cfg experiment configuration; cfg.phy selects the stack.
  * @param payload bits the trojan exfiltrates.
  * @param cal pre-computed calibration to reuse across a sweep.
  * @param channel_report when non-null, also filled with the common
  *        ChannelReport view (metrics, counters, trojan/spy results)
- *        so runCovertTransmission can dispatch here transparently.
+ *        that runExperiment returns for a PHY run.
  */
 PhyReport runPhyTransmission(const ChannelConfig &cfg,
                              const BitString &payload,

@@ -71,6 +71,17 @@ struct PhyConfig
      * frame re-locks at its own preamble.
      */
     int frameNibbles = 32;
+
+    /**
+     * Does this config run the framed FEC stack? A hamming profile
+     * does, and so does the adaptive controller, which never picks
+     * legacy-parity.
+     */
+    bool
+    framed() const
+    {
+        return profile != PhyProfile::legacyParity || adaptive;
+    }
 };
 
 } // namespace csim

@@ -7,8 +7,8 @@
 
 #include <gtest/gtest.h>
 
-#include "channel/channel.hh"
 #include "channel/conflict.hh"
+#include "channel/vector.hh"
 #include "common/edit_distance.hh"
 
 namespace csim
@@ -513,7 +513,7 @@ TEST_P(EndToEnd, TransmitsAccurately)
     Rng rng(99 + GetParam());
     const BitString payload = randomBits(rng, 80);
     const ChannelReport report =
-        runCovertTransmission(cfg, payload, &sharedCal());
+        runVectorTransmission(cfg, payload, &sharedCal());
     EXPECT_TRUE(report.completed);
     EXPECT_TRUE(report.spy.sawTransmission);
     EXPECT_GE(report.metrics.accuracy, 0.95)
@@ -533,7 +533,7 @@ TEST(EndToEndExtras, TraceCollectionWorks)
     Rng rng(5);
     const BitString payload = randomBits(rng, 20);
     const ChannelReport report =
-        runCovertTransmission(cfg, payload, &sharedCal());
+        runVectorTransmission(cfg, payload, &sharedCal());
     EXPECT_FALSE(report.spy.trace.empty());
     // The trace decodes to the same bits the spy reported.
     const ScenarioInfo &sc = scenarioInfo(cfg.scenario);
@@ -554,7 +554,7 @@ TEST(EndToEndExtras, KsmSharingWorksEndToEnd)
     Rng rng(6);
     const BitString payload = randomBits(rng, 40);
     const ChannelReport report =
-        runCovertTransmission(cfg, payload, &sharedCal());
+        runVectorTransmission(cfg, payload, &sharedCal());
     EXPECT_TRUE(report.completed);
     EXPECT_TRUE(report.shared.viaKsm);
     EXPECT_GE(report.metrics.accuracy, 0.95);
@@ -564,7 +564,7 @@ TEST(EndToEndExtras, EmptyPayloadCompletes)
 {
     ChannelConfig cfg = baseConfig();
     const ChannelReport report =
-        runCovertTransmission(cfg, BitString{}, &sharedCal());
+        runVectorTransmission(cfg, BitString{}, &sharedCal());
     EXPECT_TRUE(report.completed);
     EXPECT_TRUE(report.received.empty());
 }
@@ -577,10 +577,10 @@ TEST(EndToEndExtras, HigherRatesLoseAccuracy)
     const BitString payload = randomBits(rng, 150);
     cfg.params =
         ChannelParams::forTargetKbps(150, cfg.system.timing);
-    const auto slow = runCovertTransmission(cfg, payload);
+    const auto slow = runVectorTransmission(cfg, payload);
     cfg.params =
         ChannelParams::forTargetKbps(1000, cfg.system.timing);
-    const auto fast = runCovertTransmission(cfg, payload);
+    const auto fast = runVectorTransmission(cfg, payload);
     EXPECT_GE(slow.metrics.accuracy, 0.97);
     EXPECT_LT(fast.metrics.accuracy, slow.metrics.accuracy);
     EXPECT_GT(fast.metrics.rawKbps, slow.metrics.rawKbps * 3);
@@ -596,9 +596,9 @@ TEST(EndToEndExtras, HeavyNoiseDegradesAccuracy)
     const BitString payload = randomBits(rng, 150);
     const CalibrationResult cal =
         calibrate(cfg.system, 300, cfg.params);
-    const auto quiet = runCovertTransmission(cfg, payload, &cal);
+    const auto quiet = runVectorTransmission(cfg, payload, &cal);
     cfg.noiseThreads = 8;
-    const auto noisy = runCovertTransmission(cfg, payload, &cal);
+    const auto noisy = runVectorTransmission(cfg, payload, &cal);
     EXPECT_TRUE(noisy.completed);
     EXPECT_GE(quiet.metrics.accuracy, 0.97);
     EXPECT_LT(noisy.metrics.accuracy, quiet.metrics.accuracy);

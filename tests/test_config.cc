@@ -12,7 +12,7 @@
 #include <cstdio>
 #include <fstream>
 
-#include "channel/channel.hh"
+#include "channel/vector.hh"
 #include "config/presets.hh"
 #include "config/resolver.hh"
 #include "os/kernel.hh"
@@ -308,7 +308,7 @@ TEST(ExperimentSpec, DerivesChannelConfigFromRate)
     EXPECT_EQ(cfg.timeout,
               cfg.deriveTimeout(100, 10.0));
     // The defence flag routes into the timing model downstream, not
-    // in toChannelConfig (runCovertTransmission applies it).
+    // in toChannelConfig (the experiment rig applies it).
     EXPECT_EQ(cfg.defense, Defense::none);
 }
 
@@ -526,9 +526,9 @@ TEST(Presets, PresetTransmissionMatchesManualSetup)
     ExperimentSpec manual = preset_spec;
     manual.channel.scenario = Scenario::rexcC_lexB;
 
-    const ChannelReport a = runCovertTransmission(
+    const ChannelReport a = runVectorTransmission(
         preset_spec.toChannelConfig(), preset_spec.makePayload());
-    const ChannelReport b = runCovertTransmission(
+    const ChannelReport b = runVectorTransmission(
         manual.toChannelConfig(), manual.makePayload());
     EXPECT_EQ(a.received, b.received);
     EXPECT_EQ(a.metrics.durationCycles, b.metrics.durationCycles);

@@ -136,7 +136,7 @@ TEST(DetectorEndToEnd, FlagsTheCovertChannel)
     const CalibrationResult cal = calibrate(cfg.system, 300);
 
     const ScenarioInfo &scenario = scenarioInfo(cfg.scenario);
-    ExperimentRig rig(cfg, scenario.localLoaders,
+    ExperimentRig rig(cfg, &cal, scenario.localLoaders,
                       scenario.remoteLoaders, scenario.csc);
     CoherenceChannelDetector detector;
     detector.attach(rig.machine.mem.trace());
@@ -145,21 +145,17 @@ TEST(DetectorEndToEnd, FlagsTheCovertChannel)
     const BitString payload = randomBits(rng, 60);
     TrojanResult trojan;
     SpyResult spy;
-    rig.machine.kernel.spawnThread(
-        rig.machine.sched, "trojan.ctl", rig.plan.controller,
-        *rig.trojanProc, [&](ThreadApi api) {
+    rig.run(
+        [&](ThreadApi api) {
             return trojanBody(api, *rig.crew, rig.shared.trojanVa,
                               scenario, cal, cfg.params,
                               cfg.system.timing, payload, trojan);
-        });
-    SimThread *spy_thread = rig.machine.kernel.spawnThread(
-        rig.machine.sched, "spy", rig.plan.spy, *rig.spyProc,
+        },
         [&](ThreadApi api) {
             return spyBody(api, rig.shared.spyVa, scenario, cal,
                            cfg.params, spy, false);
-        });
-    rig.machine.sched.runUntilFinished(spy_thread, cfg.timeout);
-    rig.crew->stopAll();
+        },
+        trojan);
 
     EXPECT_TRUE(detector.anySuspicious());
     const LineVerdict v =

@@ -178,5 +178,21 @@ TEST(EccSession, NoiseCostsThroughput)
     EXPECT_LT(noisy.effectiveKbps, quiet.effectiveKbps * 1.05);
 }
 
+TEST(EccSession, LlcNotifyDefenseIsTheTimingChange)
+{
+    // The parity+NACK session runs under the same defended timing
+    // model as every other single-pair run.
+    const BitString payload = someData(11, 100);
+    ChannelConfig defended = baseConfig();
+    defended.defense = Defense::llcNotify;
+    ChannelConfig direct = baseConfig();
+    direct.system.timing.llcNotifiedOfUpgrade = true;
+    const EccReport a = runEccTransmission(defended, payload);
+    const EccReport b = runEccTransmission(direct, payload);
+    EXPECT_EQ(a.delivered, b.delivered);
+    EXPECT_EQ(a.durationCycles, b.durationCycles);
+    EXPECT_EQ(a.rawBitsSent, b.rawBitsSent);
+}
+
 } // namespace
 } // namespace csim

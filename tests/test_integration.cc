@@ -7,9 +7,9 @@
 
 #include <gtest/gtest.h>
 
-#include "channel/channel.hh"
 #include "channel/ecc.hh"
 #include "channel/symbols.hh"
+#include "channel/vector.hh"
 
 namespace csim
 {
@@ -22,7 +22,7 @@ TEST(Integration, TextMessageRoundTrips)
     cfg.system.seed = 9;
     const std::string secret = "ATTACK AT DAWN";
     const ChannelReport report =
-        runCovertTransmission(cfg, textToBits(secret));
+        runVectorTransmission(cfg, textToBits(secret));
     EXPECT_TRUE(report.completed);
     EXPECT_EQ(bitsToText(report.received), secret);
 }
@@ -37,7 +37,7 @@ TEST(Integration, FullPipelineOverKsmWithNoise)
     Rng rng(3);
     const BitString payload = randomBits(rng, 60);
     const ChannelReport report =
-        runCovertTransmission(cfg, payload);
+        runVectorTransmission(cfg, payload);
     EXPECT_TRUE(report.completed);
     EXPECT_TRUE(report.shared.viaKsm);
     EXPECT_GE(report.metrics.accuracy, 0.85);
@@ -51,7 +51,7 @@ TEST(Integration, RunsAreReproducible)
         cfg.scenario = Scenario::rshC_lexB;
         cfg.noiseThreads = 3;
         Rng rng(4);
-        return runCovertTransmission(cfg, randomBits(rng, 50));
+        return runVectorTransmission(cfg, randomBits(rng, 50));
     };
     const ChannelReport a = run();
     const ChannelReport b = run();
@@ -69,7 +69,7 @@ TEST(Integration, DifferentSeedsStillDeliver)
         Rng rng(seed);
         const BitString payload = randomBits(rng, 40);
         const ChannelReport report =
-            runCovertTransmission(cfg, payload);
+            runVectorTransmission(cfg, payload);
         EXPECT_TRUE(report.completed) << "seed " << seed;
         EXPECT_GE(report.metrics.accuracy, 0.9) << "seed " << seed;
     }
@@ -87,7 +87,7 @@ TEST(Integration, MitigatedMachineClosesTheChannel)
     cfg.timeout = 300'000'000;
     Rng rng(5);
     const BitString payload = randomBits(rng, 30);
-    const ChannelReport report = runCovertTransmission(cfg, payload);
+    const ChannelReport report = runVectorTransmission(cfg, payload);
     // The spy either never locks on or decodes garbage.
     EXPECT_LT(report.metrics.accuracy, 0.5);
 }
@@ -99,7 +99,7 @@ TEST(Integration, SymbolAndBinaryChannelsAgreeOnPayload)
     const std::string secret = "KEY=0xDEADBEEF";
     const CalibrationResult cal = calibrate(cfg.system, 300);
     const ChannelReport bin =
-        runCovertTransmission(cfg, textToBits(secret), &cal);
+        runVectorTransmission(cfg, textToBits(secret), &cal);
     const SymbolReport sym =
         runSymbolTransmission(cfg, textToBits(secret), {}, &cal);
     EXPECT_EQ(bitsToText(bin.received), secret);

@@ -16,7 +16,7 @@
 #include <string>
 #include <vector>
 
-#include "channel/channel.hh"
+#include "channel/vector.hh"
 #include "common/edit_distance.hh"
 #include "common/random.hh"
 #include "obs/attribution.hh"
@@ -287,7 +287,7 @@ TEST(RunHealthMonitor, WindowTotalsMatchRunTotals)
     ocfg.windowCycles = 100'000;  // force many windows
     RunHealthMonitor monitor(ocfg);
     cfg.taps.push_back(&monitor);
-    const ChannelReport rep = runCovertTransmission(cfg, payload);
+    const ChannelReport rep = runVectorTransmission(cfg, payload);
     ASSERT_TRUE(rep.completed);
     const RunHealth health = monitor.finalize();
 
@@ -323,7 +323,7 @@ TEST(RunHealthMonitor, BandsPopulatedAndAssessed)
     monitor.setBands(cal);
     cfg.taps.push_back(&monitor);
     const ChannelReport rep =
-        runCovertTransmission(cfg, payload, &cal);
+        runVectorTransmission(cfg, payload, &cal);
     ASSERT_TRUE(rep.completed);
     const RunHealth health = monitor.finalize();
 
@@ -395,7 +395,7 @@ TEST(OfflineAnalysis, TraceRoundTripMatchesLiveMonitor)
     ocfg.bandCore = -1;  // a saved trace replays every core too
     RunHealthMonitor monitor(ocfg);
     cfg.taps.push_back(&monitor);
-    const ChannelReport rep = runCovertTransmission(cfg, payload);
+    const ChannelReport rep = runVectorTransmission(cfg, payload);
     ASSERT_TRUE(rep.completed);
     ASSERT_EQ(recorder.dropped(), 0u);
     const RunHealth live = monitor.finalize();

@@ -10,7 +10,8 @@
 #include <algorithm>
 #include <set>
 
-#include "channel/channel.hh"
+#include "channel/experiment.hh"
+#include "channel/vector.hh"
 #include "common/random.hh"
 #include "detect/cchunter.hh"
 #include "phy/adaptive.hh"
@@ -401,17 +402,21 @@ TEST(PhyEndToEnd, SoftProfileDeliversCleanPayload)
     EXPECT_DOUBLE_EQ(rep.payloadKbps, rep.effectiveKbps);
 }
 
-TEST(PhyEndToEnd, DispatchesThroughRunCovertTransmission)
+TEST(PhyEndToEnd, DispatchesThroughRunExperiment)
 {
-    ChannelConfig cfg = baseConfig();
+    ExperimentSpec spec;
+    spec.channel = baseConfig();
+    ChannelConfig &cfg = spec.channel;
     cfg.params =
         ChannelParams::forTargetKbps(500, cfg.system.timing);
     Rng rng(6);
     const BitString payload = randomBits(rng, 128);
     cfg.timeout = cfg.deriveTimeout(payload.size() * 3);
 
-    const ChannelReport rep =
-        runCovertTransmission(cfg, payload, &sharedCal());
+    const ExperimentResult res =
+        runExperiment(spec, &sharedCal(), &payload);
+    EXPECT_EQ(res.kind, ExperimentKind::phy);
+    const ChannelReport &rep = res.channel;
     EXPECT_TRUE(rep.completed);
     EXPECT_EQ(rep.received, payload);
     EXPECT_DOUBLE_EQ(rep.metrics.accuracy, 1.0);
@@ -421,6 +426,26 @@ TEST(PhyEndToEnd, DispatchesThroughRunCovertTransmission)
                      rep.metrics.effectiveKbps);
     EXPECT_GT(rep.counters.value("ch.phy.frames_sent"), 0);
     EXPECT_GT(rep.counters.value("ch.phy.preamble_locks"), 0);
+}
+
+TEST(PhyEndToEnd, RawVectorDriverRejectsPhyConfigs)
+{
+    // runExperiment is the only router: a PHY config handed to the
+    // raw-modulation driver fails loudly instead of rerouting.
+    ChannelConfig adaptive = baseConfig();
+    adaptive.phy.profile = PhyProfile::legacyParity;
+    adaptive.phy.adaptive = true;
+    const BitString payload = bitsFromString("1011");
+    for (const ChannelConfig &cfg : {baseConfig(), adaptive}) {
+        try {
+            runVectorTransmission(cfg, payload, &sharedCal());
+            ADD_FAILURE() << "a PHY config ran as raw modulation";
+        } catch (const std::runtime_error &e) {
+            EXPECT_NE(std::string(e.what()).find("runExperiment"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
 }
 
 TEST(PhyEndToEnd, AdaptiveModePicksAnOperatingPoint)
@@ -508,27 +533,22 @@ TEST(PhyEndToEnd, CcHunterStillFlagsFecTraffic)
 
     PhySession session;
     phyPrepareSession(session, cfg, payload, sharedCal());
-    ExperimentRig rig(cfg, session.scenario->localLoaders,
+    ExperimentRig rig(cfg, &sharedCal(),
+                      session.scenario->localLoaders,
                       session.scenario->remoteLoaders,
                       session.scenario->csc);
     CoherenceChannelDetector detector;
     detector.attach(rig.machine.mem.trace());
 
-    rig.machine.kernel.spawnThread(
-        rig.machine.sched, "trojan.ctl", rig.plan.controller,
-        *rig.trojanProc, [&](ThreadApi api) {
+    EXPECT_TRUE(rig.run(
+        [&](ThreadApi api) {
             return phyTrojanBody(api, *rig.crew,
                                  rig.shared.trojanVa, session);
-        });
-    SimThread *spy_thread = rig.machine.kernel.spawnThread(
-        rig.machine.sched, "spy", rig.plan.spy, *rig.spyProc,
+        },
         [&](ThreadApi api) {
             return phySpyBody(api, rig.shared.spyVa, session);
-        });
-    rig.machine.sched.runUntilFinished(spy_thread, cfg.timeout);
-    rig.crew->stopAll();
-
-    EXPECT_TRUE(spy_thread->finished);
+        },
+        session.trojan));
     EXPECT_TRUE(detector.anySuspicious());
     const LineVerdict v =
         detector.verdict(lineAlign(rig.shared.paddr));

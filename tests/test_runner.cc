@@ -18,7 +18,7 @@
 #include <stdexcept>
 #include <thread>
 
-#include "channel/channel.hh"
+#include "channel/vector.hh"
 #include "config/presets.hh"
 #include "config/resolver.hh"
 #include "runner/json_sink.hh"
@@ -221,7 +221,7 @@ TEST(ParallelSafety, ConcurrentMachinesMatchSoloRuns)
     auto run_one = [&](Scenario sc) {
         ChannelConfig c = cfg;
         c.scenario = sc;
-        return runCovertTransmission(c, payload, &cal);
+        return runVectorTransmission(c, payload, &cal);
     };
 
     // Solo (sequential) reference runs.
@@ -283,7 +283,7 @@ TEST(ParallelSweep, BitIdenticalAcrossWorkerCounts)
                     cfg.timeout =
                         cfg.deriveTimeout(payload.size());
                     const ChannelReport rep =
-                        runCovertTransmission(cfg, payload, &cal);
+                        runVectorTransmission(cfg, payload, &cal);
                     return Cell{bitsToString(rep.received),
                                 rep.metrics.accuracy,
                                 rep.metrics.rawKbps,
@@ -340,7 +340,7 @@ TEST(ParallelSweep, ConfigBuiltGridBitIdenticalAcrossWorkerCounts)
         std::vector<std::function<Cell()>> jobs;
         for (const ExperimentSpec &point : grid) {
             jobs.push_back([&point, &cal, &payload] {
-                const ChannelReport rep = runCovertTransmission(
+                const ChannelReport rep = runVectorTransmission(
                     point.toChannelConfig(), payload, &cal);
                 return Cell{bitsToString(rep.received),
                             rep.metrics.durationCycles,

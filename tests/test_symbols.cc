@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "channel/symbols.hh"
+#include "channel/vector.hh"
 
 namespace csim
 {
@@ -90,9 +91,29 @@ TEST(SymbolChannel, FasterThanBinaryAtSameSamplingRate)
     const SymbolReport sym =
         runSymbolTransmission(cfg, payload, {}, &sharedCal());
     const ChannelReport bin =
-        runCovertTransmission(cfg, payload, &sharedCal());
+        runVectorTransmission(cfg, payload, &sharedCal());
     EXPECT_GE(sym.metrics.accuracy, 0.9);
     EXPECT_GT(sym.metrics.rawKbps, bin.metrics.rawKbps * 1.5);
+}
+
+TEST(SymbolChannel, LlcNotifyDefenseIsTheTimingChange)
+{
+    // Defense::llcNotify is the hardware change of §VIII-E: a run
+    // under it must be the run with the timing flag set directly,
+    // calibration included.
+    Rng rng(14);
+    const BitString payload = randomBits(rng, 40);
+    ChannelConfig defended = baseConfig();
+    defended.defense = Defense::llcNotify;
+    ChannelConfig direct = baseConfig();
+    direct.system.timing.llcNotifiedOfUpgrade = true;
+    const SymbolReport a = runSymbolTransmission(defended, payload);
+    const SymbolReport b = runSymbolTransmission(direct, payload);
+    EXPECT_EQ(a.receivedSymbols, b.receivedSymbols);
+    EXPECT_EQ(a.metrics.durationCycles, b.metrics.durationCycles);
+    const SymbolReport open =
+        runSymbolTransmission(baseConfig(), payload);
+    EXPECT_NE(a.receivedSymbols, open.receivedSymbols);
 }
 
 TEST(SymbolChannel, CollectsTrace)

@@ -14,7 +14,7 @@
 #include <thread>
 #include <vector>
 
-#include "channel/channel.hh"
+#include "channel/vector.hh"
 #include "runner/json_sink.hh"
 #include "trace/bus.hh"
 #include "trace/counters.hh"
@@ -347,12 +347,12 @@ TEST(EndToEnd, TracedTransmission)
 
     // Reference run without a recorder.
     const ChannelReport plain =
-        runCovertTransmission(cfg, payload, &cal);
+        runVectorTransmission(cfg, payload, &cal);
 
     TraceRecorder recorder;
     cfg.recorder = &recorder;
     const ChannelReport traced =
-        runCovertTransmission(cfg, payload, &cal);
+        runVectorTransmission(cfg, payload, &cal);
 
     // Observation must not perturb: bit-identical outcome.
     EXPECT_EQ(bitsToString(plain.received),

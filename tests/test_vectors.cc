@@ -82,7 +82,7 @@ TEST(RunExperiment, CoherenceMatchesClassicDriver)
     ExperimentSpec spec = vectorSpec(VectorKind::coherence, 40);
     const CalibrationResult &cal = vectorCal(VectorKind::coherence);
     const ExperimentResult via_api = runExperiment(spec, &cal);
-    const ChannelReport classic = runCovertTransmission(
+    const ChannelReport classic = runVectorTransmission(
         spec.toChannelConfig(), spec.makePayload(), &cal);
     EXPECT_EQ(via_api.kind, ExperimentKind::single);
     EXPECT_TRUE(via_api.completed());
