@@ -238,12 +238,13 @@ ExperimentRig::ExperimentRig(const ChannelConfig &cfg_in,
     }
 }
 
-ExperimentRig::ExperimentRig(Machine &host, const ChannelConfig &cfg,
+ExperimentRig::ExperimentRig(Machine &host,
+                             const ChannelConfig &cfg_in,
                              const CorePlan &pair_plan, int n_local,
                              int n_remote, Combo csc,
                              std::uint32_t pair_id,
                              std::uint64_t pattern_seed)
-    : cfg(cfg), cal(ownCal_), machine(host), plan(pair_plan),
+    : cfg(cfg_in), cal(ownCal_), machine(host), plan(pair_plan),
       pairId(pair_id)
 {
     fatal_if(pair_id == 0,
