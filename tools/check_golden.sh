@@ -30,9 +30,10 @@ bench_dir="${args[0]:?usage: check_golden.sh BUILD_BENCH_DIR [GOLDEN_DIR]}"
 golden_dir="${args[1]:-$repo/tests/golden}"
 bench_dir="$(cd "$bench_dir" && pwd)"
 
-BENCHES="table01_scenarios fig08_accuracy_vs_rate fig09_noise_accuracy \
-fig10_error_correction fig11_multibit_symbols ablation_protocols \
-ablation_mitigations ablation_detection"
+BENCHES="fig02_latency_cdf table01_scenarios fig06_07_reception \
+fig08_accuracy_vs_rate fig09_noise_accuracy fig10_error_correction \
+fig11_multibit_symbols ablation_protocols ablation_mitigations \
+ablation_detection"
 
 # Strip the fields that legitimately differ between runs/machines:
 # wall-clock seconds and the worker count, in both the stdout
