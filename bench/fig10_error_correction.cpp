@@ -27,6 +27,7 @@ main()
     // top.
     cfg.params =
         ChannelParams::forTargetKbps(300, cfg.system.timing);
+    cfg.phy.profile = PhyProfile::legacyParity;
     const CalibrationResult cal =
         calibrate(cfg.system, 400, cfg.params);
     Rng rng(10);
@@ -42,12 +43,12 @@ main()
     for (const ScenarioInfo &sc : allScenarios()) {
         cfg.scenario = sc.id;
         std::vector<double> rates;
-        std::vector<int> retx;
+        std::vector<std::uint64_t> retx;
         std::uint64_t residual = 0;
         for (int noise : {0, 4, 8}) {
             cfg.noiseThreads = noise;
-            const EccReport rep =
-                runEccTransmission(cfg, payload, {}, &cal);
+            const PhyReport rep =
+                runPhyTransmission(cfg, payload, &cal);
             rates.push_back(rep.effectiveKbps);
             retx.push_back(rep.retransmissions);
             residual += rep.residualErrors;

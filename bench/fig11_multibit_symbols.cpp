@@ -30,20 +30,22 @@ main()
     std::cout << "first 18 bits sent:  " << bitsToString(example)
               << "\n";
     {
-        const SymbolReport rep =
-            runSymbolTransmission(cfg, example, {}, &cal);
+        ChannelConfig sym_cfg = cfg;
+        sym_cfg.vector = VectorKind::coherence2bit;
+        const ChannelReport rep =
+            runVectorTransmission(sym_cfg, example, &cal);
         std::cout << "received:            "
                   << bitsToString(rep.received) << "\n";
         std::cout << "symbols sent:        ";
-        for (int s : rep.sentSymbols)
+        for (int s : bitsToSymbols(rep.sent, bitsPerSymbol))
             std::cout << s << " ";
         std::cout << "\nsymbols received:    ";
-        for (int s : rep.receivedSymbols)
+        for (int s : bitsToSymbols(rep.received, bitsPerSymbol))
             std::cout << s << " ";
         std::cout << "\nspy trace (latency per timed load):\n  ";
         for (std::size_t i = 0;
-             i < rep.trace.size() && i < 60; ++i)
-            std::cout << rep.trace[i].latency << " ";
+             i < rep.spy.trace.size() && i < 60; ++i)
+            std::cout << rep.spy.trace[i].latency << " ";
         std::cout << "\n\n";
     }
 
@@ -63,10 +65,12 @@ main()
         cfg.params.helperGap = std::clamp<Tick>(ts / 3, 40, 150);
         cfg.params.pollInterval = std::clamp<Tick>(ts / 4, 30, 100);
         cfg.timeout = cfg.deriveTimeout(payload.size());
+        ChannelConfig sym_cfg = cfg;
+        sym_cfg.vector = VectorKind::coherence2bit;
         const ChannelReport bin =
             runVectorTransmission(cfg, payload, &cal);
-        const SymbolReport sym =
-            runSymbolTransmission(cfg, payload, {}, &cal);
+        const ChannelReport sym =
+            runVectorTransmission(sym_cfg, payload, &cal);
         if (bin.metrics.accuracy >= 0.9)
             binary_peak = std::max(binary_peak,
                                    bin.metrics.rawKbps);

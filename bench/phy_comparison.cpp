@@ -54,14 +54,8 @@ struct DetectorTap : BusTap
 
 struct PointResult
 {
-    double effectiveKbps = 0.0;
-    double payloadKbps = 0.0;
-    std::uint64_t residualErrors = 0;
-    std::uint64_t rawBitsSent = 0;
-    int retransmissions = 0;        //!< legacy only
-    std::uint64_t fecCorrected = 0; //!< phy only
+    PhyReport rep;
     bool detected = false;
-    bool completed = false;
 };
 
 PointResult
@@ -77,30 +71,8 @@ runPoint(const ExperimentSpec &base, const CalibrationResult &cal,
     const BitString payload =
         randomBits(rng, static_cast<std::size_t>(base.payload.bits));
 
-    PointResult r;
-    if (profile == PhyProfile::legacyParity) {
-        // The parity+NACK session is its own driver (an ECC
-        // experiment, not a transmit dispatch); it keeps the raw
-        // config entry point.
-        const ChannelConfig cfg = point.toChannelConfig();
-        const EccReport rep =
-            runEccTransmission(cfg, payload, {}, &cal);
-        r.effectiveKbps = rep.effectiveKbps;
-        r.payloadKbps = rep.payloadKbps;
-        r.residualErrors = rep.residualErrors;
-        r.rawBitsSent = rep.rawBitsSent;
-        r.retransmissions = rep.retransmissions;
-        r.completed = rep.completed;
-    } else {
-        const PhyReport rep =
-            runExperiment(point, &cal, &payload).phy;
-        r.effectiveKbps = rep.effectiveKbps;
-        r.payloadKbps = rep.payloadKbps;
-        r.residualErrors = rep.residualErrors;
-        r.rawBitsSent = rep.rawBitsSent;
-        r.fecCorrected = rep.stages.fecCorrected;
-        r.completed = rep.completed;
-    }
+    PointResult r{
+        runPhyTransmission(point.toChannelConfig(), payload, &cal)};
     r.detected = tap.det.anySuspicious();
     return r;
 }
@@ -177,7 +149,8 @@ main(int argc, char **argv)
     for (std::size_t ni = 0; ni < noise_levels.size(); ++ni) {
         for (const unsigned trial : trials) {
             for (std::size_t si = 0; si < n_schemes; ++si) {
-                const PointResult &r = results[idx++];
+                const PhyReport &r = results[idx].rep;
+                const bool detected = results[idx++].detected;
                 eff[ni * n_schemes + si] +=
                     r.effectiveKbps /
                     static_cast<double>(trials.size());
@@ -199,8 +172,8 @@ main(int argc, char **argv)
                 row["retransmissions"] =
                     static_cast<std::int64_t>(r.retransmissions);
                 row["fec_corrected"] =
-                    static_cast<std::int64_t>(r.fecCorrected);
-                row["detected"] = r.detected;
+                    static_cast<std::int64_t>(r.stages.fecCorrected);
+                row["detected"] = detected;
                 row["completed"] = r.completed;
                 rows.push(std::move(row));
             }

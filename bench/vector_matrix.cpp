@@ -86,6 +86,7 @@ runCell(const ExperimentSpec &spec_in, VectorKind kind, int noise,
     r.detected = det.anySuspicious();
     switch (kind) {
       case VectorKind::coherence:
+      case VectorKind::coherence2bit:
       case VectorKind::dirty:
         r.verdict = det.verdict(lineAlign(report.shared.paddr));
         break;
@@ -109,6 +110,7 @@ trackerName(VectorKind kind)
 {
     switch (kind) {
       case VectorKind::coherence:
+      case VectorKind::coherence2bit:
       case VectorKind::dirty:
         return "flush-train";
       case VectorKind::lru:

@@ -17,6 +17,7 @@ main()
 
     ChannelConfig cfg;
     cfg.system.seed = 4242;
+    cfg.vector = VectorKind::coherence2bit;
     cfg.collectTrace = true;
 
     const std::string secret = "QUAD";
@@ -26,14 +27,14 @@ main()
               << " 10=" << comboName(symbolCombo(2))
               << " 11=" << comboName(symbolCombo(3)) << "\n\n";
 
-    const SymbolReport rep =
-        runSymbolTransmission(cfg, textToBits(secret));
+    const ChannelReport rep =
+        runVectorTransmission(cfg, textToBits(secret));
 
     std::cout << "sent symbols:     ";
-    for (int s : rep.sentSymbols)
+    for (int s : bitsToSymbols(rep.sent, bitsPerSymbol))
         std::cout << s;
     std::cout << "\nreceived symbols: ";
-    for (int s : rep.receivedSymbols)
+    for (int s : bitsToSymbols(rep.received, bitsPerSymbol))
         std::cout << s;
     std::cout << "\ndecoded text:     \""
               << bitsToText(rep.received) << "\"\n";
@@ -44,8 +45,8 @@ main()
               << " Kbps (2 bits per symbol)\n\n";
 
     std::cout << "spy latency trace (one load per line sample):\n  ";
-    for (std::size_t i = 0; i < rep.trace.size() && i < 48; ++i)
-        std::cout << rep.trace[i].latency << " ";
+    for (std::size_t i = 0; i < rep.spy.trace.size() && i < 48; ++i)
+        std::cout << rep.spy.trace[i].latency << " ";
     std::cout << "...\n";
     return rep.metrics.accuracy > 0.9 ? 0 : 1;
 }

@@ -105,9 +105,10 @@ ExperimentRig::initShared(Combo csc, std::uint64_t pattern_seed)
     // Adversary optimization: within the 64 lines of the shared
     // page, pick one homed on the socket where the communication
     // combo's loaders run, so re-establishment after each spy flush
-    // fetches from local memory. The non-coherence vectors keep
-    // their probes on the spy's socket, so they always pick a
-    // socket-0-homed line.
+    // fetches from local memory. The other vectors keep their
+    // probes on the spy's socket, so they always pick a
+    // socket-0-homed line — coherence-2bit included: it cycles
+    // through all four combos whatever the scenario's csc.
     if (cfg.system.timing.numaInterleave && cfg.system.sockets > 1) {
         const SocketId want =
             cfg.vector == VectorKind::coherence &&

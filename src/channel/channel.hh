@@ -3,11 +3,12 @@
  * Covert-channel experiment plumbing: the experiment configuration,
  * its report, and the rig that builds a machine, establishes shared
  * memory, spawns noise/trojan/spy and runs one trojan/spy pair. The
- * drivers on top of it are runVectorTransmission
- * (channel/vector.hh), runPhyTransmission (phy/phy_channel.hh),
- * runEccTransmission (channel/ecc.hh) and runSymbolTransmission
- * (channel/symbols.hh); runExperiment (channel/experiment.hh)
- * routes a declarative spec to the right one.
+ * single-pair drivers on top of it are runVectorTransmission
+ * (channel/vector.hh: every leakage vector, 2-bit symbols included)
+ * and runPhyTransmission (phy/phy_channel.hh: the framed FEC chains
+ * and the paper's parity+NACK chain); runExperiment
+ * (channel/experiment.hh) routes a declarative spec to the right
+ * one.
  */
 
 #ifndef COHERSIM_CHANNEL_CHANNEL_HH
@@ -86,10 +87,11 @@ struct ChannelConfig
     /** Defence deployed against the adversaries (§VIII-E). */
     Defense defense = Defense::none;
     /**
-     * PHY channel stack selection (`phy.*`, src/phy). The default
-     * legacy-parity profile keeps every classic code path; with a
-     * hamming profile runExperiment routes the transmission through
-     * the framed FEC stack.
+     * PHY channel stack selection (`phy.*`, src/phy). Under the
+     * default legacy-parity profile runExperiment keeps every
+     * classic raw-modulation path (runPhyTransmission runs it as
+     * parity+NACK); with a hamming profile runExperiment routes the
+     * transmission through the framed FEC stack.
      */
     PhyConfig phy;
     /** Record the spy's raw latency trace (paper Fig. 7). */
@@ -201,10 +203,9 @@ struct CorePlan
 };
 
 /**
- * Common experiment plumbing shared by the binary channel, the PHY
- * stack, the multi-bit symbol channel and the error-corrected
- * session: machine, processes, shared block, noise agents and the
- * trojan's loader crew.
+ * Common experiment plumbing shared by every leakage vector and
+ * every PHY chain: machine, processes, shared block, noise agents
+ * and the trojan's loader crew.
  *
  * On the single-pair path the rig also owns the run's lifecycle:
  * the constructor applies the llc-notify defence and calibrates,

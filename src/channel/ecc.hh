@@ -1,6 +1,7 @@
 /**
  * @file
- * Error detection and retransmission (paper §VIII-C, Figure 10).
+ * The packet codec of the paper's error detection and
+ * retransmission scheme (§VIII-C, Figure 10).
  *
  * The payload is sent in 64-byte packets carrying 16 parity bits
  * (one even-parity bit per 4-byte chunk) plus a small sequence
@@ -8,7 +9,9 @@
  * detected a parity error it transmits a NACK by caching block B
  * during the trojan's acknowledgement window; the trojan then
  * retransmits. The scheme guarantees (near-)complete bit recovery at
- * the cost of retransmission and acknowledgement overhead.
+ * the cost of retransmission and acknowledgement overhead. The
+ * session itself is the legacy-parity chain of runPhyTransmission
+ * (phy/phy_channel.hh).
  */
 
 #ifndef COHERSIM_CHANNEL_ECC_HH
@@ -18,7 +21,6 @@
 #include <optional>
 #include <utility>
 
-#include "channel/channel.hh"
 #include "common/bit_string.hh"
 
 namespace csim
@@ -49,51 +51,6 @@ BitString encodePacket(std::uint8_t seq, const BitString &data512);
 std::optional<std::pair<std::uint8_t, BitString>>
 decodePacket(const BitString &bits);
 /** @} */
-
-/** Retransmission-protocol tunables. */
-struct EccParams
-{
-    /** Trojan probes per acknowledgement window. */
-    int ackSamples = 5;
-    /** Cached probes (out of ackSamples) that signal a NACK. */
-    int nackThreshold = 2;
-    /** Give up on a packet after this many retransmissions. */
-    int maxRetries = 25;
-};
-
-/** Outcome of an error-corrected session. */
-struct EccReport
-{
-    /** Payload bits the session was asked to deliver. */
-    std::uint64_t payloadBits = 0;
-    /** Packets the payload was split into. */
-    int packets = 0;
-    /** Packet retransmissions the spy's NACKs triggered. */
-    int retransmissions = 0;
-    /** NACK windows the trojan observed (>= retransmissions). */
-    std::uint64_t nacks = 0;
-    /** Raw bits that crossed the channel (incl. retransmissions). */
-    std::uint64_t rawBitsSent = 0;
-    /** What the spy reassembled (truncated to payloadBits). */
-    BitString delivered;
-    /** Positional bit errors remaining after correction. */
-    std::uint64_t residualErrors = 0;
-    /** Session duration (sync end to trojan completion), cycles. */
-    Tick durationCycles = 0;
-    /** Effective information rate, Kbits/s. */
-    double effectiveKbps = 0.0;
-    /** Goodput: payload bits minus residual errors, Kbits/s. */
-    double payloadKbps = 0.0;
-    bool completed = false;
-};
-
-/**
- * Run an error-corrected covert session delivering @p payload.
- */
-EccReport runEccTransmission(const ChannelConfig &cfg,
-                             const BitString &payload,
-                             const EccParams &ecc = {},
-                             const CalibrationResult *cal = nullptr);
 
 } // namespace csim
 

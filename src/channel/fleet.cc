@@ -160,21 +160,6 @@ runFleet(const FleetConfig &cfg_in, const CalibrationResult *cal)
         machine.kernel.enableKsmGuard();
     }
 
-    // Per-pair retry-cost counting off the bus, routed by the pair
-    // tag the adversary threads stamp into their events.
-    std::vector<std::uint64_t> nacks(cfg.pairs + 1, 0);
-    std::vector<std::uint64_t> retransmits(cfg.pairs + 1, 0);
-    machine.mem.trace().subscribe(
-        categoryBit(TraceCategory::channel),
-        [&nacks, &retransmits](const TraceEvent &ev) {
-            if (ev.pair >= nacks.size())
-                return;
-            if (ev.type == TraceEventType::chNack)
-                ++nacks[ev.pair];
-            else if (ev.type == TraceEventType::chRetransmit)
-                ++retransmits[ev.pair];
-        });
-
     for (int k = 0; k < cfg.pairs; ++k) {
         PairRun *run = runs[static_cast<std::size_t>(k)].get();
         ExperimentRig &rig = *run->rig;
@@ -249,8 +234,6 @@ runFleet(const FleetConfig &cfg_in, const CalibrationResult *cal)
                               : machine.sched.now(),
             cfg.base.system.timing);
         pr.metrics.pairId = rig.pairId;
-        pr.metrics.nacks = nacks[rig.pairId];
-        pr.metrics.retransmits = retransmits[rig.pairId];
         pr.detect = detector.verdict(rig.shared.paddr);
         if (pr.detect.suspicious)
             ++report.pairsFlagged;

@@ -43,17 +43,19 @@ struct ChannelMetrics
     /**
      * Goodput: correctly delivered *payload* bits per second, net of
      * any framing/FEC/parity overhead the scheme spends on the wire.
-     * For the plain and symbol channels every wire bit is a payload
-     * bit, so this equals effectiveKbps; the ECC and PHY sessions
-     * overwrite it with their payload-level rate.
+     * For raw modulation (every leakage vector) every wire bit is a
+     * payload bit, so this equals effectiveKbps; runPhyTransmission
+     * overwrites it with the payload-level rate of its FEC or
+     * parity+NACK chain.
      */
     double payloadKbps = 0.0;
     /**
      * @name Retry cost (paper Fig. 10)
      * NACKs the transmitter observed and packet retransmissions it
-     * issued, counted off the channel trace events so effectiveKbps
-     * can be read against the retry overhead. Zero for the
-     * plain/symbol channels, which never retransmit.
+     * issued, so effectiveKbps can be read against the retry
+     * overhead. Filled from PhyReport by the legacy-parity
+     * (parity+NACK) chain of runPhyTransmission; zero for raw
+     * modulation and the FEC chains, which never retransmit.
      */
     /** @{ */
     std::uint64_t nacks = 0;

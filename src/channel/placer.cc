@@ -1,5 +1,4 @@
 #include "channel/placer.hh"
-#include <cstdlib>
 
 #include "common/logging.hh"
 
@@ -9,13 +8,7 @@ namespace csim
 Task
 placerHelperBody(ThreadApi api, HelperCtl *ctl, Tick gap, Tick poll)
 {
-    static const bool debug =
-        std::getenv("CSIM_DEBUG_HELPER") != nullptr;
     for (;;) {
-        if (debug) {
-            inform("helper tid=", api.id(), " t=", api.now(),
-                   " mode=", static_cast<int>(ctl->mode));
-        }
         switch (ctl->mode) {
           case HelperCtl::Mode::stop:
             co_return;

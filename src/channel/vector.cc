@@ -18,6 +18,7 @@ vectorName(VectorKind k)
       case VectorKind::dirty: return "dirty";
       case VectorKind::lru: return "lru";
       case VectorKind::pagefault: return "pagefault";
+      case VectorKind::coherence2bit: return "coherence-2bit";
     }
     return "?";
 }
@@ -92,6 +93,7 @@ class CoherenceVector final : public LeakageVector
 std::unique_ptr<LeakageVector> makeDirtyVector();
 std::unique_ptr<LeakageVector> makeLruVector();
 std::unique_ptr<LeakageVector> makePagefaultVector();
+std::unique_ptr<LeakageVector> makeCoherence2bitVector();
 
 std::unique_ptr<LeakageVector>
 makeLeakageVector(VectorKind kind)
@@ -102,6 +104,7 @@ makeLeakageVector(VectorKind kind)
       case VectorKind::dirty: return makeDirtyVector();
       case VectorKind::lru: return makeLruVector();
       case VectorKind::pagefault: return makePagefaultVector();
+      case VectorKind::coherence2bit: return makeCoherence2bitVector();
     }
     fatal("unknown vector kind ", static_cast<int>(kind));
 }
@@ -128,19 +131,6 @@ runVectorTransmission(const ChannelConfig &cfg_in,
     report.sent = payload;
     report.shared = rig.shared;
 
-    // Retry-cost plumbing: count NACK/retransmit milestones off the
-    // bus into the metrics. The handler only ever fires during
-    // rig.run below, so capturing locals is safe.
-    std::uint64_t nacks = 0, retransmits = 0;
-    rig.machine.mem.trace().subscribe(
-        categoryBit(TraceCategory::channel),
-        [&nacks, &retransmits](const TraceEvent &ev) {
-            if (ev.type == TraceEventType::chNack)
-                ++nacks;
-            else if (ev.type == TraceEventType::chRetransmit)
-                ++retransmits;
-        });
-
     VectorRun run{cfg,        scenario,   rig.cal,
                   payload,    rig,        report.trojan,
                   report.spy, cfg.collectTrace};
@@ -158,8 +148,6 @@ runVectorTransmission(const ChannelConfig &cfg_in,
         report.trojan.txEnd ? report.trojan.txEnd
                             : rig.machine.sched.now(),
         cfg.system.timing);
-    report.metrics.nacks = nacks;
-    report.metrics.retransmits = retransmits;
     report.counters = collectCounters(rig.machine, cfg.recorder);
     addChannelCounters(report.counters, rig.counterPrefix(),
                        report.metrics);

@@ -27,11 +27,12 @@ enum class VectorKind : std::uint8_t
     dirty,      //!< E-vs-M writeback timing of a shared line (Cui)
     lru,        //!< replacement-metadata channel (Xiong & Szefer)
     pagefault,  //!< COW-fault timing via KSM merging (Swaminathan)
+    coherence2bit,  //!< 2-bit symbols over all four combos (§VIII-D)
 };
 
-inline constexpr int numVectorKinds = 4;
+inline constexpr int numVectorKinds = 5;
 
-/** Printable name: coherence, dirty, lru, pagefault. */
+/** Printable name: coherence, dirty, lru, pagefault, coherence-2bit. */
 const char *vectorName(VectorKind k);
 
 /** Parse a vector name; throws std::invalid_argument on others. */

@@ -646,7 +646,8 @@ FieldRegistry::FieldRegistry()
 
     // --- channel: scenario and transmission setup ----------------------
     add(makeChoice(
-        "channel.vector", {"coherence", "dirty", "lru", "pagefault"},
+        "channel.vector",
+        {"coherence", "dirty", "lru", "pagefault", "coherence-2bit"},
         "leakage vector carrying the bits (channel/vector.hh): "
         "coherence-state timing, dirty-state writeback timing, "
         "replacement-metadata (LRU) eviction, or KSM copy-on-write "

@@ -21,6 +21,9 @@ vectorBandInfo(VectorKind k)
       case VectorKind::pagefault:
         return {"cow-fault", "plain-store",
                 "store latency: copy-on-write split vs. write hit"};
+      case VectorKind::coherence2bit:
+        return {"symbol", "quiet",
+                "load latency vs. all four Fig. 2 combo bands"};
     }
     return {"action", "idle", "?"};
 }
@@ -31,6 +34,7 @@ seedVectorBands(RunHealthMonitor &monitor, VectorKind k,
 {
     switch (k) {
       case VectorKind::coherence:
+      case VectorKind::coherence2bit:
         monitor.setBands(cal);
         return;
       case VectorKind::lru:

@@ -39,11 +39,12 @@ VectorBandInfo vectorBandInfo(VectorKind k);
 
 /**
  * Seed @p monitor's reference bands for vector @p k from @p cal:
- * the full combo set for coherence, the DRAM slot (the evicted
- * probe's refill) for the LRU vector. The dirty and page-fault
- * vectors time flushes and stores, which the mem trace events do
- * not carry a latency for — their drift tracking stays off and the
- * report leans on the timeseries/error-budget views instead.
+ * the full combo set for both coherence vectors, the DRAM slot
+ * (the evicted probe's refill) for the LRU vector. The dirty and
+ * page-fault vectors time flushes and stores, which the mem trace
+ * events do not carry a latency for — their drift tracking stays
+ * off and the report leans on the timeseries/error-budget views
+ * instead.
  */
 void seedVectorBands(RunHealthMonitor &monitor, VectorKind k,
                      const CalibrationResult &cal);

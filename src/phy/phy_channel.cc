@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "channel/ecc.hh"
 #include "channel/trace_hooks.hh"
 #include "common/logging.hh"
 #include "phy/adaptive.hh"
@@ -17,9 +18,6 @@ phyPrepareSession(PhySession &s, const ChannelConfig &cfg,
                   const BitString &payload,
                   const CalibrationResult &cal)
 {
-    panic_if(!cfg.phy.framed(),
-             "the PHY session needs a hamming profile (or adaptive "
-             "mode); legacy-parity runs the classic drivers");
     s.scenario = &scenarioInfo(cfg.scenario);
     s.cal = &cal;
     s.params = cfg.params;
@@ -36,23 +34,35 @@ phyPrepareSession(PhySession &s, const ChannelConfig &cfg,
     }
     s.period = s.params.nominalSamplePeriod(cfg.system.timing);
 
-    // Pre-encode the payload: fixed-size chunks, 4-bit sequence
-    // numbers. FEC mode never retransmits, so consecutive frames
-    // always carry distinct sequence numbers and the spy's duplicate
-    // guard only ever drops false decodes.
+    // Pre-encode the payload. FEC frames carry fixed-size chunks
+    // with 4-bit sequence numbers; FEC mode never retransmits, so
+    // consecutive frames always carry distinct sequence numbers and
+    // the spy's duplicate guard only ever drops false decodes.
+    // Parity packets carry 64 bytes (the last one zero-padded) with
+    // 8-bit sequence numbers.
     ScopedSpan span("phy.encode");
+    const bool framed = s.phy.framed();
     const std::size_t chunk_bits =
-        static_cast<std::size_t>(s.phy.frameNibbles) * hammingDataBits;
+        framed ? static_cast<std::size_t>(s.phy.frameNibbles) *
+                     hammingDataBits
+               : packetDataBits;
     for (std::size_t off = 0; off < payload.size();
          off += chunk_bits) {
-        const BitString chunk(
+        BitString chunk(
             payload.begin() + static_cast<std::ptrdiff_t>(off),
             payload.begin() +
                 static_cast<std::ptrdiff_t>(
                     std::min(off + chunk_bits, payload.size())));
-        s.frames.push_back(phyEncodeFrame(
-            static_cast<std::uint8_t>(s.frames.size() & 0xf), chunk,
-            s.phy));
+        if (framed) {
+            s.frames.push_back(phyEncodeFrame(
+                static_cast<std::uint8_t>(s.frames.size() & 0xf),
+                chunk, s.phy));
+        } else {
+            chunk.resize(packetDataBits, 0);
+            s.frames.push_back(encodePacket(
+                static_cast<std::uint8_t>(s.frames.size() & 0xff),
+                chunk));
+        }
     }
 }
 
@@ -238,6 +248,173 @@ phySpyBody(ThreadApi api, VAddr block, PhySession &s)
     chEvent(api, TraceEventType::chRxEnd, s.stages.wireBitsReceived);
 }
 
+namespace
+{
+
+/** @name Parity+NACK protocol tunables (paper §VIII-C) */
+/** @{ */
+/** Trojan probes per acknowledgement window. */
+constexpr int ackSamples = 5;
+/** Cached probes (out of ackSamples) that signal a NACK. */
+constexpr int nackThreshold = 2;
+/** Give up on a packet after this many retransmissions. */
+constexpr int maxRetries = 25;
+/** @} */
+
+/**
+ * Parity+NACK trojan: sync handshake, then each packet until the
+ * spy stops NACKing it. After each packet the roles briefly
+ * reverse: the trojan probes block B for the spy's NACK signal.
+ */
+Task
+parityTrojanBody(ThreadApi api, PlacerCrew &crew, VAddr block,
+                 PhySession &s)
+{
+    co_await trojanSyncPhase(api, block, *s.cal, s.params, s.trojan);
+    s.sessionStart = s.trojan.txStart = api.now();
+    const double cached_threshold = s.cal->dramBand.lo - 2.0;
+
+    for (const BitString &packet : s.frames) {
+        int attempts = 0;
+        for (;;) {
+            TrojanResult tr;
+            co_await trojanTransmit(api, crew, block, *s.scenario,
+                                    s.params, s.period, packet, tr);
+            s.rawBitsSent += packet.size();
+            // Let the spy run into its end-of-packet detection.
+            co_await api.spinUntil(
+                tr.txEnd +
+                static_cast<Tick>(s.params.endN + 2) * s.period);
+            // Acknowledgement window: probe whether the spy is
+            // holding B cached (its NACK signal).
+            int cached = 0;
+            for (int i = 0; i < ackSamples; ++i) {
+                co_await api.flush(block);
+                co_await api.spin(s.params.ts);
+                const Tick lat = co_await api.load(block);
+                if (static_cast<double>(lat) < cached_threshold)
+                    ++cached;
+            }
+            const bool nack = cached >= nackThreshold;
+            if (nack) {
+                ++s.nacks;
+                chEvent(api, TraceEventType::chNack,
+                        static_cast<std::uint64_t>(attempts + 1));
+            }
+            // Settle before the next lead-in so the spy is back in
+            // its wait-for-start phase.
+            co_await api.spin(3 * s.period);
+            if (!nack)
+                break;
+            ++s.retransmissions;
+            chEvent(api, TraceEventType::chRetransmit,
+                    s.rawBitsSent / packetTotalBits);
+            if (++attempts > maxRetries) {
+                chEvent(api, TraceEventType::chRetransmitExhausted,
+                        static_cast<std::uint64_t>(attempts - 1));
+                warn("ecc: giving up on a packet after ",
+                     maxRetries, " retries");
+                break;
+            }
+        }
+    }
+    crew.idle();
+    s.trojanDone = true;
+    s.trojanEnd = s.trojan.txEnd = api.now();
+}
+
+/**
+ * Parity+NACK spy: receive each packet, accept it when its parity
+ * checks out, else hold B cached through the trojan's
+ * acknowledgement window (the NACK).
+ */
+Task
+paritySpyBody(ThreadApi api, VAddr block, PhySession &s)
+{
+    LatencyBand tc = s.cal->band(s.scenario->csc);
+    LatencyBand tb = s.cal->band(s.scenario->csb);
+    LatencyBand dram = s.cal->dramBand;
+    {
+        std::vector<LatencyBand *> used = {&tc, &tb, &dram};
+        claimGaps(used, s.params.gapClaim);
+    }
+    int last_seq = -1;
+
+    while (s.accepted.size() < s.frames.size() && !s.trojanDone) {
+        // Wait for the packet lead-in boundary.
+        int consecutive_tb = 0;
+        bool started = false;
+        while (!started && !s.trojanDone) {
+            co_await api.flush(block);
+            co_await api.spin(s.params.ts);
+            const Tick lat = co_await api.load(block);
+            const auto cls =
+                classifySample(static_cast<double>(lat), tc, tb);
+            if (cls == SampleClass::boundary) {
+                if (++consecutive_tb >= 2)
+                    started = true;
+            } else {
+                consecutive_tb = 0;
+            }
+        }
+        if (!started)
+            break;
+
+        // Receive the packet's bits.
+        IncrementalTranslator translator(s.params.thold());
+        translator.feed(SampleClass::boundary);
+        BitString bits;
+        int out_of_band = 0;
+        while (out_of_band < s.params.endN) {
+            co_await api.flush(block);
+            co_await api.spin(s.params.ts);
+            const Tick lat = co_await api.load(block);
+            const auto cls =
+                classifySample(static_cast<double>(lat), tc, tb);
+            if (auto bit = translator.feed(cls))
+                bits.push_back(static_cast<std::uint8_t>(*bit));
+            if (cls == SampleClass::outOfBand) {
+                ++out_of_band;
+            } else {
+                // Slip reported at recovery, as in spyBody, so the
+                // end-of-packet marker run never counts as one.
+                if (out_of_band > 0) {
+                    chEvent(api, TraceEventType::chSyncSlip,
+                            static_cast<std::uint64_t>(out_of_band));
+                }
+                out_of_band = 0;
+            }
+        }
+        if (auto bit = translator.finish())
+            bits.push_back(static_cast<std::uint8_t>(*bit));
+
+        const auto decoded = decodePacket(bits);
+        if (decoded) {
+            if (static_cast<int>(decoded->first) != last_seq) {
+                s.accepted.emplace_back(s.accepted.size(),
+                                        decoded->second);
+                last_seq = decoded->first;
+                chEvent(api, TraceEventType::chPacketAccepted,
+                        decoded->first);
+            }
+            // ACK (no NACK): stay quiet through the trojan's window.
+            co_await api.spin(
+                static_cast<Tick>(ackSamples + 2) * s.period);
+        } else {
+            // NACK: keep B cached while the trojan probes.
+            const Tick until =
+                api.now() +
+                static_cast<Tick>(ackSamples + 4) * s.period;
+            while (api.now() < until) {
+                co_await api.load(block);
+                co_await api.spin(s.params.helperGap);
+            }
+        }
+    }
+}
+
+} // namespace
+
 PhyReport
 phyFinalizeSession(const PhySession &s, const BitString &payload,
                    const TimingParams &timing, Tick fallback_end)
@@ -252,22 +429,35 @@ phyFinalizeSession(const PhySession &s, const BitString &payload,
     r.bandSeparation = s.bandSeparation;
     r.stages = s.stages;
 
-    // Place each accepted chunk at its sequence-derived offset;
-    // lost frames stay zero-filled erasures instead of shifting
-    // every later chunk out of position.
-    const std::size_t chunk_bits =
-        static_cast<std::size_t>(s.phy.frameNibbles) *
-        hammingDataBits;
-    r.delivered.assign(payload.size(), 0);
-    for (const auto &[index, chunk] : s.accepted) {
-        const std::size_t off = index * chunk_bits;
-        for (std::size_t i = 0;
-             i < chunk.size() && off + i < r.delivered.size(); ++i) {
-            r.delivered[off + i] = chunk[i];
+    r.nacks = s.nacks;
+    r.retransmissions = s.retransmissions;
+
+    if (!s.phy.framed()) {
+        // Parity+NACK accepts packets in order: concatenate them and
+        // cut the last packet's zero padding.
+        for (const auto &[index, data] : s.accepted) {
+            r.delivered.insert(r.delivered.end(), data.begin(),
+                               data.end());
+        }
+        if (r.delivered.size() > payload.size())
+            r.delivered.resize(payload.size());
+    } else if (!s.accepted.empty()) {
+        // Place each accepted chunk at its sequence-derived offset;
+        // lost frames stay zero-filled erasures instead of shifting
+        // every later chunk out of position.
+        const std::size_t chunk_bits =
+            static_cast<std::size_t>(s.phy.frameNibbles) *
+            hammingDataBits;
+        r.delivered.assign(payload.size(), 0);
+        for (const auto &[index, chunk] : s.accepted) {
+            const std::size_t off = index * chunk_bits;
+            for (std::size_t i = 0;
+                 i < chunk.size() && off + i < r.delivered.size();
+                 ++i) {
+                r.delivered[off + i] = chunk[i];
+            }
         }
     }
-    if (s.accepted.empty())
-        r.delivered.clear();
     for (std::size_t i = 0; i < payload.size(); ++i) {
         if (i >= r.delivered.size() || r.delivered[i] != payload[i])
             ++r.residualErrors;
@@ -295,6 +485,8 @@ phyChannelMetrics(const PhyReport &report, const PhySession &s,
     // FEC expansion factor visible next to them.
     m.payloadKbps = m.effectiveKbps;
     m.rawKbps = timing.kbps(report.rawBitsSent, m.durationCycles);
+    m.nacks = report.nacks;
+    m.retransmits = report.retransmissions;
     return m;
 }
 
@@ -337,15 +529,26 @@ runPhyTransmission(const ChannelConfig &cfg_in,
     PhySession session;
     phyPrepareSession(session, cfg, payload, rig.cal);
 
+    // The parity spy loops until the trojan is done, so the
+    // trojan's exit ends that session.
+    const bool parity = !session.phy.framed();
     const bool completed = rig.run(
         [&](ThreadApi api) {
-            return phyTrojanBody(api, *rig.crew, rig.shared.trojanVa,
-                                 session);
+            return parity ? parityTrojanBody(api, *rig.crew,
+                                             rig.shared.trojanVa,
+                                             session)
+                          : phyTrojanBody(api, *rig.crew,
+                                          rig.shared.trojanVa,
+                                          session);
         },
         [&](ThreadApi api) {
-            return phySpyBody(api, rig.shared.spyVa, session);
+            return parity
+                       ? paritySpyBody(api, rig.shared.spyVa, session)
+                       : phySpyBody(api, rig.shared.spyVa, session);
         },
-        session.trojan);
+        session.trojan,
+        parity ? ExperimentRig::Finisher::trojan
+               : ExperimentRig::Finisher::spy);
 
     PhyReport report = phyFinalizeSession(session, payload,
                                           cfg.system.timing,

@@ -1,21 +1,26 @@
 /**
  * @file
- * The PHY-profile covert session: the channel driver that replaces
- * the legacy parity/NACK scheme with the framed, whitened,
- * interleaved, FEC-protected wire format of src/phy.
+ * The single-pair PHY session: runPhyTransmission runs the link
+ * layer cfg.phy selects on one trojan/spy pair.
  *
- * The transmit chain runs whiten -> Hamming(8,4) -> interleave ->
- * frame (preamble + header + body); the receive chain runs the soft
- * demapper -> preamble hunt -> deinterleave -> FEC decode ->
- * dewhiten. There is no reverse channel: residual errors are the
- * codewords FEC could not repair, and the rate is whatever the
- * operating point sustains — the trade the adaptive controller
- * navigates (src/phy/adaptive.hh).
+ * The hamming profiles run the framed, whitened, interleaved,
+ * FEC-protected wire format of src/phy. The transmit chain runs
+ * whiten -> Hamming(8,4) -> interleave -> frame (preamble + header +
+ * body); the receive chain runs the soft demapper -> preamble hunt
+ * -> deinterleave -> FEC decode -> dewhiten. There is no reverse
+ * channel: residual errors are the codewords FEC could not repair,
+ * and the rate is whatever the operating point sustains — the trade
+ * the adaptive controller navigates (src/phy/adaptive.hh).
  *
- * The coroutine bodies and the session state are public so a caller
- * can run a PHY session on a rig of its own (the detection tests
- * attach CC-Hunter this way), exactly like the single-pair driver
- * below does through ExperimentRig::run.
+ * The legacy-parity profile runs the paper's §VIII-C chain instead
+ * (Fig. 10): 64-byte even-parity packets (channel/ecc.hh), each
+ * retransmitted until the spy stops NACKing it over a brief role
+ * reversal.
+ *
+ * The FEC coroutine bodies and the session state are public so a
+ * caller can run a PHY session on a rig of its own (the detection
+ * tests attach CC-Hunter this way), exactly like the single-pair
+ * driver below does through ExperimentRig::run.
  */
 
 #ifndef COHERSIM_PHY_PHY_CHANNEL_HH
@@ -51,17 +56,18 @@ struct PhyStageStats
 struct PhyReport
 {
     std::uint64_t payloadBits = 0;
-    int frames = 0;  //!< frames the payload was split into
-    /** Wire bits transmitted (preamble + header + coded body). */
+    /** Frames (parity packets) the payload was split into. */
+    int frames = 0;
+    /** Wire bits transmitted (preamble + header + coded body, or
+     *  every parity packet including retransmissions). */
     std::uint64_t rawBitsSent = 0;
     /** What the spy reassembled (truncated to payloadBits). */
     BitString delivered;
-    /** Positional bit errors remaining after FEC. */
+    /** Positional bit errors remaining after FEC (or parity). */
     std::uint64_t residualErrors = 0;
     /** Session duration (sync end to trojan completion), cycles. */
     Tick durationCycles = 0;
-    /** Payload bits over the session duration, Kbits/s (the
-     *  EccReport::effectiveKbps convention). */
+    /** Payload bits over the session duration, Kbits/s. */
     double effectiveKbps = 0.0;
     /** Goodput: correctly delivered payload bits over the session
      *  duration, Kbits/s — net of framing/FEC overhead and of the
@@ -74,6 +80,11 @@ struct PhyReport
     /** Calibrated band separation the controller acted on. */
     double bandSeparation = 0.0;
     PhyStageStats stages;
+    /** @name Retry cost of the legacy-parity chain (else zero) */
+    /** @{ */
+    std::uint64_t nacks = 0;  //!< NACK windows the trojan observed
+    std::uint64_t retransmissions = 0;  //!< packets sent again
+    /** @} */
     bool completed = false;
 };
 
@@ -90,7 +101,8 @@ struct PhySession
     ChannelParams params;   //!< post-adaptive operating parameters
     PhyConfig phy;          //!< post-adaptive profile and knobs
     Tick period = 0;        //!< nominal sample period under params
-    std::vector<BitString> frames;  //!< wire frames to transmit
+    /** Wire frames (or parity packets) to transmit. */
+    std::vector<BitString> frames;
 
     /** @name Adaptive-controller evidence (zero when disabled) */
     /** @{ */
@@ -118,12 +130,15 @@ struct PhySession
     std::vector<std::pair<std::size_t, BitString>> accepted;
     PhyStageStats stages;
     std::uint64_t rawBitsSent = 0;
+    std::uint64_t nacks = 0;  //!< legacy-parity chain only
+    std::uint64_t retransmissions = 0;  //!< legacy-parity chain only
     /** @} */
 };
 
 /**
  * Resolve the operating point (running the adaptive controller when
- * cfg.phy.adaptive) and pre-encode the payload into wire frames.
+ * cfg.phy.adaptive) and pre-encode the payload into wire frames, or
+ * into parity packets under legacy-parity.
  */
 void phyPrepareSession(PhySession &s, const ChannelConfig &cfg,
                        const BitString &payload,
@@ -151,7 +166,8 @@ PhyReport phyFinalizeSession(const PhySession &s,
 /**
  * Map a finished session onto the common ChannelMetrics: accuracy
  * and effective/payload rates are payload-level, rawKbps is the wire
- * rate (so the FEC expansion factor stays visible).
+ * rate (so the FEC expansion factor stays visible), and the
+ * parity chain's NACK/retransmission counts fill the retry cost.
  */
 ChannelMetrics phyChannelMetrics(const PhyReport &report,
                                  const PhySession &s,
@@ -167,9 +183,10 @@ void addPhyCounters(CounterRegistry &reg, const std::string &prefix,
 
 /**
  * Run one complete PHY-profile covert transmission on one
- * trojan/spy pair (runExperiment routes PHY specs here).
+ * trojan/spy pair (runExperiment routes framed specs here).
  *
- * @param cfg experiment configuration; cfg.phy selects the stack.
+ * @param cfg experiment configuration; cfg.phy selects the chain:
+ *        framed FEC, or parity+NACK under legacy-parity.
  * @param payload bits the trojan exfiltrates.
  * @param cal pre-computed calibration to reuse across a sweep.
  * @param channel_report when non-null, also filled with the common

@@ -19,13 +19,16 @@ namespace csim
 /**
  * Which transmit/receive chain the channel runs.
  *
- * legacyParity is the paper's §VIII-C scheme (even-parity packets
- * with NACK-triggered retransmission) and the default: every
- * pre-existing experiment is bit-identical under it. The hamming
- * profiles replace ARQ with forward error correction over a framed,
- * whitened, interleaved wire format; `hard` decodes each codeword
- * from hard bit decisions, `soft` runs maximum-likelihood decoding
- * over the spy's per-bit confidence.
+ * legacyParity is the default, and what it runs depends on the
+ * entry point. runExperiment (and so every CLI transmit, sweep and
+ * fleet) runs plain raw modulation under it, so every pre-PHY
+ * experiment is bit-identical. runPhyTransmission runs the paper's
+ * §VIII-C chain under it: even-parity packets with NACK-triggered
+ * retransmission (Fig. 10). The hamming profiles replace ARQ with
+ * forward error correction over a framed, whitened, interleaved wire
+ * format on both entry points; `hard` decodes each codeword from
+ * hard bit decisions, `soft` runs maximum-likelihood decoding over
+ * the spy's per-bit confidence.
  */
 enum class PhyProfile : std::uint8_t
 {

@@ -1,12 +1,14 @@
 /**
  * @file
  * Tests for the error-detection and retransmission scheme
- * (paper §VIII-C, Figure 10).
+ * (paper §VIII-C, Figure 10): the packet codec and the legacy-parity
+ * chain of runPhyTransmission.
  */
 
 #include <gtest/gtest.h>
 
 #include "channel/ecc.hh"
+#include "phy/phy_channel.hh"
 
 namespace csim
 {
@@ -123,10 +125,11 @@ TEST(EccSession, DeliversPayloadWithoutNoise)
 {
     ChannelConfig cfg = baseConfig();
     const BitString payload = someData(7, 1024);
-    const EccReport report =
-        runEccTransmission(cfg, payload, {}, &sharedCal());
+    const PhyReport report =
+        runPhyTransmission(cfg, payload, &sharedCal());
     EXPECT_TRUE(report.completed);
-    EXPECT_EQ(report.packets, 2);
+    EXPECT_EQ(report.profileUsed, PhyProfile::legacyParity);
+    EXPECT_EQ(report.frames, 2);
     EXPECT_EQ(report.residualErrors, 0u);
     EXPECT_EQ(report.delivered, payload);
     EXPECT_GT(report.effectiveKbps, 0.0);
@@ -137,9 +140,9 @@ TEST(EccSession, ShortPayloadIsPadded)
 {
     ChannelConfig cfg = baseConfig();
     const BitString payload = someData(8, 100);
-    const EccReport report =
-        runEccTransmission(cfg, payload, {}, &sharedCal());
-    EXPECT_EQ(report.packets, 1);
+    const PhyReport report =
+        runPhyTransmission(cfg, payload, &sharedCal());
+    EXPECT_EQ(report.frames, 1);
     EXPECT_EQ(report.residualErrors, 0u);
     EXPECT_EQ(report.delivered.size(), 100u);
     EXPECT_EQ(report.delivered, payload);
@@ -150,8 +153,8 @@ TEST(EccSession, RecoversUnderMediumNoise)
     ChannelConfig cfg = baseConfig();
     cfg.noiseThreads = 4;
     const BitString payload = someData(9, 1024);
-    const EccReport report =
-        runEccTransmission(cfg, payload, {}, &sharedCal());
+    const PhyReport report =
+        runPhyTransmission(cfg, payload, &sharedCal());
     EXPECT_TRUE(report.completed);
     // Per-chunk parity misses an even number of flips within one
     // 32-bit chunk (see PacketCodec.DoubleFlipInOneChunkEscapesParity)
@@ -166,11 +169,11 @@ TEST(EccSession, NoiseCostsThroughput)
 {
     ChannelConfig cfg = baseConfig();
     const BitString payload = someData(10, 1024);
-    const EccReport quiet =
-        runEccTransmission(cfg, payload, {}, &sharedCal());
+    const PhyReport quiet =
+        runPhyTransmission(cfg, payload, &sharedCal());
     cfg.noiseThreads = 4;
-    const EccReport noisy =
-        runEccTransmission(cfg, payload, {}, &sharedCal());
+    const PhyReport noisy =
+        runPhyTransmission(cfg, payload, &sharedCal());
     EXPECT_EQ(quiet.residualErrors, 0u);
     // Under noise a rare even-flip-per-chunk corruption can escape
     // the parity check (see DoubleFlipInOneChunkEscapesParity).
@@ -187,11 +190,30 @@ TEST(EccSession, LlcNotifyDefenseIsTheTimingChange)
     defended.defense = Defense::llcNotify;
     ChannelConfig direct = baseConfig();
     direct.system.timing.llcNotifiedOfUpgrade = true;
-    const EccReport a = runEccTransmission(defended, payload);
-    const EccReport b = runEccTransmission(direct, payload);
+    const PhyReport a = runPhyTransmission(defended, payload);
+    const PhyReport b = runPhyTransmission(direct, payload);
     EXPECT_EQ(a.delivered, b.delivered);
     EXPECT_EQ(a.durationCycles, b.durationCycles);
     EXPECT_EQ(a.rawBitsSent, b.rawBitsSent);
+}
+
+TEST(EccSession, RetryCostReachesChannelMetrics)
+{
+    // Past the scheme's reliable rate NACK windows fire; the counts
+    // must reach the common metrics and counters unchanged.
+    ChannelConfig cfg = baseConfig();
+    cfg.params = ChannelParams::forTargetKbps(550, cfg.system.timing);
+    const BitString payload = someData(12, packetDataBits);
+    ChannelReport channel;
+    const PhyReport report =
+        runPhyTransmission(cfg, payload, &sharedCal(), &channel);
+    EXPECT_GT(report.nacks, 0u);
+    EXPECT_GE(report.nacks, report.retransmissions);
+    EXPECT_EQ(channel.metrics.nacks, report.nacks);
+    EXPECT_EQ(channel.metrics.retransmits, report.retransmissions);
+    EXPECT_EQ(channel.counters.value("ch.nacks"), report.nacks);
+    EXPECT_EQ(channel.counters.value("ch.retransmits"),
+              report.retransmissions);
 }
 
 } // namespace

@@ -1,12 +1,17 @@
 /**
  * @file
- * Tests for the multi-bit symbol channel (paper §VIII-D).
+ * Tests for the multi-bit symbol channel (paper §VIII-D), the
+ * `coherence-2bit` leakage vector.
  */
 
 #include <gtest/gtest.h>
 
+#include "channel/experiment.hh"
 #include "channel/symbols.hh"
 #include "channel/vector.hh"
+#include "config/resolver.hh"
+#include "trace/query.hh"
+#include "trace/recorder.hh"
 
 namespace csim
 {
@@ -18,6 +23,7 @@ baseConfig()
 {
     ChannelConfig cfg;
     cfg.system.seed = 777;
+    cfg.vector = VectorKind::coherence2bit;
     return cfg;
 }
 
@@ -46,26 +52,28 @@ TEST(SymbolChannel, TransmitsTwoBitsPerSymbol)
     ChannelConfig cfg = baseConfig();
     Rng rng(11);
     const BitString payload = randomBits(rng, 120);
-    const SymbolReport report =
-        runSymbolTransmission(cfg, payload, {}, &sharedCal());
+    const ChannelReport report =
+        runVectorTransmission(cfg, payload, &sharedCal());
     EXPECT_TRUE(report.completed);
-    EXPECT_EQ(report.sentSymbols.size(), 60u);
+    EXPECT_EQ(bitsToSymbols(report.sent, bitsPerSymbol).size(), 60u);
     EXPECT_GE(report.metrics.accuracy, 0.9);
     // Most symbols arrive; each carries 2 bits.
-    EXPECT_NEAR(static_cast<double>(report.receivedSymbols.size()),
+    EXPECT_NEAR(static_cast<double>(report.received.size()) /
+                    bitsPerSymbol,
                 60.0, 6.0);
 }
 
 TEST(SymbolChannel, OddPayloadIsPadded)
 {
+    // The trojan pads "101" to the symbols "10" "10" on the wire;
+    // sent stays the caller's payload and the spy drops the pad's
+    // slot from what it received.
     ChannelConfig cfg = baseConfig();
     const BitString payload = bitsFromString("101");
-    const SymbolReport report =
-        runSymbolTransmission(cfg, payload, {}, &sharedCal());
-    EXPECT_EQ(report.sent.size(), 4u);
-    EXPECT_EQ(report.sentSymbols.size(), 2u);
-    EXPECT_EQ(report.sentSymbols[0], 2);  // "10"
-    EXPECT_EQ(report.sentSymbols[1], 2);  // "1" padded to "10"
+    const ChannelReport report =
+        runVectorTransmission(cfg, payload, &sharedCal());
+    EXPECT_EQ(report.sent, payload);
+    EXPECT_EQ(report.received, payload);
 }
 
 TEST(SymbolChannel, AllFourSymbolValuesSurviveTransmission)
@@ -76,8 +84,8 @@ TEST(SymbolChannel, AllFourSymbolValuesSurviveTransmission)
     const std::vector<int> symbols = {0, 1, 2, 3, 3, 2, 1, 0,
                                       2, 0, 3, 1};
     const BitString payload = symbolsToBits(symbols, bitsPerSymbol);
-    const SymbolReport report =
-        runSymbolTransmission(cfg, payload, {}, &sharedCal());
+    const ChannelReport report =
+        runVectorTransmission(cfg, payload, &sharedCal());
     EXPECT_TRUE(report.completed);
     EXPECT_GE(report.metrics.accuracy, 0.9);
 }
@@ -88,8 +96,9 @@ TEST(SymbolChannel, FasterThanBinaryAtSameSamplingRate)
     ChannelConfig cfg = baseConfig();
     Rng rng(12);
     const BitString payload = randomBits(rng, 100);
-    const SymbolReport sym =
-        runSymbolTransmission(cfg, payload, {}, &sharedCal());
+    const ChannelReport sym =
+        runVectorTransmission(cfg, payload, &sharedCal());
+    cfg.vector = VectorKind::coherence;
     const ChannelReport bin =
         runVectorTransmission(cfg, payload, &sharedCal());
     EXPECT_GE(sym.metrics.accuracy, 0.9);
@@ -107,13 +116,13 @@ TEST(SymbolChannel, LlcNotifyDefenseIsTheTimingChange)
     defended.defense = Defense::llcNotify;
     ChannelConfig direct = baseConfig();
     direct.system.timing.llcNotifiedOfUpgrade = true;
-    const SymbolReport a = runSymbolTransmission(defended, payload);
-    const SymbolReport b = runSymbolTransmission(direct, payload);
-    EXPECT_EQ(a.receivedSymbols, b.receivedSymbols);
+    const ChannelReport a = runVectorTransmission(defended, payload);
+    const ChannelReport b = runVectorTransmission(direct, payload);
+    EXPECT_EQ(a.received, b.received);
     EXPECT_EQ(a.metrics.durationCycles, b.metrics.durationCycles);
-    const SymbolReport open =
-        runSymbolTransmission(baseConfig(), payload);
-    EXPECT_NE(a.receivedSymbols, open.receivedSymbols);
+    const ChannelReport open =
+        runVectorTransmission(baseConfig(), payload);
+    EXPECT_NE(a.received, open.received);
 }
 
 TEST(SymbolChannel, CollectsTrace)
@@ -122,9 +131,81 @@ TEST(SymbolChannel, CollectsTrace)
     cfg.collectTrace = true;
     Rng rng(13);
     const BitString payload = randomBits(rng, 36);
-    const SymbolReport report =
-        runSymbolTransmission(cfg, payload, {}, &sharedCal());
-    EXPECT_FALSE(report.trace.empty());
+    const ChannelReport report =
+        runVectorTransmission(cfg, payload, &sharedCal());
+    EXPECT_FALSE(report.spy.trace.empty());
+}
+
+TEST(SymbolChannel, PublishesBitMilestones)
+{
+    // The health report's error budget pairs chTxBit with chRxBit.
+    ChannelConfig cfg = baseConfig();
+    TraceRecorder recorder;
+    cfg.recorder = &recorder;
+    const BitString payload = bitsFromString("1001010001");
+    const ChannelReport report =
+        runVectorTransmission(cfg, payload, &sharedCal());
+    const std::vector<TraceEvent> events = recorder.drain();
+    const TraceQuery q(events);
+    EXPECT_EQ(report.received, payload);
+    EXPECT_EQ(q.count(TraceEventType::chTxBit), payload.size());
+    EXPECT_EQ(q.count(TraceEventType::chRxBit), payload.size());
+    EXPECT_EQ(q.count(TraceEventType::chTxEnd), 1u);
+    EXPECT_EQ(q.count(TraceEventType::chRxEnd), 1u);
+}
+
+TEST(SymbolVector, ResolvesFromTheRegistryAndRunsThroughRunExperiment)
+{
+    EXPECT_EQ(vectorFromName("coherence-2bit"),
+              VectorKind::coherence2bit);
+    EXPECT_EQ(makeLeakageVector(VectorKind::coherence2bit)->kind(),
+              VectorKind::coherence2bit);
+    ConfigResolver res;
+    res.applyOverride("system.seed", "777", "test");
+    res.applyOverride("channel.vector", "coherence-2bit", "test");
+    res.applyOverride("payload.bits", "120", "test");
+    const ExperimentSpec &spec = res.spec();
+    ASSERT_EQ(spec.channel.vector, VectorKind::coherence2bit);
+    const ExperimentResult result = runExperiment(spec, &sharedCal());
+    EXPECT_EQ(result.kind, ExperimentKind::single);
+    EXPECT_TRUE(result.completed());
+    EXPECT_TRUE(result.channel.spy.sawTransmission);
+    EXPECT_GE(result.channel.metrics.accuracy, 0.9);
+}
+
+TEST(SymbolVector, KeepsTheSpySocketLineOnRemoteScenarios)
+{
+    // The symbol channel cycles through all four combos, so it keeps
+    // a socket-0-homed line even where the scenario's csc is remote
+    // (the line the standalone symbol driver picked under this
+    // seed), while the binary coherence channel moves to socket 1.
+    ChannelConfig cfg = baseConfig();
+    cfg.scenario = Scenario::rexcC_lshB;
+    const ChannelReport report = runVectorTransmission(
+        cfg, bitsFromString("10"), &sharedCal());
+    EXPECT_EQ(report.shared.paddr, 0x10000000u);
+
+    cfg.vector = VectorKind::coherence;
+    const ScenarioInfo &sc = scenarioInfo(cfg.scenario);
+    const ExperimentRig binary(cfg, &sharedCal(), sc.localLoaders,
+                               sc.remoteLoaders, sc.csc);
+    EXPECT_NE(binary.shared.paddr, report.shared.paddr);
+}
+
+TEST(SymbolVector, FleetOfTwoPairsCompletes)
+{
+    ExperimentSpec spec;
+    spec.channel.system.seed = 777;
+    spec.channel.system.coresPerSocket = 16;
+    spec.channel.vector = VectorKind::coherence2bit;
+    spec.fleet.pairs = 2;
+    spec.payload.bits = 32;
+    const ExperimentResult result = runExperiment(spec);
+    EXPECT_EQ(result.kind, ExperimentKind::fleet);
+    EXPECT_TRUE(result.completed());
+    ASSERT_EQ(result.fleet.pairs.size(), 2u);
+    for (const PairReport &pr : result.fleet.pairs)
+        EXPECT_GE(pr.metrics.accuracy, 0.9) << "pair " << pr.pairId;
 }
 
 } // namespace

@@ -8,7 +8,6 @@
  *   transmit   run one covert transmission and print the result
  *   sweep      run the experiment grid of a sweep spec
  *   ecc        run an error-corrected (parity + NACK) session
- *   symbols    run the 2-bit-symbol channel
  *   trace      describe the tracing subsystem's event vocabulary
  *   report     run-health report: band separation, error budget,
  *              windowed telemetry (live run or saved trace)
@@ -685,10 +684,10 @@ cmdEcc(const Args &args)
     const ConfigResolver res = args.resolve(
         {{"payload.message", "GUARANTEED DELIVERY"}});
     const ExperimentSpec &spec = res.spec();
-    const ChannelConfig cfg = spec.toChannelConfig();
-    const EccReport rep =
-        runEccTransmission(cfg, spec.makePayload());
-    std::cout << "packets:          " << rep.packets << "\n"
+    ChannelConfig cfg = spec.toChannelConfig();
+    cfg.phy = PhyConfig{};  // legacy-parity: the parity+NACK chain
+    const PhyReport rep = runPhyTransmission(cfg, spec.makePayload());
+    std::cout << "packets:          " << rep.frames << "\n"
               << "retransmissions:  " << rep.retransmissions << "\n"
               << "residual errors:  " << rep.residualErrors << "\n"
               << "effective rate:   "
@@ -696,35 +695,6 @@ cmdEcc(const Args &args)
               << "delivered:        \""
               << bitsToText(rep.delivered) << "\"\n";
     return rep.residualErrors == 0 ? 0 : 1;
-}
-
-int
-cmdSymbols(const Args &args)
-{
-    if (args.help) {
-        std::cout << "cohersim symbols [--message TEXT] "
-                     "[--rate KBPS] [--noise N] [--seed S]\n"
-                  << kCommonHelp;
-        return 0;
-    }
-    const ConfigResolver res =
-        args.resolve({{"payload.message", "2 BITS EACH"}});
-    const ExperimentSpec &spec = res.spec();
-    const ChannelConfig cfg = spec.toChannelConfig();
-    const SymbolReport rep =
-        runSymbolTransmission(cfg, spec.makePayload());
-    std::cout << "symbols sent:     " << rep.sentSymbols.size()
-              << "\n"
-              << "symbols received: " << rep.receivedSymbols.size()
-              << "\n"
-              << "decoded:          \"" << bitsToText(rep.received)
-              << "\"\n"
-              << "accuracy:         "
-              << TablePrinter::pct(rep.metrics.accuracy) << "\n"
-              << "rate:             "
-              << TablePrinter::num(rep.metrics.rawKbps)
-              << " Kbps\n";
-    return rep.metrics.accuracy > 0.9 ? 0 : 1;
 }
 
 /** One row of `cohersim inspect` output for the current state. */
@@ -1070,7 +1040,6 @@ usage()
            "  transmit   run one covert transmission\n"
            "  sweep      run the experiment grid of a sweep spec\n"
            "  ecc        parity + NACK retransmission session\n"
-           "  symbols    2-bit-symbol channel\n"
            "  inspect    follow one line's LineSnapshot through the "
            "protocol\n"
            "  trace      tracing subsystem: list event categories\n"
@@ -1115,8 +1084,6 @@ main(int argc, char **argv)
             return cmdSweep(args);
         if (cmd == "ecc")
             return cmdEcc(args);
-        if (cmd == "symbols")
-            return cmdSymbols(args);
         if (cmd == "inspect")
             return cmdInspect(args);
         if (cmd == "trace")
