@@ -206,11 +206,7 @@ symbolSpyBody(ThreadApi api, VAddr block, const CalibrationResult &cal,
 class Coherence2bitVector final : public LeakageVector
 {
   public:
-    VectorKind
-    kind() const override
-    {
-        return VectorKind::coherence2bit;
-    }
+    VectorKind kind() const override { return VectorKind::coherence2bit; }
 
     CalibrationResult
     calibrate(const ChannelConfig &cfg) const override

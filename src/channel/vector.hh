@@ -142,8 +142,9 @@ std::unique_ptr<LeakageVector> makeLeakageVector(VectorKind kind);
  * The ExperimentRig lifecycle applies the llc-notify timing change,
  * calibrates with the vector (unless @p cal is given) and runs the
  * pair; this driver lets the vector prepare, hands the rig its
- * trojan/spy bodies and computes metrics. A PHY config (cfg.phy.framed()) is a fatal error here:
- * runExperiment routes those to the framed FEC stack.
+ * trojan/spy bodies and computes metrics. A PHY config
+ * (cfg.phy.framed()) is a fatal error here: runExperiment routes
+ * those to the framed FEC stack.
  */
 ChannelReport runVectorTransmission(const ChannelConfig &cfg,
                                     const BitString &payload,
