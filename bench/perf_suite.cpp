@@ -6,12 +6,12 @@
  *
  * Each kernel drives one hot path in a steady state: `MemorySystem`
  * (L1 hit, LLC serve, local and cross-socket owner forward,
- * flush+reload round, directory churn), the `Scheduler` (event steps
- * with few threads and on oversubscribed cores), a KSM scan pass
- * (`os`), the edit-distance accuracy metric and one calibration
- * (`channel`). Every kernel reports host ops/sec and, where virtual
- * time means something, the mean *virtual* cycles per op. The results
- * land in `BENCH_perf.json`.
+ * flush+reload round, directory churn, remap rekey), the `Scheduler`
+ * (event steps with few threads and on oversubscribed cores), a KSM
+ * scan pass (`os`), the edit-distance accuracy metric and one
+ * calibration (`channel`). Every kernel reports host ops/sec and,
+ * where virtual time means something, the mean *virtual* cycles per
+ * op. The results land in `BENCH_perf.json`.
  *
  * Host throughput is machine-dependent, so the suite also times a
  * pure-arithmetic `host_ref` kernel that never touches the simulator.
@@ -278,6 +278,35 @@ kernelDirectoryChurn()
 }
 
 /**
+ * Remap-mode LLC rekeys with a few resident lines. Core 0 loads four
+ * lines in turn under a remap period of four ops, so every fourth
+ * load rekeys first: both sockets' 12 MiB LLCs are walked, the four
+ * resident lines go through the victim paths, and a fresh key is
+ * installed. One op = one rekey (four loads); virtual cycles/op is
+ * the four loads' latency.
+ */
+KernelResult
+kernelRemapRekey()
+{
+    SystemConfig cfg = quietConfig();
+    cfg.llcIndex = IndexFn::remap;
+    cfg.remapPeriod = 4;
+    MemorySystem mem(cfg);
+    Tick now = 0;
+    return measureKernel(
+        [&mem, &now](std::uint64_t &ops, std::uint64_t &vcycles) {
+            for (int i = 0; i < 16; ++i) {
+                for (PAddr a = 0x10'0000; a < 0x10'4000; a += 0x1000) {
+                    now += 1'000;
+                    vcycles += static_cast<std::uint64_t>(
+                        mem.load(0, a, now).latency);
+                }
+            }
+            ops += 16;
+        });
+}
+
+/**
  * Scheduler step throughput: @p threads threads pinned round-robin
  * over @p cores cores, each looping a load and a 50-cycle spin while
  * striding through a shared 1 MiB buffer from its own offset, so
@@ -414,6 +443,7 @@ const PerfKernel perfKernels[] = {
      true},
     {"flush_reload_cycle", kernelFlushReloadCycle, true},
     {"directory_churn", kernelDirectoryChurn, true},
+    {"remap_rekey", kernelRemapRekey, false},
     {"sched_step_few", [] { return kernelSchedStep(4, 4); }, false},
     {"sched_step_oversubscribed",
      [] { return kernelSchedStep(48, 16); }, false},

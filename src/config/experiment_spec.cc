@@ -139,6 +139,13 @@ ExperimentSpec::validate() const
             " must not exceed system.timing.long_tail_max = ",
             channel.system.timing.longTailMax));
 
+    if (channel.phy.framed() && channel.vector != VectorKind::coherence)
+        throw ConfigError(msgCat(
+            "phy.profile = ", phyProfileName(channel.phy.profile),
+            channel.phy.adaptive ? " with phy.adaptive = true" : "",
+            " runs only on channel.vector = coherence, not ",
+            vectorName(channel.vector)));
+
     if (!fleet.scenarioMix.empty()) {
         for (const std::string &name :
              splitCsv(fleet.scenarioMix)) {

@@ -1,5 +1,7 @@
 #include "mem/cache.hh"
 
+#include <algorithm>
+
 #include "common/logging.hh"
 
 namespace csim
@@ -29,7 +31,8 @@ Cache::Cache(std::string name, const CacheGeometry &geom,
       policy_(ReplacementPolicy::make(policy, geom.numSets(),
                                       geom.assoc, policy_seed)),
       indexFn_(std::move(index)),
-      mruWay_(geom.numSets(), 0)
+      mruWay_(geom.numSets(), 0),
+      filledSets_((geom.numSets() + 63) / 64, 0)
 {
     panic_if(numSets_ == 0, name_, ": zero sets");
     if ((numSets_ & (numSets_ - 1)) == 0) {
@@ -154,6 +157,7 @@ Cache::insert(PAddr line_addr, Mesi state, Victim *victim)
     if (policy_)
         policy_->onFill(set_idx, way);
     mruWay_[set_idx] = static_cast<std::uint8_t>(way);
+    filledSets_[set_idx / 64] |= std::uint64_t{1} << (set_idx % 64);
     lastIdx_ = static_cast<std::size_t>(set_idx) * assoc_ + way;
     lastAddr_ = line_addr;
     return *slot;
@@ -179,30 +183,20 @@ Cache::invalidate(PAddr line_addr)
 void
 Cache::clear()
 {
-    for (auto &line : lines_)
-        line = CacheLine{};
+    forEachLine([this](const CacheLine &line) {
+        lines_[static_cast<std::size_t>(&line - lines_.data())] =
+            CacheLine{};
+    });
+    std::fill(filledSets_.begin(), filledSets_.end(), 0);
     if (policy_)
         policy_->reset();
-}
-
-void
-Cache::forEachLine(
-    const std::function<void(const CacheLine &)> &fn) const
-{
-    for (const auto &line : lines_) {
-        if (line.valid())
-            fn(line);
-    }
 }
 
 std::size_t
 Cache::occupancy() const
 {
     std::size_t n = 0;
-    for (const auto &line : lines_) {
-        if (line.valid())
-            ++n;
-    }
+    forEachLine([&n](const CacheLine &) { ++n; });
     return n;
 }
 

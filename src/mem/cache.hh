@@ -8,8 +8,8 @@
 #ifndef COHERSIM_MEM_CACHE_HH
 #define COHERSIM_MEM_CACHE_HH
 
+#include <bit>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -129,9 +129,34 @@ class Cache
     /** Invalidate every line (used by tests). */
     void clear();
 
-    /** Apply @p fn to every valid line. */
-    void forEachLine(const std::function<void(const CacheLine &)> &fn)
-        const;
+    /**
+     * Apply @p fn to every valid line, in ascending set order and way
+     * order within a set. Only sets marked in the filled-set bitmap
+     * are read, so a walk costs O(filled sets), not O(capacity); a
+     * marked set found empty is unmarked on the way.
+     */
+    template <typename Fn>
+    void
+    forEachLine(Fn &&fn) const
+    {
+        for (std::size_t word = 0; word < filledSets_.size(); ++word) {
+            for (std::uint64_t bits = filledSets_[word]; bits != 0;
+                 bits &= bits - 1) {
+                const int bit = std::countr_zero(bits);
+                const CacheLine *set = setBegin(
+                    static_cast<unsigned>(word * 64 + bit));
+                bool filled = false;
+                for (unsigned w = 0; w < assoc_; ++w) {
+                    if (set[w].valid()) {
+                        filled = true;
+                        fn(set[w]);
+                    }
+                }
+                if (!filled)
+                    filledSets_[word] &= ~(std::uint64_t{1} << bit);
+            }
+        }
+    }
 
     /** Number of valid lines currently held. */
     std::size_t occupancy() const;
@@ -194,6 +219,13 @@ class Cache
     mutable PAddr lastAddr_ = ~PAddr(0);  //!< never a line address
     mutable std::vector<std::uint8_t> mruWay_;  //!< per set
     /** @} */
+    /**
+     * One bit per set, set by insert(). The marked sets are always a
+     * superset of the sets holding a valid line: insert() is the only
+     * way a line turns valid, and find() returns valid lines only.
+     * Mutable: forEachLine() unmarks the empty sets it reads.
+     */
+    mutable std::vector<std::uint64_t> filledSets_;
 
     CacheLine *setBegin(unsigned set);
     const CacheLine *setBegin(unsigned set) const;

@@ -175,11 +175,11 @@ MemorySystem::rekeyNow(Tick when)
         // Snapshot first: eviction handling may itself install lines
         // (exclusive-mode victim fills never happen here, but the
         // iteration must not observe its own mutations).
-        std::vector<CacheLine> resident;
-        llc.forEachLine([&](const CacheLine &line) {
-            resident.push_back(line);
+        rekeyResident_.clear();
+        llc.forEachLine([this](const CacheLine &line) {
+            rekeyResident_.push_back(line);
         });
-        for (const CacheLine &line : resident) {
+        for (const CacheLine &line : rekeyResident_) {
             llc.invalidate(line.addr);
             handleLlcVictim(s, line, when);
         }

@@ -385,6 +385,8 @@ class MemorySystem
     std::vector<LineMap> snoopFilter_;
     /** Remap mode: LLC-side operations until the next rekey. */
     std::uint64_t remapCountdown_ = 0;
+    /** rekeyNow()'s snapshot of one LLC, reused across rekeys. */
+    std::vector<CacheLine> rekeyResident_;
     /**
      * Ops until the next profiled sample. Per-MemorySystem (not
      * per-thread): the op stream of one simulated machine is

@@ -6,7 +6,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <set>
+#include <utility>
+#include <vector>
+
+#include "common/logging.hh"
+#include "common/random.hh"
 #include "mem/cache.hh"
+#include "mem/memory_system.hh"
 #include "mem/params.hh"
 
 namespace csim
@@ -146,6 +155,123 @@ TEST(CacheTest, UnalignedFindPanics)
 {
     Cache c("c", smallGeom());
     EXPECT_THROW(c.find(3), std::logic_error);
+}
+
+/**
+ * Differential check of the filled-set walk. The reference is a
+ * brute-force slot scan: every address the run ever uses is probed
+ * with find(), and the hits, sorted by slot (`lines_` is one
+ * set-major array), are the visit sequence of a walk over the whole
+ * array. A model of which addresses must be resident cross-checks
+ * find() itself. Random insert / invalidate / clear / rekey steps
+ * run over every replacement policy x index function; a rekey
+ * flushes the cache first, as MemorySystem::rekeyNow does.
+ */
+TEST(CacheWalk, MatchesBruteForceSlotScan)
+{
+    // 200 sets: four bitmap words, the last one partial.
+    const CacheGeometry geom{200 * 4 * lineBytes, 4};
+    for (const ReplPolicy policy :
+         {ReplPolicy::lru, ReplPolicy::plru, ReplPolicy::random}) {
+        for (const IndexFn fn : {IndexFn::linear, IndexFn::xorFold,
+                                 IndexFn::remap, IndexFn::mirage}) {
+            SCOPED_TRACE(msgCat(replPolicyName(policy), " x ",
+                                indexFnName(fn)));
+            Cache c("c", geom, policy, 7,
+                    std::make_unique<IndexFunction>(
+                        fn, geom.numSets(), 11));
+            Rng rng(2024 + static_cast<int>(policy) * 8 +
+                    static_cast<int>(fn));
+            // ~1.5 addresses per set: sets fill, overflow and empty.
+            std::vector<PAddr> pool;
+            for (int i = 0; i < 300; ++i)
+                pool.push_back(rng.below(1 << 20) * lineBytes);
+            std::set<PAddr> model;
+
+            const auto scan = [&] {
+                std::vector<const CacheLine *> hits;
+                for (const PAddr a : pool) {
+                    const CacheLine *l = std::as_const(c).find(a);
+                    if (l && std::find(hits.begin(), hits.end(), l) ==
+                                 hits.end())
+                        hits.push_back(l);
+                }
+                std::sort(hits.begin(), hits.end(),
+                          std::less<const CacheLine *>());
+                return hits;
+            };
+            const auto walk = [&] {
+                std::vector<const CacheLine *> seen;
+                c.forEachLine([&seen](const CacheLine &l) {
+                    seen.push_back(&l);
+                });
+                return seen;
+            };
+
+            for (int step = 0; step < 3000; ++step) {
+                const PAddr a = pool[rng.below(pool.size())];
+                const auto op = rng.below(100);
+                if (op < 52) {
+                    if (!c.find(a)) {
+                        Victim victim;
+                        c.insert(a, Mesi::shared, &victim);
+                        if (victim.valid)
+                            model.erase(victim.line.addr);
+                        model.insert(a);
+                    }
+                } else if (op < 97) {
+                    c.invalidate(a);
+                    model.erase(a);
+                } else if (op < 98) {
+                    c.clear();
+                    model.clear();
+                } else {
+                    std::vector<PAddr> resident;
+                    c.forEachLine([&resident](const CacheLine &l) {
+                        resident.push_back(l.addr);
+                    });
+                    for (const PAddr r : resident)
+                        c.invalidate(r);
+                    model.clear();
+                    c.indexFunction()->rekey(rng.next());
+                }
+                const std::vector<const CacheLine *> expect = scan();
+                ASSERT_EQ(walk(), expect) << "step " << step;
+                ASSERT_EQ(c.occupancy(), expect.size())
+                    << "step " << step;
+                std::set<PAddr> found;
+                for (const CacheLine *l : expect)
+                    found.insert(l->addr);
+                ASSERT_EQ(found, model) << "step " << step;
+            }
+        }
+    }
+}
+
+TEST(CacheWalk, RemapRekeyEmptiesTheLlcAndLaterFillsAreVisited)
+{
+    SystemConfig cfg;
+    cfg.llcIndex = IndexFn::remap;
+    cfg.remapPeriod = 4;
+    MemorySystem mem(cfg);
+    Tick now = 0;
+    for (const PAddr a : {0x1000, 0x2000, 0x3000})
+        mem.load(0, a, now += 1'000);
+    EXPECT_EQ(mem.llcOf(0).occupancy(), 3u);
+    // The fourth op rekeys before it runs; flushing an uncached line
+    // then leaves nothing behind.
+    mem.flush(0, 0x4000, now += 1'000);
+    EXPECT_EQ(mem.llcIndexGeneration(), 1u);
+    for (SocketId s = 0; s < cfg.sockets; ++s)
+        EXPECT_EQ(mem.llcOf(s).occupancy(), 0u) << "socket " << s;
+    mem.load(1, 0x5000, now += 1'000);
+    std::vector<PAddr> seen;
+    mem.llcOf(0).forEachLine([&seen](const CacheLine &l) {
+        seen.push_back(l.addr);
+    });
+    EXPECT_EQ(seen, std::vector<PAddr>{0x5000});
+    EXPECT_EQ(mem.llcOf(0).occupancy(), 1u);
+    EXPECT_EQ(mem.checkInvariants(), "");
 }
 
 TEST(MesiNames, AllDistinct)
