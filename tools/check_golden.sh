@@ -129,14 +129,16 @@ else
 fi
 
 # The PHY channel stack is seeded and deterministic too: pin the
-# phy-quick CLI transmit (hamming-soft end to end) and the quick
-# parity-vs-FEC comparison (its BENCH_phy.json must be bit-identical
-# at any --jobs; the tests exercise other worker counts, this gate
-# pins the content).
+# phy-quick CLI transmit (hamming-soft end to end), the CLI's
+# parity+NACK session (`cohersim ecc`, the legacy-parity chain) and
+# the quick parity-vs-FEC comparison (its BENCH_phy.json must be
+# bit-identical at any --jobs; the tests exercise other worker
+# counts, this gate pins the content).
 out="$scratch/phy_quick"
 mkdir -p "$out"
 (cd "$out" && "$cli" transmit --preset phy-quick \
     > stdout.raw 2>&1 \
+    && "$cli" ecc > ecc_stdout.raw 2>&1 \
     && "$bench_dir/phy_comparison" --quick --jobs 1 --quiet \
     > bench_stdout.raw 2>&1)
 if [ $? -ne 0 ]; then
@@ -144,6 +146,7 @@ if [ $? -ne 0 ]; then
     status=1
 else
     mv "$out/stdout.raw" "$out/stdout.txt"
+    mv "$out/ecc_stdout.raw" "$out/ecc_stdout.txt"
     mv "$out/bench_stdout.raw" "$out/bench_stdout.txt"
     settle phy_quick "$out"
 fi
