@@ -47,23 +47,24 @@ main()
         std::uint64_t residual = 0;
         for (int noise : {0, 4, 8}) {
             cfg.noiseThreads = noise;
-            const PhyReport rep =
+            const ChannelReport rep =
                 runPhyTransmission(cfg, payload, &cal);
-            rates.push_back(rep.effectiveKbps);
-            retx.push_back(rep.retransmissions);
-            residual += rep.residualErrors;
+            rates.push_back(rep.phy.effectiveKbps);
+            retx.push_back(rep.metrics.retransmits);
+            residual += rep.phy.residualErrors;
             Json row = Json::object();
             row["scenario"] = sc.notation;
             row["noise_threads"] =
                 static_cast<std::int64_t>(noise);
-            row["effective_kbps"] = rep.effectiveKbps;
-            row["nacks"] = static_cast<std::int64_t>(rep.nacks);
+            row["effective_kbps"] = rep.phy.effectiveKbps;
+            row["nacks"] =
+                static_cast<std::int64_t>(rep.metrics.nacks);
             row["retransmissions"] =
-                static_cast<std::int64_t>(rep.retransmissions);
+                static_cast<std::int64_t>(rep.metrics.retransmits);
             row["raw_bits_sent"] =
-                static_cast<std::int64_t>(rep.rawBitsSent);
+                static_cast<std::int64_t>(rep.phy.rawBitsSent);
             row["residual_errors"] =
-                static_cast<std::int64_t>(rep.residualErrors);
+                static_cast<std::int64_t>(rep.phy.residualErrors);
             rows.push(std::move(row));
         }
         table.row({sc.notation, TablePrinter::num(rates[0]),

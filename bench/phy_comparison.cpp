@@ -35,26 +35,9 @@ namespace
 
 using namespace csim;
 
-/** Adapts the detector to the rig's BusTap attachment seam. */
-struct DetectorTap : BusTap
-{
-    CoherenceChannelDetector det;
-
-    void
-    attach(TraceBus &bus, int) override
-    {
-        det.attach(bus);
-    }
-    void
-    detach() override
-    {
-        det.detach();
-    }
-};
-
 struct PointResult
 {
-    PhyReport rep;
+    ChannelReport rep;
     bool detected = false;
 };
 
@@ -65,15 +48,15 @@ runPoint(const ExperimentSpec &base, const CalibrationResult &cal,
     ExperimentSpec point = base;
     point.channel.noiseThreads = noise;
     point.channel.phy.profile = profile;
-    DetectorTap tap;
-    point.channel.taps.push_back(&tap);
+    CoherenceChannelDetector det;
+    point.channel.detector = &det;
     Rng rng(payload_seed);
     const BitString payload =
         randomBits(rng, static_cast<std::size_t>(base.payload.bits));
 
     PointResult r{
         runPhyTransmission(point.toChannelConfig(), payload, &cal)};
-    r.detected = tap.det.anySuspicious();
+    r.detected = det.anySuspicious();
     return r;
 }
 
@@ -149,7 +132,8 @@ main(int argc, char **argv)
     for (std::size_t ni = 0; ni < noise_levels.size(); ++ni) {
         for (const unsigned trial : trials) {
             for (std::size_t si = 0; si < n_schemes; ++si) {
-                const PhyReport &r = results[idx].rep;
+                const ChannelReport &rep = results[idx].rep;
+                const PhyResult &r = rep.phy;
                 const bool detected = results[idx++].detected;
                 eff[ni * n_schemes + si] +=
                     r.effectiveKbps /
@@ -170,11 +154,11 @@ main(int argc, char **argv)
                 row["raw_bits_sent"] =
                     static_cast<std::int64_t>(r.rawBitsSent);
                 row["retransmissions"] =
-                    static_cast<std::int64_t>(r.retransmissions);
+                    static_cast<std::int64_t>(rep.metrics.retransmits);
                 row["fec_corrected"] =
                     static_cast<std::int64_t>(r.stages.fecCorrected);
                 row["detected"] = detected;
-                row["completed"] = r.completed;
+                row["completed"] = rep.completed;
                 rows.push(std::move(row));
             }
         }

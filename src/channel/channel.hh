@@ -33,6 +33,7 @@
 #include "common/bit_string.hh"
 #include "mem/params.hh"
 #include "phy/phy_config.hh"
+#include "phy/phy_result.hh"
 #include "trace/counters.hh"
 #include "trace/recorder.hh"
 #include "trace/tap.hh"
@@ -180,6 +181,8 @@ struct ChannelReport
     SharedBlock shared;
     /** Machine-wide counter totals, snapshotted after the run. */
     CounterRegistry counters;
+    /** PHY-session outcome (runPhyTransmission); zero otherwise. */
+    PhyResult phy;
     /** False if the run hit the safety timeout. */
     bool completed = false;
 };

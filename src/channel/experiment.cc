@@ -1,6 +1,7 @@
 #include "channel/experiment.hh"
 
 #include "channel/vector.hh"
+#include "phy/phy_channel.hh"
 #include "prof/profiler.hh"
 
 namespace csim
@@ -33,7 +34,7 @@ runExperiment(const ExperimentSpec &spec, const CalibrationResult *cal,
     if (cfg.vector == VectorKind::coherence && cfg.phy.framed()) {
         ScopedSpan span("experiment.phy");
         out.kind = ExperimentKind::phy;
-        out.phy = runPhyTransmission(cfg, bits, cal, &out.channel);
+        out.channel = runPhyTransmission(cfg, bits, cal);
         return out;
     }
     ScopedSpan span("experiment.single");

@@ -19,7 +19,6 @@
 #include "channel/channel.hh"
 #include "channel/fleet.hh"
 #include "config/experiment_spec.hh"
-#include "phy/phy_channel.hh"
 
 namespace csim
 {
@@ -35,18 +34,15 @@ enum class ExperimentKind : std::uint8_t
 const char *experimentKindName(ExperimentKind k);
 
 /**
- * Everything one dispatched experiment produced. Exactly one branch
- * is authoritative, named by @ref kind; the others stay
- * default-constructed — except that a PHY run also fills @ref
- * channel with the common transport view (metrics, counters,
- * trojan/spy results), like runPhyTransmission's channel_report
- * out-param always has.
+ * Everything one dispatched experiment produced. Both single-pair
+ * kinds fill @ref channel (a PHY run's stage and session results in
+ * its `phy` member); a fleet run fills @ref fleet. The branch @ref
+ * kind does not name stays default-constructed.
  */
 struct ExperimentResult
 {
     ExperimentKind kind = ExperimentKind::single;
     ChannelReport channel;
-    PhyReport phy;
     FleetReport fleet;
 
     /** Did the authoritative run finish before its safety stop? */

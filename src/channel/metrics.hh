@@ -53,14 +53,16 @@ struct ChannelMetrics
      * @name Retry cost (paper Fig. 10)
      * NACKs the transmitter observed and packet retransmissions it
      * issued, so effectiveKbps can be read against the retry
-     * overhead. Filled from PhyReport by the legacy-parity
-     * (parity+NACK) chain of runPhyTransmission; zero for raw
-     * modulation and the FEC chains, which never retransmit.
+     * overhead. Filled by the legacy-parity (parity+NACK) chain of
+     * runPhyTransmission; zero for raw modulation and the FEC
+     * chains, which never retransmit.
      */
     /** @{ */
     std::uint64_t nacks = 0;
     std::uint64_t retransmits = 0;
     /** @} */
+
+    bool operator==(const ChannelMetrics &) const = default;
 };
 
 /** Compute metrics for a completed transmission. */

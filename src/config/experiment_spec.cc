@@ -145,6 +145,12 @@ ExperimentSpec::validate() const
             channel.phy.adaptive ? " with phy.adaptive = true" : "",
             " runs only on channel.vector = coherence, not ",
             vectorName(channel.vector)));
+    if (channel.phy.framed() && fleet.pairs > 1)
+        throw ConfigError(msgCat(
+            "phy.profile = ", phyProfileName(channel.phy.profile),
+            channel.phy.adaptive ? " with phy.adaptive = true" : "",
+            " runs only on a single pair, not fleet.pairs = ",
+            fleet.pairs, " (the fleet runs raw modulation)"));
 
     if (!fleet.scenarioMix.empty()) {
         for (const std::string &name :

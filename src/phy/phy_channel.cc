@@ -1,11 +1,15 @@
 #include "phy/phy_channel.hh"
 
 #include <algorithm>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "channel/ecc.hh"
 #include "channel/trace_hooks.hh"
 #include "common/logging.hh"
 #include "phy/adaptive.hh"
+#include "phy/frame.hh"
 #include "phy/preamble.hh"
 #include "phy/soft.hh"
 #include "prof/profiler.hh"
@@ -13,6 +17,58 @@
 namespace csim
 {
 
+namespace
+{
+
+/**
+ * State one PHY session's two coroutines share, plus everything they
+ * record. Fill with phyPrepareSession(), hand to the bodies, then
+ * harvest with phyFinalizeSession(). The scenario/calibration
+ * pointers are non-owning and must outlive the run.
+ */
+struct PhySession
+{
+    const ScenarioInfo *scenario = nullptr;
+    const CalibrationResult *cal = nullptr;
+    ChannelParams params;   //!< post-adaptive operating parameters
+    PhyConfig phy;          //!< post-adaptive profile and knobs
+    Tick period = 0;        //!< nominal sample period under params
+    /** Wire frames (or parity packets) to transmit. */
+    std::vector<BitString> frames;
+
+    /** @name Live coroutine state */
+    /** @{ */
+    bool trojanDone = false;
+    Tick sessionStart = 0;  //!< sync end (payload clock starts)
+    Tick trojanEnd = 0;
+    /** @} */
+
+    /** @name Outputs */
+    /** @{ */
+    /**
+     * The report the run returns, filled as it goes: sent, the
+     * trojan/spy results (spy.bits = demapped wire bits, for
+     * diagnostics) and phy's stage counters, wire bits and
+     * adaptive-controller evidence.
+     */
+    ChannelReport rep;
+    /**
+     * Accepted frame chunks keyed by *absolute* frame index,
+     * unwrapped from the 4-bit sequence numbers: a lost frame
+     * leaves a gap (an erasure) instead of shifting every later
+     * chunk's position.
+     */
+    std::vector<std::pair<std::size_t, BitString>> accepted;
+    std::uint64_t nacks = 0;  //!< legacy-parity chain only
+    std::uint64_t retransmissions = 0;  //!< legacy-parity chain only
+    /** @} */
+};
+
+/**
+ * Resolve the operating point (running the adaptive controller when
+ * cfg.phy.adaptive) and pre-encode the payload into wire frames, or
+ * into parity packets under legacy-parity.
+ */
 void
 phyPrepareSession(PhySession &s, const ChannelConfig &cfg,
                   const BitString &payload,
@@ -29,10 +85,12 @@ phyPrepareSession(PhySession &s, const ChannelConfig &cfg,
         s.phy.profile = d.profile;
         s.params = ChannelParams::forTargetKbps(d.rateKbps,
                                                 cfg.system.timing);
-        s.rateKbps = d.rateKbps;
-        s.bandSeparation = d.separation;
+        s.rep.phy.rateKbps = d.rateKbps;
+        s.rep.phy.bandSeparation = d.separation;
     }
     s.period = s.params.nominalSamplePeriod(cfg.system.timing);
+    s.rep.sent = payload;
+    s.rep.phy.profileUsed = s.phy.profile;
 
     // Pre-encode the payload. FEC frames carry fixed-size chunks
     // with 4-bit sequence numbers; FEC mode never retransmits, so
@@ -66,16 +124,19 @@ phyPrepareSession(PhySession &s, const ChannelConfig &cfg,
     }
 }
 
+/** Trojan controller: sync handshake, then one burst per frame. */
 Task
 phyTrojanBody(ThreadApi api, PlacerCrew &crew, VAddr block,
               PhySession &s)
 {
-    co_await trojanSyncPhase(api, block, *s.cal, s.params, s.trojan);
+    co_await trojanSyncPhase(api, block, *s.cal, s.params,
+                             s.rep.trojan);
     s.sessionStart = api.now();
-    if (s.rateKbps > 0.0) {
+    PhyResult &out = s.rep.phy;
+    if (out.rateKbps > 0.0) {
         chEvent(api, TraceEventType::chPhyAdapt,
                 static_cast<std::uint64_t>(s.phy.profile),
-                static_cast<std::uint64_t>(s.rateKbps));
+                static_cast<std::uint64_t>(out.rateKbps));
     }
 
     bool first = true;
@@ -84,12 +145,12 @@ phyTrojanBody(ThreadApi api, PlacerCrew &crew, VAddr block,
         co_await trojanTransmit(api, crew, block, *s.scenario,
                                 s.params, s.period, frame, tr);
         if (first) {
-            s.trojan.txStart = tr.txStart;
+            s.rep.trojan.txStart = tr.txStart;
             first = false;
         }
-        s.trojan.txEnd = tr.txEnd;
-        s.rawBitsSent += frame.size();
-        ++s.stages.framesSent;
+        s.rep.trojan.txEnd = tr.txEnd;
+        out.rawBitsSent += frame.size();
+        ++out.stages.framesSent;
         // Brief inter-frame silence: the spy's translator parks in
         // its boundary state and the next preamble re-locks it.
         co_await api.spin(2 * s.period);
@@ -99,9 +160,15 @@ phyTrojanBody(ThreadApi api, PlacerCrew &crew, VAddr block,
     s.trojanDone = true;
 }
 
+/**
+ * Spy: sample, soft-demap, hunt for preambles, decode headers and
+ * FEC-protected bodies until the trojan falls silent.
+ */
 Task
 phySpyBody(ThreadApi api, VAddr block, PhySession &s)
 {
+    PhyStageStats &stages = s.rep.phy.stages;
+    SpyResult &spy = s.rep.spy;
     LatencyBand tc = s.cal->band(s.scenario->csc);
     LatencyBand tb = s.cal->band(s.scenario->csb);
     LatencyBand dram = s.cal->dramBand;
@@ -155,21 +222,21 @@ phySpyBody(ThreadApi api, VAddr block, PhySession &s)
             cls, classifyConfidence(latency, tc, tb, cls));
         if (!soft)
             continue;
-        ++s.stages.wireBitsReceived;
-        s.spy.bits.push_back(soft->bit);
+        ++stages.wireBitsReceived;
+        spy.bits.push_back(soft->bit);
         chEvent(api, TraceEventType::chRxBit, soft->bit,
                 wire_index++);
 
         switch (rx) {
           case Rx::hunt:
             if (detector.push(soft->bit)) {
-                ++s.stages.preambleLocks;
+                ++stages.preambleLocks;
                 chEvent(api, TraceEventType::chPhyPreambleLock,
                         static_cast<std::uint64_t>(
                             detector.lastMismatches()));
-                if (!s.spy.sawTransmission) {
-                    s.spy.sawTransmission = true;
-                    s.spy.rxStart = api.now();
+                if (!spy.sawTransmission) {
+                    spy.sawTransmission = true;
+                    spy.rxStart = api.now();
                     chEvent(api, TraceEventType::chRxStart);
                 }
                 header_bits.clear();
@@ -188,9 +255,9 @@ phySpyBody(ThreadApi api, VAddr block, PhySession &s)
                     body_bits.clear();
                     rx = Rx::body;
                 } else {
-                    ++s.stages.headerBad;
+                    ++stages.headerBad;
                     chEvent(api, TraceEventType::chPhyHeaderBad,
-                            s.stages.headerBad);
+                            stages.headerBad);
                     rx = Rx::hunt;
                 }
             }
@@ -201,11 +268,11 @@ phySpyBody(ThreadApi api, VAddr block, PhySession &s)
                 ScopedSpan body_span("phy.decode.body");
                 const PhyBodyResult res =
                     phyDecodeBody(body_bits, hdr, s.phy);
-                s.stages.fecBlocks +=
+                stages.fecBlocks +=
                     static_cast<std::uint64_t>(res.blocks);
-                s.stages.fecCorrected +=
+                stages.fecCorrected +=
                     static_cast<std::uint64_t>(res.corrected);
-                s.stages.fecUncorrectable +=
+                stages.fecUncorrectable +=
                     static_cast<std::uint64_t>(res.uncorrectable);
                 if (res.corrected > 0) {
                     chEvent(api, TraceEventType::chPhyFecCorrected,
@@ -220,7 +287,7 @@ phySpyBody(ThreadApi api, VAddr block, PhySession &s)
                 }
                 const bool dup = static_cast<int>(hdr.seq) == last_seq;
                 if (dup) {
-                    ++s.stages.framesDuplicate;
+                    ++stages.framesDuplicate;
                 } else {
                     if (last_seq < 0) {
                         // Losses before the first lock: the raw
@@ -234,22 +301,19 @@ phySpyBody(ThreadApi api, VAddr block, PhySession &s)
                     }
                     s.accepted.emplace_back(frame_index, res.bits);
                     last_seq = hdr.seq;
-                    ++s.stages.framesAccepted;
+                    ++stages.framesAccepted;
                 }
                 chEvent(api, TraceEventType::chPhyFrame, hdr.seq,
                         dup ? 0 : 1);
-                s.spy.rxEnd = api.now();
+                spy.rxEnd = api.now();
                 detector.reset();
                 rx = Rx::hunt;
             }
             break;
         }
     }
-    chEvent(api, TraceEventType::chRxEnd, s.stages.wireBitsReceived);
+    chEvent(api, TraceEventType::chRxEnd, stages.wireBitsReceived);
 }
-
-namespace
-{
 
 /** @name Parity+NACK protocol tunables (paper §VIII-C) */
 /** @{ */
@@ -270,8 +334,9 @@ Task
 parityTrojanBody(ThreadApi api, PlacerCrew &crew, VAddr block,
                  PhySession &s)
 {
-    co_await trojanSyncPhase(api, block, *s.cal, s.params, s.trojan);
-    s.sessionStart = s.trojan.txStart = api.now();
+    co_await trojanSyncPhase(api, block, *s.cal, s.params,
+                             s.rep.trojan);
+    s.sessionStart = s.rep.trojan.txStart = api.now();
     const double cached_threshold = s.cal->dramBand.lo - 2.0;
 
     for (const BitString &packet : s.frames) {
@@ -280,7 +345,7 @@ parityTrojanBody(ThreadApi api, PlacerCrew &crew, VAddr block,
             TrojanResult tr;
             co_await trojanTransmit(api, crew, block, *s.scenario,
                                     s.params, s.period, packet, tr);
-            s.rawBitsSent += packet.size();
+            s.rep.phy.rawBitsSent += packet.size();
             // Let the spy run into its end-of-packet detection.
             co_await api.spinUntil(
                 tr.txEnd +
@@ -308,7 +373,7 @@ parityTrojanBody(ThreadApi api, PlacerCrew &crew, VAddr block,
                 break;
             ++s.retransmissions;
             chEvent(api, TraceEventType::chRetransmit,
-                    s.rawBitsSent / packetTotalBits);
+                    s.rep.phy.rawBitsSent / packetTotalBits);
             if (++attempts > maxRetries) {
                 chEvent(api, TraceEventType::chRetransmitExhausted,
                         static_cast<std::uint64_t>(attempts - 1));
@@ -320,7 +385,7 @@ parityTrojanBody(ThreadApi api, PlacerCrew &crew, VAddr block,
     }
     crew.idle();
     s.trojanDone = true;
-    s.trojanEnd = s.trojan.txEnd = api.now();
+    s.trojanEnd = s.rep.trojan.txEnd = api.now();
 }
 
 /**
@@ -413,34 +478,29 @@ paritySpyBody(ThreadApi api, VAddr block, PhySession &s)
     }
 }
 
-} // namespace
-
-PhyReport
-phyFinalizeSession(const PhySession &s, const BitString &payload,
-                   const TimingParams &timing, Tick fallback_end)
+/**
+ * Harvest the session into its report: the reassembled payload as
+ * received, residual errors and the session-clock rates in phy.
+ * @p fallback_end bounds the session clock when the trojan never
+ * finished (timeout).
+ */
+void
+phyFinalizeSession(PhySession &s, const TimingParams &timing,
+                   Tick fallback_end)
 {
     ScopedSpan span("phy.finalize");
-    PhyReport r;
-    r.payloadBits = payload.size();
+    const BitString &payload = s.rep.sent;
+    BitString &delivered = s.rep.received;
+    PhyResult &r = s.rep.phy;
     r.frames = static_cast<int>(s.frames.size());
-    r.rawBitsSent = s.rawBitsSent;
-    r.profileUsed = s.phy.profile;
-    r.rateKbps = s.rateKbps;
-    r.bandSeparation = s.bandSeparation;
-    r.stages = s.stages;
-
-    r.nacks = s.nacks;
-    r.retransmissions = s.retransmissions;
 
     if (!s.phy.framed()) {
         // Parity+NACK accepts packets in order: concatenate them and
         // cut the last packet's zero padding.
-        for (const auto &[index, data] : s.accepted) {
-            r.delivered.insert(r.delivered.end(), data.begin(),
-                               data.end());
-        }
-        if (r.delivered.size() > payload.size())
-            r.delivered.resize(payload.size());
+        for (const auto &[index, data] : s.accepted)
+            delivered.insert(delivered.end(), data.begin(), data.end());
+        if (delivered.size() > payload.size())
+            delivered.resize(payload.size());
     } else if (!s.accepted.empty()) {
         // Place each accepted chunk at its sequence-derived offset;
         // lost frames stay zero-filled erasures instead of shifting
@@ -448,78 +508,62 @@ phyFinalizeSession(const PhySession &s, const BitString &payload,
         const std::size_t chunk_bits =
             static_cast<std::size_t>(s.phy.frameNibbles) *
             hammingDataBits;
-        r.delivered.assign(payload.size(), 0);
+        delivered.assign(payload.size(), 0);
         for (const auto &[index, chunk] : s.accepted) {
             const std::size_t off = index * chunk_bits;
             for (std::size_t i = 0;
-                 i < chunk.size() && off + i < r.delivered.size();
-                 ++i) {
-                r.delivered[off + i] = chunk[i];
-            }
+                 i < chunk.size() && off + i < delivered.size(); ++i)
+                delivered[off + i] = chunk[i];
         }
     }
     for (std::size_t i = 0; i < payload.size(); ++i) {
-        if (i >= r.delivered.size() || r.delivered[i] != payload[i])
+        if (i >= delivered.size() || delivered[i] != payload[i])
             ++r.residualErrors;
     }
 
     const Tick end = s.trojanDone ? s.trojanEnd : fallback_end;
     r.durationCycles =
         end > s.sessionStart ? end - s.sessionStart : 0;
-    r.effectiveKbps = timing.kbps(r.payloadBits, r.durationCycles);
+    r.effectiveKbps = timing.kbps(payload.size(), r.durationCycles);
     const std::uint64_t good =
-        r.payloadBits - std::min(r.residualErrors, r.payloadBits);
+        payload.size() - std::min<std::uint64_t>(r.residualErrors,
+                                                 payload.size());
     r.payloadKbps = timing.kbps(good, r.durationCycles);
-    return r;
 }
 
-ChannelMetrics
-phyChannelMetrics(const PhyReport &report, const PhySession &s,
-                  const BitString &payload,
-                  const TimingParams &timing)
-{
-    ChannelMetrics m = computeMetrics(
-        payload, report.delivered, s.trojan.txStart,
-        s.trojanDone ? s.trojanEnd : s.trojan.txEnd, timing);
-    // Payload-level accuracy and goodput; the wire rate keeps the
-    // FEC expansion factor visible next to them.
-    m.payloadKbps = m.effectiveKbps;
-    m.rawKbps = timing.kbps(report.rawBitsSent, m.durationCycles);
-    m.nacks = report.nacks;
-    m.retransmits = report.retransmissions;
-    return m;
-}
-
+/**
+ * Publish the per-stage counters into @p reg under
+ * `<prefix>ch.phy.*`, next to the common `<prefix>ch.*` set.
+ */
 void
 addPhyCounters(CounterRegistry &reg, const std::string &prefix,
-               const PhyReport &report)
+               const PhyResult &phy)
 {
     const std::string base = prefix + "ch.phy.";
-    reg.counter(base + "frames_sent") = report.stages.framesSent;
-    reg.counter(base + "frames_accepted") =
-        report.stages.framesAccepted;
-    reg.counter(base + "preamble_locks") =
-        report.stages.preambleLocks;
-    reg.counter(base + "header_bad") = report.stages.headerBad;
-    reg.counter(base + "fec_corrected") = report.stages.fecCorrected;
+    reg.counter(base + "frames_sent") = phy.stages.framesSent;
+    reg.counter(base + "frames_accepted") = phy.stages.framesAccepted;
+    reg.counter(base + "preamble_locks") = phy.stages.preambleLocks;
+    reg.counter(base + "header_bad") = phy.stages.headerBad;
+    reg.counter(base + "fec_corrected") = phy.stages.fecCorrected;
     reg.counter(base + "fec_uncorrectable") =
-        report.stages.fecUncorrectable;
-    reg.counter(base + "wire_bits") = report.rawBitsSent;
+        phy.stages.fecUncorrectable;
+    reg.counter(base + "wire_bits") = phy.rawBitsSent;
     // The profile the session actually ran (the adaptive controller
     // may override the configured one) and, when adaptive, the raw
     // rate it picked — so report consumers need no side channel.
     reg.counter(base + "profile") =
-        static_cast<std::uint64_t>(report.profileUsed);
-    if (report.rateKbps > 0.0)
+        static_cast<std::uint64_t>(phy.profileUsed);
+    if (phy.rateKbps > 0.0)
         reg.counter(base + "adapt_rate_kbps") =
-            static_cast<std::uint64_t>(report.rateKbps);
+            static_cast<std::uint64_t>(phy.rateKbps);
 }
 
-PhyReport
+} // namespace
+
+ChannelReport
 runPhyTransmission(const ChannelConfig &cfg_in,
                    const BitString &payload,
-                   const CalibrationResult *cal,
-                   ChannelReport *channel_report)
+                   const CalibrationResult *cal)
 {
     const ScenarioInfo &scenario = scenarioInfo(cfg_in.scenario);
     ExperimentRig rig(cfg_in, cal, scenario.localLoaders,
@@ -528,11 +572,12 @@ runPhyTransmission(const ChannelConfig &cfg_in,
 
     PhySession session;
     phyPrepareSession(session, cfg, payload, rig.cal);
+    ChannelReport &rep = session.rep;
 
     // The parity spy loops until the trojan is done, so the
     // trojan's exit ends that session.
     const bool parity = !session.phy.framed();
-    const bool completed = rig.run(
+    rep.completed = rig.run(
         [&](ThreadApi api) {
             return parity ? parityTrojanBody(api, *rig.crew,
                                              rig.shared.trojanVa,
@@ -546,33 +591,29 @@ runPhyTransmission(const ChannelConfig &cfg_in,
                        ? paritySpyBody(api, rig.shared.spyVa, session)
                        : phySpyBody(api, rig.shared.spyVa, session);
         },
-        session.trojan,
+        rep.trojan,
         parity ? ExperimentRig::Finisher::trojan
                : ExperimentRig::Finisher::spy);
 
-    PhyReport report = phyFinalizeSession(session, payload,
-                                          cfg.system.timing,
-                                          rig.machine.sched.now());
-    report.completed = completed;
-
-    if (channel_report) {
-        channel_report->sent = payload;
-        channel_report->received = report.delivered;
-        channel_report->trojan = session.trojan;
-        channel_report->spy = session.spy;
-        channel_report->shared = rig.shared;
-        channel_report->completed = report.completed;
-        channel_report->metrics = phyChannelMetrics(
-            report, session, payload, cfg.system.timing);
-        channel_report->counters =
-            collectCounters(rig.machine, cfg.recorder);
-        addChannelCounters(channel_report->counters,
-                           rig.counterPrefix(),
-                           channel_report->metrics);
-        addPhyCounters(channel_report->counters, rig.counterPrefix(),
-                       report);
-    }
-    return report;
+    const TimingParams &timing = cfg.system.timing;
+    phyFinalizeSession(session, timing, rig.machine.sched.now());
+    rep.shared = rig.shared;
+    // Payload-level accuracy and goodput; the wire rate keeps the
+    // FEC expansion factor visible next to them, and the parity
+    // chain's NACK/retransmission counts are the retry cost.
+    ChannelMetrics &m = rep.metrics;
+    m = computeMetrics(
+        rep.sent, rep.received, rep.trojan.txStart,
+        session.trojanDone ? session.trojanEnd : rep.trojan.txEnd,
+        timing);
+    m.payloadKbps = m.effectiveKbps;
+    m.rawKbps = timing.kbps(rep.phy.rawBitsSent, m.durationCycles);
+    m.nacks = session.nacks;
+    m.retransmits = session.retransmissions;
+    rep.counters = collectCounters(rig.machine, cfg.recorder);
+    addChannelCounters(rep.counters, rig.counterPrefix(), rep.metrics);
+    addPhyCounters(rep.counters, rig.counterPrefix(), rep.phy);
+    return std::move(rep);
 }
 
 } // namespace csim

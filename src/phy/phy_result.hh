@@ -1,0 +1,77 @@
+/**
+ * @file
+ * The `phy` member of ChannelReport. Dependency-free on purpose,
+ * like phy_config.hh: phy_channel.hh includes the channel layer.
+ */
+
+#ifndef COHERSIM_PHY_PHY_RESULT_HH
+#define COHERSIM_PHY_PHY_RESULT_HH
+
+#include <cstdint>
+
+#include "common/types.hh"
+#include "phy/phy_config.hh"
+
+namespace csim
+{
+
+/** Per-stage receive/transmit counters of one PHY session. */
+struct PhyStageStats
+{
+    std::uint64_t framesSent = 0;
+    std::uint64_t wireBitsReceived = 0;  //!< demapped wire bits
+    std::uint64_t preambleLocks = 0;
+    std::uint64_t headerBad = 0;      //!< headers that failed SECDED
+    std::uint64_t framesAccepted = 0;
+    std::uint64_t framesDuplicate = 0;  //!< dropped by the seq guard
+    std::uint64_t fecBlocks = 0;        //!< codewords decoded
+    std::uint64_t fecCorrected = 0;     //!< codewords with a repair
+    std::uint64_t fecUncorrectable = 0;  //!< detected-unrepairable
+
+    bool operator==(const PhyStageStats &) const = default;
+};
+
+/**
+ * The PHY-only outcome of one runPhyTransmission session. Raw
+ * modulation (runVectorTransmission, fleet pairs) leaves it zero.
+ * The delivered bits, completion flag and the parity chain's
+ * NACK/retransmission counts live in the common ChannelReport.
+ */
+struct PhyResult
+{
+    /** Frames (parity packets) the payload was split into. */
+    int frames = 0;
+    /** Wire bits transmitted (preamble + header + coded body, or
+     *  every parity packet including retransmissions). */
+    std::uint64_t rawBitsSent = 0;
+    /** Positional bit errors remaining after FEC (or parity). */
+    std::uint64_t residualErrors = 0;
+    PhyStageStats stages;
+    /** Profile the session actually ran (adaptive may override). */
+    PhyProfile profileUsed = PhyProfile::legacyParity;
+    /** Raw rate the adaptive controller picked; 0 = configured. */
+    double rateKbps = 0.0;
+    /** Calibrated band separation the controller acted on. */
+    double bandSeparation = 0.0;
+    /**
+     * @name Session clock (sync end to trojan completion)
+     * Payload-level rates over the session duration, as Fig. 10 and
+     * the PHY comparison report them. ChannelMetrics times the same
+     * run from the first frame's transmit start instead.
+     */
+    /** @{ */
+    Tick durationCycles = 0;
+    /** Payload bits over the session duration, Kbits/s. */
+    double effectiveKbps = 0.0;
+    /** Goodput: correctly delivered payload bits over the session
+     *  duration, Kbits/s — net of framing/FEC overhead and of the
+     *  residual errors effectiveKbps still credits. */
+    double payloadKbps = 0.0;
+    /** @} */
+
+    bool operator==(const PhyResult &) const = default;
+};
+
+} // namespace csim
+
+#endif // COHERSIM_PHY_PHY_RESULT_HH

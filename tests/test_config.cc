@@ -292,6 +292,25 @@ TEST(ExperimentSpec, ValidatesCrossFieldConstraints)
     spec.channel.system.timing.longTailMin = 500;
     spec.channel.system.timing.longTailMax = 100;
     EXPECT_THROW(spec.validate(), ConfigError);
+
+    // A fleet runs raw modulation: a PHY profile (or the adaptive
+    // controller) on more than one pair is refused, not ignored.
+    for (const bool adaptive : {false, true}) {
+        spec = ExperimentSpec{};
+        spec.fleet.pairs = 2;
+        if (adaptive)
+            spec.channel.phy.adaptive = true;
+        else
+            spec.channel.phy.profile = PhyProfile::hammingSoft;
+        try {
+            spec.validate();
+            ADD_FAILURE() << "expected ConfigError";
+        } catch (const ConfigError &e) {
+            const std::string msg = e.what();
+            EXPECT_NE(msg.find("phy.profile"), std::string::npos);
+            EXPECT_NE(msg.find("fleet.pairs = 2"), std::string::npos);
+        }
+    }
 }
 
 TEST(ExperimentSpec, DerivesChannelConfigFromRate)

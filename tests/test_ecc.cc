@@ -125,27 +125,27 @@ TEST(EccSession, DeliversPayloadWithoutNoise)
 {
     ChannelConfig cfg = baseConfig();
     const BitString payload = someData(7, 1024);
-    const PhyReport report =
+    const ChannelReport report =
         runPhyTransmission(cfg, payload, &sharedCal());
     EXPECT_TRUE(report.completed);
-    EXPECT_EQ(report.profileUsed, PhyProfile::legacyParity);
-    EXPECT_EQ(report.frames, 2);
-    EXPECT_EQ(report.residualErrors, 0u);
-    EXPECT_EQ(report.delivered, payload);
-    EXPECT_GT(report.effectiveKbps, 0.0);
-    EXPECT_GE(report.rawBitsSent, 2 * packetTotalBits);
+    EXPECT_EQ(report.phy.profileUsed, PhyProfile::legacyParity);
+    EXPECT_EQ(report.phy.frames, 2);
+    EXPECT_EQ(report.phy.residualErrors, 0u);
+    EXPECT_EQ(report.received, payload);
+    EXPECT_GT(report.phy.effectiveKbps, 0.0);
+    EXPECT_GE(report.phy.rawBitsSent, 2 * packetTotalBits);
 }
 
 TEST(EccSession, ShortPayloadIsPadded)
 {
     ChannelConfig cfg = baseConfig();
     const BitString payload = someData(8, 100);
-    const PhyReport report =
+    const ChannelReport report =
         runPhyTransmission(cfg, payload, &sharedCal());
-    EXPECT_EQ(report.frames, 1);
-    EXPECT_EQ(report.residualErrors, 0u);
-    EXPECT_EQ(report.delivered.size(), 100u);
-    EXPECT_EQ(report.delivered, payload);
+    EXPECT_EQ(report.phy.frames, 1);
+    EXPECT_EQ(report.phy.residualErrors, 0u);
+    EXPECT_EQ(report.received.size(), 100u);
+    EXPECT_EQ(report.received, payload);
 }
 
 TEST(EccSession, RecoversUnderMediumNoise)
@@ -153,32 +153,32 @@ TEST(EccSession, RecoversUnderMediumNoise)
     ChannelConfig cfg = baseConfig();
     cfg.noiseThreads = 4;
     const BitString payload = someData(9, 1024);
-    const PhyReport report =
+    const ChannelReport report =
         runPhyTransmission(cfg, payload, &sharedCal());
     EXPECT_TRUE(report.completed);
     // Per-chunk parity misses an even number of flips within one
     // 32-bit chunk (see PacketCodec.DoubleFlipInOneChunkEscapesParity)
     // so a handful of residual errors can survive heavy noise; the
     // scheme recovers everything else via retransmission.
-    EXPECT_LE(report.residualErrors, 8u)
-        << "retransmissions: " << report.retransmissions;
-    EXPECT_EQ(report.delivered.size(), payload.size());
+    EXPECT_LE(report.phy.residualErrors, 8u)
+        << "retransmissions: " << report.metrics.retransmits;
+    EXPECT_EQ(report.received.size(), payload.size());
 }
 
 TEST(EccSession, NoiseCostsThroughput)
 {
     ChannelConfig cfg = baseConfig();
     const BitString payload = someData(10, 1024);
-    const PhyReport quiet =
+    const ChannelReport quiet =
         runPhyTransmission(cfg, payload, &sharedCal());
     cfg.noiseThreads = 4;
-    const PhyReport noisy =
+    const ChannelReport noisy =
         runPhyTransmission(cfg, payload, &sharedCal());
-    EXPECT_EQ(quiet.residualErrors, 0u);
+    EXPECT_EQ(quiet.phy.residualErrors, 0u);
     // Under noise a rare even-flip-per-chunk corruption can escape
     // the parity check (see DoubleFlipInOneChunkEscapesParity).
-    EXPECT_LE(noisy.residualErrors, 8u);
-    EXPECT_LT(noisy.effectiveKbps, quiet.effectiveKbps * 1.05);
+    EXPECT_LE(noisy.phy.residualErrors, 8u);
+    EXPECT_LT(noisy.phy.effectiveKbps, quiet.phy.effectiveKbps * 1.05);
 }
 
 TEST(EccSession, LlcNotifyDefenseIsTheTimingChange)
@@ -190,11 +190,11 @@ TEST(EccSession, LlcNotifyDefenseIsTheTimingChange)
     defended.defense = Defense::llcNotify;
     ChannelConfig direct = baseConfig();
     direct.system.timing.llcNotifiedOfUpgrade = true;
-    const PhyReport a = runPhyTransmission(defended, payload);
-    const PhyReport b = runPhyTransmission(direct, payload);
-    EXPECT_EQ(a.delivered, b.delivered);
-    EXPECT_EQ(a.durationCycles, b.durationCycles);
-    EXPECT_EQ(a.rawBitsSent, b.rawBitsSent);
+    const ChannelReport a = runPhyTransmission(defended, payload);
+    const ChannelReport b = runPhyTransmission(direct, payload);
+    EXPECT_EQ(a.received, b.received);
+    EXPECT_EQ(a.phy.durationCycles, b.phy.durationCycles);
+    EXPECT_EQ(a.phy.rawBitsSent, b.phy.rawBitsSent);
 }
 
 TEST(EccSession, RetryCostReachesChannelMetrics)
@@ -204,16 +204,13 @@ TEST(EccSession, RetryCostReachesChannelMetrics)
     ChannelConfig cfg = baseConfig();
     cfg.params = ChannelParams::forTargetKbps(550, cfg.system.timing);
     const BitString payload = someData(12, packetDataBits);
-    ChannelReport channel;
-    const PhyReport report =
-        runPhyTransmission(cfg, payload, &sharedCal(), &channel);
-    EXPECT_GT(report.nacks, 0u);
-    EXPECT_GE(report.nacks, report.retransmissions);
-    EXPECT_EQ(channel.metrics.nacks, report.nacks);
-    EXPECT_EQ(channel.metrics.retransmits, report.retransmissions);
-    EXPECT_EQ(channel.counters.value("ch.nacks"), report.nacks);
-    EXPECT_EQ(channel.counters.value("ch.retransmits"),
-              report.retransmissions);
+    const ChannelReport report =
+        runPhyTransmission(cfg, payload, &sharedCal());
+    EXPECT_GT(report.metrics.nacks, 0u);
+    EXPECT_GE(report.metrics.nacks, report.metrics.retransmits);
+    EXPECT_EQ(report.counters.value("ch.nacks"), report.metrics.nacks);
+    EXPECT_EQ(report.counters.value("ch.retransmits"),
+              report.metrics.retransmits);
 }
 
 } // namespace

@@ -389,17 +389,17 @@ TEST(PhyEndToEnd, SoftProfileDeliversCleanPayload)
     const BitString payload = randomBits(rng, 256);
     cfg.timeout = cfg.deriveTimeout(payload.size() * 3);
 
-    const PhyReport rep =
+    const ChannelReport rep =
         runPhyTransmission(cfg, payload, &sharedCal());
     EXPECT_TRUE(rep.completed);
-    EXPECT_EQ(rep.residualErrors, 0u);
-    EXPECT_EQ(rep.delivered, payload);
-    EXPECT_EQ(rep.frames, 2);
-    EXPECT_EQ(rep.stages.framesAccepted, 2u);
-    EXPECT_GT(rep.rawBitsSent, payload.size() * 2);
-    EXPECT_GT(rep.effectiveKbps, 0.0);
+    EXPECT_EQ(rep.phy.residualErrors, 0u);
+    EXPECT_EQ(rep.received, payload);
+    EXPECT_EQ(rep.phy.frames, 2);
+    EXPECT_EQ(rep.phy.stages.framesAccepted, 2u);
+    EXPECT_GT(rep.phy.rawBitsSent, payload.size() * 2);
+    EXPECT_GT(rep.phy.effectiveKbps, 0.0);
     // Clean delivery: goodput equals the effective rate.
-    EXPECT_DOUBLE_EQ(rep.payloadKbps, rep.effectiveKbps);
+    EXPECT_DOUBLE_EQ(rep.phy.payloadKbps, rep.phy.effectiveKbps);
 }
 
 TEST(PhyEndToEnd, DispatchesThroughRunExperiment)
@@ -426,6 +426,16 @@ TEST(PhyEndToEnd, DispatchesThroughRunExperiment)
                      rep.metrics.effectiveKbps);
     EXPECT_GT(rep.counters.value("ch.phy.frames_sent"), 0);
     EXPECT_GT(rep.counters.value("ch.phy.preamble_locks"), 0);
+
+    // The dispatcher returns exactly the driver's report: same
+    // reception, metrics, PHY results and counters, in order.
+    const ChannelReport direct = runPhyTransmission(
+        spec.toChannelConfig(), payload, &sharedCal());
+    EXPECT_EQ(rep.received, direct.received);
+    EXPECT_EQ(rep.metrics, direct.metrics);
+    EXPECT_EQ(rep.phy, direct.phy);
+    EXPECT_EQ(rep.counters.entries(), direct.counters.entries());
+    EXPECT_EQ(rep.phy.profileUsed, PhyProfile::hammingSoft);
 }
 
 TEST(PhyEndToEnd, RawVectorDriverRejectsPhyConfigs)
@@ -456,12 +466,12 @@ TEST(PhyEndToEnd, AdaptiveModePicksAnOperatingPoint)
     const BitString payload = randomBits(rng, 128);
     cfg.timeout = cfg.deriveTimeout(payload.size() * 3);
 
-    const PhyReport rep =
+    const ChannelReport rep =
         runPhyTransmission(cfg, payload, &sharedCal());
     EXPECT_TRUE(rep.completed);
-    EXPECT_GT(rep.rateKbps, 0.0);
-    EXPECT_NE(rep.bandSeparation, 0.0);
-    EXPECT_EQ(rep.residualErrors, 0u);
+    EXPECT_GT(rep.phy.rateKbps, 0.0);
+    EXPECT_NE(rep.phy.bandSeparation, 0.0);
+    EXPECT_EQ(rep.phy.residualErrors, 0u);
 }
 
 TEST(PhyEndToEnd, BitIdenticalAcrossWorkerCounts)
@@ -491,12 +501,12 @@ TEST(PhyEndToEnd, BitIdenticalAcrossWorkerCounts)
                         rate, cfg.system.timing);
                     cfg.timeout =
                         cfg.deriveTimeout(payload.size() * 3);
-                    const PhyReport rep = runPhyTransmission(
+                    const ChannelReport rep = runPhyTransmission(
                         cfg, payload, &sharedCal());
-                    return Cell{bitsToString(rep.delivered),
-                                rep.residualErrors,
-                                rep.durationCycles,
-                                rep.stages.fecCorrected};
+                    return Cell{bitsToString(rep.received),
+                                rep.phy.residualErrors,
+                                rep.phy.durationCycles,
+                                rep.phy.stages.fecCorrected};
                 });
             }
         }
@@ -531,29 +541,18 @@ TEST(PhyEndToEnd, CcHunterStillFlagsFecTraffic)
     const BitString payload = randomBits(rng, 192);
     cfg.timeout = cfg.deriveTimeout(payload.size() * 3);
 
-    PhySession session;
-    phyPrepareSession(session, cfg, payload, sharedCal());
-    ExperimentRig rig(cfg, &sharedCal(),
-                      session.scenario->localLoaders,
-                      session.scenario->remoteLoaders,
-                      session.scenario->csc);
     CoherenceChannelDetector detector;
-    detector.attach(rig.machine.mem.trace());
-
-    EXPECT_TRUE(rig.run(
-        [&](ThreadApi api) {
-            return phyTrojanBody(api, *rig.crew,
-                                 rig.shared.trojanVa, session);
-        },
-        [&](ThreadApi api) {
-            return phySpyBody(api, rig.shared.spyVa, session);
-        },
-        session.trojan));
+    cfg.detector = &detector;
+    const ChannelReport rep =
+        runPhyTransmission(cfg, payload, &sharedCal());
+    EXPECT_TRUE(rep.completed);
     EXPECT_TRUE(detector.anySuspicious());
     const LineVerdict v =
-        detector.verdict(lineAlign(rig.shared.paddr));
+        detector.verdict(lineAlign(rep.shared.paddr));
     EXPECT_TRUE(v.suspicious);
-    EXPECT_LT(v.flaggedAt, session.trojanEnd);
+    // Flagged while the frames were still on the wire.
+    EXPECT_GT(v.flaggedAt, rep.trojan.txStart);
+    EXPECT_LT(v.flaggedAt, rep.trojan.txEnd);
 }
 
 } // namespace

@@ -94,6 +94,8 @@ TEST(RunExperiment, CoherenceMatchesClassicDriver)
     EXPECT_EQ(via_api.channel.trojan.txEnd, classic.trojan.txEnd);
     EXPECT_EQ(via_api.channel.metrics.accuracy,
               classic.metrics.accuracy);
+    // Raw modulation leaves the PHY results zero.
+    EXPECT_EQ(via_api.channel.phy, PhyResult{});
 }
 
 TEST(RunExperiment, DispatchesFleetAndPhy)

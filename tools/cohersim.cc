@@ -686,15 +686,17 @@ cmdEcc(const Args &args)
     const ExperimentSpec &spec = res.spec();
     ChannelConfig cfg = spec.toChannelConfig();
     cfg.phy = PhyConfig{};  // legacy-parity: the parity+NACK chain
-    const PhyReport rep = runPhyTransmission(cfg, spec.makePayload());
-    std::cout << "packets:          " << rep.frames << "\n"
-              << "retransmissions:  " << rep.retransmissions << "\n"
-              << "residual errors:  " << rep.residualErrors << "\n"
+    const ChannelReport rep =
+        runPhyTransmission(cfg, spec.makePayload());
+    std::cout << "packets:          " << rep.phy.frames << "\n"
+              << "retransmissions:  " << rep.metrics.retransmits
+              << "\n"
+              << "residual errors:  " << rep.phy.residualErrors << "\n"
               << "effective rate:   "
-              << TablePrinter::num(rep.effectiveKbps) << " Kbps\n"
+              << TablePrinter::num(rep.phy.effectiveKbps) << " Kbps\n"
               << "delivered:        \""
-              << bitsToText(rep.delivered) << "\"\n";
-    return rep.residualErrors == 0 ? 0 : 1;
+              << bitsToText(rep.received) << "\"\n";
+    return rep.phy.residualErrors == 0 ? 0 : 1;
 }
 
 /** One row of `cohersim inspect` output for the current state. */
