@@ -3,9 +3,12 @@
  * Tests for the multi-tenant fleet: contention-aware timeouts,
  * per-pair core planning, determinism (including across runner
  * worker counts), pair attribution and counter namespacing, the
- * machine-aggregate CC-Hunter verdict, and the BMP/surrogate-pair
- * JSON string escapes the fleet artifacts rely on.
+ * machine-aggregate CC-Hunter verdict, seeded digests of defended
+ * fleet and single-pair runs, and the BMP/surrogate-pair JSON string
+ * escapes the fleet artifacts rely on.
  */
+
+#include <bit>
 
 #include <gtest/gtest.h>
 
@@ -267,6 +270,133 @@ TEST(FleetRun, LayersMachineGlobalMitigationPresets)
         EXPECT_EQ(again.pairs[i].metrics.accuracy,
                   noisy.pairs[i].metrics.accuracy);
     }
+}
+
+/** FNV-1a over the eight bytes of @p v. */
+std::uint64_t
+fnvMix(std::uint64_t h, std::uint64_t v)
+{
+    for (int i = 0; i < 8; ++i) {
+        h ^= (v >> (8 * i)) & 0xff;
+        h *= 0x100000001b3ULL;
+    }
+    return h;
+}
+
+std::uint64_t
+fnvMix(std::uint64_t h, double v)
+{
+    return fnvMix(h, std::bit_cast<std::uint64_t>(v));
+}
+
+std::uint64_t
+fnvMix(std::uint64_t h, const std::string &s)
+{
+    h = fnvMix(h, static_cast<std::uint64_t>(s.size()));
+    for (const char c : s)
+        h = fnvMix(h, static_cast<std::uint64_t>(c));
+    return h;
+}
+
+/** Digest of one pair's outcome: bits, every metric, completion. */
+std::uint64_t
+pairDigest(std::uint64_t h, const BitString &sent,
+           const BitString &received, const ChannelMetrics &m,
+           bool completed)
+{
+    h = fnvMix(h, static_cast<std::uint64_t>(sent.size()));
+    for (const std::uint8_t b : sent)
+        h = fnvMix(h, static_cast<std::uint64_t>(b));
+    h = fnvMix(h, static_cast<std::uint64_t>(received.size()));
+    for (const std::uint8_t b : received)
+        h = fnvMix(h, static_cast<std::uint64_t>(b));
+    h = fnvMix(h, static_cast<std::uint64_t>(m.pairId));
+    h = fnvMix(h, m.bitsSent);
+    h = fnvMix(h, m.bitsReceived);
+    h = fnvMix(h, m.accuracy);
+    h = fnvMix(h, m.durationCycles);
+    h = fnvMix(h, m.rawKbps);
+    h = fnvMix(h, m.effectiveKbps);
+    h = fnvMix(h, m.payloadKbps);
+    h = fnvMix(h, m.nacks);
+    h = fnvMix(h, m.retransmits);
+    return fnvMix(h, static_cast<std::uint64_t>(completed));
+}
+
+/** Digest of every counter, names and values in registry order. */
+std::uint64_t
+countersDigest(std::uint64_t h, const CounterRegistry &reg)
+{
+    for (const auto &[name, value] : reg.entries())
+        h = fnvMix(fnvMix(h, name), value);
+    return h;
+}
+
+/** A defended spec: @p mitigation over @p base (null: defaults). */
+ExperimentSpec
+defendedSpec(const char *base, const char *mitigation)
+{
+    ConfigResolver res;
+    if (base)
+        res.applyPreset(base);
+    res.applyPreset(mitigation);
+    return res.spec();
+}
+
+/**
+ * Digest of a 2-pair fleet with one noise agent under @p mitigation:
+ * calibrated by the fleet itself, so the llc-notify timing change,
+ * the calibration fallback, the observers, the noise agent and the
+ * machine-global defence all shape it.
+ */
+std::uint64_t
+defendedFleetDigest(const char *mitigation)
+{
+    ExperimentSpec spec = defendedSpec("fleet-quick", mitigation);
+    spec.fleet.pairs = 2;
+    spec.fleet.noiseAgents = 1;
+    spec.payload.bits = 32;
+    const FleetReport rep = runFleet(spec.toFleetConfig());
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    for (const PairReport &pr : rep.pairs) {
+        h = pairDigest(h, pr.sent, pr.received, pr.metrics,
+                       pr.completed);
+    }
+    h = fnvMix(h, static_cast<std::uint64_t>(rep.completed));
+    h = fnvMix(h, rep.durationCycles);
+    return countersDigest(h, rep.counters);
+}
+
+// Pinned before the single-pair rig and the fleet shared one machine
+// lifecycle: no golden output covers a defended fleet, so these
+// digests hold the setup order (observers, noise, pairs, defences,
+// threads) and the monitor's round-robin budget in place.
+
+TEST(MachineLifecyclePin, DefendedFleetsAreUnchanged)
+{
+    EXPECT_EQ(defendedFleetDigest("mitigation-targeted-noise"),
+              0x9e79c6cf856092a0ULL);
+    EXPECT_EQ(defendedFleetDigest("mitigation-ksm-guard"),
+              0xd1e4fe46aad385a4ULL);
+    EXPECT_EQ(defendedFleetDigest("mitigation-llc-notify"),
+              0x408680304b2b3487ULL);
+}
+
+TEST(MachineLifecyclePin, NoisyTargetedNoisePairIsUnchanged)
+{
+    ExperimentSpec spec =
+        defendedSpec(nullptr, "mitigation-targeted-noise");
+    spec.channel.noiseThreads = 2;
+    spec.payload.bits = 32;
+    spec.rateKbps = 500;
+    spec.timeoutMargin = 20.0;
+    const ChannelReport rep =
+        runVectorTransmission(spec.toChannelConfig(),
+                              spec.makePayload());
+    const std::uint64_t h =
+        pairDigest(0xcbf29ce484222325ULL, rep.sent, rep.received,
+                   rep.metrics, rep.completed);
+    EXPECT_EQ(countersDigest(h, rep.counters), 0xf9820a3839a51021ULL);
 }
 
 TEST(ConfigFleet, RejectsMalformedScenarioMix)
