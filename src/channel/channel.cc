@@ -1,5 +1,8 @@
 #include "channel/channel.hh"
 
+#include <algorithm>
+#include <optional>
+
 #include "channel/vector.hh"
 #include "common/logging.hh"
 #include "detect/cchunter.hh"
@@ -73,8 +76,113 @@ CorePlan::standard(const SystemConfig &sys)
     return plan;
 }
 
+namespace
+{
+
+/**
+ * The llc-notify defence is a hardware change: apply it to the
+ * timing model before anything (calibration included) samples it.
+ */
+ChannelConfig
+defendedConfig(const ChannelConfig &cfg_in)
+{
+    ChannelConfig cfg = cfg_in;
+    if (cfg.defense == Defense::llcNotify)
+        cfg.system.timing.llcNotifiedOfUpgrade = true;
+    return cfg;
+}
+
+/**
+ * The adversaries calibrate bands through self-measurement ahead of
+ * time (paper §VII-B) — on a quiet scratch machine.
+ */
+CalibrationResult
+learnCalibration(const ChannelConfig &cfg, const char *span_name)
+{
+    std::optional<ScopedSpan> span;
+    if (span_name)
+        span.emplace(span_name);
+    return makeLeakageVector(cfg.vector)->calibrate(cfg);
+}
+
+} // namespace
+
+MachineRig::MachineRig(const ChannelConfig &cfg_in,
+                       const CalibrationResult *cal_in,
+                       const char *calibrate_span)
+    : cfg(defendedConfig(cfg_in)),
+      learned_(cal_in ? CalibrationResult{}
+                      : learnCalibration(cfg, calibrate_span)),
+      cal(cal_in ? *cal_in : learned_), machine(cfg.system)
+{
+    if (cfg.recorder)
+        cfg.recorder->attach(machine.mem.trace(), cfg.system.numCores());
+    for (BusTap *tap : cfg.taps)
+        tap->attach(machine.mem.trace(), cfg.system.numCores());
+    if (cfg.detector)
+        cfg.detector->attach(machine.mem.trace());
+}
+
+MachineRig::~MachineRig()
+{
+    if (cfg.detector)
+        cfg.detector->detach();
+    for (BusTap *tap : cfg.taps)
+        tap->detach();
+    if (cfg.recorder)
+        cfg.recorder->detach();
+}
+
 void
-ExperimentRig::initProcesses()
+MachineRig::spawnNoise(int agents)
+{
+    spawnNoiseAgents(machine, agents, CorePlan::standard(cfg.system).noise,
+                     cfg.noise, cfg.system.seed * 77 + 5);
+}
+
+void
+MachineRig::deployDefences(const std::vector<PAddr> &shared_lines)
+{
+    if (cfg.defense == Defense::targetedNoise) {
+        // Monitor thread: watches the shared lines from a spare core
+        // and issues extra loads, converting E-state blocks to S
+        // under the spies' feet.
+        Process &monitor_proc =
+            machine.kernel.createProcess("monitor");
+        std::vector<VAddr> lines;
+        for (const PAddr paddr : shared_lines) {
+            const VAddr watch = monitor_proc.mapPhysical(
+                {pageAlign(paddr)}, false);
+            lines.push_back(watch + pageOffset(paddr));
+        }
+        const Tick gap = std::max<Tick>(
+            900 / static_cast<Tick>(lines.size()), 150);
+        machine.kernel.spawnThread(
+            machine.sched, "monitor", cfg.system.coreOf(1, 3),
+            monitor_proc, [lines, gap](ThreadApi api) -> Task {
+                for (std::size_t i = 0;; i = (i + 1) % lines.size()) {
+                    co_await api.load(lines[i]);
+                    co_await api.spin(gap);
+                }
+            });
+    }
+    if (cfg.defense == Defense::ksmGuard &&
+        cfg.sharing == SharingMode::ksm) {
+        machine.kernel.enableKsmGuard();
+    }
+}
+
+CounterRegistry
+MachineRig::counters() const
+{
+    return collectCounters(machine, cfg.recorder);
+}
+
+ExperimentRig::ExperimentRig(Machine &host, const ChannelConfig &cfg_in,
+                             const CorePlan &pair_plan, Combo csc,
+                             std::uint32_t pair_id,
+                             std::uint64_t pattern_seed)
+    : cfg(cfg_in), machine(host), plan(pair_plan), pairId(pair_id)
 {
     // Pair-suffixed process names keep `ps`-style listings readable
     // when one machine hosts dozens of adversary pairs.
@@ -82,11 +190,7 @@ ExperimentRig::initProcesses()
         pairId == 0 ? std::string() : msgCat(".p", pairId);
     trojanProc = &machine.kernel.createProcess("trojan" + suffix);
     spyProc = &machine.kernel.createProcess("spy" + suffix);
-}
 
-void
-ExperimentRig::initShared(Combo csc, std::uint64_t pattern_seed)
-{
     // The vector decides what "shared state" means: the page-fault
     // channel needs no shared mapping at all (its plugin creates two
     // private mergeable pages), the dirty-state channel needs a
@@ -130,7 +234,7 @@ ExperimentRig::initShared(Combo csc, std::uint64_t pattern_seed)
 }
 
 void
-ExperimentRig::initCrew(int n_local, int n_remote)
+ExperimentRig::startCrew(int n_local, int n_remote)
 {
     const std::vector<CoreId> local_cores(
         plan.localLoaders.begin(),
@@ -141,6 +245,39 @@ ExperimentRig::initCrew(int n_local, int n_remote)
     crew = std::make_unique<PlacerCrew>(machine.kernel, machine.sched,
                                         *trojanProc, local_cores,
                                         remote_cores, cfg.params);
+}
+
+void
+ExperimentRig::spawn(std::function<Task(ThreadApi)> trojan,
+                     std::function<Task(ThreadApi)> spy)
+{
+    const std::string suffix =
+        pairId == 0 ? std::string() : msgCat(".p", pairId);
+    trojanThread = machine.kernel.spawnThread(
+        machine.sched, "trojan.ctl" + suffix, plan.controller,
+        *trojanProc, std::move(trojan));
+    trojanThread->pairTag = pairId;
+    spyThread = machine.kernel.spawnThread(
+        machine.sched, "spy" + suffix, plan.spy, *spyProc,
+        std::move(spy));
+    spyThread->pairTag = pairId;
+}
+
+ChannelMetrics
+ExperimentRig::score(const BitString &sent, const BitString &received,
+                     Tick tx_start, Tick tx_end) const
+{
+    ChannelMetrics m = computeMetrics(sent, received, tx_start, tx_end,
+                                      cfg.system.timing);
+    m.pairId = pairId;
+    return m;
+}
+
+void
+ExperimentRig::publish(CounterRegistry &counters,
+                       const ChannelMetrics &metrics) const
+{
+    addChannelCounters(counters, counterPrefix(), metrics);
 }
 
 std::string
@@ -159,141 +296,34 @@ addChannelCounters(CounterRegistry &reg, const std::string &prefix,
     reg.counter(prefix + "ch.retransmits") = metrics.retransmits;
 }
 
-namespace
+SinglePairRig::SinglePairRig(const ChannelConfig &cfg,
+                             const CalibrationResult *cal, int n_local,
+                             int n_remote, Combo csc)
+    : host(cfg, cal, "rig.calibrate"),
+      pair(host.machine, host.cfg, CorePlan::standard(host.cfg.system),
+           csc, 0, host.cfg.system.seed ^ 0x6b5fca37)
 {
-
-/**
- * The llc-notify defence is a hardware change: apply it to the
- * timing model before anything (calibration included) samples it.
- */
-ChannelConfig
-defendedConfig(const ChannelConfig &cfg_in)
-{
-    ChannelConfig cfg = cfg_in;
-    if (cfg.defense == Defense::llcNotify)
-        cfg.system.timing.llcNotifiedOfUpgrade = true;
-    return cfg;
-}
-
-/**
- * The adversaries calibrate bands through self-measurement ahead of
- * time (paper §VII-B) — on a quiet scratch machine.
- */
-CalibrationResult
-learnCalibration(const ChannelConfig &cfg)
-{
-    ScopedSpan span("rig.calibrate");
-    return makeLeakageVector(cfg.vector)->calibrate(cfg);
-}
-
-} // namespace
-
-ExperimentRig::ExperimentRig(const ChannelConfig &cfg_in,
-                             const CalibrationResult *cal_in,
-                             int n_local, int n_remote, Combo csc)
-    : cfg(defendedConfig(cfg_in)),
-      ownCal_(cal_in ? CalibrationResult{} : learnCalibration(cfg)),
-      owned_(std::make_unique<Machine>(cfg.system)),
-      cal(cal_in ? *cal_in : ownCal_), machine(*owned_),
-      plan(CorePlan::standard(cfg.system))
-{
-    // Subscribe the caller's recorder and taps before anything else
-    // touches memory, so the captures include share establishment
-    // (KSM scans, COW splits, the ch.share_established milestone).
-    if (cfg.recorder)
-        cfg.recorder->attach(machine.mem.trace(), cfg.system.numCores());
-    for (BusTap *tap : cfg.taps)
-        tap->attach(machine.mem.trace(), cfg.system.numCores());
-    if (cfg.detector)
-        cfg.detector->attach(machine.mem.trace());
-    initProcesses();
-    initShared(csc, cfg.system.seed ^ 0x6b5fca37);
-    // Noise agents start first: the channel must operate against an
-    // already-busy machine.
-    spawnNoiseAgents(machine, cfg.noiseThreads, plan.noise, cfg.noise,
-                     cfg.system.seed * 77 + 5);
-    initCrew(n_local, n_remote);
-    // Runtime defences (§VIII-E techniques 1 and 2). Technique 3 is
-    // the timing-model change applied by defendedConfig.
-    if (cfg.defense == Defense::targetedNoise) {
-        // Monitor thread: watches the shared page from a spare core
-        // and issues extra loads, converting E-state blocks to S
-        // under the spy's feet.
-        Process &monitor_proc =
-            machine.kernel.createProcess("monitor");
-        const VAddr watch = monitor_proc.mapPhysical(
-            {pageAlign(shared.paddr)}, false);
-        const VAddr line = watch + pageOffset(shared.paddr);
-        machine.kernel.spawnThread(
-            machine.sched, "monitor", cfg.system.coreOf(1, 3),
-            monitor_proc, [line](ThreadApi api) -> Task {
-                for (;;) {
-                    co_await api.load(line);
-                    co_await api.spin(900);
-                }
-            });
-    }
-    if (cfg.defense == Defense::ksmGuard &&
-        cfg.sharing == SharingMode::ksm) {
-        machine.kernel.enableKsmGuard();
-    }
-}
-
-ExperimentRig::ExperimentRig(Machine &host,
-                             const ChannelConfig &cfg_in,
-                             const CorePlan &pair_plan, int n_local,
-                             int n_remote, Combo csc,
-                             std::uint32_t pair_id,
-                             std::uint64_t pattern_seed)
-    : cfg(cfg_in), cal(ownCal_), machine(host), plan(pair_plan),
-      pairId(pair_id)
-{
-    fatal_if(pair_id == 0,
-             "fleet pairs are numbered from 1 (0 marks the "
-             "single-pair path)");
-    // The machine's owner decides what observes its bus and how busy
-    // the host is: no recorder/taps, no noise agents and no
-    // machine-global defences are attached here — only this pair's
-    // processes, shared block and loader crew.
-    initProcesses();
-    initShared(csc, pattern_seed);
-    initCrew(n_local, n_remote);
-}
-
-ExperimentRig::~ExperimentRig()
-{
-    // An attached rig attached none of them: the machine's owner did.
-    if (!owned_)
-        return;
-    if (cfg.detector)
-        cfg.detector->detach();
-    for (BusTap *tap : cfg.taps)
-        tap->detach();
-    if (cfg.recorder)
-        cfg.recorder->detach();
+    host.spawnNoise(host.cfg.noiseThreads);
+    pair.startCrew(n_local, n_remote);
+    host.deployDefences({pair.shared.paddr});
 }
 
 bool
-ExperimentRig::run(std::function<Task(ThreadApi)> trojan,
+SinglePairRig::run(std::function<Task(ThreadApi)> trojan,
                    std::function<Task(ThreadApi)> spy,
                    const TrojanResult &phases, Finisher until)
 {
-    panic_if(!owned_, "an attached rig's pairs run under the "
-                      "machine owner's scheduler");
-    SimThread *trojan_thread = machine.kernel.spawnThread(
-        machine.sched, "trojan.ctl", plan.controller, *trojanProc,
-        std::move(trojan));
-    SimThread *spy_thread = machine.kernel.spawnThread(
-        machine.sched, "spy", plan.spy, *spyProc, std::move(spy));
-    SimThread *finisher =
-        until == Finisher::trojan ? trojan_thread : spy_thread;
+    pair.spawn(std::move(trojan), std::move(spy));
+    const SimThread *finisher =
+        until == Finisher::trojan ? pair.trojanThread : pair.spyThread;
+    Scheduler &sched = host.machine.sched;
     {
         ScopedSpan span("rig.run");
-        const Tick run_start = machine.sched.now();
-        machine.sched.runUntilFinished(finisher, cfg.timeout);
-        span.addVirtual(machine.sched.now() - run_start);
+        const Tick run_start = sched.now();
+        sched.runUntilFinished(finisher, host.cfg.timeout);
+        span.addVirtual(sched.now() - run_start);
     }
-    crew->stopAll();
+    pair.crew->stopAll();
 
     // The sync and transmit phases interleave as coroutines inside
     // rig.run, so they cannot be wall-scoped; reconstruct their

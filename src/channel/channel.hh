@@ -1,9 +1,10 @@
 /**
  * @file
  * Covert-channel experiment plumbing: the experiment configuration,
- * its report, and the rig that builds a machine, establishes shared
- * memory, spawns noise/trojan/spy and runs one trojan/spy pair. The
- * single-pair drivers on top of it are runVectorTransmission
+ * its report, and the rigs that set up the shared machine
+ * (MachineRig: observers, noise, defences) and each trojan/spy pair
+ * on it (ExperimentRig: processes, shared block, crew, threads). The
+ * single-pair drivers on top of them are runVectorTransmission
  * (channel/vector.hh: every leakage vector, 2-bit symbols included)
  * and runPhyTransmission (phy/phy_channel.hh: the framed FEC chains
  * and the paper's parity+NACK chain); runExperiment
@@ -45,7 +46,7 @@ class CoherenceChannelDetector;
 
 /**
  * Deployed defence against the channel (paper §VIII-E). The first two
- * are software techniques the experiment rig activates at runtime;
+ * are software techniques the MachineRig deploys at runtime;
  * the third is the hardware change modelled by
  * TimingParams::llcNotifiedOfUpgrade.
  */
@@ -98,7 +99,7 @@ struct ChannelConfig
     /** Record the spy's raw latency trace (paper Fig. 7). */
     bool collectTrace = false;
     /**
-     * When set, the rig subscribes this recorder to the machine's
+     * When set, the MachineRig subscribes this recorder to the machine's
      * trace bus before shared-memory establishment, so the captured
      * stream covers the whole experiment (KSM merging included).
      * The recorder outlives the rig; drain it after the run.
@@ -107,14 +108,14 @@ struct ChannelConfig
     /**
      * Additional bus subscribers (run-health monitors, test probes)
      * attached exactly like the recorder: before share
-     * establishment, detached when the rig dies. The taps outlive
+     * establishment, detached when the MachineRig dies. The taps outlive
      * the rig and keep their accumulated state.
      */
     std::vector<BusTap *> taps;
     /**
      * CC-Hunter-style detector watching the run (detect/cchunter).
      * Attached to the machine's trace bus alongside the recorder and
-     * detached when the rig dies; its verdicts stay readable
+     * detached when the MachineRig dies; its verdicts stay readable
      * afterwards. The defense matrix uses this to ask whether the
      * detector still fires when a randomized cache degrades the
      * channel itself.
@@ -206,19 +207,158 @@ struct CorePlan
 };
 
 /**
- * Common experiment plumbing shared by every leakage vector and
- * every PHY chain: machine, processes, shared block, noise agents
- * and the trojan's loader crew.
+ * The machine-wide half of every experiment: the host the
+ * adversaries are co-resident on, set up once whether it carries one
+ * trojan/spy pair or a fleet of them.
  *
- * On the single-pair path the rig also owns the run's lifecycle:
- * the constructor applies the llc-notify defence and calibrates,
- * run() spawns and runs the pair. A driver adds only its own setup,
- * coroutine bodies and decode.
+ * The constructor applies the llc-notify defence to the timing model
+ * (so calibration and machine both sample the defended hardware),
+ * resolves the calibration, builds the machine and subscribes the
+ * config's recorder, taps and detector to its trace bus before
+ * anything touches memory, so the captures include share
+ * establishment (KSM scans, COW splits, the ch.share_established
+ * milestone). The destructor detaches them again; their captured
+ * state stays readable afterwards.
+ */
+class MachineRig
+{
+  public:
+    /**
+     * @param cfg experiment configuration.
+     * @param cal pre-computed calibration to reuse across a sweep or
+     *        a fleet's pairs; when null, cfg.vector calibrates on a
+     *        scratch machine.
+     * @param calibrate_span profiler span wrapping that learned
+     *        calibration; null records none.
+     */
+    MachineRig(const ChannelConfig &cfg, const CalibrationResult *cal,
+               const char *calibrate_span = nullptr);
+    ~MachineRig();
+
+    MachineRig(const MachineRig &) = delete;
+    MachineRig &operator=(const MachineRig &) = delete;
+
+    /**
+     * Start @p agents kernel-build noise agents over the standard
+     * plan's spare cores. Called before the adversaries' threads:
+     * the channel must operate against an already-busy machine.
+     */
+    void spawnNoise(int agents);
+
+    /**
+     * Deploy cfg.defense's runtime techniques (§VIII-E 1 and 2; 3 is
+     * the timing change the constructor applied) once for the whole
+     * host. The defender does not know which tenant is hostile, so
+     * targeted noise watches every line in @p shared_lines: one
+     * monitor thread round-robins over them with a
+     * max(900 / n, 150)-cycle gap, each line still flipping E->S a
+     * few times per bit period. The KSM guard deploys under KSM
+     * sharing only.
+     */
+    void deployDefences(const std::vector<PAddr> &shared_lines);
+
+    /** Machine-wide counter totals, recorder drops included. */
+    CounterRegistry counters() const;
+
+    /** The caller's configuration with llc-notify applied. */
+    const ChannelConfig cfg;
+
+  private:
+    /** The calibration learned at construction (else empty). */
+    CalibrationResult learned_;
+
+  public:
+    /** The bands every pair decodes with. */
+    const CalibrationResult &cal;
+    Machine machine;
+};
+
+/**
+ * One trojan/spy pair on a MachineRig's machine: its processes,
+ * shared block and loader crew, its two adversary threads and its
+ * scored result. The caller sequences these steps around the
+ * machine-wide ones, because setup order fixes every thread id and
+ * with it the seeded outcome.
  */
 class ExperimentRig
 {
   public:
-    /** Which adversary thread's exit ends a single-pair run. */
+    /**
+     * Create the pair's processes and establish its shared block.
+     *
+     * @param machine the host; must outlive the rig.
+     * @param cfg the pair's configuration (the MachineRig's, or a
+     *        per-pair copy of it); must outlive the rig.
+     * @param plan the pair's core placement.
+     * @param csc the communication combo; the adversaries pick the
+     *        line within their shared page whose NUMA home matches
+     *        the combo's socket, so its re-fetches after each spy
+     *        flush avoid the cross-socket memory penalty.
+     * @param pair_id 0 on the single-pair path, else the 1-based
+     *        fleet pair number; tags the pair's threads and trace
+     *        events and prefixes its counters.
+     * @param pattern_seed seeds the shared-block content; must be
+     *        distinct per pair, or KSM would merge co-resident
+     *        pairs' pages with each other.
+     */
+    ExperimentRig(Machine &machine, const ChannelConfig &cfg,
+                  const CorePlan &plan, Combo csc,
+                  std::uint32_t pair_id, std::uint64_t pattern_seed);
+
+    ExperimentRig(const ExperimentRig &) = delete;
+    ExperimentRig &operator=(const ExperimentRig &) = delete;
+
+    /** Start the trojan's loader crew on the plan's loader cores. */
+    void startCrew(int n_local, int n_remote);
+
+    /**
+     * Spawn @p trojan as "trojan.ctl" on the controller core and
+     * @p spy as "spy" on the spy core (".pK"-suffixed for fleet pair
+     * K), both tagged with the pair id.
+     */
+    void spawn(std::function<Task(ThreadApi)> trojan,
+               std::function<Task(ThreadApi)> spy);
+
+    /**
+     * Score a transmission that ran from @p tx_start to @p tx_end
+     * (computeMetrics), tagged with this pair's id.
+     */
+    ChannelMetrics score(const BitString &sent,
+                         const BitString &received, Tick tx_start,
+                         Tick tx_end) const;
+
+    /** Publish @p metrics' ch.* counters under counterPrefix(). */
+    void publish(CounterRegistry &counters,
+                 const ChannelMetrics &metrics) const;
+
+    /** Counter-name prefix: "" single-pair, "pairK." for pair K. */
+    std::string counterPrefix() const;
+
+    const ChannelConfig &cfg;
+    Machine &machine;
+    CorePlan plan;
+    /** Pair tag of this rig's adversaries (0: single-pair path). */
+    std::uint32_t pairId = 0;
+    Process *trojanProc = nullptr;
+    Process *spyProc = nullptr;
+    SharedBlock shared;
+    std::unique_ptr<PlacerCrew> crew;
+    SimThread *trojanThread = nullptr;
+    SimThread *spyThread = nullptr;
+};
+
+/**
+ * The single-pair lifecycle every single-pair driver runs: a
+ * MachineRig hosting one ExperimentRig on the standard core plan.
+ * The constructor sets up observers, the pair's processes and shared
+ * block, noise, the crew and the defences, in that order; run()
+ * spawns and runs the pair. A driver adds only its own setup,
+ * coroutine bodies and decode.
+ */
+class SinglePairRig
+{
+  public:
+    /** Which adversary thread's exit ends the run. */
     enum class Finisher : std::uint8_t
     {
         /** The spy stops at its end-of-reception marker. */
@@ -228,67 +368,21 @@ class ExperimentRig
     };
 
     /**
-     * Build a rig that owns its machine (the single-pair path).
-     * The llc-notify defence is applied to the timing model first,
-     * so calibration and machine both sample the defended hardware.
-     *
      * @param cfg experiment configuration.
-     * @param cal pre-computed calibration to reuse across a sweep;
-     *        when null, cfg.vector calibrates on a scratch machine
-     *        under the "rig.calibrate" span.
+     * @param cal calibration to reuse; when null, cfg.vector
+     *        calibrates under the "rig.calibrate" span.
      * @param n_local local loader threads to spawn.
      * @param n_remote remote loader threads to spawn.
-     * @param csc the communication combo; the adversaries pick the
-     *        line within their shared page whose NUMA home matches
-     *        the combo's socket, so its re-fetches after each spy
-     *        flush avoid the cross-socket memory penalty.
+     * @param csc the communication combo (see ExperimentRig).
      */
-    ExperimentRig(const ChannelConfig &cfg,
+    SinglePairRig(const ChannelConfig &cfg,
                   const CalibrationResult *cal, int n_local,
                   int n_remote, Combo csc = Combo::localShared);
 
     /**
-     * Attach to an externally owned @p host machine instead of
-     * building one — the fleet orchestrator owns the machine and
-     * places each pair by its own core plan. The owner also owns the
-     * bus subscribers (recorder/taps), the noise agents and any
-     * machine-global defence, so this mode attaches none of them;
-     * only this pair's processes, shared block and loader crew are
-     * created.
-     *
-     * @param host the shared machine; must outlive the rig.
-     * @param cfg experiment configuration (system must match host).
-     * @param plan per-pair core placement.
-     * @param pair_id 1-based pair number; tags the pair's trace
-     *        events and prefixes its counters.
-     * @param pattern_seed seeds the shared-block content; must be
-     *        distinct per pair, or KSM would merge co-resident
-     *        pairs' pages with each other.
-     */
-    ExperimentRig(Machine &host, const ChannelConfig &cfg,
-                  const CorePlan &plan, int n_local, int n_remote,
-                  Combo csc, std::uint32_t pair_id,
-                  std::uint64_t pattern_seed);
-
-    /**
-     * Detaches the config's recorder, taps and detector (if any)
-     * from an owned machine's trace bus, which dies with the rig;
-     * their captured state stays readable afterwards.
-     */
-    ~ExperimentRig();
-
-    ExperimentRig(const ExperimentRig &) = delete;
-    ExperimentRig &operator=(const ExperimentRig &) = delete;
-
-    /** Counter-name prefix: "" single-pair, "pairK." for pair K. */
-    std::string counterPrefix() const;
-
-    /**
-     * Run the pair on an owned machine: spawn @p trojan as
-     * "trojan.ctl" on the controller core and @p spy as "spy" on the
-     * spy core, run under the "rig.run" span until @p until's thread
-     * finishes or cfg.timeout passes, stop the loader crew, then
-     * record the "rig.sync" and "rig.transmit" phases from the
+     * Spawn the pair, run under the "rig.run" span until @p until's
+     * thread finishes or cfg.timeout passes, stop the loader crew,
+     * then record the "rig.sync" and "rig.transmit" phases from the
      * trojan's timestamps in @p phases.
      *
      * @return whether the finishing thread ended before the timeout.
@@ -298,40 +392,8 @@ class ExperimentRig
              const TrojanResult &phases,
              Finisher until = Finisher::spy);
 
-    /**
-     * The configuration the pair runs under: the caller's, with the
-     * llc-notify defence applied on the single-pair path.
-     */
-    const ChannelConfig cfg;
-
-  private:
-    /** The calibration an owning rig learned itself (else empty). */
-    CalibrationResult ownCal_;
-    /** Set when this rig owns its machine; null in attach mode.
-     *  Declared before the reference so the owning constructor can
-     *  materialize the machine first. */
-    std::unique_ptr<Machine> owned_;
-
-  public:
-    /**
-     * The bands the pair decodes with: the caller's calibration or
-     * the one learned at construction. Empty in attach mode, where
-     * the fleet owner calibrates once for every pair.
-     */
-    const CalibrationResult &cal;
-    Machine &machine;
-    CorePlan plan;
-    Process *trojanProc = nullptr;
-    Process *spyProc = nullptr;
-    SharedBlock shared;
-    std::unique_ptr<PlacerCrew> crew;
-    /** Pair tag of this rig's adversaries (0: single-pair path). */
-    std::uint32_t pairId = 0;
-
-  private:
-    void initProcesses();
-    void initShared(Combo csc, std::uint64_t pattern_seed);
-    void initCrew(int n_local, int n_remote);
+    MachineRig host;
+    ExperimentRig pair;
 };
 
 } // namespace csim

@@ -5,9 +5,10 @@
  *
  * The paper evaluates one pair on an otherwise idle host, but its
  * threat model is a shared cloud machine. The fleet orchestrator
- * (`runFleet`) owns the machine and attaches one `ExperimentRig` per
- * pair (external-machine mode), with per-pair seeds, per-pair core
- * plans and staggered start offsets, then reports per-pair
+ * (`runFleet`) hosts one `ExperimentRig` per pair on one `MachineRig`
+ * (the single-pair path's machine lifecycle: observers, noise,
+ * defences), with per-pair seeds, per-pair core plans and staggered
+ * start offsets, then reports per-pair
  * accuracy/effectiveKbps alongside the CC-Hunter view of the whole
  * host — both the per-pair line verdicts and the machine-aggregate
  * (address-blind) verdict that answers "does the detector still fire
@@ -38,9 +39,10 @@ struct FleetConfig
      * Per-pair channel knobs and the shared host's `system`. The
      * fields the orchestrator owns machine-wide are lifted out of
      * the per-pair path: `noiseThreads` is replaced by
-     * @ref noiseAgents, `defense` must be none (machine-global
-     * defences are future work), and `recorder`/`taps` observe the
-     * whole machine.
+     * @ref noiseAgents, `defense` is deployed once for the whole
+     * host (the targeted-noise monitor watches every pair's line),
+     * `recorder`/`taps` observe the whole machine, and `detector` is
+     * replaced by the fleet's own monitor (@ref detector).
      */
     ChannelConfig base;
     /** Concurrent trojan/spy pairs (>= 1). */

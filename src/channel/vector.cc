@@ -123,16 +123,16 @@ runVectorTransmission(const ChannelConfig &cfg_in,
     const std::unique_ptr<LeakageVector> vec =
         makeLeakageVector(cfg_in.vector);
     const ScenarioInfo &scenario = scenarioInfo(cfg_in.scenario);
-    ExperimentRig rig(cfg_in, cal, vec->localLoaders(scenario),
+    SinglePairRig rig(cfg_in, cal, vec->localLoaders(scenario),
                       vec->remoteLoaders(scenario), scenario.csc);
-    const ChannelConfig &cfg = rig.cfg;
+    const ChannelConfig &cfg = rig.host.cfg;
 
     ChannelReport report;
     report.sent = payload;
-    report.shared = rig.shared;
+    report.shared = rig.pair.shared;
 
-    VectorRun run{cfg,        scenario,   rig.cal,
-                  payload,    rig,        report.trojan,
+    VectorRun run{cfg,        scenario,   rig.host.cal,
+                  payload,    rig.pair,   report.trojan,
                   report.spy, cfg.collectTrace};
     vec->prepare(run);
 
@@ -143,14 +143,12 @@ runVectorTransmission(const ChannelConfig &cfg_in,
 
     ScopedSpan decode_span("rig.decode");
     report.received = report.spy.bits;
-    report.metrics = computeMetrics(
+    report.metrics = rig.pair.score(
         report.sent, report.received, report.trojan.txStart,
         report.trojan.txEnd ? report.trojan.txEnd
-                            : rig.machine.sched.now(),
-        cfg.system.timing);
-    report.counters = collectCounters(rig.machine, cfg.recorder);
-    addChannelCounters(report.counters, rig.counterPrefix(),
-                       report.metrics);
+                            : rig.host.machine.sched.now());
+    report.counters = rig.host.counters();
+    rig.pair.publish(report.counters, report.metrics);
     return report;
 }
 

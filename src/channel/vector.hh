@@ -8,8 +8,8 @@
  * calibration procedure (which bands to learn on a scratch machine)
  * and a symbol mapping (how timed probes become bits) — while the
  * surrounding machinery stays vector-agnostic: ExperimentRig builds
- * processes/shared state/loader crew, noise agents and defences
- * deploy identically, fleet runs stagger any vector's pairs, and the
+ * processes/shared state/loader crew, MachineRig deploys noise agents
+ * and defences identically, fleet runs stagger any vector's pairs, and the
  * detector/obs layers watch the same trace bus.
  *
  * Band convention for non-coherence vectors: the coherence channel
@@ -139,7 +139,7 @@ std::unique_ptr<LeakageVector> makeLeakageVector(VectorKind kind);
  * Run one raw-modulation covert transmission of @p payload over
  * cfg.vector.
  *
- * The ExperimentRig lifecycle applies the llc-notify timing change,
+ * The SinglePairRig lifecycle applies the llc-notify timing change,
  * calibrates with the vector (unless @p cal is given) and runs the
  * pair; this driver lets the vector prepare, hands the rig its
  * trojan/spy bodies and computes metrics. A PHY config

@@ -566,12 +566,13 @@ runPhyTransmission(const ChannelConfig &cfg_in,
                    const CalibrationResult *cal)
 {
     const ScenarioInfo &scenario = scenarioInfo(cfg_in.scenario);
-    ExperimentRig rig(cfg_in, cal, scenario.localLoaders,
+    SinglePairRig rig(cfg_in, cal, scenario.localLoaders,
                       scenario.remoteLoaders, scenario.csc);
-    const ChannelConfig &cfg = rig.cfg;
+    const ChannelConfig &cfg = rig.host.cfg;
+    const ExperimentRig &pair = rig.pair;
 
     PhySession session;
-    phyPrepareSession(session, cfg, payload, rig.cal);
+    phyPrepareSession(session, cfg, payload, rig.host.cal);
     ChannelReport &rep = session.rep;
 
     // The parity spy loops until the trojan is done, so the
@@ -579,40 +580,38 @@ runPhyTransmission(const ChannelConfig &cfg_in,
     const bool parity = !session.phy.framed();
     rep.completed = rig.run(
         [&](ThreadApi api) {
-            return parity ? parityTrojanBody(api, *rig.crew,
-                                             rig.shared.trojanVa,
+            return parity ? parityTrojanBody(api, *pair.crew,
+                                             pair.shared.trojanVa,
                                              session)
-                          : phyTrojanBody(api, *rig.crew,
-                                          rig.shared.trojanVa,
+                          : phyTrojanBody(api, *pair.crew,
+                                          pair.shared.trojanVa,
                                           session);
         },
         [&](ThreadApi api) {
             return parity
-                       ? paritySpyBody(api, rig.shared.spyVa, session)
-                       : phySpyBody(api, rig.shared.spyVa, session);
+                       ? paritySpyBody(api, pair.shared.spyVa, session)
+                       : phySpyBody(api, pair.shared.spyVa, session);
         },
         rep.trojan,
-        parity ? ExperimentRig::Finisher::trojan
-               : ExperimentRig::Finisher::spy);
+        parity ? SinglePairRig::Finisher::trojan
+               : SinglePairRig::Finisher::spy);
 
     const TimingParams &timing = cfg.system.timing;
-    phyFinalizeSession(session, timing, rig.machine.sched.now());
-    rep.shared = rig.shared;
+    phyFinalizeSession(session, timing, pair.machine.sched.now());
+    rep.shared = pair.shared;
     // Payload-level accuracy and goodput; the wire rate keeps the
     // FEC expansion factor visible next to them, and the parity
     // chain's NACK/retransmission counts are the retry cost.
     ChannelMetrics &m = rep.metrics;
-    m = computeMetrics(
+    m = pair.score(
         rep.sent, rep.received, rep.trojan.txStart,
-        session.trojanDone ? session.trojanEnd : rep.trojan.txEnd,
-        timing);
-    m.payloadKbps = m.effectiveKbps;
+        session.trojanDone ? session.trojanEnd : rep.trojan.txEnd);
     m.rawKbps = timing.kbps(rep.phy.rawBitsSent, m.durationCycles);
     m.nacks = session.nacks;
     m.retransmits = session.retransmissions;
-    rep.counters = collectCounters(rig.machine, cfg.recorder);
-    addChannelCounters(rep.counters, rig.counterPrefix(), rep.metrics);
-    addPhyCounters(rep.counters, rig.counterPrefix(), rep.phy);
+    rep.counters = rig.host.counters();
+    pair.publish(rep.counters, rep.metrics);
+    addPhyCounters(rep.counters, pair.counterPrefix(), rep.phy);
     return std::move(rep);
 }
 

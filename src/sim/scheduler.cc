@@ -286,20 +286,25 @@ Scheduler::stepOne()
 }
 
 void
-Scheduler::run(Tick until, const std::function<bool()> &stop_when)
+Scheduler::run(Tick until)
 {
-    while (globalNow_ < until) {
-        if (stop_when && stop_when())
-            return;
-        if (!stepOne())
-            return;
+    while (globalNow_ < until && stepOne()) {
     }
 }
 
 void
-Scheduler::runUntilFinished(const SimThread *thread, Tick until)
+Scheduler::runUntilFinished(std::span<const SimThread *const> threads,
+                            Tick until)
 {
-    run(until, [thread] { return thread->finished; });
+    // A finished thread stays finished, so the scan resumes at the
+    // first one still running.
+    std::size_t running = 0;
+    while (globalNow_ < until) {
+        while (running < threads.size() && threads[running]->finished)
+            ++running;
+        if (running == threads.size() || !stepOne())
+            return;
+    }
 }
 
 TraceBus *

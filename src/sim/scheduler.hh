@@ -20,6 +20,7 @@
 
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -78,16 +79,25 @@ class Scheduler
     /**
      * Execute pending operations in virtual-time order.
      *
-     * Stops when all threads finished, when the global clock passes
-     * @p until, or when @p stop_when returns true (checked between
-     * operations).
+     * Stops when all threads finished or when the global clock
+     * passes @p until.
      */
-    void run(Tick until = maxTick,
-             const std::function<bool()> &stop_when = {});
+    void run(Tick until = maxTick);
+
+    /**
+     * Like run(), but also stops as soon as the last of @p threads
+     * has finished (checked between operations); other threads may
+     * still be running then.
+     */
+    void runUntilFinished(std::span<const SimThread *const> threads,
+                          Tick until = maxTick);
 
     /** Convenience: run until the given thread's coroutine returns. */
-    void runUntilFinished(const SimThread *thread,
-                          Tick until = maxTick);
+    void
+    runUntilFinished(const SimThread *thread, Tick until = maxTick)
+    {
+        runUntilFinished({&thread, 1}, until);
+    }
 
     /** Execute exactly one pending operation. @return false if idle. */
     bool stepOne();

@@ -4,7 +4,7 @@
  * that subscribes to a machine's TraceBus for the duration of one
  * experiment.
  *
- * The channel layer (ExperimentRig) owns the machine whose bus the
+ * The channel layer (MachineRig) owns the machine whose bus the
  * subscribers need, but must not depend on what the subscribers do
  * with the stream — the TraceRecorder captures it, the run-health
  * monitor (src/obs) aggregates it, tests probe it. BusTap is that

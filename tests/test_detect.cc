@@ -136,10 +136,11 @@ TEST(DetectorEndToEnd, FlagsTheCovertChannel)
     const CalibrationResult cal = calibrate(cfg.system, 300);
 
     const ScenarioInfo &scenario = scenarioInfo(cfg.scenario);
-    ExperimentRig rig(cfg, &cal, scenario.localLoaders,
+    SinglePairRig rig(cfg, &cal, scenario.localLoaders,
                       scenario.remoteLoaders, scenario.csc);
+    const ExperimentRig &pair = rig.pair;
     CoherenceChannelDetector detector;
-    detector.attach(rig.machine.mem.trace());
+    detector.attach(pair.machine.mem.trace());
 
     Rng rng(4);
     const BitString payload = randomBits(rng, 60);
@@ -147,19 +148,19 @@ TEST(DetectorEndToEnd, FlagsTheCovertChannel)
     SpyResult spy;
     rig.run(
         [&](ThreadApi api) {
-            return trojanBody(api, *rig.crew, rig.shared.trojanVa,
+            return trojanBody(api, *pair.crew, pair.shared.trojanVa,
                               scenario, cal, cfg.params,
                               cfg.system.timing, payload, trojan);
         },
         [&](ThreadApi api) {
-            return spyBody(api, rig.shared.spyVa, scenario, cal,
+            return spyBody(api, pair.shared.spyVa, scenario, cal,
                            cfg.params, spy, false);
         },
         trojan);
 
     EXPECT_TRUE(detector.anySuspicious());
     const LineVerdict v =
-        detector.verdict(lineAlign(rig.shared.paddr));
+        detector.verdict(lineAlign(pair.shared.paddr));
     EXPECT_TRUE(v.suspicious);
     // Detection happened well before the transmission finished.
     EXPECT_LT(v.flaggedAt, trojan.txEnd);

@@ -559,19 +559,32 @@ TEST_F(SimTest, RunUntilTickStopsEarly)
     EXPECT_LE(sched.now(), 5'200u);
 }
 
-TEST_F(SimTest, StopWhenPredicateStopsRun)
+TEST_F(SimTest, RunUntilFinishedWaitsForTheLastThread)
 {
-    Scheduler sched(&backend, 1);
-    int laps = 0;
-    sched.spawn("t", 0, 0, [&](ThreadApi api) -> Task {
-        for (;;) {
-            ++laps;
-            co_await api.spin(100);
-        }
-    });
-    sched.run(maxTick, [&] { return laps >= 10; });
-    EXPECT_GE(laps, 10);
-    EXPECT_LT(laps, 20);
+    Scheduler sched(&backend, 3);
+    auto spinner = [](Tick total) {
+        return [total](ThreadApi api) -> Task {
+            co_await api.spin(total);
+        };
+    };
+    // Finish order differs from the list order: the wait must not end
+    // when the first listed thread finishes, nor when any one does.
+    SimThread *slow = sched.spawn("slow", 0, 0, spinner(3'000));
+    SimThread *fast = sched.spawn("fast", 1, 0, spinner(1'000));
+    SimThread *idler = sched.spawn("idler", 2, 0,
+                                   [](ThreadApi api) -> Task {
+                                       for (;;)
+                                           co_await api.spin(100);
+                                   });
+    const std::vector<const SimThread *> both{fast, slow};
+    sched.runUntilFinished(both);
+    EXPECT_TRUE(fast->finished);
+    EXPECT_TRUE(slow->finished);
+    EXPECT_FALSE(idler->finished);
+    // It stops right after the slow thread's last resume, not at the
+    // first event past it.
+    EXPECT_GE(sched.now(), 3'000u);
+    EXPECT_LT(sched.now(), 3'100u);
 }
 
 TEST_F(SimTest, IdleSchedulerReportsNoWork)

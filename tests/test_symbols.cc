@@ -187,9 +187,9 @@ TEST(SymbolVector, KeepsTheSpySocketLineOnRemoteScenarios)
 
     cfg.vector = VectorKind::coherence;
     const ScenarioInfo &sc = scenarioInfo(cfg.scenario);
-    const ExperimentRig binary(cfg, &sharedCal(), sc.localLoaders,
+    const SinglePairRig binary(cfg, &sharedCal(), sc.localLoaders,
                                sc.remoteLoaders, sc.csc);
-    EXPECT_NE(binary.shared.paddr, report.shared.paddr);
+    EXPECT_NE(binary.pair.shared.paddr, report.shared.paddr);
 }
 
 TEST(SymbolVector, FleetOfTwoPairsCompletes)
