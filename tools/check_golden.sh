@@ -77,115 +77,73 @@ settle() {
     done
 }
 
-for bench in $BENCHES; do
-    out="$scratch/$bench"
+# Run one seeded case in its own scratch directory and settle it:
+#   run_case NAME STEM COMMAND [ARGS...] [-- STEM COMMAND [ARGS...]]...
+# Each "--"-separated step runs COMMAND there, writing its combined
+# stdout/stderr to STEM.txt; the files it writes itself (BENCH_*.json
+# and the like) are settled too. The first failing step fails the
+# case.
+run_case() {
+    local name="$1" out="$scratch/$1"
+    shift
     mkdir -p "$out"
-    # Always run single-worker: results are bit-identical for any
-    # worker count (tested elsewhere); one worker keeps this check
-    # reproducible on loaded CI machines.
-    (cd "$out" && "$bench_dir/$bench" --jobs 1 --quiet \
-        > stdout.raw 2>&1)
-    if [ $? -ne 0 ]; then
-        echo "check_golden: $bench FAILED to run" >&2
-        status=1
-        continue
-    fi
-    mv "$out/stdout.raw" "$out/stdout.txt"
-    settle "$bench" "$out"
+    while [ $# -gt 0 ]; do
+        local stem="$1" cmd=()
+        shift
+        while [ $# -gt 0 ] && [ "$1" != "--" ]; do
+            cmd+=("$1")
+            shift
+        done
+        [ $# -gt 0 ] && shift
+        if ! (cd "$out" && "${cmd[@]}" > "$stem.txt" 2>&1); then
+            echo "check_golden: $name FAILED to run" >&2
+            status=1
+            return
+        fi
+    done
+    settle "$name" "$out"
+}
+
+# Always run single-worker: results are bit-identical for any worker
+# count (tested elsewhere); one worker keeps this check reproducible
+# on loaded CI machines.
+for bench in $BENCHES; do
+    run_case "$bench" stdout "$bench_dir/$bench" --jobs 1 --quiet
 done
+
+cli="$bench_dir/../tools/cohersim"
 
 # The CLI's run-health report is seeded and deterministic too: pin
 # both the rendered report and the JSON timeseries document.
-cli="$bench_dir/../tools/cohersim"
-out="$scratch/report_health"
-mkdir -p "$out"
-(cd "$out" && "$cli" report --preset health-quick --jobs 1 \
-    --json REPORT_health.json > stdout.raw 2>&1)
-if [ $? -ne 0 ]; then
-    echo "check_golden: report_health FAILED to run" >&2
-    status=1
-else
-    mv "$out/stdout.raw" "$out/stdout.txt"
-    settle report_health "$out"
-fi
+run_case report_health stdout "$cli" report --preset health-quick \
+    --jobs 1 --json REPORT_health.json
 
-# The multi-tenant path is seeded and deterministic too: pin the
-# fleet-quick CLI transmit and the quick fleet-scaling sweep (its
-# BENCH_fleet.json must be bit-identical at any --jobs; CI and the
-# tests exercise other worker counts, this gate pins the content).
-out="$scratch/fleet_quick"
-mkdir -p "$out"
-(cd "$out" && "$cli" transmit --preset fleet-quick \
-    > stdout.raw 2>&1 \
-    && "$bench_dir/fleet_scaling" --quick --jobs 1 --quiet \
-    > sweep_stdout.raw 2>&1)
-if [ $? -ne 0 ]; then
-    echo "check_golden: fleet_quick FAILED to run" >&2
-    status=1
-else
-    mv "$out/stdout.raw" "$out/stdout.txt"
-    mv "$out/sweep_stdout.raw" "$out/sweep_stdout.txt"
-    settle fleet_quick "$out"
-fi
-
-# The PHY channel stack is seeded and deterministic too: pin the
-# phy-quick CLI transmit (hamming-soft end to end), the CLI's
-# parity+NACK session (`cohersim ecc`, the legacy-parity chain) and
-# the quick parity-vs-FEC comparison (its BENCH_phy.json must be
-# bit-identical at any --jobs; the tests exercise other worker
+# The multi-tenant path: pin the fleet-quick CLI transmit and the
+# quick fleet-scaling sweep (its BENCH_fleet.json must be
+# bit-identical at any --jobs; CI and the tests exercise other worker
 # counts, this gate pins the content).
-out="$scratch/phy_quick"
-mkdir -p "$out"
-(cd "$out" && "$cli" transmit --preset phy-quick \
-    > stdout.raw 2>&1 \
-    && "$cli" ecc > ecc_stdout.raw 2>&1 \
-    && "$bench_dir/phy_comparison" --quick --jobs 1 --quiet \
-    > bench_stdout.raw 2>&1)
-if [ $? -ne 0 ]; then
-    echo "check_golden: phy_quick FAILED to run" >&2
-    status=1
-else
-    mv "$out/stdout.raw" "$out/stdout.txt"
-    mv "$out/ecc_stdout.raw" "$out/ecc_stdout.txt"
-    mv "$out/bench_stdout.raw" "$out/bench_stdout.txt"
-    settle phy_quick "$out"
-fi
+run_case fleet_quick stdout "$cli" transmit --preset fleet-quick \
+    -- sweep_stdout "$bench_dir/fleet_scaling" --quick --jobs 1 --quiet
 
-# The defense matrix is seeded and deterministic too: pin the quick
-# grid (Table I row 4 against every defense column — §VIII-E
-# mitigations plus the randomized caches; its BENCH json must be
-# bit-identical at any --jobs, CI exercises other worker counts).
-out="$scratch/defense_quick"
-mkdir -p "$out"
-(cd "$out" && "$bench_dir/defense_matrix" --quick --jobs 1 --quiet \
-    > stdout.raw 2>&1)
-if [ $? -ne 0 ]; then
-    echo "check_golden: defense_quick FAILED to run" >&2
-    status=1
-else
-    mv "$out/stdout.raw" "$out/stdout.txt"
-    settle defense_quick "$out"
-fi
+# The PHY channel stack: pin the phy-quick CLI transmit (hamming-soft
+# end to end), the CLI's parity+NACK session (`cohersim ecc`, the
+# legacy-parity chain) and the quick parity-vs-FEC comparison (its
+# BENCH_phy.json must be bit-identical at any --jobs).
+run_case phy_quick stdout "$cli" transmit --preset phy-quick \
+    -- ecc_stdout "$cli" ecc \
+    -- bench_stdout "$bench_dir/phy_comparison" --quick --jobs 1 --quiet
 
-# The leakage-vector plugins are seeded and deterministic too: pin
-# the quick vector matrix (all four vectors on a quiet machine, with
-# the cross-vector CC-Hunter trackers; its BENCH_vectors.json must be
-# bit-identical at any --jobs) and one CLI transmit through a
-# non-coherence vector preset.
-out="$scratch/vectors_quick"
-mkdir -p "$out"
-(cd "$out" && "$cli" transmit --preset lru-quick \
-    > stdout.raw 2>&1 \
-    && "$bench_dir/vector_matrix" --quick --jobs 1 --quiet \
-    > bench_stdout.raw 2>&1)
-if [ $? -ne 0 ]; then
-    echo "check_golden: vectors_quick FAILED to run" >&2
-    status=1
-else
-    mv "$out/stdout.raw" "$out/stdout.txt"
-    mv "$out/bench_stdout.raw" "$out/bench_stdout.txt"
-    settle vectors_quick "$out"
-fi
+# The defense matrix: pin the quick grid (Table I row 4 against every
+# defense column — §VIII-E mitigations plus the randomized caches).
+run_case defense_quick stdout "$bench_dir/defense_matrix" --quick \
+    --jobs 1 --quiet
+
+# The leakage-vector plugins: pin the quick vector matrix (all four
+# vectors on a quiet machine, with the cross-vector CC-Hunter
+# trackers) and one CLI transmit through a non-coherence vector
+# preset.
+run_case vectors_quick stdout "$cli" transmit --preset lru-quick \
+    -- bench_stdout "$bench_dir/vector_matrix" --quick --jobs 1 --quiet
 
 if [ "$refresh" -eq 1 ]; then
     echo "check_golden: goldens written to $golden_dir"
