@@ -107,8 +107,6 @@ main(int argc, char **argv)
             row["scenario"] = scenarioInfo(pr.scenario).notation;
             row["accuracy"] = pr.metrics.accuracy;
             row["effective_kbps"] = pr.metrics.effectiveKbps;
-            row["retransmits"] =
-                static_cast<std::int64_t>(pr.metrics.retransmits);
             row["completed"] = pr.completed;
             row["line_flagged"] = pr.detect.suspicious;
             rows.push(std::move(row));

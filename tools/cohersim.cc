@@ -393,13 +393,12 @@ cmdTransmitFleet(const Args &args, const ExperimentSpec &spec)
               << run.fleet.staggerCycles << " cycles\n";
     TablePrinter table;
     table.header({"pair", "scenario", "accuracy", "eff Kbps",
-                  "retx", "detected", "done"});
+                  "detected", "done"});
     for (const PairReport &pr : rep.pairs) {
         table.row({std::to_string(pr.pairId),
                    scenarioInfo(pr.scenario).notation,
                    TablePrinter::pct(pr.metrics.accuracy),
                    TablePrinter::num(pr.metrics.effectiveKbps),
-                   std::to_string(pr.metrics.retransmits),
                    pr.detect.suspicious ? "yes" : "no",
                    pr.completed ? "yes" : "NO"});
     }
