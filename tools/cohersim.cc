@@ -362,32 +362,37 @@ calibrateFor(const ExperimentSpec &spec)
 }
 
 /**
- * The multi-tenant transmit path (fleet.pairs > 1): N concurrent
+ * Write what `--trace` captured in @p recorder to @p path as a
+ * Perfetto/Chrome JSON trace, warning when the recorder ring
+ * overflowed.
+ */
+void
+writeTransmitTrace(const std::string &path, TraceRecorder &recorder,
+                   const SystemConfig &sys)
+{
+    const std::vector<TraceEvent> events = recorder.drain();
+    writePerfettoTrace(path, events, sys, recorderDrops(recorder));
+    const TraceQuery query(events);
+    std::cout << "trace:     " << events.size() << " events ("
+              << query.categoriesPresent() << " categories, "
+              << recorder.dropped() << " dropped) -> " << path
+              << "\n";
+    if (recorder.dropped() > 0) {
+        warn("trace is lossy: ", recorder.dropped(),
+             " events overflowed the recorder ring; counts derived "
+             "from ", path, " undercount (the drop total is "
+             "recorded in its metadata)");
+    }
+}
+
+/**
+ * The multi-tenant transmit summary (fleet.pairs > 1): N concurrent
  * pairs on one machine, a per-pair results table and the
  * machine-aggregate CC-Hunter verdict.
  */
 int
-cmdTransmitFleet(const Args &args, const ExperimentSpec &spec)
+printFleetTransmit(const ExperimentSpec &run, const FleetReport &rep)
 {
-    ExperimentSpec run = spec;
-    const std::string trace_path = args.str("trace", "");
-    const std::string counters_path = args.str("counters", "");
-    TraceRecorder recorder;
-    if (!trace_path.empty())
-        run.channel.recorder = &recorder;
-    const ExperimentResult result = runExperiment(run);
-    const FleetReport &rep = result.fleet;
-    if (!trace_path.empty()) {
-        const std::vector<TraceEvent> events = recorder.drain();
-        writePerfettoTrace(trace_path, events, run.channel.system,
-                           recorderDrops(recorder));
-        std::cout << "trace:     " << events.size() << " events ("
-                  << recorder.dropped() << " dropped) -> "
-                  << trace_path << "\n";
-    }
-    if (!counters_path.empty())
-        writeCounters(counters_path, rep.counters);
-
     std::cout << "fleet:     " << run.fleet.pairs << " pair(s), "
               << run.fleet.noiseAgents << " noise agent(s), stagger "
               << run.fleet.staggerCycles << " cycles\n";
@@ -440,35 +445,24 @@ cmdTransmit(const Args &args)
         return 0;
     }
     const ConfigResolver res = args.resolve();
-    const ExperimentSpec &spec = res.spec();
-    if (spec.fleet.pairs > 1)
-        return cmdTransmitFleet(args, spec);
-    ExperimentSpec run = spec;
+    ExperimentSpec run = res.spec();
     const std::string trace_path = args.str("trace", "");
     const std::string counters_path = args.str("counters", "");
     TraceRecorder recorder;
     if (!trace_path.empty())
         run.channel.recorder = &recorder;
     const ExperimentResult result = runExperiment(run);
-    const ChannelReport &rep = result.channel;
-    if (!trace_path.empty()) {
-        const std::vector<TraceEvent> events = recorder.drain();
-        writePerfettoTrace(trace_path, events, run.channel.system,
-                           recorderDrops(recorder));
-        const TraceQuery query(events);
-        std::cout << "trace:     " << events.size() << " events ("
-                  << query.categoriesPresent() << " categories, "
-                  << recorder.dropped() << " dropped) -> "
-                  << trace_path << "\n";
-        if (recorder.dropped() > 0) {
-            warn("trace is lossy: ", recorder.dropped(),
-                 " events overflowed the recorder ring; counts "
-                 "derived from ", trace_path, " undercount (the "
-                 "drop total is recorded in its metadata)");
-        }
+    const bool fleet = result.kind == ExperimentKind::fleet;
+    if (!trace_path.empty())
+        writeTransmitTrace(trace_path, recorder, run.channel.system);
+    if (!counters_path.empty()) {
+        writeCounters(counters_path, fleet ? result.fleet.counters
+                                           : result.channel.counters);
     }
-    if (!counters_path.empty())
-        writeCounters(counters_path, rep.counters);
+    if (fleet)
+        return printFleetTransmit(run, result.fleet);
+
+    const ChannelReport &rep = result.channel;
     std::cout << "scenario:  "
               << scenarioInfo(run.channel.scenario).notation
               << " over " << sharingModeName(run.channel.sharing)
@@ -484,7 +478,7 @@ cmdTransmit(const Args &args)
         std::cout << "vector:    " << vectorName(run.channel.vector)
                   << " (" << info.carrier << ")\n";
     }
-    if (spec.payload.bits <= 0)
+    if (run.payload.bits <= 0)
         std::cout << "received:  \"" << bitsToText(rep.received)
                   << "\"\n";
     std::cout << "accuracy:  "
