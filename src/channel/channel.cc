@@ -277,23 +277,18 @@ void
 ExperimentRig::publish(CounterRegistry &counters,
                        const ChannelMetrics &metrics) const
 {
-    addChannelCounters(counters, counterPrefix(), metrics);
+    const std::string prefix = counterPrefix();
+    counters.counter(prefix + "ch.bits_sent") = metrics.bitsSent;
+    counters.counter(prefix + "ch.bits_received") =
+        metrics.bitsReceived;
+    counters.counter(prefix + "ch.nacks") = metrics.nacks;
+    counters.counter(prefix + "ch.retransmits") = metrics.retransmits;
 }
 
 std::string
 ExperimentRig::counterPrefix() const
 {
     return pairId == 0 ? std::string() : msgCat("pair", pairId, ".");
-}
-
-void
-addChannelCounters(CounterRegistry &reg, const std::string &prefix,
-                   const ChannelMetrics &metrics)
-{
-    reg.counter(prefix + "ch.bits_sent") = metrics.bitsSent;
-    reg.counter(prefix + "ch.bits_received") = metrics.bitsReceived;
-    reg.counter(prefix + "ch.nacks") = metrics.nacks;
-    reg.counter(prefix + "ch.retransmits") = metrics.retransmits;
 }
 
 SinglePairRig::SinglePairRig(const ChannelConfig &cfg,

@@ -159,18 +159,6 @@ struct ChannelConfig
     }
 };
 
-/**
- * Publish the per-channel counters of one transmission into @p reg,
- * namespaced by @p prefix: ch.bits_sent, ch.bits_received, ch.nacks,
- * ch.retransmits. The prefix is "" on the single-pair path and
- * "pairK." for fleet pair K, so two channels collected into one
- * registry publish disjoint names instead of silently summing into
- * each other's totals.
- */
-void addChannelCounters(CounterRegistry &reg,
-                        const std::string &prefix,
-                        const ChannelMetrics &metrics);
-
 /** Everything one transmission produced. */
 struct ChannelReport
 {
@@ -327,7 +315,12 @@ class ExperimentRig
                          const BitString &received, Tick tx_start,
                          Tick tx_end) const;
 
-    /** Publish @p metrics' ch.* counters under counterPrefix(). */
+    /**
+     * Publish @p metrics into @p counters as ch.bits_sent,
+     * ch.bits_received, ch.nacks and ch.retransmits, prefixed by
+     * counterPrefix(), so pairs collected into one registry publish
+     * disjoint names instead of summing into each other's totals.
+     */
     void publish(CounterRegistry &counters,
                  const ChannelMetrics &metrics) const;
 
