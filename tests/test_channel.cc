@@ -8,8 +8,11 @@
 #include <gtest/gtest.h>
 
 #include "channel/conflict.hh"
+#include "channel/placer.hh"
 #include "channel/vector.hh"
 #include "common/edit_distance.hh"
+#include "common/random.hh"
+#include "sim/scheduler.hh"
 
 namespace csim
 {
@@ -467,6 +470,179 @@ TEST(PlacerTest, EvictModeDisplacesTargetThroughIndexFunction)
     ASSERT_TRUE(observer->finished);
     EXPECT_EQ(reload, ServedBy::dram);
     EXPECT_GT(crew.totalLoads(), 16u);
+}
+
+/**
+ * Backend for the crew schedule pin: records every operation and
+ * answers a load in 40, 60 or 80 cycles by line, so maintain loops
+ * fall on and off the loaders' poll grid.
+ */
+class CrewOpLog : public MemoryBackend
+{
+  public:
+    struct Op
+    {
+        char kind;
+        ThreadId tid;
+        CoreId core;
+        VAddr addr;
+        Tick when;
+    };
+
+    AccessResult
+    load(ThreadId tid, CoreId core, VAddr addr, Tick when) override
+    {
+        ops.push_back({'L', tid, core, addr, when});
+        return {40 + addr / lineBytes % 3 * 20, ServedBy::dram};
+    }
+    AccessResult
+    store(ThreadId tid, CoreId core, VAddr addr, Tick when) override
+    {
+        ops.push_back({'S', tid, core, addr, when});
+        return {20, ServedBy::none};
+    }
+    AccessResult
+    flush(ThreadId tid, CoreId core, VAddr addr, Tick when) override
+    {
+        ops.push_back({'F', tid, core, addr, when});
+        return {50, ServedBy::none};
+    }
+
+    std::vector<Op> ops;
+};
+
+/** FNV-1a over 64-bit words. */
+std::uint64_t
+fnvMix(std::uint64_t h, std::uint64_t v)
+{
+    for (int i = 0; i < 8; ++i) {
+        h ^= (v >> (8 * i)) & 0xff;
+        h *= 0x100000001b3ULL;
+    }
+    return h;
+}
+
+/**
+ * A seeded PlacerCrew schedule on a recording backend. Crew A's four
+ * loaders are threads 0-3, the controller is thread 4 and crew B's
+ * three loaders are 5-7, so the controller's mode writes, made at
+ * poll-multiple gaps, tie with loader polls on both sides of the
+ * thread-id order. Part-way through, the controller spawns a guest
+ * onto an idle loader's core. It then sleeps with both crews idle
+ * while the test cuts two runs short by `until` and writes a mode
+ * from outside the run, and it ends without stopping the crews, so a
+ * last cut finds only idle loaders. The digest covers every backend
+ * op, sched.now() after each run, and every thread's final clock and
+ * op count.
+ */
+std::uint64_t
+crewScheduleDigest(std::uint64_t seed)
+{
+    Machine m(baseConfig().system);  // its kernel; crews run on sched
+    Process &proc = m.kernel.createProcess("trojan");
+    CrewOpLog log;
+    Scheduler sched(&log, 8);
+    ChannelParams params;
+    params.helperGap = 20;
+    const Tick poll = params.pollInterval;
+    PlacerCrew a(m.kernel, sched, proc, {1, 2}, {3, 4}, params);
+    std::unique_ptr<PlacerCrew> b;
+    const std::vector<VAddr> lines = {0x1000, 0x1040, 0x1080, 0x10c0};
+    // Crew B has one remote loader: only these combos fit it.
+    const std::array<Combo, 3> b_combos = {
+        Combo::localShared, Combo::localExcl, Combo::remoteExcl};
+    auto write = [&](Rng &rng) {
+        switch (rng.below(6)) {
+          case 0:
+            a.activate(allCombos()[rng.below(4)],
+                       0x3000 + rng.below(3) * lineBytes);
+            break;
+          case 1:
+            b->activate(b_combos[rng.below(3)],
+                        0x4000 + rng.below(3) * lineBytes);
+            break;
+          case 2:
+            a.activateEvict(rng.below(4) == 0 ? std::vector<VAddr>{}
+                                              : lines);
+            break;
+          case 3: b->activateEvict(lines); break;
+          case 4: a.idle(); break;
+          default: b->idle(); break;
+        }
+    };
+    auto guest = [](ThreadApi api) -> Task {
+        for (VAddr i = 0; i < 12; ++i) {
+            co_await api.load(0x2000 + i * lineBytes);
+            co_await api.spin(400);
+        }
+    };
+    SimThread *ctl = m.kernel.spawnThread(
+        sched, "ctl", 0, proc, [&](ThreadApi api) -> Task {
+            Rng rng(seed);
+            for (int i = 0; i < 80; ++i) {
+                write(rng);
+                if (i == 40) {
+                    a.idle();
+                    co_await api.spin(2 * poll);
+                    api.scheduler()->spawn("guest", 2, proc.pid(),
+                                           guest);
+                }
+                co_await api.spin(poll * rng.below(4));
+            }
+            co_await api.spinUntil(40'000);
+            a.idle();
+            b->idle();
+            co_await api.sleep(60'000);
+            for (int i = 0; i < 20; ++i) {
+                write(rng);
+                co_await api.spin(poll * rng.below(4));
+            }
+            a.idle();
+            b->idle();
+        });
+    b = std::make_unique<PlacerCrew>(m.kernel, sched, proc,
+                                     std::vector<CoreId>{5, 6},
+                                     std::vector<CoreId>{7}, params);
+
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    sched.run(50'013);
+    h = fnvMix(h, sched.now());
+    b->activate(Combo::localExcl, 0x4000);
+    sched.runUntilFinished(ctl, 90'007);
+    h = fnvMix(h, sched.now());
+    sched.runUntilFinished(ctl);
+    h = fnvMix(h, sched.now());
+    sched.run(sched.now() + 5'003);
+    h = fnvMix(h, sched.now());
+    a.stopAll();
+    b->stopAll();
+    sched.run();
+    h = fnvMix(h, sched.now());
+    EXPECT_TRUE(sched.allFinished());
+    EXPECT_GT(a.totalLoads(), 0u);
+    EXPECT_GT(b->totalLoads(), 0u);
+
+    for (const auto &op : log.ops) {
+        h = fnvMix(h, static_cast<std::uint64_t>(op.kind));
+        h = fnvMix(h, static_cast<std::uint64_t>(op.tid));
+        h = fnvMix(h, static_cast<std::uint64_t>(op.core));
+        h = fnvMix(h, op.addr);
+        h = fnvMix(h, op.when);
+    }
+    for (const auto &t : sched.threads()) {
+        h = fnvMix(h, t->now);
+        h = fnvMix(h, t->opsExecuted);
+    }
+    return h;
+}
+
+// Produced by the polling loaders (every idle poll a scheduler
+// step); a loader that waits idle in any other way must leave these
+// unchanged.
+TEST(CrewSchedulePin, ModeWritesCutsAndSpawnsAreUnchanged)
+{
+    EXPECT_EQ(crewScheduleDigest(7), 0xf7a21f2fa87c3864ULL);
+    EXPECT_EQ(crewScheduleDigest(8), 0xb41cde2c100f765dULL);
 }
 
 TEST(CorePlanTest, StandardPlanIsConsistent)
