@@ -1,6 +1,7 @@
 #include "channel/placer.hh"
 
 #include "common/logging.hh"
+#include "sim/scheduler.hh"
 
 namespace csim
 {
@@ -30,7 +31,7 @@ placerHelperBody(ThreadApi api, HelperCtl *ctl, Tick gap, Tick poll)
             co_await api.spin(gap);
             break;
           case HelperCtl::Mode::idle:
-            co_await api.spin(poll);
+            co_await api.park(poll);
             break;
         }
     }
@@ -40,19 +41,18 @@ PlacerCrew::PlacerCrew(Kernel &kernel, Scheduler &sched, Process &proc,
                        const std::vector<CoreId> &local_cores,
                        const std::vector<CoreId> &remote_cores,
                        const ChannelParams &params)
-    : nLocal_(local_cores.size())
+    : sched_(sched), nLocal_(local_cores.size())
 {
     fatal_if(local_cores.size() > 2 || remote_cores.size() > 2,
              "a combo never needs more than two loaders per socket");
     auto spawn_one = [&](CoreId core, const std::string &name) {
         ctls_.push_back(std::make_unique<HelperCtl>());
         HelperCtl *ctl = ctls_.back().get();
-        kernel.spawnThread(sched, name, core, proc,
-                           [ctl, &params](ThreadApi api) {
-                               return placerHelperBody(
-                                   api, ctl, params.helperGap,
-                                   params.pollInterval);
-                           });
+        loaders_.push_back(kernel.spawnThread(
+            sched, name, core, proc, [ctl, &params](ThreadApi api) {
+                return placerHelperBody(api, ctl, params.helperGap,
+                                        params.pollInterval);
+            }));
     };
     for (std::size_t i = 0; i < local_cores.size(); ++i)
         spawn_one(local_cores[i],
@@ -87,9 +87,9 @@ PlacerCrew::activate(Combo c, VAddr addr)
         HelperCtl &ctl = *ctls_[i];
         if (active) {
             ctl.addr = addr;
-            ctl.mode = HelperCtl::Mode::maintain;
+            setMode(i, HelperCtl::Mode::maintain);
         } else if (ctl.mode != HelperCtl::Mode::stop) {
-            ctl.mode = HelperCtl::Mode::idle;
+            setMode(i, HelperCtl::Mode::idle);
         }
     }
 }
@@ -104,9 +104,9 @@ PlacerCrew::activateEvict(const std::vector<VAddr> &lines)
         if (i < nLocal_) {
             ctl.evictLines = lines;
             ctl.evictPos = i;  // stagger cursors across loaders
-            ctl.mode = HelperCtl::Mode::evict;
+            setMode(i, HelperCtl::Mode::evict);
         } else {
-            ctl.mode = HelperCtl::Mode::idle;
+            setMode(i, HelperCtl::Mode::idle);
         }
     }
 }
@@ -114,17 +114,26 @@ PlacerCrew::activateEvict(const std::vector<VAddr> &lines)
 void
 PlacerCrew::idle()
 {
-    for (auto &ctl : ctls_) {
-        if (ctl->mode != HelperCtl::Mode::stop)
-            ctl->mode = HelperCtl::Mode::idle;
+    for (std::size_t i = 0; i < ctls_.size(); ++i) {
+        if (ctls_[i]->mode != HelperCtl::Mode::stop)
+            setMode(i, HelperCtl::Mode::idle);
     }
 }
 
 void
 PlacerCrew::stopAll()
 {
-    for (auto &ctl : ctls_)
-        ctl->mode = HelperCtl::Mode::stop;
+    for (std::size_t i = 0; i < ctls_.size(); ++i)
+        setMode(i, HelperCtl::Mode::stop);
+}
+
+void
+PlacerCrew::setMode(std::size_t i, HelperCtl::Mode mode)
+{
+    if (ctls_[i]->mode == mode)
+        return;
+    ctls_[i]->mode = mode;
+    sched_.unpark(*loaders_[i]);
 }
 
 std::uint64_t

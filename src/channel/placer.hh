@@ -32,7 +32,7 @@ struct HelperCtl
 {
     enum class Mode : std::uint8_t
     {
-        idle,      //!< spin, touching nothing
+        idle,      //!< park, touching nothing
         maintain,  //!< re-load the target line in a loop
         evict,     //!< walk evictLines, pressuring one LLC set
         stop,      //!< terminate the loader coroutine
@@ -86,7 +86,9 @@ class PlacerCrew
     /**
      * Point the crew at a combination: the loaders the combo needs
      * switch to maintain mode, all others go idle. Takes effect as
-     * loaders next poll their control words.
+     * loaders next poll their control words. Every mode writer
+     * unparks each loader whose mode it changes, so an idle loader
+     * sees the write at the poll it would have seen it spinning.
      */
     void activate(Combo c, VAddr addr);
 
@@ -116,8 +118,14 @@ class PlacerCrew
     std::uint64_t totalLoads() const;
 
   private:
+    /** Set loader @p i's mode, waking it if that changes it. */
+    void setMode(std::size_t i, HelperCtl::Mode mode);
+
+    Scheduler &sched_;
     // Control words are heap-stable: loader coroutines hold pointers.
     std::vector<std::unique_ptr<HelperCtl>> ctls_;
+    /** Loader thread of each control word. */
+    std::vector<SimThread *> loaders_;
     std::size_t nLocal_;
 };
 

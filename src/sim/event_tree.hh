@@ -59,6 +59,9 @@ class EventTree
         return nodes_[1].key == none ? -1 : nodes_[1].id;
     }
 
+    /** The smallest key (none when every key is none). */
+    std::uint64_t nextKey() const { return nodes_[1].key; }
+
   private:
     /** A match's winner: its key and the id it belongs to. */
     struct Node

@@ -58,9 +58,14 @@ Scheduler::spawn(const std::string &name, CoreId core, ProcessId pid,
     ThreadApi api(thread.get(), this);
     thread->installBody(std::move(body), api);
     threads_.push_back(std::move(thread));
+    // A thread parked on the core gets a waiter, which only a
+    // polling thread can yield to.
+    auto &live = cores_[static_cast<std::size_t>(core)].live;
+    for (ThreadId other : live)
+        unpark(*threads_[static_cast<std::size_t>(other)]);
     // The new thread's first event, and the core's last thread may
     // now have a waiter to yield to.
-    cores_[static_cast<std::size_t>(core)].live.push_back(tid);
+    live.push_back(tid);
     refreshCore(core);
     return threads_.back().get();
 }
@@ -233,6 +238,7 @@ Scheduler::execute(SimThread &t)
         res = backend_->flush(t.id(), t.core(), op.addr, start);
         break;
       case MemOp::Kind::spin:
+      case MemOp::Kind::park:
         res.latency = op.cycles;
         break;
       case MemOp::Kind::spinUntil:
@@ -268,16 +274,130 @@ Scheduler::execute(SimThread &t)
     // The core's other threads start after freeAt, which just moved.
     if (hasWaiter(t))
         refreshCore(t.core());
+    else if (op.kind == MemOp::Kind::park && op.cycles > 0)
+        park(t);
     else
         events_.set(t.id(), packKey(t, t.now, 0));
 }
 
-bool
-Scheduler::stepOne()
+void
+Scheduler::park(SimThread &t)
 {
+    // The first poll must be a representable event, as a spin's
+    // resume would have to be.
+    packKey(t, t.now, 0);
+    t.resumePending = false;
+    t.parked = true;
+    parked_.push_back(&t);
+    events_.set(t.id(), EventTree::none);
+}
+
+void
+Scheduler::materialise(SimThread &t)
+{
+    // Poll k >= 1 is a resume, then an issue, at anchor + k * poll;
+    // the park was the issue at the anchor. The first j of these
+    // events ran: they move the clock and op count on by j / 2
+    // polls, and an odd j leaves the last poll's issue pending.
+    const Tick poll = t.lastLatency;
+    const Tick anchor = t.now - poll;
+    const Tick tick = pickedKey_ >> 1;
+    auto ran = [&](std::uint64_t key) {
+        return key < pickedKey_ ||
+               (key == pickedKey_ && t.id() <= pickedTid_);
+    };
+    const Tick k = tick > anchor ? (tick - anchor) / poll : 0;
+    Tick j = 2 * k;
+    if (k > 0 && anchor + k * poll == tick) {
+        j -= !ran(tick << 1 | 1);
+        j -= !ran(tick << 1);
+    }
+    t.now += j / 2 * poll;
+    t.opsExecuted += j / 2;
+    cores_[static_cast<std::size_t>(t.core())].freeAt = t.now;
+    if (j % 2)
+        t.pending = MemOp{MemOp::Kind::spin, 0, poll};
+    else
+        t.resumePending = true;
+    t.parked = false;
+    refresh(t);
+}
+
+void
+Scheduler::unpark(SimThread &t)
+{
+    if (t.parked) {
+        std::erase(parked_, &t);
+        materialise(t);
+    } else if (t.pending.kind == MemOp::Kind::park) {
+        t.pending.kind = MemOp::Kind::spin;
+    }
+}
+
+void
+Scheduler::unparkAll()
+{
+    for (SimThread *t : parked_)
+        materialise(*t);
+    parked_.clear();
+}
+
+bool
+Scheduler::stopAtParkedPoll(Tick until)
+{
+    const int next = events_.next();
+    const std::uint64_t next_key = events_.nextKey();
+    if (next >= 0 && (next_key >> 1) < until)
+        return false;
+    // Each parked thread's first poll at or past until; a poll's
+    // resume is its first event.
+    const SimThread *first = nullptr;
+    Tick first_tick = 0;
+    for (const SimThread *t : parked_) {
+        const Tick poll = t->lastLatency;
+        Tick tick = t->now;
+        if (until > tick) {
+            const Tick gap = until - tick;
+            const Tick polls = gap / poll + (gap % poll != 0);
+            if (polls > (maxEventTime - tick) / poll)
+                continue;
+            tick += polls * poll;
+        }
+        if (!first || tick < first_tick ||
+            (tick == first_tick && t->id() < first->id())) {
+            first = t;
+            first_tick = tick;
+        }
+    }
+    if (!first) {
+        panic_if(next < 0, "only parked threads remain, and none of "
+                 "them polls by tick ", until);
+        return false;
+    }
+    const std::uint64_t key = first_tick << 1;
+    if (next >= 0 &&
+        (next_key < key || (next_key == key && next < first->id())))
+        return false;
+    globalNow_ = std::max(globalNow_, first_tick);
+    pickedKey_ = key;
+    pickedTid_ = first->id();
+    return true;
+}
+
+bool
+Scheduler::step(Tick until)
+{
+    if (!parked_.empty() && stopAtParkedPoll(until))
+        return false;
     SimThread *t = pickNext();
     if (!t)
         return false;
+    const std::uint64_t key = events_.nextKey();
+    if (key > pickedKey_ ||
+        (key == pickedKey_ && t->id() > pickedTid_)) {
+        pickedKey_ = key;
+        pickedTid_ = t->id();
+    }
     if (t->resumePending)
         resume(*t);
     else
@@ -285,11 +405,20 @@ Scheduler::stepOne()
     return true;
 }
 
+bool
+Scheduler::stepOne()
+{
+    const bool stepped = step(maxTick);
+    unparkAll();
+    return stepped;
+}
+
 void
 Scheduler::run(Tick until)
 {
-    while (globalNow_ < until && stepOne()) {
+    while (globalNow_ < until && step(until)) {
     }
+    unparkAll();
 }
 
 void
@@ -302,9 +431,10 @@ Scheduler::runUntilFinished(std::span<const SimThread *const> threads,
     while (globalNow_ < until) {
         while (running < threads.size() && threads[running]->finished)
             ++running;
-        if (running == threads.size() || !stepOne())
-            return;
+        if (running == threads.size() || !step(until))
+            break;
     }
+    unparkAll();
 }
 
 TraceBus *

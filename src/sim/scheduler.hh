@@ -13,6 +13,12 @@
  * Each thread's next event is cached as one key in an EventTree, so
  * picking the next event is a root read and only the keys an event
  * invalidates are recomputed (see eventKey()).
+ *
+ * A thread alone on its core that executes a park leaves the tree:
+ * its polls would only move its own clock, so the scheduler keeps
+ * the poll grid instead and replays it arithmetically when the
+ * thread is woken (unpark()), when a thread is spawned onto its
+ * core, or when a run stops.
  */
 
 #ifndef COHERSIM_SIM_SCHEDULER_HH
@@ -80,7 +86,8 @@ class Scheduler
      * Execute pending operations in virtual-time order.
      *
      * Stops when all threads finished or when the global clock
-     * passes @p until.
+     * passes @p until. Parked threads stop where their polling
+     * would have stopped the run, and are unparked on return.
      */
     void run(Tick until = maxTick);
 
@@ -101,6 +108,17 @@ class Scheduler
 
     /** Execute exactly one pending operation. @return false if idle. */
     bool stepOne();
+
+    /**
+     * Wake @p t if it is parked: give it exactly the clock, op
+     * count, core occupancy and next event its poll-by-poll spins
+     * would have at the event being processed, then let it poll
+     * normally. A thread that has issued a park which has not yet
+     * executed spins once instead of parking. A no-op for any other
+     * thread. Whoever changes what a parked thread polls must call
+     * this, or the thread never sees the change.
+     */
+    void unpark(SimThread &t);
 
     /** Global clock: start time of the most recent operation. */
     Tick now() const { return globalNow_; }
@@ -170,6 +188,36 @@ class Scheduler
     SimThread *pickNext();
 
     /**
+     * One step of a run bounded by @p until: stop (false) where a
+     * parked thread's poll would have ended the run, else execute or
+     * resume the next thread (false if all idle). Threads may be
+     * left parked.
+     */
+    bool step(Tick until);
+
+    /**
+     * True, with the clock moved there, when the first event at or
+     * past @p until is a parked thread's poll: with polling threads
+     * the run would have stopped right after it.
+     */
+    bool stopAtParkedPoll(Tick until);
+
+    /**
+     * Take @p t off the tree as a parked poller after its park
+     * executed: its polls run at now + k·lastLatency, k >= 0.
+     */
+    void park(SimThread &t);
+
+    /**
+     * Replay parked @p t's polls up to the largest event picked so
+     * far and put its next event back on the tree.
+     */
+    void materialise(SimThread &t);
+
+    /** Unpark every parked thread (a run returns with none). */
+    void unparkAll();
+
+    /**
      * Execute the pending op of @p t (memory mutations apply at the
      * op's start time) and arm its resume at the completion time.
      */
@@ -190,6 +238,17 @@ class Scheduler
     TraceBus *trace_ = nullptr;
     /** Cached event key per thread id. */
     EventTree events_;
+    /** Parked threads, in the order they parked. */
+    std::vector<SimThread *> parked_;
+    /**
+     * The largest (key, thread id) picked so far. With polling
+     * threads, a parked thread's poll ran before the current event
+     * exactly when it sorts before this: picks are in key order
+     * except that an event may be keyed at the current tick with a
+     * lower thread id after a higher one ran.
+     */
+    std::uint64_t pickedKey_ = 0;
+    ThreadId pickedTid_ = 0;
 };
 
 } // namespace csim

@@ -31,11 +31,12 @@ struct MemOp
         spin,       //!< burn a fixed number of cycles
         spinUntil,  //!< advance local clock to a target tick
         sleep,      //!< block without occupying the core
+        park,       //!< spin repeated until woken (Scheduler::unpark)
     };
 
     Kind kind = Kind::none;
     VAddr addr = 0;    //!< target address for load/store/flush
-    Tick cycles = 0;   //!< duration for spin / target for spinUntil
+    Tick cycles = 0;   //!< spin / park duration, spinUntil target
 };
 
 /**
@@ -77,6 +78,13 @@ class SimThread
     bool resumePending = false;
     /** Set once the top-level coroutine has completed. */
     bool finished = false;
+    /**
+     * True while the scheduler keeps this thread off its event tree
+     * as a parked poller (see Scheduler::unpark). Until it is
+     * unparked, @ref now, @ref opsExecuted and @ref lastLatency hold
+     * their values from right after the park executed.
+     */
+    bool parked = false;
     /** Operations executed, for stats. */
     std::uint64_t opsExecuted = 0;
     /**

@@ -96,6 +96,21 @@ class ThreadApi
         return {thread_, MemOp{MemOp::Kind::sleep, 0, cycles}};
     }
 
+    /**
+     * Busy-wait in @p poll-cycle spins until Scheduler::unpark()
+     * wakes the thread: an idle-poll loop the scheduler need not
+     * step through poll by poll. Timing, clock and op count are
+     * those of `spin(poll)` repeated until the wake; the caller
+     * re-checks whatever it polls after each return, as after a
+     * spin. On a core shared with another live thread, it is one
+     * spin.
+     */
+    OpAwaiter
+    park(Tick poll) const
+    {
+        return {thread_, MemOp{MemOp::Kind::park, 0, poll}};
+    }
+
     /** rdtsc equivalent: the thread's current cycle count. */
     Tick now() const { return thread_->now; }
 

@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -489,6 +491,279 @@ TEST_F(SimTest, YieldingCoreHandOverIsPinned)
     });
     sched.run();
     EXPECT_EQ(scheduleDigest(backend, sched), 0x8a700300ad9c7c91ULL);
+}
+
+// Parked pollers. Each schedule below runs twice, its pollers waiting
+// with park() in one twin and with spin() in the other; parking must
+// change nothing a run can observe.
+
+/** How a test poller waits between polls of its flag. */
+enum class Wait
+{
+    spin,
+    park
+};
+
+OpAwaiter
+waitOnce(ThreadApi api, Wait wait, Tick poll)
+{
+    return wait == Wait::park ? api.park(poll) : api.spin(poll);
+}
+
+/**
+ * A poller that works for @p busy cycles, waits for @p flag, then
+ * loads one line.
+ */
+std::function<Task(ThreadApi)>
+flagPoller(const bool &flag, Wait wait, Tick poll, Tick busy = 0)
+{
+    return [&flag, wait, poll, busy](ThreadApi api) -> Task {
+        co_await api.spin(busy);
+        while (!flag)
+            co_await waitOnce(api, wait, poll);
+        co_await api.load(0x40);
+    };
+}
+
+/**
+ * The writer raises the poller's flag at tick 500, after the poller
+ * resumed there and issued its first wait but before that wait
+ * executed.
+ */
+std::uint64_t
+pendingParkDigest(Wait wait)
+{
+    RecordingBackend be;
+    Scheduler sched(&be, 2);
+    bool flag = false;
+    SimThread *poller = sched.spawn("poller", 0, 0,
+                                    flagPoller(flag, wait, 100, 500));
+    sched.spawn("writer", 1, 0, [&](ThreadApi api) -> Task {
+        co_await api.spin(500);
+        EXPECT_EQ(poller->pending.kind, wait == Wait::park
+                                            ? MemOp::Kind::park
+                                            : MemOp::Kind::spin);
+        flag = true;
+        sched.unpark(*poller);
+        co_await api.spin(1'000);
+    });
+    sched.runUntilFinished(poller, 10'000);
+    EXPECT_TRUE(poller->finished);
+    return fnvMix(scheduleDigest(be, sched), sched.now());
+}
+
+TEST_F(SimTest, WriteBeforeAPendingParkExecutesIsSeen)
+{
+    EXPECT_EQ(pendingParkDigest(Wait::park),
+              pendingParkDigest(Wait::spin));
+}
+
+/**
+ * Runs cut short by `until` while a poller waits: first with the
+ * writer's next event past the cut, then with no other thread left.
+ */
+std::uint64_t
+cutDigest(Wait wait)
+{
+    RecordingBackend be;
+    Scheduler sched(&be, 3);
+    bool flag = false;
+    bool last_flag = false;
+    SimThread *poller = sched.spawn("poller", 0, 0,
+                                    flagPoller(flag, wait, 100));
+    SimThread *last = sched.spawn("last", 1, 0,
+                                  flagPoller(last_flag, wait, 70));
+    SimThread *writer =
+        sched.spawn("writer", 2, 0, [&](ThreadApi api) -> Task {
+            co_await api.spin(10'000);
+            // Parked at its poll grid, not spinning through it.
+            EXPECT_EQ(poller->parked, wait == Wait::park);
+            flag = true;
+            sched.unpark(*poller);
+        });
+    std::uint64_t h = 0;
+    sched.run(5'050);
+    // The poll at 5'100 is the first event at or past the cut.
+    EXPECT_EQ(sched.now(), 5'100u);
+    h = fnvMix(h, sched.now());
+    sched.runUntilFinished(writer, 7'001);
+    h = fnvMix(h, sched.now());
+    sched.runUntilFinished(poller);
+    h = fnvMix(h, sched.now());
+    sched.run(sched.now() + 333);
+    h = fnvMix(h, sched.now());
+    EXPECT_FALSE(last->finished);
+    last_flag = true;
+    sched.unpark(*last);
+    sched.run();
+    return fnvMix(h, scheduleDigest(be, sched));
+}
+
+TEST_F(SimTest, TimeoutStopsAtAParkedPoll)
+{
+    EXPECT_EQ(cutDigest(Wait::park), cutDigest(Wait::spin));
+}
+
+/**
+ * The writer spawns a guest onto the waiting poller's core; they
+ * share it, past the quantum, until the writer raises the flag.
+ */
+std::uint64_t
+spawnOntoPollerDigest(Wait wait)
+{
+    RecordingBackend be;
+    Scheduler sched(&be, 2);
+    bool flag = false;
+    SimThread *poller = sched.spawn("poller", 0, 0,
+                                    flagPoller(flag, wait, 100));
+    sched.spawn("writer", 1, 0, [&](ThreadApi api) -> Task {
+        co_await api.spin(1'050);
+        api.scheduler()->spawn("guest", 0, 0, [](ThreadApi g) -> Task {
+            for (VAddr i = 0; i < 10; ++i) {
+                co_await g.load(0x1000 + i * 64);
+                co_await g.spin(700);
+            }
+        });
+        co_await api.spin(20'000);
+        flag = true;
+        sched.unpark(*poller);
+    });
+    sched.run();
+    return fnvMix(scheduleDigest(be, sched), sched.now());
+}
+
+TEST_F(SimTest, SpawnOntoAParkedCoreUnparksIt)
+{
+    EXPECT_EQ(spawnOntoPollerDigest(Wait::park),
+              spawnOntoPollerDigest(Wait::spin));
+}
+
+/**
+ * Two pollers share core 0 and a third has core 1 to itself; the
+ * writer samples which of them are parked.
+ */
+std::uint64_t
+sharedCoreDigest(Wait wait, bool &shared_parked, bool &alone_parked)
+{
+    RecordingBackend be;
+    Scheduler sched(&be, 3);
+    bool flag = false;
+    SimThread *a = sched.spawn("a", 0, 0, flagPoller(flag, wait, 100));
+    SimThread *b = sched.spawn("b", 0, 0, flagPoller(flag, wait, 60));
+    SimThread *c = sched.spawn("c", 1, 0, flagPoller(flag, wait, 100));
+    sched.spawn("writer", 2, 0, [&](ThreadApi api) -> Task {
+        for (int i = 0; i < 40; ++i) {
+            co_await api.spin(170);
+            shared_parked = shared_parked || a->parked || b->parked;
+            alone_parked = alone_parked || c->parked;
+        }
+        flag = true;
+        for (SimThread *t : {a, b, c})
+            sched.unpark(*t);
+    });
+    sched.run();
+    return fnvMix(scheduleDigest(be, sched), sched.now());
+}
+
+TEST_F(SimTest, ParkIsASpinOnASharedCore)
+{
+    bool shared_parked = false;
+    bool alone_parked = false;
+    const std::uint64_t parked =
+        sharedCoreDigest(Wait::park, shared_parked, alone_parked);
+    EXPECT_FALSE(shared_parked);
+    EXPECT_TRUE(alone_parked);
+    bool unused = false;
+    EXPECT_EQ(parked, sharedCoreDigest(Wait::spin, unused, unused));
+}
+
+/**
+ * A seeded wake schedule: pollers 0-1 and 3-4 (poll 50 or 100) on
+ * either side of the writer's thread id take wake-ups, each one a
+ * load and a spin; the writer hands them out at 50-cycle multiples,
+ * twice spawns a guest onto a poller's core under a small quantum,
+ * then sleeps while two runs are cut short and ends with the pollers
+ * waiting, so a last cut finds only them.
+ */
+std::uint64_t
+wakeScheduleDigest(Wait wait, std::uint64_t seed)
+{
+    RecordingBackend be;
+    SchedulerParams params;
+    params.quantum = 1'000;
+    Scheduler sched(&be, 5, params);
+    std::array<int, 4> wakes{};
+    bool stop = false;
+    std::array<SimThread *, 4> pollers{};
+    auto poller = [&](std::size_t i) {
+        return [&, i](ThreadApi api) -> Task {
+            const Tick poll = i % 2 ? 50 : 100;
+            while (!stop) {
+                if (wakes[i] == 0) {
+                    co_await waitOnce(api, wait, poll);
+                    continue;
+                }
+                --wakes[i];
+                co_await api.load(0x1000 * (i + 1));
+                co_await api.spin(30 * (i + 1));
+            }
+        };
+    };
+    auto guest = [](ThreadApi api) -> Task {
+        for (VAddr i = 0; i < 8; ++i) {
+            co_await api.load(0x8000 + i * 64);
+            co_await api.spin(200);
+        }
+    };
+    Rng rng(seed);
+    auto hand_out = [&](ThreadApi api, int n) -> Task {
+        for (int k = 0; k < n; ++k) {
+            const auto i = static_cast<std::size_t>(rng.below(4));
+            ++wakes[i];
+            sched.unpark(*pollers[i]);
+            if (k == n / 3 || k == 2 * n / 3) {
+                sched.spawn("guest", static_cast<CoreId>(rng.below(4)),
+                            0, guest);
+            }
+            co_await api.spin(50 * rng.below(5));
+        }
+    };
+    pollers[0] = sched.spawn("p0", 0, 0, poller(0));
+    pollers[1] = sched.spawn("p1", 1, 0, poller(1));
+    SimThread *writer =
+        sched.spawn("writer", 4, 0, [&](ThreadApi api) -> Task {
+            co_await hand_out(api, 60);
+            co_await api.spinUntil(20'000);
+            co_await api.sleep(20'000);
+            co_await hand_out(api, 30);
+        });
+    pollers[2] = sched.spawn("p2", 2, 0, poller(2));
+    pollers[3] = sched.spawn("p3", 3, 0, poller(3));
+
+    std::uint64_t h = 0;
+    sched.run(25'013);
+    h = fnvMix(h, sched.now());
+    sched.runUntilFinished(writer, 33'037);
+    h = fnvMix(h, sched.now());
+    sched.runUntilFinished(writer);
+    h = fnvMix(h, sched.now());
+    sched.run(sched.now() + 1'234);
+    h = fnvMix(h, sched.now());
+    stop = true;
+    for (SimThread *t : pollers)
+        sched.unpark(*t);
+    sched.run();
+    EXPECT_TRUE(sched.allFinished());
+    return fnvMix(h, scheduleDigest(be, sched));
+}
+
+TEST_F(SimTest, ParkedPollersKeepSeededWakeSchedules)
+{
+    for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+        EXPECT_EQ(wakeScheduleDigest(Wait::park, seed),
+                  wakeScheduleDigest(Wait::spin, seed))
+            << "seed " << seed;
+    }
 }
 
 TEST_F(SimTest, EventTimeBeyondKeyRangePanics)
