@@ -48,12 +48,24 @@ runFleet(const FleetConfig &cfg, const CalibrationResult *cal)
     // Every pair drives the same leakage vector (they probe the same
     // microarchitecture), so one calibration serves the fleet. The
     // fleet's own CC-Hunter monitor observes the host next to the
-    // caller's recorder and taps, from before the first share.
+    // caller's recorder, taps and detector, from before the first
+    // share.
     CoherenceChannelDetector detector(cfg.detector);
     ChannelConfig base = cfg.base;
     base.detector = &detector;
     MachineRig host(base, cal);
     Machine &machine = host.machine;
+    struct DetachOnExit
+    {
+        CoherenceChannelDetector *d;
+        ~DetachOnExit()
+        {
+            if (d)
+                d->detach();
+        }
+    } caller_detector{cfg.base.detector};
+    if (caller_detector.d)
+        caller_detector.d->attach(machine.mem.trace());
     host.spawnNoise(cfg.noiseAgents);
 
     // Per-pair state needs stable addresses: the spawned coroutines

@@ -41,8 +41,8 @@ struct FleetConfig
      * the per-pair path: `noiseThreads` is replaced by
      * @ref noiseAgents, `defense` is deployed once for the whole
      * host (the targeted-noise monitor watches every pair's line),
-     * `recorder`/`taps` observe the whole machine, and `detector` is
-     * replaced by the fleet's own monitor (@ref detector).
+     * `recorder`/`taps` observe the whole machine, and so does
+     * `detector`, next to the fleet's own monitor (@ref detector).
      */
     ChannelConfig base;
     /** Concurrent trojan/spy pairs (>= 1). */

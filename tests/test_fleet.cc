@@ -208,6 +208,26 @@ TEST(FleetRun, NamespacesCountersPerPair)
     EXPECT_EQ(rep.counters.value("ch.bits_sent"), 0u);
 }
 
+TEST(FleetRun, CallerDetectorWatchesNextToTheFleets)
+{
+    const FleetReport plain = runFleet(quickFleet(2));
+    FleetConfig cfg = quickFleet(2);
+    CoherenceChannelDetector mine(cfg.detector);
+    cfg.base.detector = &mine;
+    const FleetReport rep = runFleet(cfg);
+    EXPECT_GT(mine.eventsObserved(), 0u);
+    // Watching changes nothing the fleet reports, and with the
+    // fleet's thresholds the caller's detector reaches its verdicts.
+    EXPECT_EQ(rep.durationCycles, plain.durationCycles);
+    ASSERT_EQ(rep.pairs.size(), plain.pairs.size());
+    for (std::size_t i = 0; i < rep.pairs.size(); ++i) {
+        EXPECT_EQ(rep.pairs[i].received, plain.pairs[i].received);
+        EXPECT_EQ(mine.verdict(rep.pairs[i].sharedLine).suspicious,
+                  rep.pairs[i].detect.suspicious);
+    }
+    EXPECT_EQ(rep.pairsFlagged, plain.pairsFlagged);
+}
+
 TEST(FleetRun, ScenarioMixCyclesOverPairs)
 {
     ConfigResolver res;
