@@ -7,7 +7,8 @@
  * Each kernel drives one hot path in a steady state: `MemorySystem`
  * (L1 hit, LLC serve, local and cross-socket owner forward,
  * flush+reload round, directory churn, remap rekey), the `Scheduler`
- * (event steps with few threads and on oversubscribed cores), a KSM
+ * (event steps with few threads and on oversubscribed cores, and an
+ * idle-heavy loader crew), a KSM
  * scan pass (`os`), the edit-distance accuracy metric and one
  * calibration (`channel`). Every kernel reports host ops/sec and,
  * where virtual time means something, the mean *virtual* cycles per
@@ -347,6 +348,46 @@ kernelSchedStep(int threads, int cores)
 }
 
 /**
+ * An idle-heavy loader crew: two loaders per socket under a
+ * controller that holds LExcl for 2'000 cycles, then idles the crew
+ * for 20'000, so three loaders idle all the time and the fourth most
+ * of it. One op = one activate/idle toggle; virtual cycles/op is the
+ * toggle period.
+ */
+KernelResult
+kernelCrewIdle()
+{
+    const SystemConfig cfg = quietConfig();
+    Machine m(cfg);
+    Process &p = m.kernel.createProcess("trojan");
+    const VAddr block = p.mmap(pageBytes);
+    PlacerCrew crew(m.kernel, m.sched, p,
+                    {cfg.coreOf(0, 1), cfg.coreOf(0, 2)},
+                    {cfg.coreOf(1, 0), cfg.coreOf(1, 1)},
+                    ChannelParams{});
+    std::uint64_t toggles = 0;
+    m.kernel.spawnThread(
+        m.sched, "ctl", cfg.coreOf(0, 0), p,
+        [&crew, &toggles, block](ThreadApi api) -> Task {
+            for (;;) {
+                crew.activate(Combo::localExcl, block);
+                co_await api.spin(2'000);
+                crew.idle();
+                co_await api.spin(20'000);
+                ++toggles;
+            }
+        });
+    return measureKernel(
+        [&m, &toggles](std::uint64_t &ops, std::uint64_t &vcycles) {
+            const std::uint64_t before = toggles;
+            const Tick start = m.sched.now();
+            m.sched.run(start + 10 * 22'000);
+            ops += toggles - before;
+            vcycles += m.sched.now() - start;
+        });
+}
+
+/**
  * One KSM scan pass over 128 mergeable pages in each of two
  * processes, pairwise identical. A warm-up pass merges every pair,
  * so each timed pass hashes every page and finds it already merged.
@@ -447,6 +488,7 @@ const PerfKernel perfKernels[] = {
     {"sched_step_few", [] { return kernelSchedStep(4, 4); }, false},
     {"sched_step_oversubscribed",
      [] { return kernelSchedStep(48, 16); }, false},
+    {"crew_idle", kernelCrewIdle, false},
     {"ksm_scan", kernelKsmScan, false},
     {"edit_distance", kernelEditDistance, false},
     {"calibrate", kernelCalibrate, false},
