@@ -286,6 +286,12 @@ Scheduler::park(SimThread &t)
     // The first poll must be a representable event, as a spin's
     // resume would have to be.
     packKey(t, t.now, 0);
+    if (parked_.empty()) {
+        // Picks are tracked only while a thread is parked; the park
+        // itself is the first that matters.
+        pickedKey_ = (t.now - t.lastLatency) << 1 | 1;
+        pickedTid_ = t.id();
+    }
     t.resumePending = false;
     t.parked = true;
     parked_.push_back(&t);
@@ -387,16 +393,19 @@ Scheduler::stopAtParkedPoll(Tick until)
 bool
 Scheduler::step(Tick until)
 {
-    if (!parked_.empty() && stopAtParkedPoll(until))
+    const bool parked = !parked_.empty();
+    if (parked && stopAtParkedPoll(until))
         return false;
     SimThread *t = pickNext();
     if (!t)
         return false;
-    const std::uint64_t key = events_.nextKey();
-    if (key > pickedKey_ ||
-        (key == pickedKey_ && t->id() > pickedTid_)) {
-        pickedKey_ = key;
-        pickedTid_ = t->id();
+    if (parked) {
+        const std::uint64_t key = events_.nextKey();
+        if (key > pickedKey_ ||
+            (key == pickedKey_ && t->id() > pickedTid_)) {
+            pickedKey_ = key;
+            pickedTid_ = t->id();
+        }
     }
     if (t->resumePending)
         resume(*t);

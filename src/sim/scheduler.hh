@@ -241,11 +241,12 @@ class Scheduler
     /** Parked threads, in the order they parked. */
     std::vector<SimThread *> parked_;
     /**
-     * The largest (key, thread id) picked so far. With polling
-     * threads, a parked thread's poll ran before the current event
-     * exactly when it sorts before this: picks are in key order
-     * except that an event may be keyed at the current tick with a
-     * lower thread id after a higher one ran.
+     * The largest (key, thread id) picked since the first of the
+     * parked threads parked. With polling threads, a parked thread's
+     * poll ran before the current event exactly when it sorts before
+     * this: picks are in key order except that an event may be keyed
+     * at the current tick with a lower thread id after a higher one
+     * ran.
      */
     std::uint64_t pickedKey_ = 0;
     ThreadId pickedTid_ = 0;
