@@ -361,10 +361,10 @@ kernelCrewIdle()
     Machine m(cfg);
     Process &p = m.kernel.createProcess("trojan");
     const VAddr block = p.mmap(pageBytes);
+    const ChannelParams params;
     PlacerCrew crew(m.kernel, m.sched, p,
                     {cfg.coreOf(0, 1), cfg.coreOf(0, 2)},
-                    {cfg.coreOf(1, 0), cfg.coreOf(1, 1)},
-                    ChannelParams{});
+                    {cfg.coreOf(1, 0), cfg.coreOf(1, 1)}, params);
     std::uint64_t toggles = 0;
     m.kernel.spawnThread(
         m.sched, "ctl", cfg.coreOf(0, 0), p,

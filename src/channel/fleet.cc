@@ -46,26 +46,15 @@ runFleet(const FleetConfig &cfg, const CalibrationResult *cal)
 {
     fatal_if(cfg.pairs < 1, "a fleet needs >= 1 pair");
     // Every pair drives the same leakage vector (they probe the same
-    // microarchitecture), so one calibration serves the fleet. The
-    // fleet's own CC-Hunter monitor observes the host next to the
-    // caller's recorder, taps and detector, from before the first
-    // share.
-    CoherenceChannelDetector detector(cfg.detector);
-    ChannelConfig base = cfg.base;
-    base.detector = &detector;
-    MachineRig host(base, cal);
+    // microarchitecture), so one calibration serves the fleet.
+    MachineRig host(cfg.base, cal);
     Machine &machine = host.machine;
-    struct DetachOnExit
-    {
-        CoherenceChannelDetector *d;
-        ~DetachOnExit()
-        {
-            if (d)
-                d->detach();
-        }
-    } caller_detector{cfg.base.detector};
-    if (caller_detector.d)
-        caller_detector.d->attach(machine.mem.trace());
+    // The fleet's own CC-Hunter monitor observes the host next to the
+    // caller's recorder, taps and detector, from before the first
+    // share. Declared after the host, it unsubscribes before the
+    // machine's bus goes.
+    CoherenceChannelDetector detector(cfg.detector);
+    detector.attach(machine.mem.trace());
     host.spawnNoise(cfg.noiseAgents);
 
     // Per-pair state needs stable addresses: the spawned coroutines

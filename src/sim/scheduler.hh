@@ -86,8 +86,8 @@ class Scheduler
      * Execute pending operations in virtual-time order.
      *
      * Stops when all threads finished or when the global clock
-     * passes @p until. Parked threads stop where their polling
-     * would have stopped the run, and are unparked on return.
+     * passes @p until, at the same event as if parked threads
+     * polled; it unparks them on return.
      */
     void run(Tick until = maxTick);
 
