@@ -766,6 +766,220 @@ TEST_F(SimTest, ParkedPollersKeepSeededWakeSchedules)
     }
 }
 
+// Oversubscribed cores: idle loaders modelled on PlacerCrew's share
+// core 0 under the quantum hand-over, while a controller on core 1
+// writes their modes, spawns onto their core and the driver cuts runs
+// short. With the default parameters loader i polls until
+// k·poll > quantum, yields, and after the switch penalty the core
+// goes to the lowest-id waiter: two 100-cycle loaders hold core 0
+// for [0, 3'100] and [3'600, 6'700], then again from 7'200.
+
+/** What a shared-core loader does next (PlacerCrew's modes). */
+enum class LoaderMode
+{
+    idle,
+    work,
+    stop
+};
+
+/** One controller action: at tick @p at, set loader @p loader to
+ *  @p mode, or spawn one more idle loader onto core 0 (loader -1). */
+struct CoreWrite
+{
+    Tick at;
+    int loader;
+    LoaderMode mode = LoaderMode::idle;
+};
+
+/** One oversubscribed-core schedule. */
+struct CoreCase
+{
+    SchedulerParams params;
+    /** Poll interval of each idle loader on core 0, in spawn order. */
+    std::vector<Tick> polls;
+    /** Controller script, in tick order. */
+    std::vector<Tick> cuts;
+    std::vector<CoreWrite> writes;
+    /** Add a noise-style thread on core 0 that sleeps between
+     *  bursts, so core 0 is never all idle loaders. */
+    bool noise = false;
+};
+
+/**
+ * Run @p c with its loaders waiting by @p wait: the driver cuts the
+ * run at each of the case's ticks, then runs until the controller's
+ * script is done, cuts once more with only the loaders left, and
+ * finally stops every loader. @p ctl_first spawns the controller
+ * before the loaders, so its writes tie with the loaders' polls on
+ * the other side of the thread-id order.
+ */
+std::uint64_t
+coreScheduleDigest(const CoreCase &c, Wait wait, bool ctl_first)
+{
+    RecordingBackend be;
+    Scheduler sched(&be, 2, c.params);
+    // Stable addresses: the loaders' coroutines read their modes.
+    std::array<LoaderMode, 8> modes{};
+    std::vector<SimThread *> loaders;
+    bool stop = false;
+    auto loader = [&](std::size_t i, Tick poll) {
+        return [&modes, i, poll, wait](ThreadApi api) -> Task {
+            for (;;) {
+                switch (modes[i]) {
+                  case LoaderMode::stop:
+                    co_return;
+                  case LoaderMode::work:
+                    co_await api.load(0x1000 * (i + 1));
+                    co_await api.spin(200);
+                    break;
+                  case LoaderMode::idle:
+                    co_await waitOnce(api, wait, poll);
+                    break;
+                }
+            }
+        };
+    };
+    auto spawn_loader = [&](Tick poll) {
+        const std::size_t i = loaders.size();
+        loaders.push_back(sched.spawn("loader" + std::to_string(i), 0,
+                                      0, loader(i, poll)));
+    };
+    SimThread *ctl = nullptr;
+    auto spawn_ctl = [&] {
+        ctl = sched.spawn("ctl", 1, 0, [&](ThreadApi api) -> Task {
+            for (const CoreWrite &w : c.writes) {
+                co_await api.spinUntil(w.at);
+                if (w.loader < 0) {
+                    spawn_loader(80);
+                    continue;
+                }
+                const auto i = static_cast<std::size_t>(w.loader);
+                modes[i] = w.mode;
+                sched.unpark(*loaders[i]);
+            }
+        });
+    };
+    if (ctl_first)
+        spawn_ctl();
+    for (Tick poll : c.polls)
+        spawn_loader(poll);
+    if (!ctl_first)
+        spawn_ctl();
+    if (c.noise) {
+        sched.spawn("noise", 0, 0, [&stop](ThreadApi api) -> Task {
+            while (!stop) {
+                for (VAddr i = 0; i < 4; ++i) {
+                    co_await api.load(0x9000 + i * 64);
+                    co_await api.spin(150);
+                }
+                co_await api.sleep(2'500);
+            }
+        });
+    }
+
+    std::uint64_t h = 0;
+    for (Tick cut : c.cuts) {
+        sched.run(cut);
+        h = fnvMix(h, sched.now());
+    }
+    sched.runUntilFinished(ctl);
+    h = fnvMix(h, sched.now());
+    sched.run(sched.now() + 4'321);
+    h = fnvMix(h, sched.now());
+    stop = true;
+    for (std::size_t i = 0; i < loaders.size(); ++i) {
+        modes[i] = LoaderMode::stop;
+        sched.unpark(*loaders[i]);
+    }
+    sched.run();
+    EXPECT_TRUE(sched.allFinished());
+    return fnvMix(h, scheduleDigest(be, sched));
+}
+
+/** Both thread-id orders of controller and loaders, folded. */
+std::uint64_t
+coreScheduleDigest(const CoreCase &c, Wait wait)
+{
+    return fnvMix(coreScheduleDigest(c, wait, false),
+                  coreScheduleDigest(c, wait, true));
+}
+
+/** The pinned oversubscribed-core schedules (see the grid above). */
+std::vector<CoreCase>
+pinnedCoreCases()
+{
+    using M = LoaderMode;
+    std::vector<CoreCase> cases(9);
+    // Two loaders: cuts mid-turn (the poll at 1'600), inside the
+    // switch penalty (the switch-in at 3'600) and again mid-turn;
+    // then a write at loader 0's switch-in at 7'200.
+    cases[0].polls = {100, 100};
+    cases[0].cuts = {1'550, 3'200, 3'650};
+    cases[0].writes = {{7'200, 0, M::work}, {7'900, 0, M::idle},
+                       {15'000, 1, M::work}, {15'150, 1, M::idle}};
+    // Mode writes mid-quantum (tied with loader 0's poll at 1'500),
+    // at loader 0's preempt poll (3'100) and inside the penalty
+    // window (3'300).
+    cases[1].polls = {100, 100};
+    cases[1].writes = {{1'500, 0, M::work}, {2'300, 0, M::idle}};
+    cases[2].polls = {100, 100};
+    cases[2].writes = {{3'100, 0, M::work}, {4'000, 0, M::idle},
+                       {9'000, 1, M::work}, {9'300, 1, M::idle}};
+    cases[3].polls = {100, 100};
+    cases[3].writes = {{3'300, 1, M::work}, {3'800, 1, M::idle},
+                       {3'900, 0, M::work}, {5'000, 0, M::idle}};
+    // Three loaders: the two lowest ids alternate; waking the third
+    // gives it the core at the next hand-over.
+    cases[4].polls = {100, 100, 100};
+    cases[4].cuts = {3'600, 9'999};
+    cases[4].writes = {{12'000, 2, M::work}, {12'500, 2, M::idle},
+                       {30'000, 0, M::work}, {30'100, 0, M::idle}};
+    // Unequal polls: loader 1 takes 51 polls of 60 cycles per turn
+    // (3'600 to 6'660); writes at its poll at 4'200 and in the
+    // penalty window after its turn.
+    cases[5].polls = {100, 60};
+    cases[5].cuts = {5'000};
+    cases[5].writes = {{4'200, 0, M::work}, {4'800, 0, M::idle},
+                       {6'900, 1, M::work}, {7'000, 1, M::idle}};
+    // A poll longer than the quantum: one poll per turn.
+    cases[6].polls = {4'000, 100};
+    cases[6].cuts = {4'400, 8'100};
+    cases[6].writes = {{4'000, 1, M::work}, {4'600, 1, M::idle},
+                       {20'000, 0, M::work}, {20'050, 0, M::idle}};
+    // No switch penalty: the lower id takes the core at every poll.
+    cases[7].params.contextSwitchPenalty = 0;
+    cases[7].polls = {100, 100};
+    cases[7].cuts = {3'150};
+    cases[7].writes = {{3'200, 0, M::work}, {3'500, 0, M::idle},
+                       {9'000, 1, M::work}, {9'100, 1, M::idle}};
+    // A spawn onto the shared core mid-turn, and a noise-style
+    // thread that sleeps on it.
+    cases[8].polls = {100, 100};
+    cases[8].noise = true;
+    cases[8].writes = {{2'000, -1}, {8'000, 2, M::work},
+                       {8'200, 2, M::idle}, {11'000, 0, M::work},
+                       {11'100, 0, M::idle}};
+    return cases;
+}
+
+// Produced by the polling code, where every poll on a shared core is
+// a scheduler step.
+TEST_F(SimTest, OversubscribedCorePin)
+{
+    const std::vector<CoreCase> cases = pinnedCoreCases();
+    const std::array<std::uint64_t, 9> want = {
+        0xcdf4de5cd8d2ebdcULL, 0xdc2cdaef610c8f34ULL,
+        0x6a3d9f8a5c12204dULL, 0xc6e0e066df8aef10ULL,
+        0xf998a37d0100f6f0ULL, 0x728c2cd3c7fa2137ULL,
+        0x2d5a607b3fd27c31ULL, 0xd1e4ba79f30391b2ULL,
+        0xff8ff93ad7d87273ULL,
+    };
+    for (std::size_t i = 0; i < cases.size(); ++i) {
+        EXPECT_EQ(coreScheduleDigest(cases[i], Wait::park), want[i])
+            << "case " << i;
+    }
+}
+
 TEST_F(SimTest, EventTimeBeyondKeyRangePanics)
 {
     Scheduler sched(&backend, 1);
