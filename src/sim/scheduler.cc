@@ -1,6 +1,7 @@
 #include "sim/scheduler.hh"
 
 #include <algorithm>
+#include <limits>
 
 #include "common/logging.hh"
 
@@ -13,6 +14,13 @@ namespace
 /** Largest event time whose packed key (time << 1 | is_issue) stays
  *  below EventTree::none. */
 constexpr Tick maxEventTime = (Tick{1} << 63) - 2;
+
+/** Bound on polls, quantum and switch penalty of a parked core, so
+ *  grid arithmetic on event times cannot overflow. */
+constexpr Tick maxGridSpan = Tick{1} << 60;
+
+/** Polls of a core's only thread: endless, yet twice it fits. */
+constexpr Tick endlessPolls = maxTick / 2;
 
 /** Out of line, so packKey() stays small enough to inline on the
  *  per-step paths. */
@@ -30,6 +38,37 @@ packKey(const SimThread &t, Tick time, std::uint64_t is_issue)
     if (time > maxEventTime) [[unlikely]]
         eventBeyondRange(t, time);
     return time << 1 | is_issue;
+}
+
+/**
+ * How many of a turn's 2·@p polls events ran once every event up to
+ * (@p key, @p ptid) has: poll i issues at start + i·poll and resumes
+ * one poll later, so the turn's event e falls at
+ * start + ⌈e/2⌉·poll, an issue when e is even.
+ */
+Tick
+turnEventsRan(Tick start, Tick poll, Tick polls, ThreadId tid,
+              std::uint64_t key, ThreadId ptid)
+{
+    const Tick time = key >> 1;
+    if (time < start)
+        return 0;
+    const Tick q = (time - start) / poll;
+    if (q > polls)
+        return 2 * polls;
+    // Every event before time ran: those of grid points 0 .. q - 1,
+    // and of point q too when it falls before time.
+    const bool on = start + q * poll == time;
+    const Tick before = on ? q : q + 1;
+    Tick ran = before ? 2 * before - 1 : 0;
+    if (on) {
+        auto le = [&](std::uint64_t k) {
+            return k < key || (k == key && tid <= ptid);
+        };
+        ran += q >= 1 && le(time << 1);
+        ran += q < polls && le(time << 1 | 1);
+    }
+    return std::min(ran, 2 * polls);
 }
 
 } // namespace
@@ -58,14 +97,12 @@ Scheduler::spawn(const std::string &name, CoreId core, ProcessId pid,
     ThreadApi api(thread.get(), this);
     thread->installBody(std::move(body), api);
     threads_.push_back(std::move(thread));
-    // A thread parked on the core gets a waiter, which only a
-    // polling thread can yield to.
-    auto &live = cores_[static_cast<std::size_t>(core)].live;
-    for (ThreadId other : live)
-        unpark(*threads_[static_cast<std::size_t>(other)]);
+    // A parked core gets a thread that is not in its grid.
+    if (cores_[static_cast<std::size_t>(core)].parked)
+        materialise(core);
     // The new thread's first event, and the core's last thread may
     // now have a waiter to yield to.
-    live.push_back(tid);
+    cores_[static_cast<std::size_t>(core)].live.push_back(tid);
     refreshCore(core);
     return threads_.back().get();
 }
@@ -271,81 +308,198 @@ Scheduler::execute(SimThread &t)
     // The coroutine resumes when the operation completes, in global
     // completion-time order (see eventKey).
     t.resumePending = true;
+    if (op.kind == MemOp::Kind::park && park(t))
+        return;
     // The core's other threads start after freeAt, which just moved.
     if (hasWaiter(t))
         refreshCore(t.core());
-    else if (op.kind == MemOp::Kind::park && op.cycles > 0)
-        park(t);
     else
         events_.set(t.id(), packKey(t, t.now, 0));
 }
 
-void
+bool
 Scheduler::park(SimThread &t)
 {
+    CoreState &core = cores_[static_cast<std::size_t>(t.core())];
+    const Tick poll = t.lastLatency;
+    if (poll == 0 || poll > maxGridSpan ||
+        (trace_ && trace_->enabled<TraceCategory::sched>()))
+        return false;
+    // Every waiter must be waiting on a park it has issued. It did
+    // so at its last resume, no later than now, so it gets the core
+    // one switch penalty after the holder's last poll.
+    SimThread *first = nullptr;
+    for (ThreadId id : core.live) {
+        SimThread &w = *threads_[static_cast<std::size_t>(id)];
+        if (&w == &t)
+            continue;
+        if (w.resumePending || w.pending.kind != MemOp::Kind::park ||
+            w.pending.cycles == 0 || w.pending.cycles > maxGridSpan)
+            return false;
+        if (!first || w.id() < first->id())
+            first = &w;
+    }
     // The first poll must be a representable event, as a spin's
     // resume would have to be.
     packKey(t, t.now, 0);
+
+    Grid &g = core.grid;
+    g.start = t.now - poll;
+    g.acquiredAt = core.acquiredAt;
+    g.pollers = {};
+    g.pollers[0] = {&t, poll, endlessPolls};
+    if (first) {
+        // Ties between waiters go to the lower id (their clocks are
+        // at or before freeAt), and without a penalty the waiters'
+        // issues tie with the holder's.
+        const Tick penalty = params_.contextSwitchPenalty;
+        const Tick quantum = params_.quantum;
+        if (penalty == 0 || penalty > maxGridSpan ||
+            quantum > maxGridSpan)
+            return false;
+        // The holder polls until k·poll past acquiredAt exceeds the
+        // quantum; every later turn starts afresh.
+        const Tick held = g.start - g.acquiredAt;
+        g.pollers[0].polls = held >= quantum ? 1
+                                             : (quantum - held) / poll + 1;
+        SimThread *second = &t;
+        for (ThreadId id : core.live) {
+            SimThread &w = *threads_[static_cast<std::size_t>(id)];
+            if (&w != first && w.id() < second->id())
+                second = &w;
+        }
+        Tick period = 0;
+        for (std::size_t i : {1, 2}) {
+            SimThread *w = i == 1 ? first : second;
+            const Tick p = w == &t ? poll : w->pending.cycles;
+            g.pollers[i] = {w, p, quantum / p + 1};
+            period += g.pollers[i].polls * p + penalty;
+        }
+        g.period = period;
+    }
+
     if (parked_.empty()) {
-        // Picks are tracked only while a thread is parked; the park
+        // Picks are tracked only while a core is parked; the park
         // itself is the first that matters.
-        pickedKey_ = (t.now - t.lastLatency) << 1 | 1;
+        pickedKey_ = g.start << 1 | 1;
         pickedTid_ = t.id();
     }
     t.resumePending = false;
-    t.parked = true;
-    parked_.push_back(&t);
-    events_.set(t.id(), EventTree::none);
+    core.parked = true;
+    parked_.push_back(t.core());
+    for (ThreadId id : core.live) {
+        threads_[static_cast<std::size_t>(id)]->parked = true;
+        events_.set(id, EventTree::none);
+    }
+    return true;
+}
+
+Scheduler::Turn
+Scheduler::turn(const CoreState &core, Tick k) const
+{
+    const Grid &g = core.grid;
+    const GridPoller &holder = g.pollers[0];
+    if (k == 0)
+        return {&holder, g.start, g.acquiredAt};
+    const Tick penalty = params_.contextSwitchPenalty;
+    const GridPoller &odd = g.pollers[1];
+    Tick start = g.start + holder.polls * holder.poll + penalty +
+                 (k - 1) / 2 * g.period;
+    if (k % 2 == 0)
+        start += odd.polls * odd.poll + penalty;
+    return {&g.pollers[k % 2 ? 1 : 2], start, start};
+}
+
+Scheduler::GridPos
+Scheduler::gridPos(const CoreState &core, std::uint64_t key,
+                   ThreadId tid) const
+{
+    const auto ran_in = [&](const Turn &tn) {
+        const GridPoller &p = *tn.poller;
+        return turnEventsRan(tn.start, p.poll, p.polls, p.thread->id(),
+                             key, tid);
+    };
+    const Turn first = turn(core, 0);
+    Tick ran = ran_in(first);
+    if (ran < 2 * first.poller->polls)
+        return {0, ran};
+    // Skip whole periods of turns 1 and 2, then step turn by turn: a
+    // period is under time from its start, so a few turns do.
+    const Tick time = key >> 1;
+    const Tick s1 = turn(core, 1).start;
+    Tick k = 1;
+    if (time > s1)
+        k += 2 * ((time - s1) / core.grid.period);
+    for (;; ++k) {
+        const Turn tn = turn(core, k);
+        ran = ran_in(tn);
+        if (ran < 2 * tn.poller->polls)
+            return {k, ran};
+    }
 }
 
 void
-Scheduler::materialise(SimThread &t)
+Scheduler::replayTurn(CoreState &core, const Turn &tn, Tick ran)
 {
-    // Poll k >= 1 is a resume, then an issue, at anchor + k * poll;
-    // the park was the issue at the anchor. The first j of these
-    // events ran: they move the clock and op count on by j / 2
-    // polls, and an odd j leaves the last poll's issue pending.
-    const Tick poll = t.lastLatency;
-    const Tick anchor = t.now - poll;
-    const Tick tick = pickedKey_ >> 1;
-    auto ran = [&](std::uint64_t key) {
-        return key < pickedKey_ ||
-               (key == pickedKey_ && t.id() <= pickedTid_);
-    };
-    const Tick k = tick > anchor ? (tick - anchor) / poll : 0;
-    Tick j = 2 * k;
-    if (k > 0 && anchor + k * poll == tick) {
-        j -= !ran(tick << 1 | 1);
-        j -= !ran(tick << 1);
+    if (ran == 0)
+        return;
+    const GridPoller &p = *tn.poller;
+    SimThread &t = *p.thread;
+    const Tick polls = (ran + 1) / 2;
+    t.now = tn.start + polls * p.poll;
+    t.opsExecuted += polls;
+    t.lastLatency = p.poll;
+    // An odd count ends on a poll's issue, an even one on its resume,
+    // after which the thread has issued its next park.
+    t.resumePending = ran % 2;
+    t.pending = t.resumePending ? MemOp{}
+                                : MemOp{MemOp::Kind::park, 0, p.poll};
+    core.freeAt = t.now;
+    core.lastThread = t.id();
+    core.acquiredAt = tn.acquiredAt;
+    if (p.polls != endlessPolls)
+        core.mustYield = polls == p.polls;
+}
+
+void
+Scheduler::materialise(CoreId c)
+{
+    CoreState &core = cores_[static_cast<std::size_t>(c)];
+    const GridPos pos = gridPos(core, pickedKey_, pickedTid_);
+    // The park that parked the core is already counted.
+    --core.grid.pollers[0].thread->opsExecuted;
+    replayTurn(core, turn(core, 0),
+               pos.turn ? 2 * core.grid.pollers[0].polls : pos.ran);
+    // Each waiter's last whole turn sets its clock; its earlier ones,
+    // two turns apart, only add polls.
+    for (Tick k = pos.turn > 2 ? pos.turn - 2 : 1; k < pos.turn; ++k) {
+        const Turn tn = turn(core, k);
+        tn.poller->thread->opsExecuted += (k - 1) / 2 * tn.poller->polls;
+        replayTurn(core, tn, 2 * tn.poller->polls);
     }
-    t.now += j / 2 * poll;
-    t.opsExecuted += j / 2;
-    cores_[static_cast<std::size_t>(t.core())].freeAt = t.now;
-    if (j % 2)
-        t.pending = MemOp{MemOp::Kind::spin, 0, poll};
-    else
-        t.resumePending = true;
-    t.parked = false;
-    refresh(t);
+    if (pos.turn)
+        replayTurn(core, turn(core, pos.turn), pos.ran);
+    core.parked = false;
+    std::erase(parked_, c);
+    for (ThreadId id : core.live)
+        threads_[static_cast<std::size_t>(id)]->parked = false;
+    refreshCore(c);
 }
 
 void
 Scheduler::unpark(SimThread &t)
 {
-    if (t.parked) {
-        std::erase(parked_, &t);
-        materialise(t);
-    } else if (t.pending.kind == MemOp::Kind::park) {
+    if (t.parked)
+        materialise(t.core());
+    if (t.pending.kind == MemOp::Kind::park)
         t.pending.kind = MemOp::Kind::spin;
-    }
 }
 
 void
 Scheduler::unparkAll()
 {
-    for (SimThread *t : parked_)
-        materialise(*t);
-    parked_.clear();
+    while (!parked_.empty())
+        materialise(parked_.back());
 }
 
 bool
@@ -355,38 +509,40 @@ Scheduler::stopAtParkedPoll(Tick until)
     const std::uint64_t next_key = events_.nextKey();
     if (next >= 0 && (next_key >> 1) < until)
         return false;
-    // Each parked thread's first poll at or past until; a poll's
-    // resume is its first event.
-    const SimThread *first = nullptr;
-    Tick first_tick = 0;
-    for (const SimThread *t : parked_) {
-        const Tick poll = t->lastLatency;
-        Tick tick = t->now;
-        if (until > tick) {
-            const Tick gap = until - tick;
-            const Tick polls = gap / poll + (gap % poll != 0);
-            if (polls > (maxEventTime - tick) / poll)
-                continue;
-            tick += polls * poll;
-        }
-        if (!first || tick < first_tick ||
-            (tick == first_tick && t->id() < first->id())) {
-            first = t;
-            first_tick = tick;
+    // Each parked core's first grid event at or past until: the
+    // first not run once every event before until has.
+    std::uint64_t first_key = EventTree::none;
+    ThreadId first_tid = invalidThread;
+    for (CoreId c : parked_) {
+        if (until > maxEventTime)
+            break;
+        const CoreState &core = cores_[static_cast<std::size_t>(c)];
+        const GridPos pos =
+            gridPos(core, (until << 1) - 1,
+                    std::numeric_limits<ThreadId>::max());
+        const Turn tn = turn(core, pos.turn);
+        const Tick time = tn.start + (pos.ran + 1) / 2 * tn.poller->poll;
+        if (time > maxEventTime)
+            continue;
+        const std::uint64_t key = time << 1 | (pos.ran % 2 == 0);
+        const ThreadId tid = tn.poller->thread->id();
+        if (key < first_key || (key == first_key && tid < first_tid)) {
+            first_key = key;
+            first_tid = tid;
         }
     }
-    if (!first) {
+    if (first_tid == invalidThread) {
         panic_if(next < 0, "only parked threads remain, and none of "
                  "them polls by tick ", until);
         return false;
     }
-    const std::uint64_t key = first_tick << 1;
     if (next >= 0 &&
-        (next_key < key || (next_key == key && next < first->id())))
+        (next_key < first_key ||
+         (next_key == first_key && next < first_tid)))
         return false;
-    globalNow_ = std::max(globalNow_, first_tick);
-    pickedKey_ = key;
-    pickedTid_ = first->id();
+    globalNow_ = std::max(globalNow_, first_key >> 1);
+    pickedKey_ = first_key;
+    pickedTid_ = first_tid;
     return true;
 }
 

@@ -14,16 +14,26 @@
  * picking the next event is a root read and only the keys an event
  * invalidates are recomputed (see eventKey()).
  *
- * A thread alone on its core that executes a park leaves the tree:
- * its polls would only move its own clock, so the scheduler keeps
- * the poll grid instead and replays it arithmetically when the
- * thread is woken (unpark()), when a thread is spawned onto its
- * core, or when a run stops.
+ * A core whose live threads all wait on parks leaves the tree as a
+ * whole when one of them executes its park: its polls only move its
+ * own threads' clocks and its own occupancy, so the scheduler keeps
+ * the core's poll grid instead. Alone on the core, the parked thread
+ * polls forever. With waiters, it polls out its quantum, and after
+ * the switch penalty the lowest-id waiter takes the core; from then
+ * on the two lowest ids alternate, each polling
+ * ⌊quantum/poll⌋ + 1 times per turn. The scheduler replays the grid
+ * arithmetically when one of the core's threads is woken (unpark()),
+ * when a thread is spawned onto the core, or when a run stops. A core
+ * stays on the tree while a sched-category subscriber listens (its
+ * switch and preempt events keep their order on the bus) and where
+ * the turns have no closed form (a zero switch penalty hands the
+ * core to the lower id at every poll).
  */
 
 #ifndef COHERSIM_SIM_SCHEDULER_HH
 #define COHERSIM_SIM_SCHEDULER_HH
 
+#include <array>
 #include <functional>
 #include <memory>
 #include <span>
@@ -110,13 +120,14 @@ class Scheduler
     bool stepOne();
 
     /**
-     * Wake @p t if it is parked: give it exactly the clock, op
-     * count, core occupancy and next event its poll-by-poll spins
-     * would have at the event being processed, then let it poll
-     * normally. A thread that has issued a park which has not yet
-     * executed spins once instead of parking. A no-op for any other
-     * thread. Whoever changes what a parked thread polls must call
-     * this, or the thread never sees the change.
+     * Wake @p t if its core is parked: give every thread on the core
+     * exactly the clock, op count and next event, and the core
+     * exactly the occupancy and quantum state, that poll-by-poll
+     * spins would have at the event being processed; then let them
+     * poll normally. If @p t has issued a park which has not yet
+     * executed, it spins once instead. A no-op for any other thread.
+     * Whoever changes what a parked thread polls must call this, or
+     * the thread never sees the change.
      */
     void unpark(SimThread &t);
 
@@ -145,6 +156,48 @@ class Scheduler
     TraceBus *traceBus() const { return trace_; }
 
   private:
+    /** One thread that polls on a parked core, and how often. */
+    struct GridPoller
+    {
+        SimThread *thread = nullptr;
+        Tick poll = 0;
+        /** Polls per turn: it then has to yield the core. */
+        Tick polls = 0;
+    };
+
+    /**
+     * A parked core's poll grid. Turn 0 is the park that parked the
+     * core, issued at @ref start, and the holder's polls after it;
+     * turns 1, 3, ... and 2, 4, ... belong to the two alternating
+     * waiters, each starting a switch penalty after the previous
+     * turn's last poll. A turn's poll i is an issue at
+     * start + i·poll and a resume one poll later.
+     */
+    struct Grid
+    {
+        /** [0] the holder (polls left in turn 0; endless when the
+         *  core has no waiter), [1] and [2] the alternating waiters. */
+        std::array<GridPoller, 3> pollers{};
+        Tick start = 0;
+        Tick acquiredAt = 0;  //!< when the holder got the core
+        Tick period = 0;      //!< turns 1 and 2 with their switch-ins
+    };
+
+    /** One turn of a grid. */
+    struct Turn
+    {
+        const GridPoller *poller;
+        Tick start;       //!< issue of its first poll
+        Tick acquiredAt;  //!< when its thread got the core
+    };
+
+    /** A point in a grid: @ref ran events of turn @ref turn ran. */
+    struct GridPos
+    {
+        Tick turn;
+        Tick ran;
+    };
+
     struct CoreState
     {
         Tick freeAt = 0;          //!< core busy until this tick
@@ -153,6 +206,9 @@ class Scheduler
         bool mustYield = false;   //!< quantum expired, switch next
         /** Unfinished threads pinned here, in spawn order. */
         std::vector<ThreadId> live;
+        /** Valid while parked: every live thread is off the tree. */
+        Grid grid;
+        bool parked = false;
     };
 
     /** Earliest tick at which @p t's pending op could start. */
@@ -197,24 +253,39 @@ class Scheduler
 
     /**
      * True, with the clock moved there, when the first event at or
-     * past @p until is a parked thread's poll: with polling threads
-     * the run would have stopped right after it.
+     * past @p until is a parked core's poll or switch-in: with
+     * polling threads the run would have stopped right after it.
      */
     bool stopAtParkedPoll(Tick until);
 
     /**
-     * Take @p t off the tree as a parked poller after its park
-     * executed: its polls run at now + k·lastLatency, k >= 0.
+     * Take @p t's core off the tree after @p t's park executed, if
+     * every other live thread there waits on a park it has issued
+     * and the grid has a closed form. @return whether it parked.
      */
-    void park(SimThread &t);
+    bool park(SimThread &t);
+
+    /** Turn @p k of @p core's grid. */
+    Turn turn(const CoreState &core, Tick k) const;
 
     /**
-     * Replay parked @p t's polls up to the largest event picked so
-     * far and put its next event back on the tree.
+     * Where @p core's grid stands once every event up to
+     * (@p key, @p tid) has run: the first turn not run to its end.
      */
-    void materialise(SimThread &t);
+    GridPos gridPos(const CoreState &core, std::uint64_t key,
+                    ThreadId tid) const;
 
-    /** Unpark every parked thread (a run returns with none). */
+    /** Give a turn's thread and core their state after its first
+     *  @p ran events. */
+    void replayTurn(CoreState &core, const Turn &turn, Tick ran);
+
+    /**
+     * Replay parked @p core's grid up to the largest event picked so
+     * far and put its threads' next events back on the tree.
+     */
+    void materialise(CoreId core);
+
+    /** Unpark every parked core (a run returns with none). */
     void unparkAll();
 
     /**
@@ -238,14 +309,14 @@ class Scheduler
     TraceBus *trace_ = nullptr;
     /** Cached event key per thread id. */
     EventTree events_;
-    /** Parked threads, in the order they parked. */
-    std::vector<SimThread *> parked_;
+    /** Parked cores, in the order they parked. */
+    std::vector<CoreId> parked_;
     /**
      * The largest (key, thread id) picked since the first of the
-     * parked threads parked. With polling threads, a parked thread's
-     * poll ran before the current event exactly when it sorts before
-     * this: picks are in key order except that an event may be keyed
-     * at the current tick with a lower thread id after a higher one
+     * parked cores parked. With polling threads, a grid event ran
+     * before the current event exactly when it sorts before this:
+     * picks are in key order except that an event may be keyed at
+     * the current tick with a lower thread id after a higher one
      * ran.
      */
     std::uint64_t pickedKey_ = 0;

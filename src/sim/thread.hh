@@ -79,10 +79,10 @@ class SimThread
     /** Set once the top-level coroutine has completed. */
     bool finished = false;
     /**
-     * True while the scheduler keeps this thread off its event tree
-     * as a parked poller (see Scheduler::unpark). Until it is
-     * unparked, @ref now, @ref opsExecuted and @ref lastLatency hold
-     * their values from right after the park executed.
+     * True while the scheduler keeps this thread's core off its event
+     * tree as a parked poll grid (see Scheduler::unpark). Until the
+     * core is unparked, @ref now, @ref opsExecuted, @ref lastLatency
+     * and the pending op hold their values from when it parked.
      */
     bool parked = false;
     /** Operations executed, for stats. */

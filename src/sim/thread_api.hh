@@ -100,10 +100,11 @@ class ThreadApi
      * Busy-wait in @p poll-cycle spins until Scheduler::unpark()
      * wakes the thread: an idle-poll loop the scheduler need not
      * step through poll by poll. Timing, clock and op count are
-     * those of `spin(poll)` repeated until the wake; the caller
-     * re-checks whatever it polls after each return, as after a
-     * spin. On a core shared with another live thread, it is one
-     * spin.
+     * those of `spin(poll)` repeated until the wake, quantum
+     * hand-overs on a shared core included; the caller re-checks
+     * whatever it polls after each return, as after a spin. The
+     * scheduler skips the polls only while every live thread on the
+     * core waits on a park; otherwise each is one spin.
      */
     OpAwaiter
     park(Tick poll) const

@@ -639,42 +639,55 @@ TEST_F(SimTest, SpawnOntoAParkedCoreUnparksIt)
 }
 
 /**
- * Two pollers share core 0 and a third has core 1 to itself; the
- * writer samples which of them are parked.
+ * Two pollers share core 0, a third has core 1 to itself, and a
+ * fourth shares core 3 with a busy thread; the writer samples which
+ * of them are parked.
  */
 std::uint64_t
-sharedCoreDigest(Wait wait, bool &shared_parked, bool &alone_parked)
+sharedCoreDigest(Wait wait, bool &shared_parked, bool &alone_parked,
+                 bool &mixed_parked)
 {
     RecordingBackend be;
-    Scheduler sched(&be, 3);
+    Scheduler sched(&be, 4);
     bool flag = false;
     SimThread *a = sched.spawn("a", 0, 0, flagPoller(flag, wait, 100));
     SimThread *b = sched.spawn("b", 0, 0, flagPoller(flag, wait, 60));
     SimThread *c = sched.spawn("c", 1, 0, flagPoller(flag, wait, 100));
+    SimThread *d = sched.spawn("d", 3, 0, flagPoller(flag, wait, 100));
+    sched.spawn("busy", 3, 0, [&flag](ThreadApi api) -> Task {
+        for (VAddr i = 0; !flag; ++i) {
+            co_await api.load(0x4000 + i % 8 * 64);
+            co_await api.spin(150);
+        }
+    });
     sched.spawn("writer", 2, 0, [&](ThreadApi api) -> Task {
         for (int i = 0; i < 40; ++i) {
             co_await api.spin(170);
             shared_parked = shared_parked || a->parked || b->parked;
             alone_parked = alone_parked || c->parked;
+            mixed_parked = mixed_parked || d->parked;
         }
         flag = true;
-        for (SimThread *t : {a, b, c})
+        for (SimThread *t : {a, b, c, d})
             sched.unpark(*t);
     });
     sched.run();
     return fnvMix(scheduleDigest(be, sched), sched.now());
 }
 
-TEST_F(SimTest, ParkIsASpinOnASharedCore)
+TEST_F(SimTest, OnlyCoresOfParkedPollersPark)
 {
     bool shared_parked = false;
     bool alone_parked = false;
-    const std::uint64_t parked =
-        sharedCoreDigest(Wait::park, shared_parked, alone_parked);
-    EXPECT_FALSE(shared_parked);
+    bool mixed_parked = false;
+    const std::uint64_t parked = sharedCoreDigest(
+        Wait::park, shared_parked, alone_parked, mixed_parked);
+    EXPECT_TRUE(shared_parked);
     EXPECT_TRUE(alone_parked);
+    EXPECT_FALSE(mixed_parked);
     bool unused = false;
-    EXPECT_EQ(parked, sharedCoreDigest(Wait::spin, unused, unused));
+    EXPECT_EQ(parked,
+              sharedCoreDigest(Wait::spin, unused, unused, unused));
 }
 
 /**
@@ -683,10 +696,11 @@ TEST_F(SimTest, ParkIsASpinOnASharedCore)
  * load and a spin; the writer hands them out at 50-cycle multiples,
  * twice spawns a guest onto a poller's core under a small quantum,
  * then sleeps while two runs are cut short and ends with the pollers
- * waiting, so a last cut finds only them.
+ * waiting, so a last cut finds only them. With @p shared, pollers
+ * 0-1 share core 0 and pollers 2-3 core 2.
  */
 std::uint64_t
-wakeScheduleDigest(Wait wait, std::uint64_t seed)
+wakeScheduleDigest(Wait wait, std::uint64_t seed, bool shared = false)
 {
     RecordingBackend be;
     SchedulerParams params;
@@ -728,8 +742,10 @@ wakeScheduleDigest(Wait wait, std::uint64_t seed)
             co_await api.spin(50 * rng.below(5));
         }
     };
-    pollers[0] = sched.spawn("p0", 0, 0, poller(0));
-    pollers[1] = sched.spawn("p1", 1, 0, poller(1));
+    // Shared: pollers 0-1 and 2-3 pair up on cores 0 and 2.
+    auto core_of = [shared](int i) { return shared ? i / 2 * 2 : i; };
+    pollers[0] = sched.spawn("p0", core_of(0), 0, poller(0));
+    pollers[1] = sched.spawn("p1", core_of(1), 0, poller(1));
     SimThread *writer =
         sched.spawn("writer", 4, 0, [&](ThreadApi api) -> Task {
             co_await hand_out(api, 60);
@@ -737,8 +753,8 @@ wakeScheduleDigest(Wait wait, std::uint64_t seed)
             co_await api.sleep(20'000);
             co_await hand_out(api, 30);
         });
-    pollers[2] = sched.spawn("p2", 2, 0, poller(2));
-    pollers[3] = sched.spawn("p3", 3, 0, poller(3));
+    pollers[2] = sched.spawn("p2", core_of(2), 0, poller(2));
+    pollers[3] = sched.spawn("p3", core_of(3), 0, poller(3));
 
     std::uint64_t h = 0;
     sched.run(25'013);
@@ -760,9 +776,11 @@ wakeScheduleDigest(Wait wait, std::uint64_t seed)
 TEST_F(SimTest, ParkedPollersKeepSeededWakeSchedules)
 {
     for (std::uint64_t seed = 1; seed <= 6; ++seed) {
-        EXPECT_EQ(wakeScheduleDigest(Wait::park, seed),
-                  wakeScheduleDigest(Wait::spin, seed))
-            << "seed " << seed;
+        for (bool shared : {false, true}) {
+            EXPECT_EQ(wakeScheduleDigest(Wait::park, seed, shared),
+                      wakeScheduleDigest(Wait::spin, seed, shared))
+                << "seed " << seed << (shared ? ", shared" : "");
+        }
     }
 }
 
@@ -779,6 +797,7 @@ enum class LoaderMode
 {
     idle,
     work,
+    nap,  //!< blocks off the core, as on I/O
     stop
 };
 
@@ -832,6 +851,9 @@ coreScheduleDigest(const CoreCase &c, Wait wait, bool ctl_first)
                     co_await api.load(0x1000 * (i + 1));
                     co_await api.spin(200);
                     break;
+                  case LoaderMode::nap:
+                    co_await api.sleep(700);
+                    break;
                   case LoaderMode::idle:
                     co_await waitOnce(api, wait, poll);
                     break;
@@ -877,10 +899,17 @@ coreScheduleDigest(const CoreCase &c, Wait wait, bool ctl_first)
         });
     }
 
+    // A cut must leave every thread and mode where polling would.
     std::uint64_t h = 0;
     for (Tick cut : c.cuts) {
         sched.run(cut);
         h = fnvMix(h, sched.now());
+        for (const auto &t : sched.threads()) {
+            h = fnvMix(h, t->now);
+            h = fnvMix(h, t->opsExecuted);
+        }
+        for (LoaderMode m : modes)
+            h = fnvMix(h, static_cast<std::uint64_t>(m));
     }
     sched.runUntilFinished(ctl);
     h = fnvMix(h, sched.now());
@@ -909,12 +938,12 @@ std::vector<CoreCase>
 pinnedCoreCases()
 {
     using M = LoaderMode;
-    std::vector<CoreCase> cases(9);
+    std::vector<CoreCase> cases(10);
     // Two loaders: cuts mid-turn (the poll at 1'600), inside the
-    // switch penalty (the switch-in at 3'600) and again mid-turn;
-    // then a write at loader 0's switch-in at 7'200.
+    // switch penalty (the switch-in at 3'600), again mid-turn, and
+    // at loader 0's switch-in at 7'200, where the controller writes.
     cases[0].polls = {100, 100};
-    cases[0].cuts = {1'550, 3'200, 3'650};
+    cases[0].cuts = {1'550, 3'200, 3'650, 7'150};
     cases[0].writes = {{7'200, 0, M::work}, {7'900, 0, M::idle},
                        {15'000, 1, M::work}, {15'150, 1, M::idle}};
     // Mode writes mid-quantum (tied with loader 0's poll at 1'500),
@@ -959,6 +988,13 @@ pinnedCoreCases()
     cases[8].writes = {{2'000, -1}, {8'000, 2, M::work},
                        {8'200, 2, M::idle}, {11'000, 0, M::work},
                        {11'100, 0, M::idle}};
+    // Three loaders, the two lowest napping off the core from 100 to
+    // 800, so the highest id holds the core when they wait again.
+    cases[9].polls = {100, 100, 100};
+    cases[9].cuts = {10'000};
+    cases[9].writes = {{100, 0, M::nap},      {100, 1, M::nap},
+                       {800, 0, M::idle},     {800, 1, M::idle},
+                       {20'000, 0, M::work}, {20'100, 0, M::idle}};
     return cases;
 }
 
@@ -967,16 +1003,75 @@ pinnedCoreCases()
 TEST_F(SimTest, OversubscribedCorePin)
 {
     const std::vector<CoreCase> cases = pinnedCoreCases();
-    const std::array<std::uint64_t, 9> want = {
-        0xcdf4de5cd8d2ebdcULL, 0xdc2cdaef610c8f34ULL,
+    const std::array<std::uint64_t, 10> want = {
+        0xf8d4e6cfec32fcb3ULL, 0xdc2cdaef610c8f34ULL,
         0x6a3d9f8a5c12204dULL, 0xc6e0e066df8aef10ULL,
-        0xf998a37d0100f6f0ULL, 0x728c2cd3c7fa2137ULL,
-        0x2d5a607b3fd27c31ULL, 0xd1e4ba79f30391b2ULL,
-        0xff8ff93ad7d87273ULL,
+        0x39a54ebf6817cf20ULL, 0xd9b8e1079a03e5f7ULL,
+        0xea6145498a0ce6b0ULL, 0xe24133e2fce190d9ULL,
+        0xff8ff93ad7d87273ULL, 0x201189ab3e8c50d6ULL,
     };
     for (std::size_t i = 0; i < cases.size(); ++i) {
         EXPECT_EQ(coreScheduleDigest(cases[i], Wait::park), want[i])
             << "case " << i;
+    }
+}
+
+/**
+ * A seeded oversubscribed-core schedule: two or three loaders with
+ * mixed polls, a spawn onto their core, mode writes and cuts on a
+ * 10-cycle grid, and varied penalty and quantum (a zero penalty
+ * among them). One seed in four adds a noise thread.
+ */
+CoreCase
+seededCoreCase(std::uint64_t seed)
+{
+    static constexpr std::array<Tick, 5> polls = {100, 60, 50, 40,
+                                                  3'500};
+    static constexpr std::array<Tick, 4> penalties = {500, 500, 130,
+                                                      0};
+    static constexpr std::array<Tick, 3> quanta = {3'000, 1'000, 250};
+    Rng rng(seed);
+    CoreCase c;
+    c.params.contextSwitchPenalty = penalties[rng.below(4)];
+    c.params.quantum = quanta[rng.below(3)];
+    c.polls.resize(2 + rng.below(2));
+    for (Tick &poll : c.polls)
+        poll = polls[rng.below(polls.size())];
+    c.noise = rng.below(4) == 0;
+    int loaders = static_cast<int>(c.polls.size());
+    Tick at = 0;
+    for (int i = 0; i < 24; ++i) {
+        at += 10 * rng.below(400);
+        if (i == 8) {
+            c.writes.push_back({at, -1});
+            ++loaders;
+            continue;
+        }
+        static constexpr std::array<LoaderMode, 4> modes = {
+            LoaderMode::idle, LoaderMode::idle, LoaderMode::work,
+            LoaderMode::nap};
+        c.writes.push_back({at, static_cast<int>(rng.below(loaders)),
+                            modes[rng.below(modes.size())]});
+    }
+    Tick cut = 0;
+    for (int i = 0; i < 3; ++i) {
+        cut += 10 * rng.below(2'000) + 1;
+        c.cuts.push_back(cut);
+    }
+    return c;
+}
+
+TEST_F(SimTest, ParkedCoresKeepSeededSchedules)
+{
+    for (const CoreCase &c : pinnedCoreCases()) {
+        EXPECT_EQ(coreScheduleDigest(c, Wait::park),
+                  coreScheduleDigest(c, Wait::spin));
+    }
+    for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+        const CoreCase c = seededCoreCase(seed);
+        EXPECT_EQ(coreScheduleDigest(c, Wait::park),
+                  coreScheduleDigest(c, Wait::spin))
+            << "seed " << seed;
     }
 }
 
