@@ -388,6 +388,54 @@ kernelCrewIdle()
 }
 
 /**
+ * Two loader crews sharing their socket-0 loader cores, as two fleet
+ * pairs whose blocks wrap onto the same cores do, each under its own
+ * controller toggling LExcl on for 2'000 cycles and off for 20'000,
+ * half a period apart. Both shared cores hold only idle loaders most
+ * of the time. One op = one toggle of either crew; virtual
+ * cycles/op is half the toggle period.
+ */
+KernelResult
+kernelCrewIdleShared()
+{
+    const SystemConfig cfg = quietConfig();
+    Machine m(cfg);
+    Process &p = m.kernel.createProcess("trojan");
+    const VAddr block = p.mmap(pageBytes);
+    const ChannelParams params;
+    const std::vector<CoreId> local = {cfg.coreOf(0, 1), cfg.coreOf(0, 2)};
+    PlacerCrew a(m.kernel, m.sched, p, local,
+                 {cfg.coreOf(1, 0), cfg.coreOf(1, 1)}, params);
+    PlacerCrew b(m.kernel, m.sched, p, local,
+                 {cfg.coreOf(1, 2), cfg.coreOf(1, 3)}, params);
+    std::uint64_t toggles = 0;
+    auto controller = [&toggles, block](PlacerCrew &crew, Tick phase) {
+        return [&crew, &toggles, block, phase](ThreadApi api) -> Task {
+            co_await api.spin(phase);
+            for (;;) {
+                crew.activate(Combo::localExcl, block);
+                co_await api.spin(2'000);
+                crew.idle();
+                co_await api.spin(20'000);
+                ++toggles;
+            }
+        };
+    };
+    m.kernel.spawnThread(m.sched, "ctlA", cfg.coreOf(0, 0), p,
+                         controller(a, 0));
+    m.kernel.spawnThread(m.sched, "ctlB", cfg.coreOf(0, 3), p,
+                         controller(b, 11'000));
+    return measureKernel(
+        [&m, &toggles](std::uint64_t &ops, std::uint64_t &vcycles) {
+            const std::uint64_t before = toggles;
+            const Tick start = m.sched.now();
+            m.sched.run(start + 10 * 22'000);
+            ops += toggles - before;
+            vcycles += m.sched.now() - start;
+        });
+}
+
+/**
  * One KSM scan pass over 128 mergeable pages in each of two
  * processes, pairwise identical. A warm-up pass merges every pair,
  * so each timed pass hashes every page and finds it already merged.
@@ -489,6 +537,7 @@ const PerfKernel perfKernels[] = {
     {"sched_step_oversubscribed",
      [] { return kernelSchedStep(48, 16); }, false},
     {"crew_idle", kernelCrewIdle, false},
+    {"crew_idle_shared", kernelCrewIdleShared, false},
     {"ksm_scan", kernelKsmScan, false},
     {"edit_distance", kernelEditDistance, false},
     {"calibrate", kernelCalibrate, false},

@@ -645,10 +645,10 @@ TEST_F(SimTest, SpawnOntoAParkedCoreUnparksIt)
  */
 std::uint64_t
 sharedCoreDigest(Wait wait, bool &shared_parked, bool &alone_parked,
-                 bool &mixed_parked)
+                 bool &mixed_parked, SchedulerParams params = {})
 {
     RecordingBackend be;
-    Scheduler sched(&be, 4);
+    Scheduler sched(&be, 4, params);
     bool flag = false;
     SimThread *a = sched.spawn("a", 0, 0, flagPoller(flag, wait, 100));
     SimThread *b = sched.spawn("b", 0, 0, flagPoller(flag, wait, 60));
@@ -688,6 +688,17 @@ TEST_F(SimTest, OnlyCoresOfParkedPollersPark)
     bool unused = false;
     EXPECT_EQ(parked,
               sharedCoreDigest(Wait::spin, unused, unused, unused));
+
+    // Without a switch penalty the shared core's turns have no closed
+    // form, so it polls.
+    SchedulerParams no_penalty;
+    no_penalty.contextSwitchPenalty = 0;
+    shared_parked = false;
+    const std::uint64_t polled = sharedCoreDigest(
+        Wait::park, shared_parked, unused, unused, no_penalty);
+    EXPECT_FALSE(shared_parked);
+    EXPECT_EQ(polled, sharedCoreDigest(Wait::spin, unused, unused,
+                                       unused, no_penalty));
 }
 
 /**

@@ -8,9 +8,16 @@
 # the simulated results — the optimisation work this repo does on the
 # hot path must keep every one of these outputs bit-identical.
 #
-# Usage: check_golden.sh BUILD_BENCH_DIR [GOLDEN_DIR]
+# Usage: check_golden.sh BUILD_BENCH_DIR [GOLDEN_DIR] [--repeat N]
 #   BUILD_BENCH_DIR  directory holding the built bench binaries
 #   GOLDEN_DIR       defaults to <repo>/tests/golden
+#   --repeat N       run the whole check up to N times (a soak for
+#                    rare differences); stop after the first failing
+#                    run
+#
+# A failing case's output directory, with its diffs, is kept under
+# BUILD_BENCH_DIR/../golden_failures/CASE (cleared at the start of
+# each invocation) and its path printed.
 #
 # Refresh the goldens after an intentional behaviour change with:
 #   tools/check_golden.sh build/bench --refresh
@@ -20,15 +27,31 @@ set -u
 here="$(cd "$(dirname "$0")" && pwd)"
 repo="$(dirname "$here")"
 
+usage="usage: check_golden.sh BUILD_BENCH_DIR [GOLDEN_DIR] [--repeat N]"
 refresh=0
+repeat=1
 args=()
-for a in "$@"; do
-    if [ "$a" = "--refresh" ]; then refresh=1; else args+=("$a"); fi
+while [ $# -gt 0 ]; do
+    case "$1" in
+      --refresh) refresh=1 ;;
+      --repeat)
+        repeat="${2:-}"
+        shift
+        if ! [ "$repeat" -ge 1 ] 2>/dev/null; then
+            echo "check_golden: --repeat needs a count >= 1" >&2
+            exit 2
+        fi
+        ;;
+      *) args+=("$1") ;;
+    esac
+    shift
 done
 
-bench_dir="${args[0]:?usage: check_golden.sh BUILD_BENCH_DIR [GOLDEN_DIR]}"
+bench_dir="${args[0]:?$usage}"
 golden_dir="${args[1]:-$repo/tests/golden}"
 bench_dir="$(cd "$bench_dir" && pwd)"
+kept="$(dirname "$bench_dir")/golden_failures"
+rm -rf "$kept"
 
 BENCHES="fig02_latency_cdf table01_scenarios fig06_07_reception \
 fig08_accuracy_vs_rate fig09_noise_accuracy fig10_error_correction \
@@ -48,6 +71,15 @@ status=0
 scratch="$(mktemp -d)"
 trap 'rm -rf "$scratch"' EXIT
 
+# Keep a failing case's output directory (and its diffs) for reading.
+keep() {
+    local name="$1" out="$2"
+    mkdir -p "$kept"
+    rm -rf "${kept:?}/$name"
+    cp -r "$out" "$kept/$name"
+    echo "check_golden: $name output kept in $kept/$name" >&2
+}
+
 # Refresh or diff every file a run left in its scratch directory.
 settle() {
     local name="$1" out="$2"
@@ -59,22 +91,28 @@ settle() {
         echo "check_golden: refreshed $name"
         return
     fi
+    local failed=0
     for f in "$out"/*; do
         local base gold
         base="$(basename "$f")"
         gold="$golden_dir/$name/$base"
         if [ ! -f "$gold" ]; then
             echo "check_golden: missing golden $name/$base" >&2
-            status=1
+            failed=1
             continue
         fi
         if ! diff -u "$gold" <(normalize "$f") \
-            > "$scratch/diff.txt" 2>&1; then
+            > "$scratch/$name.$base.diff" 2>&1; then
             echo "check_golden: $name/$base DIFFERS from golden:" >&2
-            cat "$scratch/diff.txt" >&2
-            status=1
+            cat "$scratch/$name.$base.diff" >&2
+            mv "$scratch/$name.$base.diff" "$out/$base.diff"
+            failed=1
         fi
     done
+    if [ "$failed" -eq 1 ]; then
+        keep "$name" "$out"
+        status=1
+    fi
 }
 
 # Run one seeded case in its own scratch directory and settle it:
@@ -86,6 +124,7 @@ settle() {
 run_case() {
     local name="$1" out="$scratch/$1"
     shift
+    rm -rf "$out"
     mkdir -p "$out"
     while [ $# -gt 0 ]; do
         local stem="$1" cmd=()
@@ -97,6 +136,7 @@ run_case() {
         [ $# -gt 0 ] && shift
         if ! (cd "$out" && "${cmd[@]}" > "$stem.txt" 2>&1); then
             echo "check_golden: $name FAILED to run" >&2
+            keep "$name" "$out"
             status=1
             return
         fi
@@ -104,46 +144,57 @@ run_case() {
     settle "$name" "$out"
 }
 
-# Always run single-worker: results are bit-identical for any worker
-# count (tested elsewhere); one worker keeps this check reproducible
-# on loaded CI machines.
-for bench in $BENCHES; do
-    run_case "$bench" stdout "$bench_dir/$bench" --jobs 1 --quiet
+# Every seeded case, once.
+check_all() {
+    # Always run single-worker: results are bit-identical for any worker
+    # count (tested elsewhere); one worker keeps this check reproducible
+    # on loaded CI machines.
+    for bench in $BENCHES; do
+        run_case "$bench" stdout "$bench_dir/$bench" --jobs 1 --quiet
+    done
+
+    cli="$bench_dir/../tools/cohersim"
+
+    # The CLI's run-health report is seeded and deterministic too: pin
+    # both the rendered report and the JSON timeseries document.
+    run_case report_health stdout "$cli" report --preset health-quick \
+        --jobs 1 --json REPORT_health.json
+
+    # The multi-tenant path: pin the fleet-quick CLI transmit and the
+    # quick fleet-scaling sweep (its BENCH_fleet.json must be
+    # bit-identical at any --jobs; CI and the tests exercise other worker
+    # counts, this gate pins the content).
+    run_case fleet_quick stdout "$cli" transmit --preset fleet-quick \
+        -- sweep_stdout "$bench_dir/fleet_scaling" --quick --jobs 1 --quiet
+
+    # The PHY channel stack: pin the phy-quick CLI transmit (hamming-soft
+    # end to end), the CLI's parity+NACK session (`cohersim ecc`, the
+    # legacy-parity chain) and the quick parity-vs-FEC comparison (its
+    # BENCH_phy.json must be bit-identical at any --jobs).
+    run_case phy_quick stdout "$cli" transmit --preset phy-quick \
+        -- ecc_stdout "$cli" ecc \
+        -- bench_stdout "$bench_dir/phy_comparison" --quick --jobs 1 --quiet
+
+    # The defense matrix: pin the quick grid (Table I row 4 against every
+    # defense column — §VIII-E mitigations plus the randomized caches).
+    run_case defense_quick stdout "$bench_dir/defense_matrix" --quick \
+        --jobs 1 --quiet
+
+    # The leakage-vector plugins: pin the quick vector matrix (all four
+    # vectors on a quiet machine, with the cross-vector CC-Hunter
+    # trackers) and one CLI transmit through a non-coherence vector
+    # preset.
+    run_case vectors_quick stdout "$cli" transmit --preset lru-quick \
+        -- bench_stdout "$bench_dir/vector_matrix" --quick --jobs 1 --quiet
+}
+
+for ((run = 1; run <= repeat; run++)); do
+    check_all
+    if [ "$status" -ne 0 ]; then
+        echo "check_golden: run $run of $repeat differs" >&2
+        break
+    fi
 done
-
-cli="$bench_dir/../tools/cohersim"
-
-# The CLI's run-health report is seeded and deterministic too: pin
-# both the rendered report and the JSON timeseries document.
-run_case report_health stdout "$cli" report --preset health-quick \
-    --jobs 1 --json REPORT_health.json
-
-# The multi-tenant path: pin the fleet-quick CLI transmit and the
-# quick fleet-scaling sweep (its BENCH_fleet.json must be
-# bit-identical at any --jobs; CI and the tests exercise other worker
-# counts, this gate pins the content).
-run_case fleet_quick stdout "$cli" transmit --preset fleet-quick \
-    -- sweep_stdout "$bench_dir/fleet_scaling" --quick --jobs 1 --quiet
-
-# The PHY channel stack: pin the phy-quick CLI transmit (hamming-soft
-# end to end), the CLI's parity+NACK session (`cohersim ecc`, the
-# legacy-parity chain) and the quick parity-vs-FEC comparison (its
-# BENCH_phy.json must be bit-identical at any --jobs).
-run_case phy_quick stdout "$cli" transmit --preset phy-quick \
-    -- ecc_stdout "$cli" ecc \
-    -- bench_stdout "$bench_dir/phy_comparison" --quick --jobs 1 --quiet
-
-# The defense matrix: pin the quick grid (Table I row 4 against every
-# defense column — §VIII-E mitigations plus the randomized caches).
-run_case defense_quick stdout "$bench_dir/defense_matrix" --quick \
-    --jobs 1 --quiet
-
-# The leakage-vector plugins: pin the quick vector matrix (all four
-# vectors on a quiet machine, with the cross-vector CC-Hunter
-# trackers) and one CLI transmit through a non-coherence vector
-# preset.
-run_case vectors_quick stdout "$cli" transmit --preset lru-quick \
-    -- bench_stdout "$bench_dir/vector_matrix" --quick --jobs 1 --quiet
 
 if [ "$refresh" -eq 1 ]; then
     echo "check_golden: goldens written to $golden_dir"
