@@ -274,6 +274,128 @@ TEST(CacheWalk, RemapRekeyEmptiesTheLlcAndLaterFillsAreVisited)
     EXPECT_EQ(mem.checkInvariants(), "");
 }
 
+/** Every replacement policy x index function, for the sweeps below. */
+const ReplPolicy allPolicies[] = {ReplPolicy::lru, ReplPolicy::plru,
+                                  ReplPolicy::random};
+const IndexFn allIndexFns[] = {IndexFn::linear, IndexFn::xorFold,
+                               IndexFn::remap, IndexFn::mirage};
+
+TEST(CacheFresh, HoldsNothingUnderEveryPolicyAndIndexFunction)
+{
+    // A power-of-two set count (mask path) and the 200-set modulo one.
+    for (const CacheGeometry geom :
+         {CacheGeometry{64 * 8 * lineBytes, 8},
+          CacheGeometry{200 * 4 * lineBytes, 4}}) {
+        for (const ReplPolicy policy : allPolicies) {
+            for (const IndexFn fn : allIndexFns) {
+                SCOPED_TRACE(msgCat(geom.numSets(), " sets, ",
+                                    replPolicyName(policy), " x ",
+                                    indexFnName(fn)));
+                const Cache c("c", geom, policy, 7,
+                              std::make_unique<IndexFunction>(
+                                  fn, geom.numSets(), 11));
+                EXPECT_EQ(c.occupancy(), 0u);
+                std::size_t visited = 0;
+                c.forEachLine([&visited](const CacheLine &) {
+                    ++visited;
+                });
+                EXPECT_EQ(visited, 0u);
+                // Probe frames until every set has been looked up.
+                std::vector<bool> probed(geom.numSets(), false);
+                std::size_t left = geom.numSets();
+                for (PAddr frame = 0; left > 0; ++frame) {
+                    ASSERT_LT(frame, PAddr{1} << 20);
+                    const PAddr a = frame * lineBytes;
+                    EXPECT_EQ(c.find(a), nullptr) << "address " << a;
+                    const unsigned set = c.setIndex(a);
+                    if (!probed[set]) {
+                        probed[set] = true;
+                        --left;
+                    }
+                }
+            }
+        }
+    }
+}
+
+/**
+ * Pins which line every insert displaces. Seeded fills, hits,
+ * invalidations, walks (which unmark the sets they find empty) and
+ * clears run over every policy x index function, so sets are filled,
+ * emptied, unmarked and refilled; each insert's Victim (valid flag
+ * and address) is hashed. The constants were produced by the
+ * value-initialised line array that preceded lazy set construction.
+ */
+TEST(CacheVictimPin, WalkClearRefillDisplacesTheSameLines)
+{
+    const auto mix = [](std::uint64_t h, std::uint64_t v) {
+        for (int i = 0; i < 8; ++i) {
+            h ^= (v >> (8 * i)) & 0xff;
+            h *= 0x100000001b3ULL;
+        }
+        return h;
+    };
+    const std::uint64_t expected[3][4] = {
+        {0x9c6e8b1fa2f4a181ULL, 0x7fddb86092a9d9feULL,
+         0x354395dbd6ea5459ULL, 0xe6af055a4a6a1b02ULL},
+        {0x8f0a328be21a1bceULL, 0xa2404fe6b9460815ULL,
+         0x92d349a37b4ed4daULL, 0x373f139df9275161ULL},
+        {0x03a09b26acabaff3ULL, 0x946b1b100fef6915ULL,
+         0xadba43b0b88a9b39ULL, 0x027d7cc40df239e1ULL},
+    };
+    // 48 sets x 4 ways, ~3 addresses per set: sets overflow often.
+    const CacheGeometry geom{48 * 4 * lineBytes, 4};
+    for (std::size_t p = 0; p < std::size(allPolicies); ++p) {
+        for (std::size_t f = 0; f < std::size(allIndexFns); ++f) {
+            const ReplPolicy policy = allPolicies[p];
+            const IndexFn fn = allIndexFns[f];
+            SCOPED_TRACE(msgCat(replPolicyName(policy), " x ",
+                                indexFnName(fn)));
+            Cache c("c", geom, policy, 5,
+                    std::make_unique<IndexFunction>(
+                        fn, geom.numSets(), 13));
+            Rng rng(77 + p * 4 + f);
+            std::vector<PAddr> pool;
+            for (int i = 0; i < 150; ++i)
+                pool.push_back(rng.below(1 << 16) * lineBytes);
+            std::uint64_t h = 0xcbf29ce484222325ULL;
+            std::uint64_t fills = 0;
+            std::uint64_t evictions = 0;
+            for (int step = 0; step < 4000; ++step) {
+                const PAddr a = pool[rng.below(pool.size())];
+                const auto op = rng.below(100);
+                if (op < 55) {
+                    if (CacheLine *line = c.find(a)) {
+                        c.touch(*line);
+                    } else {
+                        Victim victim;
+                        c.insert(a, Mesi::shared, &victim);
+                        ++fills;
+                        evictions += victim.valid;
+                        h = mix(h, victim.valid);
+                        h = mix(h, victim.valid ? victim.line.addr : 0);
+                    }
+                } else if (op < 93) {
+                    c.invalidate(a);
+                } else if (op < 99) {
+                    std::uint64_t walked = 0;
+                    c.forEachLine([&walked](const CacheLine &l) {
+                        walked = walked * 31 + l.addr;
+                    });
+                    h = mix(h, walked);
+                } else {
+                    c.clear();
+                }
+            }
+            // The run must exercise both paths of insert().
+            EXPECT_GT(evictions, 0u);
+            EXPECT_LT(evictions, fills);
+            EXPECT_EQ(h, expected[p][f])
+                << "0x" << std::hex << h;
+        }
+    }
+}
+
 TEST(MesiNames, AllDistinct)
 {
     EXPECT_STREQ(mesiName(Mesi::invalid), "I");
