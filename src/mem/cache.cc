@@ -1,6 +1,7 @@
 #include "mem/cache.hh"
 
 #include <algorithm>
+#include <memory>
 
 #include "common/logging.hh"
 
@@ -27,7 +28,10 @@ Cache::Cache(std::string name, const CacheGeometry &geom,
     : name_(std::move(name)),
       numSets_(geom.numSets()),
       assoc_(geom.assoc),
-      lines_(static_cast<std::size_t>(geom.numSets()) * geom.assoc),
+      lines_(std::allocator<CacheLine>().allocate(
+                 static_cast<std::size_t>(geom.numSets()) * geom.assoc),
+             LineDeleter{static_cast<std::size_t>(geom.numSets()) *
+                         geom.assoc}),
       policy_(ReplacementPolicy::make(policy, geom.numSets(),
                                       geom.assoc, policy_seed)),
       indexFn_(std::move(index)),
@@ -44,13 +48,19 @@ Cache::Cache(std::string name, const CacheGeometry &geom,
 CacheLine *
 Cache::setBegin(unsigned set)
 {
-    return &lines_[static_cast<std::size_t>(set) * assoc_];
+    return lines_.get() + static_cast<std::size_t>(set) * assoc_;
 }
 
 const CacheLine *
 Cache::setBegin(unsigned set) const
 {
-    return &lines_[static_cast<std::size_t>(set) * assoc_];
+    return lines_.get() + static_cast<std::size_t>(set) * assoc_;
+}
+
+bool
+Cache::setFilled(unsigned set) const
+{
+    return (filledSets_[set / 64] >> (set % 64)) & 1;
 }
 
 template <typename CacheT>
@@ -60,15 +70,18 @@ Cache::findImpl(CacheT &self, PAddr line_addr)
 {
     panic_if(line_addr != lineAlign(line_addr),
              self.name_, ": unaligned line address");
-    // Fast path 1: the line found by the previous lookup.
-    {
-        auto *last = &self.lines_[self.lastIdx_];
-        if (self.lastAddr_ == line_addr && last->valid() &&
-            last->addr == line_addr) {
+    // Fast path 1: the line found by the previous lookup. Compare
+    // lastAddr_ before dereferencing lastIdx_: until a lookup or fill
+    // sets both, lastIdx_ may name a slot that was never constructed.
+    if (self.lastAddr_ == line_addr) {
+        auto *last = self.lines_.get() + self.lastIdx_;
+        if (last->valid() && last->addr == line_addr)
             return last;
-        }
     }
     const unsigned set = self.setIndex(line_addr);
+    // An unmarked set holds no valid line and may not be constructed.
+    if (!self.setFilled(set))
+        return nullptr;
     auto *base = self.setBegin(set);
     // Fast path 2: the way that hit most recently in this set.
     const unsigned mru = self.mruWay_[set];
@@ -108,7 +121,7 @@ Cache::touch(CacheLine &line)
     line.lastUse = ++useCounter_;
     if (policy_) {
         const auto idx =
-            static_cast<std::size_t>(&line - lines_.data());
+            static_cast<std::size_t>(&line - lines_.get());
         policy_->onHit(static_cast<unsigned>(idx / assoc_),
                        static_cast<unsigned>(idx % assoc_));
     }
@@ -123,6 +136,16 @@ Cache::insert(PAddr line_addr, Mesi state, Victim *victim)
              name_, ": inserting line already present: ", line_addr);
     const unsigned set_idx = setIndex(line_addr);
     CacheLine *set = setBegin(set_idx);
+    std::uint64_t &filled_word = filledSets_[set_idx / 64];
+    const std::uint64_t filled_bit = std::uint64_t{1} << (set_idx % 64);
+    if (!(filled_word & filled_bit)) {
+        // First fill of an unmarked set: construct its ways (again,
+        // if a walk unmarked it). They were all invalid, and the scan
+        // below takes the first invalid way, so the victim is the
+        // same either way.
+        std::uninitialized_value_construct_n(set, assoc_);
+        filled_word |= filled_bit;
+    }
     CacheLine *slot = nullptr;
     for (unsigned w = 0; w < assoc_; ++w) {
         if (!set[w].valid()) {
@@ -157,7 +180,6 @@ Cache::insert(PAddr line_addr, Mesi state, Victim *victim)
     if (policy_)
         policy_->onFill(set_idx, way);
     mruWay_[set_idx] = static_cast<std::uint8_t>(way);
-    filledSets_[set_idx / 64] |= std::uint64_t{1} << (set_idx % 64);
     lastIdx_ = static_cast<std::size_t>(set_idx) * assoc_ + way;
     lastAddr_ = line_addr;
     return *slot;
@@ -169,7 +191,7 @@ Cache::invalidate(PAddr line_addr)
     if (CacheLine *line = find(line_addr)) {
         if (policy_) {
             const auto idx =
-                static_cast<std::size_t>(line - lines_.data());
+                static_cast<std::size_t>(line - lines_.get());
             policy_->onInvalidate(
                 static_cast<unsigned>(idx / assoc_),
                 static_cast<unsigned>(idx % assoc_));
@@ -184,8 +206,7 @@ void
 Cache::clear()
 {
     forEachLine([this](const CacheLine &line) {
-        lines_[static_cast<std::size_t>(&line - lines_.data())] =
-            CacheLine{};
+        lines_.get()[&line - lines_.get()] = CacheLine{};
     });
     std::fill(filledSets_.begin(), filledSets_.end(), 0);
     if (policy_)

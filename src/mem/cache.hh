@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/types.hh"
@@ -41,11 +42,13 @@ enum class Mesi : std::uint8_t
 /** Printable name for a MESI state. */
 const char *mesiName(Mesi m);
 
-/** One cache line's bookkeeping. */
+/**
+ * One cache line's bookkeeping. The fields are ordered so the line
+ * packs into 32 bytes: a touched 16-way LLC set is 512 B.
+ */
 struct CacheLine
 {
     PAddr addr = 0;           //!< line-aligned physical address
-    Mesi state = Mesi::invalid;
     std::uint64_t lastUse = 0; //!< LRU timestamp
 
     /**
@@ -54,6 +57,14 @@ struct CacheLine
      */
     /** Core-valid bit vector: which private caches hold the line. */
     std::uint32_t coreValid = 0;
+    /** @} */
+
+    Mesi state = Mesi::invalid;
+
+    /**
+     * @name LLC directory extension, continued
+     * @{
+     */
     /** LLC data newer than DRAM (needs writeback on eviction). */
     bool dirty = false;
     /**
@@ -72,6 +83,10 @@ struct CacheLine
 
     bool valid() const { return state != Mesi::invalid; }
 };
+
+static_assert(sizeof(CacheLine) == 32);
+// Cache storage never runs a line's destructor.
+static_assert(std::is_trivially_destructible_v<CacheLine>);
 
 /** Description of a line displaced by an insertion. */
 struct Victim
@@ -132,8 +147,9 @@ class Cache
     /**
      * Apply @p fn to every valid line, in ascending set order and way
      * order within a set. Only sets marked in the filled-set bitmap
-     * are read, so a walk costs O(filled sets), not O(capacity); a
-     * marked set found empty is unmarked on the way.
+     * are read (unmarked ones may not even be constructed), so a
+     * walk costs O(filled sets), not O(capacity); a marked set found
+     * empty is unmarked on the way.
      */
     template <typename Fn>
     void
@@ -186,6 +202,17 @@ class Cache
     const IndexFunction *indexFunction() const { return indexFn_.get(); }
 
   private:
+    /** Frees the line array without running per-line destructors. */
+    struct LineDeleter
+    {
+        std::size_t count;
+        void
+        operator()(CacheLine *lines) const
+        {
+            std::allocator<CacheLine>().deallocate(lines, count);
+        }
+    };
+
     /**
      * Shared lookup for the const and non-const find() overloads:
      * @p CacheT is `Cache` or `const Cache`, so the returned pointer
@@ -200,7 +227,13 @@ class Cache
     unsigned assoc_;
     unsigned setMask_ = 0;       //!< numSets_ - 1 when a power of two
     bool setMaskValid_ = false;
-    std::vector<CacheLine> lines_;  //!< numSets * assoc, set-major
+    /**
+     * numSets * assoc lines, set-major, allocated but not
+     * constructed: insert() constructs a set's ways when it marks the
+     * set in `filledSets_`, so a cache costs what it touches, not its
+     * capacity. Unmarked sets are never read.
+     */
+    std::unique_ptr<CacheLine, LineDeleter> lines_;
     std::uint64_t useCounter_ = 0;
     /** Non-lru victim selection; null keeps the builtin LRU scan. */
     std::unique_ptr<ReplacementPolicy> policy_;
@@ -211,6 +244,8 @@ class Cache
      * `lines_` never reallocates after construction, so a cached slot
      * index stays valid forever; a stale entry is detected by the
      * valid()/addr check and falls through to the full set scan.
+     * `lastIdx_` names a constructed slot only while `lastAddr_`
+     * holds a line address, so find() compares `lastAddr_` first.
      * Mutable: find() is logically const (it never changes which
      * lines are present or their LRU order).
      * @{
@@ -220,15 +255,21 @@ class Cache
     mutable std::vector<std::uint8_t> mruWay_;  //!< per set
     /** @} */
     /**
-     * One bit per set, set by insert(). The marked sets are always a
-     * superset of the sets holding a valid line: insert() is the only
-     * way a line turns valid, and find() returns valid lines only.
+     * One bit per set, set by insert(). A marked set is constructed;
+     * an unmarked set holds no valid line. Its ways are either never
+     * constructed, or constructed and all invalid after forEachLine()
+     * or clear() unmarked it, and insert() constructs them afresh on
+     * the next fill. So the marked sets are a superset of the sets
+     * holding a valid line: insert() is the only way a line turns
+     * valid, and find() returns valid lines only.
      * Mutable: forEachLine() unmarks the empty sets it reads.
      */
     mutable std::vector<std::uint64_t> filledSets_;
 
     CacheLine *setBegin(unsigned set);
     const CacheLine *setBegin(unsigned set) const;
+    /** Whether @p set is marked in `filledSets_`. */
+    bool setFilled(unsigned set) const;
 };
 
 } // namespace csim
