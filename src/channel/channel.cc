@@ -105,6 +105,13 @@ learnCalibration(const ChannelConfig &cfg, const char *span_name)
     return makeLeakageVector(cfg.vector)->calibrate(cfg);
 }
 
+std::unique_ptr<Machine>
+buildMachine(const SystemConfig &system)
+{
+    ScopedSpan span("rig.build");
+    return std::make_unique<Machine>(system);
+}
+
 } // namespace
 
 MachineRig::MachineRig(const ChannelConfig &cfg_in,
@@ -113,7 +120,8 @@ MachineRig::MachineRig(const ChannelConfig &cfg_in,
     : cfg(defendedConfig(cfg_in)),
       learned_(cal_in ? CalibrationResult{}
                       : learnCalibration(cfg, calibrate_span)),
-      cal(cal_in ? *cal_in : learned_), machine(cfg.system)
+      machine_(buildMachine(cfg.system)),
+      cal(cal_in ? *cal_in : learned_), machine(*machine_)
 {
     if (cfg.recorder)
         cfg.recorder->attach(machine.mem.trace(), cfg.system.numCores());
@@ -131,6 +139,8 @@ MachineRig::~MachineRig()
         tap->detach();
     if (cfg.recorder)
         cfg.recorder->detach();
+    ScopedSpan span("rig.teardown");
+    machine_.reset();
 }
 
 void

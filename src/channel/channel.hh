@@ -254,11 +254,16 @@ class MachineRig
   private:
     /** The calibration learned at construction (else empty). */
     CalibrationResult learned_;
+    /**
+     * Built under the `rig.build` profiler span and destroyed under
+     * `rig.teardown`, after the observers detach.
+     */
+    std::unique_ptr<Machine> machine_;
 
   public:
     /** The bands every pair decodes with. */
     const CalibrationResult &cal;
-    Machine machine;
+    Machine &machine;
 };
 
 /**
