@@ -9,8 +9,8 @@
  * flush+reload round, directory churn, remap rekey), the `Scheduler`
  * (event steps with few threads and on oversubscribed cores, and an
  * idle-heavy loader crew), a KSM
- * scan pass (`os`), the edit-distance accuracy metric and one
- * calibration (`channel`). Every kernel reports host ops/sec and,
+ * scan pass (`os`), the edit-distance accuracy metric, one
+ * calibration (`channel`) and building a whole machine. Every kernel reports host ops/sec and,
  * where virtual time means something, the mean *virtual* cycles per
  * op. The results land in `BENCH_perf.json`.
  *
@@ -514,6 +514,26 @@ kernelCalibrate()
     return r;
 }
 
+/**
+ * Build and destroy a default two-socket `Machine`: the set-up every
+ * cell pays before it simulates anything. One op = one machine;
+ * virtual cycles/op is reported as 0.
+ */
+KernelResult
+kernelMachineBuild()
+{
+    const SystemConfig cfg;
+    std::uint64_t llc_sets = 0;
+    const KernelResult r = measureKernel(
+        [&](std::uint64_t &ops, std::uint64_t &) {
+            const Machine m(cfg);
+            llc_sets += m.mem.llcOf(0).numSets();
+            ++ops;
+        });
+    keepLive(llc_sets);
+    return r;
+}
+
 struct PerfKernel
 {
     const char *name;
@@ -541,6 +561,7 @@ const PerfKernel perfKernels[] = {
     {"ksm_scan", kernelKsmScan, false},
     {"edit_distance", kernelEditDistance, false},
     {"calibrate", kernelCalibrate, false},
+    {"machine_build", kernelMachineBuild, false},
 };
 
 /**
