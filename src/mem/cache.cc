@@ -136,15 +136,13 @@ Cache::insert(PAddr line_addr, Mesi state, Victim *victim)
              name_, ": inserting line already present: ", line_addr);
     const unsigned set_idx = setIndex(line_addr);
     CacheLine *set = setBegin(set_idx);
-    std::uint64_t &filled_word = filledSets_[set_idx / 64];
-    const std::uint64_t filled_bit = std::uint64_t{1} << (set_idx % 64);
-    if (!(filled_word & filled_bit)) {
+    if (!setFilled(set_idx)) {
         // First fill of an unmarked set: construct its ways (again,
         // if a walk unmarked it). They were all invalid, and the scan
         // below takes the first invalid way, so the victim is the
         // same either way.
         std::uninitialized_value_construct_n(set, assoc_);
-        filled_word |= filled_bit;
+        filledSets_[set_idx / 64] |= std::uint64_t{1} << (set_idx % 64);
     }
     CacheLine *slot = nullptr;
     for (unsigned w = 0; w < assoc_; ++w) {

@@ -280,6 +280,12 @@ const ReplPolicy allPolicies[] = {ReplPolicy::lru, ReplPolicy::plru,
 const IndexFn allIndexFns[] = {IndexFn::linear, IndexFn::xorFold,
                                IndexFn::remap, IndexFn::mirage};
 
+/**
+ * A new cache holds nothing, even when its line storage is a block
+ * the allocator hands back from a cache just destroyed with every
+ * way valid: the first cache fills every set with the frames the
+ * second one then probes.
+ */
 TEST(CacheFresh, HoldsNothingUnderEveryPolicyAndIndexFunction)
 {
     // A power-of-two set count (mask path) and the 200-set modulo one.
@@ -291,19 +297,32 @@ TEST(CacheFresh, HoldsNothingUnderEveryPolicyAndIndexFunction)
                 SCOPED_TRACE(msgCat(geom.numSets(), " sets, ",
                                     replPolicyName(policy), " x ",
                                     indexFnName(fn)));
-                const Cache c("c", geom, policy, 7,
-                              std::make_unique<IndexFunction>(
-                                  fn, geom.numSets(), 11));
+                const auto make = [&] {
+                    return Cache("c", geom, policy, 7,
+                                 std::make_unique<IndexFunction>(
+                                     fn, geom.numSets(), 11));
+                };
+                const PAddr frames =
+                    PAddr{2} * geom.numSets() * geom.assoc;
+                {
+                    Cache used = make();
+                    for (PAddr frame = 0; frame < frames; ++frame)
+                        used.insert(frame * lineBytes, Mesi::modified,
+                                    nullptr);
+                }
+                const Cache c = make();
                 EXPECT_EQ(c.occupancy(), 0u);
                 std::size_t visited = 0;
                 c.forEachLine([&visited](const CacheLine &) {
                     ++visited;
                 });
                 EXPECT_EQ(visited, 0u);
-                // Probe frames until every set has been looked up.
+                // Probe the used cache's frames, and on until every
+                // set has been looked up.
                 std::vector<bool> probed(geom.numSets(), false);
                 std::size_t left = geom.numSets();
-                for (PAddr frame = 0; left > 0; ++frame) {
+                for (PAddr frame = 0; frame < frames || left > 0;
+                     ++frame) {
                     ASSERT_LT(frame, PAddr{1} << 20);
                     const PAddr a = frame * lineBytes;
                     EXPECT_EQ(c.find(a), nullptr) << "address " << a;
