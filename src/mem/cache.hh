@@ -244,8 +244,6 @@ class Cache
      * `lines_` never reallocates after construction, so a cached slot
      * index stays valid forever; a stale entry is detected by the
      * valid()/addr check and falls through to the full set scan.
-     * `lastIdx_` names a constructed slot only while `lastAddr_`
-     * holds a line address, so find() compares `lastAddr_` first.
      * Mutable: find() is logically const (it never changes which
      * lines are present or their LRU order).
      * @{
