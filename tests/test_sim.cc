@@ -833,6 +833,10 @@ struct CoreCase
     /** Add a noise-style thread on core 0 that sleeps between
      *  bursts, so core 0 is never all idle loaders. */
     bool noise = false;
+    /** Bursts of a busy noise-style thread on core 0: loads and spins
+     *  past the quantum, each burst followed by a sleep; it finishes
+     *  after its last sleep. 0 for none. */
+    int busy = 0;
 };
 
 /**
@@ -909,6 +913,17 @@ coreScheduleDigest(const CoreCase &c, Wait wait, bool ctl_first)
             }
         });
     }
+    if (c.busy > 0) {
+        sched.spawn("busy", 0, 0, [bursts = c.busy](ThreadApi api) -> Task {
+            for (int b = 0; b < bursts; ++b) {
+                for (VAddr i = 0; i < 14; ++i) {
+                    co_await api.load(0xa000 + i * 64);
+                    co_await api.spin(150);
+                }
+                co_await api.sleep(1'800);
+            }
+        });
+    }
 
     // A cut must leave every thread and mode where polling would.
     std::uint64_t h = 0;
@@ -949,7 +964,7 @@ std::vector<CoreCase>
 pinnedCoreCases()
 {
     using M = LoaderMode;
-    std::vector<CoreCase> cases(10);
+    std::vector<CoreCase> cases(14);
     // Two loaders: cuts mid-turn (the poll at 1'600), inside the
     // switch penalty (the switch-in at 3'600), again mid-turn, and
     // at loader 0's switch-in at 7'200, where the controller writes.
@@ -1006,6 +1021,50 @@ pinnedCoreCases()
     cases[9].writes = {{100, 0, M::nap},      {100, 1, M::nap},
                        {800, 0, M::idle},     {800, 1, M::idle},
                        {20'000, 0, M::work}, {20'100, 0, M::idle}};
+    // A busy thread takes turns with one loader: loader 0 polls over
+    // [0, 3'100], [7'200, 10'300] and, while the busy thread sleeps,
+    // [11'200, 14'300]. Mode writes and cuts land inside those turns
+    // (8'000 ties with a poll), and at 12'600 the loader naps.
+    cases[10].polls = {100};
+    cases[10].busy = 6;
+    cases[10].cuts = {1'750, 9'050, 13'333};
+    cases[10].writes = {{8'000, 0, M::work},   {8'650, 0, M::idle},
+                        {12'345, 0, M::work},  {12'500, 0, M::idle},
+                        {12'600, 0, M::nap},   {13'100, 0, M::idle},
+                        {25'010, 0, M::work},  {25'300, 0, M::idle}};
+    // Two loaders and a busy thread: the loaders win every hand-over
+    // on thread id, so the busy thread waits with a load pending. A
+    // spawn lands inside loader 1's turn [3'600, 6'700]; the spawned
+    // loader is woken, and later loader 0 naps so the busy thread
+    // gets the core.
+    cases[11].polls = {100, 100};
+    cases[11].busy = 4;
+    cases[11].cuts = {2'222, 8'888};
+    cases[11].writes = {{5'050, -1},          {9'000, 2, M::work},
+                        {9'400, 2, M::idle},  {16'020, 0, M::nap},
+                        {16'700, 0, M::idle}, {30'000, 1, M::work},
+                        {30'200, 1, M::idle}};
+    // The busy thread's one burst ends at 11'200; its sleep ends, and
+    // the thread finishes, at 13'000 inside loader 0's turn
+    // [11'200, 14'300], after which loader 0 has the core alone until
+    // a spawn at 16'000 gives it a waiter again. The first cut also
+    // lands inside that turn.
+    cases[12].polls = {100};
+    cases[12].busy = 1;
+    cases[12].cuts = {12'345, 17'777};
+    cases[12].writes = {{16'000, -1},
+                        {20'000, 0, M::work},
+                        {20'100, 0, M::idle}};
+    // A 60-cycle poll under a short quantum, a spawn and runs cut
+    // inside turns, and the busy thread finishing inside a turn.
+    cases[13].params.quantum = 2'000;
+    cases[13].polls = {60};
+    cases[13].busy = 2;
+    cases[13].cuts = {1'030, 4'321, 9'990};
+    cases[13].writes = {{500, 0, M::nap},     {1'300, 0, M::idle},
+                        {6'060, 0, M::work},  {6'200, 0, M::idle},
+                        {14'000, -1},         {22'000, 1, M::work},
+                        {22'050, 1, M::idle}};
     return cases;
 }
 
@@ -1014,12 +1073,14 @@ pinnedCoreCases()
 TEST_F(SimTest, OversubscribedCorePin)
 {
     const std::vector<CoreCase> cases = pinnedCoreCases();
-    const std::array<std::uint64_t, 10> want = {
+    const std::array<std::uint64_t, 14> want = {
         0xf8d4e6cfec32fcb3ULL, 0xdc2cdaef610c8f34ULL,
         0x6a3d9f8a5c12204dULL, 0xc6e0e066df8aef10ULL,
         0x39a54ebf6817cf20ULL, 0xd9b8e1079a03e5f7ULL,
         0xea6145498a0ce6b0ULL, 0xe24133e2fce190d9ULL,
         0xff8ff93ad7d87273ULL, 0x201189ab3e8c50d6ULL,
+        0x1c2b588542054b7dULL, 0xe5f11c7fd5746015ULL,
+        0x71fb6360720a6216ULL, 0xd654cba4fbfe87cdULL,
     };
     for (std::size_t i = 0; i < cases.size(); ++i) {
         EXPECT_EQ(coreScheduleDigest(cases[i], Wait::park), want[i])
@@ -1083,6 +1144,15 @@ TEST_F(SimTest, ParkedCoresKeepSeededSchedules)
         EXPECT_EQ(coreScheduleDigest(c, Wait::park),
                   coreScheduleDigest(c, Wait::spin))
             << "seed " << seed;
+    }
+    // The same cores shared with a busy thread, which finishes after
+    // one to six bursts, inside a loader's turn or not.
+    for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+        CoreCase c = seededCoreCase(seed);
+        c.busy = 1 + static_cast<int>(seed % 6);
+        EXPECT_EQ(coreScheduleDigest(c, Wait::park),
+                  coreScheduleDigest(c, Wait::spin))
+            << "busy seed " << seed;
     }
 }
 
