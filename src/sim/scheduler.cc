@@ -200,15 +200,25 @@ Scheduler::resume(SimThread &t)
 {
     globalNow_ = std::max(globalNow_, t.now);
     t.resumePending = false;
+    CoreState &core = cores_[static_cast<std::size_t>(t.core())];
+    // A batched turn ends at its holder's last resume, whose state
+    // park() already gave it.
+    if (core.parked && core.grid.pollers[0].thread == &t) {
+        core.parked = false;
+        std::erase(parked_, t.core());
+    }
     panic_if(!t.current, "thread ", t.name(),
              " has no coroutine frame to resume");
     t.current.resume();
     events_.set(t.id(), t.finished ? EventTree::none : issueKey(t));
 
     if (t.finished) {
+        // Only a batched core has a parked grid and a thread on the
+        // tree; without t, its holder might poll on past its turn.
+        if (core.parked)
+            materialise(t.core());
         // The core's last thread may have lost its only waiter.
-        auto &live = cores_[static_cast<std::size_t>(t.core())].live;
-        std::erase(live, t.id());
+        std::erase(core.live, t.id());
         refreshCore(t.core());
         auto h = t.program().handle();
         if (h && h.promise().exception)
@@ -328,26 +338,29 @@ Scheduler::park(SimThread &t)
     if (poll == 0 || poll > maxGridSpan ||
         (trace_ && trace_->enabled<TraceCategory::sched>()))
         return false;
-    // Every waiter must be waiting on a park it has issued. It did
-    // so at its last resume, no later than now, so it gets the core
-    // one switch penalty after the holder's last poll.
+    // For the whole grid every waiter must be waiting on a park it
+    // has issued. It did so at its last resume, no later than now,
+    // so it gets the core one switch penalty after the holder's last
+    // poll. With any other waiter only the holder's turn is known.
     SimThread *first = nullptr;
+    bool batched = false;
     for (ThreadId id : core.live) {
         SimThread &w = *threads_[static_cast<std::size_t>(id)];
         if (&w == &t)
             continue;
         if (w.resumePending || w.pending.kind != MemOp::Kind::park ||
             w.pending.cycles == 0 || w.pending.cycles > maxGridSpan)
-            return false;
-        if (!first || w.id() < first->id())
+            batched = true;
+        else if (!first || w.id() < first->id())
             first = &w;
     }
     // Without a penalty the waiters' issues tie with the holder's,
     // and the lower id takes the core at every poll.
     const Tick penalty = params_.contextSwitchPenalty;
     const Tick quantum = params_.quantum;
-    if (first && (penalty == 0 || penalty > maxGridSpan ||
-                  quantum > maxGridSpan))
+    const bool waiter = hasWaiter(t);
+    if (waiter && (penalty == 0 || penalty > maxGridSpan ||
+                   quantum > maxGridSpan))
         return false;
     // The first poll must be a representable event, as a spin's
     // resume would have to be.
@@ -358,14 +371,19 @@ Scheduler::park(SimThread &t)
     g.acquiredAt = core.acquiredAt;
     g.pollers = {};
     g.pollers[0] = {&t, poll, endlessPolls};
-    if (first) {
+    if (waiter) {
         // The holder polls until k·poll past acquiredAt exceeds the
-        // quantum; every later turn starts afresh, and goes to the
-        // lowest id other than the last holder's (the waiters' clocks
-        // are all at or before freeAt, so their keys tie).
+        // quantum.
         const Tick held = g.start - g.acquiredAt;
         g.pollers[0].polls = held >= quantum ? 1
                                              : (quantum - held) / poll + 1;
+    }
+    if (batched)
+        return batchTurn(t);
+    if (first) {
+        // Every turn after the holder's starts afresh, and goes to
+        // the lowest id other than the last holder's (the waiters'
+        // clocks are all at or before freeAt, so their keys tie).
         SimThread *second = &t;
         for (ThreadId id : core.live) {
             SimThread &w = *threads_[static_cast<std::size_t>(id)];
@@ -382,20 +400,52 @@ Scheduler::park(SimThread &t)
         g.period = period;
     }
 
-    if (parked_.empty()) {
-        // Picks are tracked only while a core is parked; the park
-        // itself is the first that matters.
-        pickedKey_ = g.start << 1 | 1;
-        pickedTid_ = t.id();
-    }
     t.resumePending = false;
-    core.parked = true;
-    parked_.push_back(t.core());
+    parkCore(t, false);
     for (ThreadId id : core.live) {
         threads_[static_cast<std::size_t>(id)]->parked = true;
         events_.set(id, EventTree::none);
     }
     return true;
+}
+
+bool
+Scheduler::batchTurn(SimThread &t)
+{
+    CoreState &core = cores_[static_cast<std::size_t>(t.core())];
+    const GridPoller &p = core.grid.pollers[0];
+    // The park itself ends a turn of one poll.
+    if (p.polls == 1)
+        return false;
+    const Tick end = core.grid.start + p.polls * p.poll;
+    if (end > maxEventTime)
+        return false;
+    // The state the turn's last poll leaves: it executed, the quantum
+    // is spent, and the holder's resume is its one event on the tree.
+    // No other thread of the core can issue before then, as each of
+    // their keys carries the switch penalty past freeAt.
+    t.now = end;
+    t.opsExecuted += p.polls - 1;
+    core.freeAt = end;
+    core.mustYield = true;
+    parkCore(t, true);
+    refreshCore(t.core());
+    return true;
+}
+
+void
+Scheduler::parkCore(const SimThread &t, bool batched)
+{
+    CoreState &core = cores_[static_cast<std::size_t>(t.core())];
+    if (parked_.empty()) {
+        // Picks are tracked only while a core is parked; the park
+        // itself is the first that matters.
+        pickedKey_ = core.grid.start << 1 | 1;
+        pickedTid_ = t.id();
+    }
+    core.parked = true;
+    core.batched = batched;
+    parked_.push_back(t.core());
 }
 
 Scheduler::Turn
@@ -425,7 +475,7 @@ Scheduler::gridPos(const CoreState &core, std::uint64_t key,
     };
     const Turn first = turn(core, 0);
     Tick ran = ran_in(first);
-    if (ran < 2 * first.poller->polls)
+    if (ran < 2 * first.poller->polls || core.batched)
         return {0, ran};
     // Skip whole periods of turns 1 and 2, then step turn by turn: a
     // period is under time from its start, so a few turns do.
@@ -470,8 +520,10 @@ Scheduler::materialise(CoreId c)
 {
     CoreState &core = cores_[static_cast<std::size_t>(c)];
     const GridPos pos = gridPos(core, pickedKey_, pickedTid_);
-    // The park that parked the core is already counted.
-    --core.grid.pollers[0].thread->opsExecuted;
+    // The park that parked the core is already counted, and so are
+    // the rest of a batched turn's polls.
+    const GridPoller &holder = core.grid.pollers[0];
+    holder.thread->opsExecuted -= core.batched ? holder.polls : 1;
     replayTurn(core, turn(core, 0),
                pos.turn ? 2 * core.grid.pollers[0].polls : pos.ran);
     // Each waiter's last whole turn sets its clock; its earlier ones,
@@ -493,7 +545,9 @@ Scheduler::materialise(CoreId c)
 void
 Scheduler::unpark(SimThread &t)
 {
-    if (t.parked)
+    // Of a batched core, only the holder polls off the tree.
+    const CoreState &core = cores_[static_cast<std::size_t>(t.core())];
+    if (t.parked || (core.parked && core.grid.pollers[0].thread == &t))
         materialise(t.core());
     if (t.pending.kind == MemOp::Kind::park)
         t.pending.kind = MemOp::Kind::spin;
@@ -525,6 +579,9 @@ Scheduler::stopAtParkedPoll(Tick until)
             gridPos(core, (until << 1) - 1,
                     std::numeric_limits<ThreadId>::max());
         const Turn tn = turn(core, pos.turn);
+        // A batched turn's last resume is on the tree.
+        if (core.batched && pos.ran + 1 == 2 * tn.poller->polls)
+            continue;
         const Tick time = tn.start + (pos.ran + 1) / 2 * tn.poller->poll;
         if (time > maxEventTime)
             continue;

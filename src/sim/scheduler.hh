@@ -28,6 +28,17 @@
  * switch and preempt events keep their order on the bus) and where
  * the turns have no closed form (a zero switch penalty hands the
  * core to the lower id at every poll).
+ *
+ * Where another thread on the core does not wait on a park (a noise
+ * agent, busy or asleep), only the parked thread's turn is known, and
+ * it becomes one event: the remaining ⌊(quantum − held)/poll⌋ + 1
+ * polls, with the thread and core left as the last poll leaves them
+ * and the thread's resume at the turn's end on the tree. No other
+ * thread can take the core sooner, since every other issue key
+ * carries the switch penalty past freeAt, and resumes need no core.
+ * The turn is rewound to the poll boundary polling would have
+ * reached when its thread is woken, a thread is spawned onto the
+ * core or one there finishes, or a run stops inside it.
  */
 
 #ifndef COHERSIM_SIM_SCHEDULER_HH
@@ -131,6 +142,17 @@ class Scheduler
      */
     void unpark(SimThread &t);
 
+    /**
+     * True while @p core's polls are off the event tree: the core is
+     * parked, or an idle loader polls out its turn there as one
+     * event.
+     */
+    bool
+    offTree(CoreId core) const
+    {
+        return cores_[static_cast<std::size_t>(core)].parked;
+    }
+
     /** Global clock: start time of the most recent operation. */
     Tick now() const { return globalNow_; }
 
@@ -206,9 +228,11 @@ class Scheduler
         bool mustYield = false;   //!< quantum expired, switch next
         /** Unfinished threads pinned here, in spawn order. */
         std::vector<ThreadId> live;
-        /** Valid while parked: every live thread is off the tree. */
+        /** Valid while parked: every live thread is off the tree,
+         *  or only the holder's polls are (see batchTurn()). */
         Grid grid;
         bool parked = false;
+        bool batched = false;  //!< parked as the holder's turn alone
     };
 
     /** Earliest tick at which @p t's pending op could start. */
@@ -261,9 +285,22 @@ class Scheduler
     /**
      * Take @p t's core off the tree after @p t's park executed, if
      * every other live thread there waits on a park it has issued
-     * and the grid has a closed form. @return whether it parked.
+     * and the grid has a closed form; else batch @p t's turn.
+     * @return whether the core parked or the turn batched.
      */
     bool park(SimThread &t);
+
+    /**
+     * Take the rest of @p t's turn, its grid's turn 0, as one event:
+     * give @p t and its core the state the turn's last poll leaves
+     * and key @p t's resume at the turn's end. @return false where
+     * the park is the turn's only poll.
+     */
+    bool batchTurn(SimThread &t);
+
+    /** Mark @p t's core parked, its grid starting at @p t's park;
+     *  @p batched when only @p t's turn is off the tree. */
+    void parkCore(const SimThread &t, bool batched);
 
     /** Turn @p k of @p core's grid. */
     Turn turn(const CoreState &core, Tick k) const;

@@ -845,10 +845,13 @@ struct CoreCase
  * script is done, cuts once more with only the loaders left, and
  * finally stops every loader. @p ctl_first spawns the controller
  * before the loaders, so its writes tie with the loaders' polls on
- * the other side of the thread-id order.
+ * the other side of the thread-id order. When @p off_tree is given,
+ * the controller records there, before each write, whether core 0's
+ * polls were off the event tree.
  */
 std::uint64_t
-coreScheduleDigest(const CoreCase &c, Wait wait, bool ctl_first)
+coreScheduleDigest(const CoreCase &c, Wait wait, bool ctl_first,
+                   std::vector<bool> *off_tree = nullptr)
 {
     RecordingBackend be;
     Scheduler sched(&be, 2, c.params);
@@ -886,6 +889,8 @@ coreScheduleDigest(const CoreCase &c, Wait wait, bool ctl_first)
         ctl = sched.spawn("ctl", 1, 0, [&](ThreadApi api) -> Task {
             for (const CoreWrite &w : c.writes) {
                 co_await api.spinUntil(w.at);
+                if (off_tree)
+                    off_tree->push_back(sched.offTree(0));
                 if (w.loader < 0) {
                     spawn_loader(80);
                     continue;
@@ -1083,8 +1088,23 @@ TEST_F(SimTest, OversubscribedCorePin)
         0x71fb6360720a6216ULL, 0xd654cba4fbfe87cdULL,
     };
     for (std::size_t i = 0; i < cases.size(); ++i) {
-        EXPECT_EQ(coreScheduleDigest(cases[i], Wait::park), want[i])
+        std::array<std::vector<bool>, 2> off_tree;
+        EXPECT_EQ(fnvMix(coreScheduleDigest(cases[i], Wait::park, false,
+                                            &off_tree[0]),
+                         coreScheduleDigest(cases[i], Wait::park, true,
+                                            &off_tree[1])),
+                  want[i])
             << "case " << i;
+        if (i != 4)
+            continue;
+        // Loader 2 never gets the core, so its first op, a spin, stays
+        // pending and the core cannot park. Its loaders' turns batch
+        // all the same, also after the writes to loader 2: at 30'000
+        // loader 0 is inside its turn [28'800, 31'900].
+        for (const std::vector<bool> &off : off_tree) {
+            ASSERT_EQ(off.size(), cases[i].writes.size());
+            EXPECT_TRUE(off[2]);
+        }
     }
 }
 
