@@ -67,7 +67,9 @@ PhysMem::setContents(PAddr page, std::vector<std::uint8_t> data)
 {
     panic_if(data.size() != pageBytes,
              "page contents must be exactly ", pageBytes, " bytes");
-    pageRef(page).data = std::move(data);
+    Page &p = pageRef(page);
+    p.data = std::move(data);
+    p.hashed = false;
 }
 
 void
@@ -80,6 +82,7 @@ PhysMem::write(PAddr page, unsigned offset,
     if (p.data.empty())
         p.data.assign(pageBytes, 0);
     std::copy(data.begin(), data.end(), p.data.begin() + offset);
+    p.hashed = false;
 }
 
 const std::vector<std::uint8_t> *
@@ -94,14 +97,20 @@ std::uint64_t
 PhysMem::contentHash(PAddr page) const
 {
     static constexpr std::uint64_t zeroPageHash = 0x9e3779b97f4a7c15ULL;
-    const std::vector<std::uint8_t> *data = contents(page);
-    if (!data)
-        return zeroPageHash;
-    std::uint64_t h = 0xcbf29ce484222325ULL;
-    for (std::uint8_t byte : *data) {
-        h ^= byte;
-        h *= 0x100000001b3ULL;
+    const Page *p = pageRefOrNull(page);
+    panic_if(!p, "hash of unallocated page ", page);
+    if (p->hashed)
+        return p->hash;
+    std::uint64_t h = zeroPageHash;
+    if (!p->data.empty()) {
+        h = 0xcbf29ce484222325ULL;
+        for (std::uint8_t byte : p->data) {
+            h ^= byte;
+            h *= 0x100000001b3ULL;
+        }
     }
+    p->hash = h;
+    p->hashed = true;
     return h;
 }
 

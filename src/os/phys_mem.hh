@@ -53,7 +53,10 @@ class PhysMem
      */
     const std::vector<std::uint8_t> *contents(PAddr page) const;
 
-    /** FNV-1a hash of the page contents (zero pages hash equal). */
+    /**
+     * FNV-1a hash of the page contents (zero pages hash equal),
+     * cached until the page is next written.
+     */
     std::uint64_t contentHash(PAddr page) const;
 
     /** Byte-exact comparison of two pages. */
@@ -66,6 +69,9 @@ class PhysMem
     struct Page
     {
         int refs = 1;
+        /** True while @ref hash is contentHash() of @ref data. */
+        mutable bool hashed = false;
+        mutable std::uint64_t hash = 0;
         /** Empty vector == all-zero page. */
         std::vector<std::uint8_t> data;
     };

@@ -87,6 +87,27 @@ TEST(PhysMemTest, ContentsAndHash)
     EXPECT_EQ((*pm.contents(a))[3], patternPage(1)[3]);
 }
 
+TEST(PhysMemTest, CachedHashFollowsWrites)
+{
+    // Each page's hash is cached; setContents and write drop it.
+    PhysMem pm;
+    const PAddr a = pm.allocPage();
+    const PAddr b = pm.allocPage();
+    const std::uint64_t zero = pm.contentHash(a);
+    pm.setContents(a, patternPage(1));
+    EXPECT_NE(pm.contentHash(a), zero);
+    pm.setContents(b, patternPage(2));
+    EXPECT_NE(pm.contentHash(b), pm.contentHash(a));
+    pm.setContents(b, patternPage(1));
+    EXPECT_EQ(pm.contentHash(b), pm.contentHash(a));
+    const std::uint8_t flipped =
+        static_cast<std::uint8_t>(patternPage(1)[7] ^ 0xff);
+    pm.write(b, 7, {flipped});
+    EXPECT_NE(pm.contentHash(b), pm.contentHash(a));
+    pm.write(a, 7, {flipped});
+    EXPECT_EQ(pm.contentHash(b), pm.contentHash(a));
+}
+
 TEST(PhysMemTest, PartialWriteUpdatesZeroPage)
 {
     PhysMem pm;
