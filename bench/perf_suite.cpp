@@ -326,8 +326,10 @@ kernelSchedStep(int threads, int cores)
     Process &p = m.kernel.createProcess("p");
     const VAddr buf = p.mmap(1 << 20);
     for (int i = 0; i < threads; ++i) {
+        std::string name = "t";
+        name += std::to_string(i);
         m.kernel.spawnThread(
-            m.sched, "t" + std::to_string(i), i % cores, p,
+            m.sched, name, i % cores, p,
             [buf, i](ThreadApi api) -> Task {
                 VAddr addr = buf + static_cast<VAddr>(i) * 4096;
                 for (;;) {
@@ -392,11 +394,14 @@ kernelCrewIdle()
  * pairs whose blocks wrap onto the same cores do, each under its own
  * controller toggling LExcl on for 2'000 cycles and off for 20'000,
  * half a period apart. Both shared cores hold only idle loaders most
- * of the time. One op = one toggle of either crew; virtual
+ * of the time. With @p noisy each of them also runs a kernel-build
+ * noise agent (64 KiB buffer), as fleet's noise agents share some
+ * pairs' loader cores, so the idle loaders take turns with a thread
+ * that bursts and sleeps and never parks. One op = one toggle of either crew; virtual
  * cycles/op is half the toggle period.
  */
 KernelResult
-kernelCrewIdleShared()
+kernelCrewIdleShared(bool noisy)
 {
     const SystemConfig cfg = quietConfig();
     Machine m(cfg);
@@ -404,6 +409,13 @@ kernelCrewIdleShared()
     const VAddr block = p.mmap(pageBytes);
     const ChannelParams params;
     const std::vector<CoreId> local = {cfg.coreOf(0, 1), cfg.coreOf(0, 2)};
+    if (noisy) {
+        // Spawned first, as fleet spawns its noise: the lower ids win
+        // the hand-overs their loaders tie with.
+        NoiseConfig noise;
+        noise.bufferBytes = 64 * 1024;
+        spawnNoiseAgents(m, 2, local, noise);
+    }
     PlacerCrew a(m.kernel, m.sched, p, local,
                  {cfg.coreOf(1, 0), cfg.coreOf(1, 1)}, params);
     PlacerCrew b(m.kernel, m.sched, p, local,
@@ -437,8 +449,9 @@ kernelCrewIdleShared()
 
 /**
  * One KSM scan pass over 128 mergeable pages in each of two
- * processes, pairwise identical. A warm-up pass merges every pair,
- * so each timed pass hashes every page and finds it already merged.
+ * processes, pairwise identical. A warm-up pass hashes every page
+ * and merges every pair, so each timed pass reads every page's
+ * cached hash (PhysMem::contentHash) and finds it already merged.
  * One op = one page scanned; virtual cycles/op is reported as 0.
  * (16 pages per process ran at the same pages/s, so one size covers
  * the scan.)
@@ -557,7 +570,10 @@ const PerfKernel perfKernels[] = {
     {"sched_step_oversubscribed",
      [] { return kernelSchedStep(48, 16); }, false},
     {"crew_idle", kernelCrewIdle, false},
-    {"crew_idle_shared", kernelCrewIdleShared, false},
+    {"crew_idle_shared", [] { return kernelCrewIdleShared(false); },
+     false},
+    {"crew_idle_noisy", [] { return kernelCrewIdleShared(true); },
+     false},
     {"ksm_scan", kernelKsmScan, false},
     {"edit_distance", kernelEditDistance, false},
     {"calibrate", kernelCalibrate, false},
