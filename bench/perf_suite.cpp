@@ -397,8 +397,8 @@ kernelCrewIdle()
  * of the time. With @p noisy each of them also runs a kernel-build
  * noise agent (64 KiB buffer), as fleet's noise agents share some
  * pairs' loader cores, so the idle loaders take turns with a thread
- * that bursts and sleeps and never parks. One op = one toggle of either crew; virtual
- * cycles/op is half the toggle period.
+ * that bursts and sleeps and never parks. One op = one toggle of
+ * either crew; virtual cycles/op is half the toggle period.
  */
 KernelResult
 kernelCrewIdleShared(bool noisy)

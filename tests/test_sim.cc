@@ -1038,10 +1038,10 @@ pinnedCoreCases()
                         {12'600, 0, M::nap},   {13'100, 0, M::idle},
                         {25'010, 0, M::work},  {25'300, 0, M::idle}};
     // Two loaders and a busy thread: the loaders win every hand-over
-    // on thread id, so the busy thread waits with a load pending. A
-    // spawn lands inside loader 1's turn [3'600, 6'700]; the spawned
-    // loader is woken, and later loader 0 naps so the busy thread
-    // gets the core.
+    // on thread id, so the busy thread waits with its first op
+    // pending until they stop. A spawn lands inside loader 1's turn
+    // [3'600, 6'700], the spawned loader is woken, and at 16'020
+    // loader 0 naps inside its own turn [14'400, 17'500].
     cases[11].polls = {100, 100};
     cases[11].busy = 4;
     cases[11].cuts = {2'222, 8'888};
