@@ -185,7 +185,7 @@ MachineRig::deployDefences(const std::vector<PAddr> &shared_lines)
 CounterRegistry
 MachineRig::counters() const
 {
-    return collectCounters(machine, cfg.recorder);
+    return collectCounters(machine);
 }
 
 ExperimentRig::ExperimentRig(Machine &host, const ChannelConfig &cfg_in,

@@ -245,7 +245,7 @@ class MachineRig
      */
     void deployDefences(const std::vector<PAddr> &shared_lines);
 
-    /** Machine-wide counter totals, recorder drops included. */
+    /** Machine-wide counter totals. */
     CounterRegistry counters() const;
 
     /** The caller's configuration with llc-notify applied. */

@@ -55,6 +55,5 @@
 #include "trace/perfetto.hh"
 #include "trace/query.hh"
 #include "trace/recorder.hh"
-#include "trace/ring.hh"
 
 #endif // COHERSIM_COHERSIM_CORE_HH

@@ -63,21 +63,6 @@ RunHealth::RunHealth(const ObsConfig &cfg)
 }
 
 void
-RunHealth::addTraceDrops(const std::string &ring,
-                         std::uint64_t count)
-{
-    if (count == 0)
-        return;
-    for (auto &[name, n] : traceDropped) {
-        if (name == ring) {
-            n += count;
-            return;
-        }
-    }
-    traceDropped.emplace_back(ring, count);
-}
-
-void
 RunHealth::merge(const RunHealth &other)
 {
     for (std::size_t i = 0; i < bands.size(); ++i)
@@ -86,8 +71,6 @@ RunHealth::merge(const RunHealth &other)
     budget.merge(other.budget);
     errors.insert(errors.end(), other.errors.begin(),
                   other.errors.end());
-    for (const auto &[ring, n] : other.traceDropped)
-        addTraceDrops(ring, n);
 }
 
 RunHealthMonitor::RunHealthMonitor(const ObsConfig &cfg)

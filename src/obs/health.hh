@@ -12,11 +12,10 @@
  *  - an error budget attributing each decode error to its most
  *    plausible cause (the why; see obs/attribution.hh).
  *
- * The monitor subscribes directly to the bus — no ring buffers in
- * between — so its histograms are complete even when a concurrently
- * attached TraceRecorder drops events. All aggregation is integer
- * arithmetic and RunHealth::merge is order-preserving, keeping sweep
- * reports bit-identical at any host --jobs split.
+ * The monitor subscribes directly to the bus and keeps no event
+ * buffer of its own. All aggregation is integer arithmetic and
+ * RunHealth::merge is order-preserving, keeping sweep reports
+ * bit-identical at any host --jobs split.
  */
 
 #ifndef COHERSIM_OBS_HEALTH_HH
@@ -24,8 +23,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <string>
-#include <utility>
 #include <vector>
 
 #include "channel/calibration.hh"
@@ -74,17 +71,6 @@ struct RunHealth
     ErrorBudget budget;
     /** Per-error detail, in per-run alignment order. */
     std::vector<AttributedError> errors;
-    /**
-     * Capture-loss accounting (`obs.trace_dropped.*`): events a
-     * TraceRecorder's rings rejected, keyed by ring ("core0",
-     * "coreless", ...). The monitor itself never drops — this
-     * records how trustworthy a *recorded* trace of the same run
-     * is, surfaced in the report footer when nonzero.
-     */
-    std::vector<std::pair<std::string, std::uint64_t>> traceDropped;
-
-    /** Add @p count drops under @p ring (merging with same key). */
-    void addTraceDrops(const std::string &ring, std::uint64_t count);
 
     /** Fold another record in (submission order ⇒ deterministic). */
     void merge(const RunHealth &other);

@@ -112,12 +112,6 @@ healthJson(const RunHealth &health)
 
     root["error_budget"] = health.budget.toJson();
     root["timeseries"] = health.series.toJson();
-    if (!health.traceDropped.empty()) {
-        Json drops = Json::object();
-        for (const auto &[ring, n] : health.traceDropped)
-            drops[ring] = n;
-        root["trace_dropped"] = std::move(drops);
-    }
     return root;
 }
 
@@ -229,22 +223,6 @@ renderHealthReport(std::ostream &os, const RunHealth &health)
         os << "(" << (active - maxRows)
            << " more active windows; see --json/--csv for the full "
               "series)\n";
-    }
-
-    // Capture-loss footer: the monitor never drops (it taps the bus
-    // directly), but a recorder capturing the same run may have — a
-    // saved trace of this run under-reports by these counts.
-    if (!health.traceDropped.empty()) {
-        std::uint64_t total = 0;
-        for (const auto &[ring, n] : health.traceDropped)
-            total += n;
-        os << "\n## Trace capture\n\n"
-           << "WARNING: the trace recorder dropped " << total
-           << " events (ring full); saved traces of this run are "
-              "incomplete\n";
-        for (const auto &[ring, n] : health.traceDropped)
-            os << "  obs.trace_dropped." << ring << " = " << n
-               << "\n";
     }
 }
 

@@ -299,8 +299,17 @@ class JsonParser
     {
         skipWhitespace();
         switch (peek()) {
-          case '{': return parseObject();
-          case '[': return parseArray();
+          case '{': case '[': {
+            // The parser recurses per level: the limit keeps hostile
+            // input such as a long run of '[' off the stack's end.
+            if (depth_ == maxDepth)
+                fail(msgCat("nesting deeper than ", maxDepth,
+                            " levels"));
+            ++depth_;
+            Json value = peek() == '{' ? parseObject() : parseArray();
+            --depth_;
+            return value;
+          }
           case '"': return Json(parseString());
           case 't': literal("true"); return Json(true);
           case 'f': literal("false"); return Json(false);
@@ -490,8 +499,11 @@ class JsonParser
         }
     }
 
+    static constexpr int maxDepth = 512;
+
     const std::string &text_;
     std::size_t pos_ = 0;
+    int depth_ = 0;
 };
 
 } // namespace

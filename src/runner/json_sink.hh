@@ -132,7 +132,8 @@ class JsonParseError : public std::runtime_error
  * surrogates are rejected as malformed). Numbers without '.', 'e' or
  * 'E' parse as integers, everything else as doubles, so a dump() →
  * parseJson() round trip preserves values bit-exactly. Throws
- * JsonParseError on malformed input.
+ * JsonParseError on malformed input, and on objects and arrays nested
+ * more than 512 levels deep.
  */
 Json parseJson(const std::string &text);
 

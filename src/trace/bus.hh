@@ -11,8 +11,10 @@
  *
  * Thread model: a bus belongs to one Machine and is published to and
  * (un)subscribed from only on the host thread simulating that
- * machine, exactly like the rest of the simulator state. Cross-host-
- * thread consumption goes through TraceRing (SPSC-safe).
+ * machine, exactly like the rest of the simulator state. A subscriber
+ * read from another host thread (a TraceRecorder drained after a
+ * runJobs() join) needs that join, or another hand-off that orders
+ * the two threads, and nothing more.
  */
 
 #ifndef COHERSIM_TRACE_BUS_HH

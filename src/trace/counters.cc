@@ -2,7 +2,6 @@
 
 #include "os/kernel.hh"
 #include "runner/json_sink.hh"
-#include "trace/recorder.hh"
 
 namespace csim
 {
@@ -45,7 +44,7 @@ CounterRegistry::toJson() const
 }
 
 CounterRegistry
-collectCounters(const Machine &machine, const TraceRecorder *recorder)
+collectCounters(const Machine &machine)
 {
     CounterRegistry reg;
     const MemStats &m = machine.mem.stats();
@@ -71,8 +70,6 @@ collectCounters(const Machine &machine, const TraceRecorder *recorder)
     reg.counter("ksm.pages_merged") = k.pagesMerged;
     reg.counter("ksm.pages_unmerged") = k.pagesUnmerged;
     reg.counter("trace.published") = machine.mem.trace().published();
-    if (recorder)
-        reg.counter("trace.dropped") = recorder->dropped();
     return reg;
 }
 

@@ -24,7 +24,6 @@ namespace csim
 
 class Json;
 struct Machine;
-class TraceRecorder;
 
 /**
  * Insertion-ordered map of named uint64 counters. Lookups scan the
@@ -69,11 +68,10 @@ class CounterRegistry
 
 /**
  * Snapshot every subsystem counter of @p machine into a registry:
- * memory hierarchy, coherence activity, OS/KSM and, when given, the
- * recorder's capture/drop totals.
+ * memory hierarchy, coherence activity, OS/KSM and the bus's publish
+ * total.
  */
-CounterRegistry collectCounters(const Machine &machine,
-                                const TraceRecorder *recorder = nullptr);
+CounterRegistry collectCounters(const Machine &machine);
 
 } // namespace csim
 

@@ -5,7 +5,7 @@
  * Every observable simulator occurrence is a TraceEvent: a category
  * (for cheap filtering), a concrete type, the virtual timestamp, the
  * core it happened on and two generic payload words. Events are plain
- * aggregates so ring buffers can store them allocation-free.
+ * aggregates, so a recorder stores them by value.
  *
  * Categories can be compiled out wholesale by defining
  * COHERSIM_TRACE_MASK to a bit mask of the categories to keep;

@@ -2,9 +2,9 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 
 #include "common/logging.hh"
-#include "trace/recorder.hh"
 
 namespace csim
 {
@@ -34,31 +34,9 @@ metadataEvent(int pid, int tid, const char *what, std::string name)
 
 } // namespace
 
-TraceDrops
-recorderDrops(const TraceRecorder &recorder)
-{
-    TraceDrops drops;
-    drops.total = recorder.dropped();
-    if (drops.total == 0)
-        return drops;
-    // One ring per core plus a trailing coreless ring (KSM scans,
-    // daemon activity) — mirror the recorder's layout in the names.
-    const std::size_t n = recorder.numRings();
-    for (std::size_t i = 0; i < n; ++i) {
-        const std::uint64_t d = recorder.droppedOn(i);
-        if (d == 0)
-            continue;
-        const std::string name =
-            i + 1 == n ? "coreless" : "core" + std::to_string(i);
-        drops.rings.emplace_back(name, d);
-    }
-    return drops;
-}
-
 Json
 perfettoTraceJson(const std::vector<TraceEvent> &events,
-                  const SystemConfig &config,
-                  const TraceDrops &dropped)
+                  const SystemConfig &config)
 {
     Json root = Json::object();
     Json list = Json::array();
@@ -115,59 +93,28 @@ perfettoTraceJson(const std::vector<TraceEvent> &events,
 
     root["traceEvents"] = std::move(list);
     root["displayTimeUnit"] = "ns";
-    if (dropped.any()) {
-        Json other = Json::object();
-        other["trace_dropped"] = dropped.total;
-        if (!dropped.rings.empty()) {
-            Json rings = Json::object();
-            for (const auto &[name, count] : dropped.rings)
-                rings[name] = count;
-            other["trace_dropped_rings"] = std::move(rings);
-        }
-        root["otherData"] = std::move(other);
-    }
     return root;
 }
 
 void
 writePerfettoTrace(const std::string &path,
                    const std::vector<TraceEvent> &events,
-                   const SystemConfig &config, const TraceDrops &dropped)
+                   const SystemConfig &config)
 {
-    writeJsonFile(path, perfettoTraceJson(events, config, dropped));
+    writeJsonFile(path, perfettoTraceJson(events, config));
 }
 
 std::vector<TraceEvent>
 readPerfettoTrace(const std::string &path)
 {
-    return readPerfettoTrace(path, nullptr);
-}
-
-std::vector<TraceEvent>
-readPerfettoTrace(const std::string &path, TraceDrops *drops)
-{
     const Json root = readJsonFile(path);
-    if (drops) {
-        *drops = TraceDrops{};
-        if (const Json *other = root.find("otherData")) {
-            if (const Json *total = other->find("trace_dropped"))
-                drops->total =
-                    static_cast<std::uint64_t>(total->asInt());
-            if (const Json *rings =
-                    other->find("trace_dropped_rings");
-                rings && rings->isObject()) {
-                for (const auto &[name, count] : rings->entries())
-                    drops->rings.emplace_back(
-                        name,
-                        static_cast<std::uint64_t>(count.asInt()));
-            }
-        }
-    }
     const Json *list = root.find("traceEvents");
     fatal_if(!list || !list->isArray(),
              path, " is not a trace-event JSON document");
+    const std::vector<Json> &items = list->items();
     std::vector<TraceEvent> events;
-    for (const Json &item : list->items()) {
+    for (std::size_t i = 0; i < items.size(); ++i) {
+        const Json &item = items[i];
         const Json *ph = item.find("ph");
         if (!ph || !ph->isString() || ph->asString() != "i")
             continue;  // metadata / non-instant records
@@ -181,28 +128,35 @@ readPerfettoTrace(const std::string &path, TraceDrops *drops)
         const Json *args = item.find("args");
         if (!args || !args->isObject())
             continue;
+        // An absent field reads as 0; a present one must be an
+        // integer, or the trace is not one this writer produced.
+        const auto field = [&](const Json &obj, const char *key) {
+            const Json *v = obj.find(key);
+            fatal_if(v && !v->isInt(), path, ": event ", i, " has a "
+                     "non-integer \"", key, "\"");
+            return v ? v->asInt() : std::int64_t{0};
+        };
         TraceEvent ev;
         ev.type = type;
         ev.category = traceTypeCategory(type);
-        if (const Json *cycles = args->find("cycles"))
-            ev.when = static_cast<Tick>(cycles->asInt());
+        const std::int64_t cycles = field(*args, "cycles");
+        fatal_if(cycles < 0, path, ": event ", i, " has negative "
+                 "\"cycles\" (", cycles, ")");
+        ev.when = static_cast<Tick>(cycles);
         if (const Json *addr = args->find("addr")) {
             if (addr->isString()) {
                 ev.addr = static_cast<PAddr>(std::strtoull(
                     addr->asString().c_str(), nullptr, 0));
             }
         }
-        if (const Json *a = args->find("a"))
-            ev.a = static_cast<std::uint64_t>(a->asInt());
-        if (const Json *b = args->find("b"))
-            ev.b = static_cast<std::uint64_t>(b->asInt());
-        if (const Json *pair = args->find("pair"))
-            ev.pair = static_cast<std::uint32_t>(pair->asInt());
+        ev.a = static_cast<std::uint64_t>(field(*args, "a"));
+        ev.b = static_cast<std::uint64_t>(field(*args, "b"));
+        ev.pair = static_cast<std::uint32_t>(field(*args, "pair"));
         // Coreless events were filed under the kernel pseudo-process
         // with tid 0; per-core events carry tid = core + 1.
-        const Json *tid = item.find("tid");
-        ev.core = (tid && tid->asInt() > 0)
-                      ? static_cast<CoreId>(tid->asInt() - 1)
+        const std::int64_t tid = field(item, "tid");
+        ev.core = tid > 0 && tid <= std::numeric_limits<CoreId>::max()
+                      ? static_cast<CoreId>(tid - 1)
                       : invalidCore;
         events.push_back(ev);
     }

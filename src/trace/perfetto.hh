@@ -23,63 +23,32 @@
 namespace csim
 {
 
-class TraceRecorder;
-
-/**
- * Drop accounting for a (possibly lossy) trace capture: the total
- * plus an optional per-ring breakdown ("core0".."coreN", "coreless")
- * naming which SPSC ring rejected events. Implicitly constructible
- * from a bare total so legacy call sites keep compiling.
- */
-struct TraceDrops
-{
-    std::uint64_t total = 0;
-    /** Nonzero per-ring counts, in ring order; may be empty. */
-    std::vector<std::pair<std::string, std::uint64_t>> rings;
-
-    TraceDrops() = default;
-    TraceDrops(std::uint64_t total_) : total(total_) {}
-    bool any() const { return total > 0; }
-};
-
-/** Per-ring drop breakdown of @p recorder's capture. */
-TraceDrops recorderDrops(const TraceRecorder &recorder);
-
 /**
  * Build the full trace-event JSON document for @p events.
  * @p config supplies the clock (for the cycle->µs mapping) and the
- * socket topology (for process/thread grouping). A nonzero
- * @p dropped (events the recorder's rings rejected) is recorded in
- * the document's otherData block — with any per-ring breakdown — so
- * a lossy capture is flagged in the file itself, not just on stderr.
+ * socket topology (for process/thread grouping).
  */
 Json perfettoTraceJson(const std::vector<TraceEvent> &events,
-                       const SystemConfig &config,
-                       const TraceDrops &dropped = {});
+                       const SystemConfig &config);
 
 /** Serialize perfettoTraceJson() to @p path. fatal()s on IO errors. */
 void writePerfettoTrace(const std::string &path,
                         const std::vector<TraceEvent> &events,
-                        const SystemConfig &config,
-                        const TraceDrops &dropped = {});
+                        const SystemConfig &config);
 
 /**
  * Load a trace written by writePerfettoTrace() back into typed
  * events, reversing the socket/core <-> pid/tid mapping and reading
  * the exact virtual timestamps from the args.cycles field (the µs
  * "ts" is lossy). Metadata events and event names that are not part
- * of the vocabulary are skipped. fatal()s when the file is
- * unreadable or not a trace-event document.
+ * of the vocabulary are skipped, and so is any otherData block.
+ * fatal()s, naming @p path and the event's index, when the file is
+ * unreadable, not a trace-event document, or an event carries a
+ * non-integer "tid", "cycles", "a", "b" or "pair", or negative
+ * "cycles". ("a" and "b" carry uint64 payloads, so they may read
+ * back negative.)
  */
 std::vector<TraceEvent> readPerfettoTrace(const std::string &path);
-
-/**
- * As above, additionally recovering the writer's drop accounting
- * from the document's otherData block into @p drops (zeroed when
- * the trace was lossless or predates drop metadata).
- */
-std::vector<TraceEvent> readPerfettoTrace(const std::string &path,
-                                          TraceDrops *drops);
 
 } // namespace csim
 

@@ -7,10 +7,6 @@
 namespace csim
 {
 
-TraceRecorder::TraceRecorder() : TraceRecorder(Options{}) {}
-
-TraceRecorder::TraceRecorder(Options opts) : opts_(opts) {}
-
 TraceRecorder::~TraceRecorder()
 {
     detach();
@@ -21,21 +17,12 @@ TraceRecorder::attach(TraceBus &bus, int num_cores)
 {
     fatal_if(num_cores < 1, "recorder needs at least one core");
     detach();
-    rings_.clear();
-    // One ring per core plus the coreless ring keeps every ring SPSC.
-    for (int i = 0; i < num_cores + 1; ++i)
-        rings_.push_back(
-            std::make_unique<TraceRing>(opts_.ringCapacity));
+    events_.clear();
+    numCores_ = num_cores;
     bus_ = &bus;
-    subId_ = bus.subscribe(opts_.categories,
+    subId_ = bus.subscribe(allTraceCategories,
                            [this](const TraceEvent &ev) {
-        const std::size_t last = rings_.size() - 1;
-        std::size_t idx = last;
-        if (ev.core >= 0 &&
-            static_cast<std::size_t>(ev.core) < last) {
-            idx = static_cast<std::size_t>(ev.core);
-        }
-        rings_[idx]->push(ev);
+        events_.push_back(ev);
     });
 }
 
@@ -52,34 +39,20 @@ TraceRecorder::detach()
 std::vector<TraceEvent>
 TraceRecorder::drain()
 {
-    std::vector<TraceEvent> out;
-    for (auto &ring : rings_) {
-        TraceEvent ev;
-        while (ring->pop(ev))
-            out.push_back(ev);
-    }
-    std::stable_sort(out.begin(), out.end(),
-                     [](const TraceEvent &x, const TraceEvent &y) {
-        return x.when < y.when;
+    // Same-time events go core by core, then coreless: a coreless or
+    // out-of-range core sorts after every real one.
+    const auto key = [n = numCores_](const TraceEvent &ev) {
+        return ev.core >= 0 && ev.core < n ? ev.core : n;
+    };
+    std::stable_sort(events_.begin(), events_.end(),
+                     [&key](const TraceEvent &x, const TraceEvent &y) {
+        if (x.when != y.when)
+            return x.when < y.when;
+        return key(x) < key(y);
     });
+    std::vector<TraceEvent> out = std::move(events_);
+    events_.clear();
     return out;
-}
-
-std::uint64_t
-TraceRecorder::dropped() const
-{
-    std::uint64_t total = 0;
-    for (const auto &ring : rings_)
-        total += ring->dropped();
-    return total;
-}
-
-std::uint64_t
-TraceRecorder::droppedOn(std::size_t ring_index) const
-{
-    if (ring_index >= rings_.size())
-        return 0;
-    return rings_[ring_index]->dropped();
 }
 
 } // namespace csim

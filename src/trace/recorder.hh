@@ -1,44 +1,37 @@
 /**
  * @file
- * Trace recorder: a bus subscriber that captures events into per-core
- * ring buffers for later export.
+ * Trace recorder: a bus subscriber that captures every event into one
+ * growable buffer for later export.
  *
- * One ring per core (plus one for coreless events such as KSM scans)
- * keeps each ring strictly SPSC and lets exporters attribute drops.
- * drain() merges the rings into one virtual-time-ordered vector;
- * events carrying the same timestamp keep ring order (core index,
- * then push order), so a drained trace is deterministic.
+ * The buffer never drops: a capture holds every event the bus
+ * published while the recorder was attached. drain() stable-sorts it
+ * by virtual time; events carrying the same timestamp are ordered by
+ * core index, then coreless (KSM scans, out-of-range cores), then
+ * publish order, so a drained trace is deterministic.
+ *
+ * Thread model: the recorder is filled and drained by one host thread
+ * at a time. `cohersim profile` fills it on a runJobs() worker and
+ * drains it on the main thread after the join; the join is the only
+ * hand-off it needs.
  */
 
 #ifndef COHERSIM_TRACE_RECORDER_HH
 #define COHERSIM_TRACE_RECORDER_HH
 
-#include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "trace/bus.hh"
 #include "trace/event.hh"
-#include "trace/ring.hh"
 #include "trace/tap.hh"
 
 namespace csim
 {
 
-/** Captures bus events into bounded rings. */
+/** Captures every bus event into one buffer. */
 class TraceRecorder : public BusTap
 {
   public:
-    struct Options
-    {
-        /** Categories to record (bus filter mask). */
-        std::uint32_t categories = allTraceCategories;
-        /** Ring capacity per core, in events. */
-        std::size_t ringCapacity = 1u << 14;
-    };
-
-    TraceRecorder();
-    explicit TraceRecorder(Options opts);
+    TraceRecorder() = default;
     ~TraceRecorder() override;
 
     TraceRecorder(const TraceRecorder &) = delete;
@@ -46,7 +39,8 @@ class TraceRecorder : public BusTap
 
     /**
      * Subscribe to @p bus, recording events from @p num_cores cores.
-     * Detaches from any previously attached bus first.
+     * Detaches from any previously attached bus and discards what it
+     * captured there.
      */
     void attach(TraceBus &bus, int num_cores) override;
 
@@ -57,24 +51,16 @@ class TraceRecorder : public BusTap
     bool attached() const { return bus_ != nullptr; }
 
     /**
-     * Pop everything captured so far, merged and sorted by virtual
-     * time. Call from the owning host thread (or after the run).
+     * Hand over everything captured so far, sorted by virtual time,
+     * and start an empty buffer.
      */
     std::vector<TraceEvent> drain();
 
-    /** Total events rejected because a ring was full. */
-    std::uint64_t dropped() const;
-
-    /** Drops charged to one ring (core index; last = coreless). */
-    std::uint64_t droppedOn(std::size_t ring_index) const;
-
-    std::size_t numRings() const { return rings_.size(); }
-
   private:
-    Options opts_;
     TraceBus *bus_ = nullptr;
     int subId_ = 0;
-    std::vector<std::unique_ptr<TraceRing>> rings_;
+    int numCores_ = 0;
+    std::vector<TraceEvent> events_;
 };
 
 } // namespace csim

@@ -6,18 +6,23 @@
  * engine on synthetic streams, the monitor end-to-end against a real
  * transmission (the per-window totals must sum exactly to the
  * machine-wide counters), the Perfetto trace round-trip feeding
- * `cohersim report --trace`, and the report renderers.
+ * `cohersim report --trace` and a mutation fuzz of its input path,
+ * and the report renderers.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <fstream>
+#include <limits>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "channel/vector.hh"
 #include "common/edit_distance.hh"
+#include "common/logging.hh"
 #include "common/random.hh"
 #include "obs/attribution.hh"
 #include "obs/health.hh"
@@ -378,73 +383,220 @@ TEST(RunHealthMonitor, BandsPopulatedAndAssessed)
 /**
  * Round-trip: a recorded transmission, exported to Perfetto JSON and
  * read back, must replay into the same health record the live
- * monitor produced (ring large enough that nothing drops).
+ * monitor produced. The 1024-bit payload publishes more events on a
+ * core than a 16k-event per-core buffer would hold: the recorder must
+ * keep them all.
  */
 TEST(OfflineAnalysis, TraceRoundTripMatchesLiveMonitor)
 {
-    ChannelConfig cfg = quickConfig();
-    const BitString payload = quickPayload();
-    cfg.timeout = cfg.deriveTimeout(payload.size(), 20.0);
+    for (const std::size_t bits : {std::size_t{64}, std::size_t{1024}}) {
+        SCOPED_TRACE(bits);
+        ChannelConfig cfg = quickConfig();
+        Rng rng(9);
+        const BitString payload = randomBits(rng, bits);
+        cfg.timeout = cfg.deriveTimeout(payload.size(), 20.0);
 
-    TraceRecorder::Options ropts;
-    ropts.ringCapacity = 1u << 20;
-    TraceRecorder recorder(ropts);
-    cfg.recorder = &recorder;
-    ObsConfig ocfg;
-    ocfg.windowCycles = 100'000;
-    ocfg.bandCore = -1;  // a saved trace replays every core too
-    RunHealthMonitor monitor(ocfg);
-    cfg.taps.push_back(&monitor);
-    const ChannelReport rep = runVectorTransmission(cfg, payload);
-    ASSERT_TRUE(rep.completed);
-    ASSERT_EQ(recorder.dropped(), 0u);
-    const RunHealth live = monitor.finalize();
+        TraceRecorder recorder;
+        cfg.recorder = &recorder;
+        ObsConfig ocfg;
+        ocfg.windowCycles = 100'000;
+        ocfg.bandCore = -1;  // a saved trace replays every core too
+        RunHealthMonitor monitor(ocfg);
+        cfg.taps.push_back(&monitor);
+        const ChannelReport rep = runVectorTransmission(cfg, payload);
+        ASSERT_TRUE(rep.completed);
+        const RunHealth live = monitor.finalize();
 
-    const std::vector<TraceEvent> events = recorder.drain();
-    const std::string path = "test_obs_roundtrip_trace.json";
-    writePerfettoTrace(path, events, cfg.system, 0);
-    const std::vector<TraceEvent> reread = readPerfettoTrace(path);
-    std::remove(path.c_str());
-    ASSERT_EQ(reread.size(), events.size());
-    for (std::size_t i = 0; i < events.size(); ++i) {
-        EXPECT_EQ(reread[i].type, events[i].type);
-        EXPECT_EQ(reread[i].when, events[i].when);
-        EXPECT_EQ(reread[i].core, events[i].core);
-        EXPECT_EQ(reread[i].addr, events[i].addr);
-        EXPECT_EQ(reread[i].a, events[i].a);
-        EXPECT_EQ(reread[i].b, events[i].b);
-        if (HasFailure())
-            break;
+        const std::vector<TraceEvent> events = recorder.drain();
+        const std::string path = "test_obs_roundtrip_trace.json";
+        writePerfettoTrace(path, events, cfg.system);
+        const std::vector<TraceEvent> reread = readPerfettoTrace(path);
+        std::remove(path.c_str());
+        ASSERT_EQ(reread.size(), events.size());
+        for (std::size_t i = 0; i < events.size(); ++i) {
+            EXPECT_EQ(reread[i].type, events[i].type);
+            EXPECT_EQ(reread[i].when, events[i].when);
+            EXPECT_EQ(reread[i].core, events[i].core);
+            EXPECT_EQ(reread[i].addr, events[i].addr);
+            EXPECT_EQ(reread[i].a, events[i].a);
+            EXPECT_EQ(reread[i].b, events[i].b);
+            if (HasFailure())
+                break;
+        }
+
+        const RunHealth offline = analyzeTrace(reread, ocfg);
+        EXPECT_EQ(offline.budget.total(), live.budget.total());
+        const WindowCounters lt = live.series.totals();
+        const WindowCounters ot = offline.series.totals();
+        EXPECT_EQ(ot.txBits, lt.txBits);
+        EXPECT_EQ(ot.rxBits, lt.rxBits);
+        EXPECT_EQ(ot.loads, lt.loads);
+        EXPECT_EQ(ot.syncSlips, lt.syncSlips);
+        EXPECT_EQ(offline.series.windows().size(),
+                  live.series.windows().size());
     }
-
-    const RunHealth offline = analyzeTrace(reread, ocfg);
-    EXPECT_EQ(offline.budget.total(), live.budget.total());
-    const WindowCounters lt = live.series.totals();
-    const WindowCounters ot = offline.series.totals();
-    EXPECT_EQ(ot.txBits, lt.txBits);
-    EXPECT_EQ(ot.rxBits, lt.rxBits);
-    EXPECT_EQ(ot.loads, lt.loads);
-    EXPECT_EQ(ot.syncSlips, lt.syncSlips);
-    EXPECT_EQ(offline.series.windows().size(),
-              live.series.windows().size());
 }
 
-/** The dropped-event total survives the Perfetto export metadata. */
-TEST(OfflineAnalysis, DroppedCountRecordedInMetadata)
+/** A copy of @p obj with member @p key replaced by @p value. */
+Json
+withMember(const Json &obj, const std::string &key, const Json &value)
 {
-    const std::vector<TraceEvent> events = {
-        TraceEvent{TraceEventType::memLoad, TraceCategory::mem, 0,
-                   100, 0x1000, 2, 80},
-    };
-    const SystemConfig sys;
-    const std::string path = "test_obs_dropped_trace.json";
-    writePerfettoTrace(path, events, sys, 42);
-    const Json doc = readJsonFile(path);
+    Json out = Json::object();
+    for (const auto &[k, v] : obj.entries())
+        out[k] = k == key ? value : v;
+    return out;
+}
+
+/**
+ * readPerfettoTrace() on @p text: events, or a std::runtime_error
+ * (fatal() or JsonParseError). An internal panic (std::logic_error)
+ * or any other exception fails the test.
+ */
+void
+expectEventsOrRuntimeError(const std::string &text,
+                           const std::string &what)
+{
+    const std::string path = "test_obs_fuzz_trace.json";
+    {
+        std::ofstream out(path, std::ios::binary | std::ios::trunc);
+        out << text;
+    }
+    try {
+        readPerfettoTrace(path);
+    } catch (const std::logic_error &e) {
+        ADD_FAILURE() << what << ": " << e.what();
+    } catch (const std::runtime_error &) {
+        // Rejected with a message: what hostile input should get.
+    }
     std::remove(path.c_str());
-    const Json *other = doc.find("otherData");
-    ASSERT_NE(other, nullptr);
-    ASSERT_NE(other->find("trace_dropped"), nullptr);
-    EXPECT_EQ(other->find("trace_dropped")->asInt(), 42);
+}
+
+/**
+ * Seeded mutation fuzz of the offline-report input path (the JSON
+ * parser and the Perfetto reader): truncations, byte flips and type
+ * swaps of a small captured trace, plus hostile nesting depth.
+ */
+TEST(OfflineAnalysis, MutatedTracesAreRejectedNotCrashed)
+{
+    ChannelConfig cfg = quickConfig();
+    Rng payload_rng(9);
+    const BitString payload = randomBits(payload_rng, 4);
+    cfg.timeout = cfg.deriveTimeout(payload.size(), 20.0);
+    TraceRecorder recorder;
+    cfg.recorder = &recorder;
+    ASSERT_TRUE(runVectorTransmission(cfg, payload).completed);
+    std::vector<TraceEvent> events = recorder.drain();
+    ASSERT_GT(events.size(), 40u);
+    events.resize(40);
+    const Json doc = perfettoTraceJson(events, cfg.system);
+    const std::string text = doc.dump();
+    expectEventsOrRuntimeError(text, "unmutated");
+
+    Rng rng(2026);
+    for (int i = 0; i < 100; ++i) {
+        const std::size_t cut = rng.below(text.size());
+        expectEventsOrRuntimeError(text.substr(0, cut),
+                                   msgCat("truncated at ", cut));
+    }
+    for (int i = 0; i < 200; ++i) {
+        std::string flipped = text;
+        const std::size_t at = rng.below(text.size());
+        flipped[at] = static_cast<char>(rng.below(256));
+        expectEventsOrRuntimeError(flipped, msgCat("byte ", at));
+    }
+
+    // Swap one field of one event (or the event itself) for a value
+    // of another JSON kind, including negative and huge integers.
+    const std::vector<Json> swaps = {
+        Json("7"), Json(2.5), Json(-5), Json(nullptr), Json(true),
+        Json::array(), Json::object(),
+        Json(std::numeric_limits<std::int64_t>::max()),
+        Json(std::numeric_limits<std::int64_t>::min()),
+    };
+    const std::vector<std::string> item_keys = {"name", "cat", "ph",
+                                                "ts", "pid", "tid",
+                                                "args"};
+    const std::vector<std::string> arg_keys = {"cycles", "addr", "a",
+                                               "b", "pair"};
+    const std::vector<Json> &items = doc.find("traceEvents")->items();
+    for (int i = 0; i < 120; ++i) {
+        const std::size_t victim = rng.below(items.size());
+        const Json &swap = swaps[rng.below(swaps.size())];
+        Json mutated = Json::array();
+        for (std::size_t j = 0; j < items.size(); ++j) {
+            const Json &item = items[j];
+            if (j != victim) {
+                mutated.push(item);
+            } else if (i % 3 == 0) {
+                mutated.push(withMember(
+                    item, item_keys[rng.below(item_keys.size())],
+                    swap));
+            } else if (i % 3 == 1) {
+                const Json *args = item.find("args");
+                mutated.push(withMember(
+                    item, "args",
+                    withMember(args ? *args : Json::object(),
+                               arg_keys[rng.below(arg_keys.size())],
+                               swap)));
+            } else {
+                mutated.push(swap);
+            }
+        }
+        expectEventsOrRuntimeError(
+            withMember(doc, "traceEvents", mutated).dump(),
+            msgCat("swap ", i, " on event ", victim));
+    }
+    expectEventsOrRuntimeError(
+        withMember(doc, "traceEvents", Json(3)).dump(), "list swap");
+
+    // Nesting: deep enough is rejected, not a stack overflow.
+    expectEventsOrRuntimeError(std::string(200'000, '['), "deep [");
+    expectEventsOrRuntimeError(
+        "{\"traceEvents\": [" + std::string(200'000, '{'), "deep {");
+    expectEventsOrRuntimeError("{\"traceEvents\": " +
+                                   std::string(100, '[') +
+                                   std::string(100, ']') + "}",
+                               "shallow nesting");
+}
+
+/** The malformed fields the reader names rather than panicking on. */
+TEST(OfflineAnalysis, ReaderRejectsMalformedFields)
+{
+    const auto read = [](const std::string &args,
+                         const std::string &tid) {
+        const std::string path = "test_obs_malformed_trace.json";
+        {
+            std::ofstream out(path, std::ios::trunc);
+            out << "{\"traceEvents\": [{\"name\": \"mem.load\", "
+                   "\"ph\": \"i\", \"tid\": "
+                << tid << ", \"args\": {" << args << "}}]}";
+        }
+        std::vector<TraceEvent> events;
+        try {
+            events = readPerfettoTrace(path);
+        } catch (...) {
+            std::remove(path.c_str());
+            throw;
+        }
+        std::remove(path.c_str());
+        return events;
+    };
+    EXPECT_THROW(read("\"cycles\": -5", "1"), std::runtime_error);
+    EXPECT_THROW(read("\"cycles\": \"5\"", "1"), std::runtime_error);
+    EXPECT_THROW(read("\"cycles\": 5.5", "1"), std::runtime_error);
+    EXPECT_THROW(read("\"cycles\": 5", "\"1\""), std::runtime_error);
+    EXPECT_THROW(read("\"a\": \"x\"", "1"), std::runtime_error);
+    EXPECT_THROW(read("\"pair\": []", "1"), std::runtime_error);
+
+    // "a" and "b" carry uint64 payloads: negative is how the writer
+    // spells the top half of that range.
+    const std::vector<TraceEvent> ok =
+        read("\"cycles\": 5, \"a\": -1, \"b\": -2", "0");
+    ASSERT_EQ(ok.size(), 1u);
+    EXPECT_EQ(ok[0].when, 5u);
+    EXPECT_EQ(ok[0].core, invalidCore);
+    EXPECT_EQ(ok[0].a, ~std::uint64_t{0});
+    EXPECT_EQ(ok[0].b, ~std::uint64_t{1});
 }
 
 } // namespace

@@ -1,28 +1,29 @@
 /**
  * @file
  * Tests for the tracing subsystem: the multi-subscriber event bus and
- * its category filtering, the SPSC ring's overflow/drop semantics
- * (including a two-thread stress for the thread sanitizer), the
- * per-core recorder, the Perfetto exporter against a golden dump, the
+ * its category filtering, the recorder's drain order and its
+ * fill-on-a-worker, drain-after-join hand-off (a two-thread check for
+ * the thread sanitizer), the Perfetto exporter against a golden dump, the
  * trace-query helpers, the counter registry, and an end-to-end
  * transmission capture.
  */
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <string>
-#include <thread>
+#include <utility>
 #include <vector>
 
 #include "channel/vector.hh"
 #include "runner/json_sink.hh"
+#include "runner/runner.hh"
 #include "trace/bus.hh"
 #include "trace/counters.hh"
 #include "trace/event.hh"
 #include "trace/perfetto.hh"
 #include "trace/query.hh"
 #include "trace/recorder.hh"
-#include "trace/ring.hh"
 
 namespace csim
 {
@@ -92,91 +93,42 @@ TEST(TraceBus, UnsubscribeRecomputesLiveMask)
     bus.unsubscribe(12345);
 }
 
-TEST(TraceRing, CapacityRoundsUpToPowerOfTwo)
-{
-    EXPECT_EQ(TraceRing(1).capacity(), 8u);
-    EXPECT_EQ(TraceRing(8).capacity(), 8u);
-    EXPECT_EQ(TraceRing(9).capacity(), 16u);
-    EXPECT_EQ(TraceRing(1000).capacity(), 1024u);
-}
-
-TEST(TraceRing, OverflowDropsAndCounts)
-{
-    TraceRing ring(8);
-    for (Tick t = 0; t < 8; ++t)
-        EXPECT_TRUE(ring.push(ev(TraceEventType::memLoad, t)));
-    EXPECT_EQ(ring.size(), 8u);
-    // Full: further pushes drop, never overwrite.
-    EXPECT_FALSE(ring.push(ev(TraceEventType::memLoad, 100)));
-    EXPECT_FALSE(ring.push(ev(TraceEventType::memLoad, 101)));
-    EXPECT_EQ(ring.dropped(), 2u);
-    // Draining frees space again; order is FIFO and the dropped
-    // events are really gone.
-    TraceEvent out;
-    for (Tick t = 0; t < 8; ++t) {
-        ASSERT_TRUE(ring.pop(out));
-        EXPECT_EQ(out.when, t);
-    }
-    EXPECT_FALSE(ring.pop(out));
-    EXPECT_TRUE(ring.push(ev(TraceEventType::memLoad, 200)));
-    ASSERT_TRUE(ring.pop(out));
-    EXPECT_EQ(out.when, 200u);
-    EXPECT_EQ(ring.dropped(), 2u);
-}
-
-/** SPSC stress: one producer, one consumer, no lost or duplicated
- *  events. Run under -fsanitize=thread this also proves the
- *  acquire/release protocol has no data race. */
-TEST(TraceRing, ConcurrentProducerConsumer)
-{
-    TraceRing ring(64);
-    constexpr Tick total = 200000;
-    std::uint64_t popped = 0;
-    Tick last = 0;
-    bool ordered = true;
-
-    std::thread consumer([&] {
-        TraceEvent out;
-        // Spin until the producer is done and the ring is empty.
-        while (popped < total - ring.dropped() ||
-               ring.size() > 0) {
-            if (!ring.pop(out))
-                continue;
-            // Monotonic: FIFO per producer means timestamps only
-            // ever grow.
-            if (out.when < last)
-                ordered = false;
-            last = out.when;
-            ++popped;
-        }
-    });
-    for (Tick t = 1; t <= total; ++t)
-        ring.push(ev(TraceEventType::memLoad, t));
-    consumer.join();
-
-    EXPECT_TRUE(ordered);
-    EXPECT_EQ(popped + ring.dropped(), total);
-    EXPECT_GT(popped, 0u);
-}
-
 TEST(TraceRecorder, RoutesByCoreAndDrainsSorted)
 {
     TraceBus bus;
     TraceRecorder rec;
     rec.attach(bus, /*num_cores=*/2);
-    EXPECT_EQ(rec.numRings(), 3u);  // 2 cores + coreless
 
     bus.publish(ev(TraceEventType::memLoad, 30, 1));
     bus.publish(ev(TraceEventType::memLoad, 10, 0));
     bus.publish(ev(TraceEventType::osKsmScan, 20));  // coreless
     bus.publish(ev(TraceEventType::memLoad, 40, 99));  // out of range
+    // Same-time events drain core by core, then coreless (an
+    // out-of-range core counts as coreless), then in publish order.
+    bus.publish(ev(TraceEventType::memStore, 50, 99));
+    bus.publish(ev(TraceEventType::osKsmScan, 50));
+    bus.publish(ev(TraceEventType::memLoad, 50, 1));
+    bus.publish(ev(TraceEventType::memLoad, 50, 0));
+    bus.publish(ev(TraceEventType::memStore, 50, 0));
 
     const std::vector<TraceEvent> events = rec.drain();
-    ASSERT_EQ(events.size(), 4u);
+    ASSERT_EQ(events.size(), 9u);
     EXPECT_EQ(events[0].when, 10u);
     EXPECT_EQ(events[1].when, 20u);
     EXPECT_EQ(events[2].when, 30u);
     EXPECT_EQ(events[3].when, 40u);
+    const std::vector<std::pair<CoreId, TraceEventType>> ties = {
+        {0, TraceEventType::memLoad},
+        {0, TraceEventType::memStore},
+        {1, TraceEventType::memLoad},
+        {99, TraceEventType::memStore},
+        {invalidCore, TraceEventType::osKsmScan},
+    };
+    for (std::size_t i = 0; i < ties.size(); ++i) {
+        EXPECT_EQ(events[4 + i].when, 50u);
+        EXPECT_EQ(events[4 + i].core, ties[i].first) << i;
+        EXPECT_EQ(events[4 + i].type, ties[i].second) << i;
+    }
 
     // Detach stops capture; the bus keeps publishing fine.
     rec.detach();
@@ -184,19 +136,39 @@ TEST(TraceRecorder, RoutesByCoreAndDrainsSorted)
     EXPECT_TRUE(rec.drain().empty());
 }
 
-TEST(TraceRecorder, PerRingDropCounters)
+/**
+ * The `cohersim profile` hand-off: a runJobs() worker fills the
+ * recorder and the calling thread drains it after the join. Run
+ * under -fsanitize=thread this checks the join is the only
+ * synchronisation the recorder needs. The capture is larger than any
+ * fixed per-core buffer would need to be, and nothing is lost.
+ */
+TEST(TraceRecorder, FilledInRunJobsDrainedAfterJoin)
 {
-    TraceBus bus;
-    TraceRecorder::Options opts;
-    opts.ringCapacity = 8;
-    TraceRecorder rec(opts);
-    rec.attach(bus, 1);
-    for (Tick t = 0; t < 20; ++t)
-        bus.publish(ev(TraceEventType::memLoad, t, 0));
-    EXPECT_EQ(rec.droppedOn(0), 12u);
-    EXPECT_EQ(rec.droppedOn(1), 0u);
-    EXPECT_EQ(rec.dropped(), 12u);
-    EXPECT_EQ(rec.drain().size(), 8u);
+    constexpr Tick total = 40000;
+    TraceRecorder rec;
+    std::vector<std::function<int()>> jobs;
+    jobs.push_back([&rec] {
+        TraceBus bus;
+        rec.attach(bus, /*num_cores=*/2);
+        for (Tick t = 0; t < total; ++t)
+            bus.publish(ev(TraceEventType::memLoad, total - t,
+                           static_cast<CoreId>(t % 2)));
+        rec.detach();
+        return 0;
+    });
+    RunnerOptions opts;
+    opts.jobs = 2;
+    runJobs(std::move(jobs), opts);
+
+    const std::vector<TraceEvent> events = rec.drain();
+    ASSERT_EQ(events.size(), total);
+    for (std::size_t i = 0; i < events.size(); ++i) {
+        ASSERT_EQ(events[i].when, i + 1);
+        const Tick published = total - 1 - i;
+        ASSERT_EQ(events[i].core, static_cast<CoreId>(published % 2));
+    }
+    EXPECT_TRUE(rec.drain().empty());
 }
 
 TEST(PerfettoExport, MatchesGoldenDump)
@@ -377,8 +349,6 @@ TEST(EndToEnd, TracedTransmission)
     EXPECT_GT(traced.counters.value("mem.loads"), 0u);
     EXPECT_EQ(traced.counters.value("mem.loads"),
               plain.counters.value("mem.loads"));
-    EXPECT_EQ(traced.counters.value("trace.dropped"),
-              recorder.dropped());
 
     // The rig detached the recorder; the events stayed drainable and
     // a second drain finds nothing new.

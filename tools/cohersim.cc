@@ -34,7 +34,9 @@
 #include <iostream>
 #include <map>
 #include <set>
+#include <stdexcept>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -363,26 +365,18 @@ calibrateFor(const ExperimentSpec &spec)
 
 /**
  * Write what `--trace` captured in @p recorder to @p path as a
- * Perfetto/Chrome JSON trace, warning when the recorder ring
- * overflowed.
+ * Perfetto/Chrome JSON trace.
  */
 void
 writeTransmitTrace(const std::string &path, TraceRecorder &recorder,
                    const SystemConfig &sys)
 {
     const std::vector<TraceEvent> events = recorder.drain();
-    writePerfettoTrace(path, events, sys, recorderDrops(recorder));
+    writePerfettoTrace(path, events, sys);
     const TraceQuery query(events);
     std::cout << "trace:     " << events.size() << " events ("
-              << query.categoriesPresent() << " categories, "
-              << recorder.dropped() << " dropped) -> " << path
-              << "\n";
-    if (recorder.dropped() > 0) {
-        warn("trace is lossy: ", recorder.dropped(),
-             " events overflowed the recorder ring; counts derived "
-             "from ", path, " undercount (the drop total is "
-             "recorded in its metadata)");
-    }
+              << query.categoriesPresent() << " categories) -> "
+              << path << "\n";
 }
 
 /**
@@ -836,9 +830,8 @@ cmdReport(const Args &args)
         // calibration is recorded in a trace, so drift columns and
         // band-vs-calibration checks stay empty.
         const ConfigResolver res = args.resolve();
-        TraceDrops drops;
         const std::vector<TraceEvent> events =
-            readPerfettoTrace(trace_path, &drops);
+            readPerfettoTrace(trace_path);
         std::cout << "trace:     " << events.size()
                   << " events <- " << trace_path << "\n";
         // A capture without channel events yields a report with no
@@ -856,20 +849,10 @@ cmdReport(const Args &args)
             warn("trace ", trace_path, " contains no channel-"
                  "category events — bit counters and the error "
                  "budget below are empty. Re-capture without "
-                 "restricting the channel category (check the "
-                 "recorder's category mask / COHERSIM_TRACE_MASK)");
+                 "compiling the channel category out "
+                 "(COHERSIM_TRACE_MASK)");
         }
-        RunHealth health = analyzeTrace(events, res.spec().obs);
-        // Surface the writer's drop accounting in the footer: the
-        // replayed statistics undercount by exactly these events.
-        if (drops.any()) {
-            if (drops.rings.empty()) {
-                health.addTraceDrops("total", drops.total);
-            } else {
-                for (const auto &[ring, n] : drops.rings)
-                    health.addTraceDrops(ring, n);
-            }
-        }
+        const RunHealth health = analyzeTrace(events, res.spec().obs);
         emitHealthArtifacts(health, json_path, csv_path);
         renderHealthReport(std::cout, health);
         return 0;
@@ -996,8 +979,7 @@ cmdProfile(const Args &args)
 
     if (!trace_path.empty()) {
         const std::vector<TraceEvent> events = recorder.drain();
-        Json doc = perfettoTraceJson(events, base.channel.system,
-                                     recorderDrops(recorder));
+        Json doc = perfettoTraceJson(events, base.channel.system);
         appendProfilerTracks(doc, snap);
         writeJsonFile(trace_path, doc);
         std::cout << "trace:     " << events.size()
@@ -1093,6 +1075,12 @@ main(int argc, char **argv)
     } catch (const JsonParseError &e) {
         std::cerr << "cohersim: " << e.what() << "\n";
         return 2;
+    } catch (const std::runtime_error &e) {
+        // fatal() printed its message before throwing; any other
+        // runtime error has not been reported yet.
+        if (std::string_view(e.what()).rfind("fatal: ", 0) != 0)
+            std::cerr << "cohersim: " << e.what() << "\n";
+        return 1;
     }
     usage();
     return 2;
