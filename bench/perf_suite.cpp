@@ -8,8 +8,8 @@
  * (L1 hit, LLC serve, local and cross-socket owner forward,
  * flush+reload round, directory churn, remap rekey), the `Scheduler`
  * (event steps with few threads and on oversubscribed cores, and an
- * idle-heavy loader crew), a KSM
- * scan pass (`os`), the edit-distance accuracy metric, one
+ * idle-heavy loader crew), translated loads and a KSM scan pass
+ * (`os`), the edit-distance accuracy metric, one
  * calibration (`channel`) and building a whole machine. Every kernel reports host ops/sec and,
  * where virtual time means something, the mean *virtual* cycles per
  * op. The results land in `BENCH_perf.json`.
@@ -448,6 +448,38 @@ kernelCrewIdleShared(bool noisy)
 }
 
 /**
+ * Random loads through the kernel over an 8 MiB mmap, the default
+ * noise agent's buffer, as its linking phase issues them: each op
+ * resolves the thread's process and the page's frame before the
+ * hierarchy serves the line. Virtual time advances past the serve
+ * latency, as in `llc_serve_load`. One op = one load.
+ */
+KernelResult
+kernelPageTranslate()
+{
+    constexpr std::uint64_t bytes = 8 << 20;
+    constexpr ThreadId tid = 0;
+    MemorySystem mem(quietConfig());
+    Kernel kernel(mem);
+    Process &p = kernel.createProcess("kernel-build");
+    const VAddr buf = p.mmap(bytes);
+    kernel.bindThread(tid, p.pid());
+    Rng rng(6);
+    Tick now = 0;
+    return measureKernel(
+        [&](std::uint64_t &ops, std::uint64_t &vcycles) {
+            for (int i = 0; i < 1024; ++i) {
+                now += 500;
+                const VAddr addr =
+                    buf + rng.below(bytes / lineBytes) * lineBytes;
+                vcycles += static_cast<std::uint64_t>(
+                    kernel.load(tid, 0, addr, now).latency);
+            }
+            ops += 1024;
+        });
+}
+
+/**
  * One KSM scan pass over 128 mergeable pages in each of two
  * processes, pairwise identical. A warm-up pass hashes every page
  * and merges every pair, so each timed pass reads every page's
@@ -574,6 +606,7 @@ const PerfKernel perfKernels[] = {
      false},
     {"crew_idle_noisy", [] { return kernelCrewIdleShared(true); },
      false},
+    {"page_translate", kernelPageTranslate, false},
     {"ksm_scan", kernelKsmScan, false},
     {"edit_distance", kernelEditDistance, false},
     {"calibrate", kernelCalibrate, false},

@@ -2,11 +2,74 @@
 
 #include <algorithm>
 #include <memory>
+#include <utility>
+#include <vector>
 
 #include "common/logging.hh"
 
 namespace csim
 {
+
+namespace
+{
+
+/**
+ * Line arrays of destroyed caches, kept per host thread for the next
+ * cache of the same line count. A cell's machine is built, run and
+ * destroyed on one runner thread, so the next cell's machine takes
+ * back the arrays of the last one, and machine builds allocate no
+ * large blocks after the first. Without it, every build returns a
+ * few multi-megabyte blocks to the heap and asks for them again, and
+ * peak RSS comes to hang on incidental heap layout (DESIGN §7).
+ */
+struct LinePool
+{
+    /** (line count, array), most recently freed last. */
+    std::vector<std::pair<std::size_t, CacheLine *>> free;
+
+    ~LinePool();
+};
+
+/** Set when this thread's pool is destroyed: a cache that dies later
+ *  in thread exit frees its array directly. Trivially destructible,
+ *  so it outlives the pool. */
+thread_local bool linePoolGone = false;
+thread_local LinePool linePool;
+
+LinePool::~LinePool()
+{
+    linePoolGone = true;
+    for (const auto &[count, lines] : free)
+        std::allocator<CacheLine>().deallocate(lines, count);
+}
+
+/** An array of @p count lines: a recycled one if the pool has one. */
+CacheLine *
+takeLines(std::size_t count)
+{
+    if (!linePoolGone) {
+        auto &free = linePool.free;
+        for (auto it = free.rbegin(); it != free.rend(); ++it) {
+            if (it->first == count) {
+                CacheLine *lines = it->second;
+                free.erase(std::next(it).base());
+                return lines;
+            }
+        }
+    }
+    return std::allocator<CacheLine>().allocate(count);
+}
+
+} // namespace
+
+void
+Cache::LineDeleter::operator()(CacheLine *lines) const
+{
+    if (linePoolGone)
+        std::allocator<CacheLine>().deallocate(lines, count);
+    else
+        linePool.free.emplace_back(count, lines);
+}
 
 const char *
 mesiName(Mesi m)
@@ -28,7 +91,7 @@ Cache::Cache(std::string name, const CacheGeometry &geom,
     : name_(std::move(name)),
       numSets_(geom.numSets()),
       assoc_(geom.assoc),
-      lines_(std::allocator<CacheLine>().allocate(
+      lines_(takeLines(
                  static_cast<std::size_t>(geom.numSets()) * geom.assoc),
              LineDeleter{static_cast<std::size_t>(geom.numSets()) *
                          geom.assoc}),
@@ -132,23 +195,30 @@ Cache::insert(PAddr line_addr, Mesi state, Victim *victim)
 {
     panic_if(state == Mesi::invalid,
              name_, ": inserting an invalid line");
-    panic_if(find(line_addr),
-             name_, ": inserting line already present: ", line_addr);
+    panic_if(line_addr != lineAlign(line_addr),
+             name_, ": unaligned line address");
     const unsigned set_idx = setIndex(line_addr);
     CacheLine *set = setBegin(set_idx);
+    CacheLine *slot = nullptr;
     if (!setFilled(set_idx)) {
         // First fill of an unmarked set: construct its ways (again,
-        // if a walk unmarked it). They were all invalid, and the scan
-        // below takes the first invalid way, so the victim is the
-        // same either way.
+        // if a walk unmarked it). They are all invalid, so the way
+        // is the first, as the scan below would pick.
         std::uninitialized_value_construct_n(set, assoc_);
         filledSets_[set_idx / 64] |= std::uint64_t{1} << (set_idx % 64);
-    }
-    CacheLine *slot = nullptr;
-    for (unsigned w = 0; w < assoc_; ++w) {
-        if (!set[w].valid()) {
-            slot = &set[w];
-            break;
+        slot = set;
+    } else {
+        // One pass: the duplicate check find() would make, and the
+        // first invalid way. A miss in find() changes none of its
+        // accelerators, so skipping it changes nothing.
+        for (unsigned w = 0; w < assoc_; ++w) {
+            if (set[w].valid()) {
+                panic_if(set[w].addr == line_addr, name_,
+                         ": inserting line already present: ",
+                         line_addr);
+            } else if (!slot) {
+                slot = &set[w];
+            }
         }
     }
     if (!slot) {

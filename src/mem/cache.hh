@@ -202,15 +202,15 @@ class Cache
     const IndexFunction *indexFunction() const { return indexFn_.get(); }
 
   private:
-    /** Frees the line array without running per-line destructors. */
+    /**
+     * Hands the line array to this host thread's free list, without
+     * running per-line destructors, for the next cache of the same
+     * line count to take (see takeLines() in cache.cc).
+     */
     struct LineDeleter
     {
         std::size_t count;
-        void
-        operator()(CacheLine *lines) const
-        {
-            std::allocator<CacheLine>().deallocate(lines, count);
-        }
+        void operator()(CacheLine *lines) const;
     };
 
     /**
@@ -231,7 +231,9 @@ class Cache
      * numSets * assoc lines, set-major, allocated but not
      * constructed: insert() constructs a set's ways when it marks the
      * set in `filledSets_`, so a cache costs what it touches, not its
-     * capacity. Unmarked sets are never read.
+     * capacity. Unmarked sets are never read, which is also what
+     * makes a recycled array safe: it may still hold a destroyed
+     * cache's lines.
      */
     std::unique_ptr<CacheLine, LineDeleter> lines_;
     std::uint64_t useCounter_ = 0;

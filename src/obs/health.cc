@@ -236,6 +236,17 @@ analyzeTrace(const std::vector<TraceEvent> &events,
              const ObsConfig &cfg)
 {
     RunHealthMonitor monitor(cfg);
+    // The series is dense from cycle 0, so a trace's last cycle, not
+    // its event count, sets what the replay allocates. Refuse a span
+    // past the bound before allocating anything.
+    Tick last = 0;
+    for (const TraceEvent &ev : events)
+        last = std::max(last, ev.when);
+    const std::uint64_t windows = last / cfg.windowCycles + 1;
+    fatal_if(windows > maxReplayWindows, "trace spans ", windows,
+             " windows of ", cfg.windowCycles, " cycles (last event at "
+             "cycle ", last, "); a replay holds at most ",
+             maxReplayWindows, ": raise obs.window_cycles");
     for (const TraceEvent &ev : events)
         monitor.observe(ev);
     return monitor.finalize();

@@ -125,11 +125,20 @@ class RunHealthMonitor : public BusTap
 };
 
 /**
+ * Most timeseries windows an offline replay builds: about 100 MB of
+ * WindowCounters. A saved trace's `cycles` are outside input, so one
+ * event far in the future must not size the series.
+ */
+inline constexpr std::uint64_t maxReplayWindows = std::uint64_t{1} << 20;
+
+/**
  * Offline analysis of a saved trace (`cohersim report --trace`):
  * replay @p events through a monitor and finalize. No calibration is
  * available in a trace file, so drift counts stay zero; the
  * histograms, timeseries and error budget are complete as long as
  * the capture recorded the mem/coherence/os/channel categories.
+ * fatal() if the events span more than maxReplayWindows windows of
+ * @p cfg's size.
  */
 RunHealth analyzeTrace(const std::vector<TraceEvent> &events,
                        const ObsConfig &cfg = {});

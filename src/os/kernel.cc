@@ -27,8 +27,13 @@ Kernel::process(ProcessId pid)
 void
 Kernel::bindThread(ThreadId tid, ProcessId pid)
 {
-    fatal_if(!process(pid), "binding thread to unknown process ", pid);
-    threadProc_[tid] = pid;
+    Process *proc = process(pid);
+    fatal_if(!proc, "binding thread to unknown process ", pid);
+    fatal_if(tid < 0, "binding invalid thread id ", tid);
+    const auto idx = static_cast<std::size_t>(tid);
+    if (idx >= threadProc_.size())
+        threadProc_.resize(idx + 1, nullptr);
+    threadProc_[idx] = proc;
 }
 
 SimThread *
@@ -92,11 +97,10 @@ Kernel::runKsmScan(Tick when)
 Process &
 Kernel::procOfThread(ThreadId tid)
 {
-    const auto it = threadProc_.find(tid);
-    panic_if(it == threadProc_.end(),
-             "thread ", tid, " not bound to any process");
-    Process *p = process(it->second);
-    panic_if(!p, "thread ", tid, " bound to dead process");
+    // A negative tid wraps past every index.
+    const auto idx = static_cast<std::size_t>(tid);
+    Process *p = idx < threadProc_.size() ? threadProc_[idx] : nullptr;
+    panic_if(!p, "thread ", tid, " not bound to any process");
     return *p;
 }
 
@@ -143,7 +147,7 @@ Kernel::store(ThreadId tid, CoreId core, VAddr addr, Tick when)
                 when, old_page,
                 static_cast<std::uint64_t>(proc.pid()), new_page});
         }
-        m = proc.lookup(addr);
+        // remap rewrote the entry m points at.
     }
     AccessResult res =
         mem_.store(core, m->paddr + pageOffset(addr), when + fault_lat);
@@ -158,12 +162,11 @@ Kernel::flush(ThreadId tid, CoreId core, VAddr addr, Tick when)
     const PageMapping *m = proc.lookup(addr);
     fatal_if(!m, proc.name(), ": segmentation fault (clflush of ",
              addr, ")");
-    const PAddr paddr = m->paddr + pageOffset(addr);
+    // The guard may un-merge the page. It remaps the entry m points
+    // at, so m->paddr below is the page after any split.
     if (guard_ && m->cow)
-        guard_->noteFlush(pageAlign(paddr), when);
-    // The guard may have un-merged the page; re-translate.
-    const PageMapping *after = proc.lookup(addr);
-    return mem_.flush(core, after->paddr + pageOffset(addr), when);
+        guard_->noteFlush(m->paddr, when);
+    return mem_.flush(core, m->paddr + pageOffset(addr), when);
 }
 
 KsmGuard &
@@ -179,11 +182,11 @@ Kernel::unmergePage(PAddr page, bool quarantine, Tick when)
     int touched = 0;
     bool keeper_seen = false;
     for (auto &proc : processes_) {
-        // Collect matching virtual pages first: remapping mutates
-        // the table entries in place but not the key set.
-        for (const auto &[vpage, mapping] : proc->pageTable()) {
+        // remap rewrites entries in place, so the walk may remap the
+        // page it is visiting.
+        proc->forEachPage([&](VAddr vpage, const PageMapping &mapping) {
             if (mapping.paddr != page || !mapping.cow)
-                continue;
+                return;
             PageMapping split = mapping;
             if (keeper_seen) {
                 const PAddr fresh = phys_.allocPage();
@@ -202,7 +205,7 @@ Kernel::unmergePage(PAddr page, bool quarantine, Tick when)
                 phys_.release(old);
             ++ksm_.stats().pagesUnmerged;
             ++touched;
-        }
+        });
     }
     if (touched > 0 && mem_.trace().enabled<TraceCategory::os>()) {
         mem_.trace().publish(TraceEvent{

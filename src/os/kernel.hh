@@ -14,7 +14,6 @@
 #include <functional>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -120,7 +119,9 @@ class Kernel : public MemoryBackend
     KsmDaemon ksm_;
     std::unique_ptr<KsmGuard> guard_;
     std::vector<std::unique_ptr<Process>> processes_;
-    std::unordered_map<ThreadId, ProcessId> threadProc_;
+    /** Process of each bound thread, indexed by tid; null if unbound.
+     *  Processes are never destroyed before the kernel. */
+    std::vector<Process *> threadProc_;
     OsStats stats_;
 };
 

@@ -49,18 +49,13 @@ KsmDaemon::scanOnce(const std::vector<Process *> &processes)
     std::unordered_map<std::uint64_t, UnstableEntry> unstable;
 
     for (Process *proc : processes) {
-        // Iterate a snapshot: merging remaps entries in place but the
-        // key set is unchanged, so direct iteration is safe; we copy
-        // keys anyway for clarity.
-        std::vector<VAddr> vpages;
-        vpages.reserve(proc->pageTable().size());
-        for (const auto &[vpage, m] : proc->pageTable()) {
-            if (m.mergeable)
-                vpages.push_back(vpage);
-        }
-        for (VAddr vpage : vpages) {
+        // Merging remaps entries in place, in this process and in an
+        // earlier sighting's, but maps and unmaps nothing, so the
+        // walk may run over the live table.
+        proc->forEachPage([&](VAddr vpage, const PageMapping &pm) {
+            if (!pm.mergeable)
+                return;
             PageMapping *m = proc->lookup(vpage);
-            panic_if(!m, "mergeable page vanished mid-scan");
             ++stats_.pagesScanned;
 
             const std::uint64_t h = phys_.contentHash(m->paddr);
@@ -69,7 +64,7 @@ KsmDaemon::scanOnce(const std::vector<Process *> &processes)
                 auto uit = unstable.find(h);
                 if (uit == unstable.end()) {
                     unstable.emplace(h, UnstableEntry{proc, vpage});
-                    continue;
+                    return;
                 }
                 // Second page with this content in the same scan:
                 // promote the first sighting to the stable tree. The
@@ -84,7 +79,7 @@ KsmDaemon::scanOnce(const std::vector<Process *> &processes)
                     // Stale candidate; the current page takes its
                     // place in the unstable tree.
                     uit->second = UnstableEntry{proc, vpage};
-                    continue;
+                    return;
                 }
                 first->writable = false;
                 first->cow = true;
@@ -93,10 +88,10 @@ KsmDaemon::scanOnce(const std::vector<Process *> &processes)
             }
             const PAddr canonical = it->second;
             if (canonical == m->paddr)
-                continue;  // already merged onto the canonical
+                return;  // already merged onto the canonical
             // Guard against hash collisions with a byte comparison.
             if (!phys_.samePage(canonical, m->paddr))
-                continue;
+                return;
 
             const PAddr released = m->paddr;
             phys_.addRef(canonical);
@@ -109,7 +104,7 @@ KsmDaemon::scanOnce(const std::vector<Process *> &processes)
             ++stats_.pagesMerged;
             events.push_back(MergeEvent{proc->pid(), vpage,
                                         canonical, released});
-        }
+        });
     }
     return events;
 }

@@ -12,8 +12,9 @@ Process::Process(ProcessId pid, std::string name, PhysMem &phys)
 
 Process::~Process()
 {
-    for (auto &[vpage, mapping] : table_)
+    forEachPage([this](VAddr, const PageMapping &mapping) {
         phys_.release(mapping.paddr);
+    });
 }
 
 VAddr
@@ -21,13 +22,13 @@ Process::mmap(std::uint64_t bytes)
 {
     fatal_if(bytes == 0, "mmap of zero bytes");
     const std::uint64_t pages = (bytes + pageBytes - 1) / pageBytes;
-    const VAddr base = nextMmap_;
+    const VAddr base = nextVpage();
     for (std::uint64_t i = 0; i < pages; ++i) {
         PageMapping m;
         m.paddr = phys_.allocPage();
-        table_[base + i * pageBytes] = m;
+        m.mapped = true;
+        table_.push_back(m);
     }
-    nextMmap_ = base + pages * pageBytes;
     return base;
 }
 
@@ -35,15 +36,15 @@ VAddr
 Process::mapPhysical(const std::vector<PAddr> &pages, bool writable)
 {
     fatal_if(pages.empty(), "mapPhysical with no pages");
-    const VAddr base = nextMmap_;
-    for (std::size_t i = 0; i < pages.size(); ++i) {
-        phys_.addRef(pages[i]);
+    const VAddr base = nextVpage();
+    for (PAddr page : pages) {
+        phys_.addRef(page);
         PageMapping m;
-        m.paddr = pages[i];
+        m.paddr = page;
         m.writable = writable;
-        table_[base + i * pageBytes] = m;
+        m.mapped = true;
+        table_.push_back(m);
     }
-    nextMmap_ = base + pages.size() * pageBytes;
     return base;
 }
 
@@ -52,11 +53,10 @@ Process::munmap(VAddr base, std::uint64_t bytes)
 {
     const std::uint64_t pages = (bytes + pageBytes - 1) / pageBytes;
     for (std::uint64_t i = 0; i < pages; ++i) {
-        auto it = table_.find(base + i * pageBytes);
-        fatal_if(it == table_.end(), "munmap of unmapped page ",
-                 base + i * pageBytes);
-        phys_.release(it->second.paddr);
-        table_.erase(it);
+        PageMapping *m = lookup(base + i * pageBytes);
+        fatal_if(!m, "munmap of unmapped page ", base + i * pageBytes);
+        phys_.release(m->paddr);
+        *m = PageMapping{};
     }
 }
 
@@ -70,20 +70,6 @@ Process::madviseMergeable(VAddr base, std::uint64_t bytes)
                  base + i * pageBytes);
         m->mergeable = true;
     }
-}
-
-const PageMapping *
-Process::lookup(VAddr vaddr) const
-{
-    const auto it = table_.find(pageAlign(vaddr));
-    return it == table_.end() ? nullptr : &it->second;
-}
-
-PageMapping *
-Process::lookup(VAddr vaddr)
-{
-    const auto it = table_.find(pageAlign(vaddr));
-    return it == table_.end() ? nullptr : &it->second;
 }
 
 PAddr
@@ -118,10 +104,10 @@ Process::writeData(VAddr vaddr, const std::vector<std::uint8_t> &data)
 void
 Process::remap(VAddr vpage, const PageMapping &mapping)
 {
-    auto it = table_.find(pageAlign(vpage));
-    panic_if(it == table_.end(), name_, ": remap of unmapped page ",
-             vpage);
-    it->second = mapping;
+    PageMapping *m = lookup(vpage);
+    panic_if(!m, name_, ": remap of unmapped page ", vpage);
+    *m = mapping;
+    m->mapped = true;
 }
 
 } // namespace csim

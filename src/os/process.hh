@@ -2,13 +2,16 @@
  * @file
  * Simulated processes: per-process virtual address space backed by a
  * page table over PhysMem, with mmap/madvise-style management.
+ *
+ * mmap is a bump allocator from a fixed base, so the page table is a
+ * dense array indexed by (vpage - base) / pageBytes and a lookup is
+ * one bounds check and one index.
  */
 
 #ifndef COHERSIM_OS_PROCESS_HH
 #define COHERSIM_OS_PROCESS_HH
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -28,6 +31,8 @@ struct PageMapping
     bool cow = false;
     /** Registered with madvise(MADV_MERGEABLE). */
     bool mergeable = false;
+    /** The slot holds a mapping (false: an munmap'd hole). */
+    bool mapped = false;
 };
 
 /** A simulated process and its address space. */
@@ -66,9 +71,27 @@ class Process
     /** madvise(MADV_MERGEABLE): allow KSM to merge this range. */
     void madviseMergeable(VAddr base, std::uint64_t bytes);
 
-    /** Look up the mapping covering @p vaddr; nullptr if unmapped. */
-    const PageMapping *lookup(VAddr vaddr) const;
-    PageMapping *lookup(VAddr vaddr);
+    /**
+     * Look up the mapping covering @p vaddr; nullptr if unmapped.
+     * The entry never moves on remap() or munmap(), so the pointer
+     * stays valid, and sees remaps, until the next mmap or
+     * mapPhysical.
+     */
+    const PageMapping *
+    lookup(VAddr vaddr) const
+    {
+        const VAddr idx = indexOf(vaddr);
+        return idx < table_.size() && table_[idx].mapped ? &table_[idx]
+                                                         : nullptr;
+    }
+
+    PageMapping *
+    lookup(VAddr vaddr)
+    {
+        const VAddr idx = indexOf(vaddr);
+        return idx < table_.size() && table_[idx].mapped ? &table_[idx]
+                                                         : nullptr;
+    }
 
     /** Translate; panics on unmapped addresses (tests use lookup). */
     PAddr translate(VAddr vaddr) const;
@@ -79,23 +102,49 @@ class Process
      */
     void writeData(VAddr vaddr, const std::vector<std::uint8_t> &data);
 
-    /** Page table, keyed by virtual page base. */
-    const std::map<VAddr, PageMapping> &pageTable() const
+    /**
+     * Apply @p fn(vpage, mapping) to every mapped page in ascending
+     * vpage order. @p fn may remap() pages, since that rewrites an
+     * entry in place, but must not mmap or munmap.
+     */
+    template <typename Fn>
+    void
+    forEachPage(Fn &&fn) const
     {
-        return table_;
+        for (std::size_t i = 0; i < table_.size(); ++i) {
+            if (table_[i].mapped)
+                fn(mmapBase + i * pageBytes, table_[i]);
+        }
     }
 
-    /** Replace the mapping of one virtual page (KSM / COW). */
+    /** Replace the mapping of one virtual page in place (KSM / COW). */
     void remap(VAddr vpage, const PageMapping &mapping);
 
     PhysMem &phys() { return phys_; }
 
   private:
+    /** Virtual address of the first mmap. */
+    static constexpr VAddr mmapBase = 0x4000'0000;
+
+    /** Table index of @p vaddr's page. Below the base the
+     *  subtraction wraps past every index. */
+    static VAddr indexOf(VAddr vaddr)
+    {
+        return (vaddr - mmapBase) / pageBytes;
+    }
+
+    /** Where the next mmap or mapPhysical starts. */
+    VAddr nextVpage() const { return mmapBase + table_.size() * pageBytes; }
+
     ProcessId pid_;
     std::string name_;
     PhysMem &phys_;
-    std::map<VAddr, PageMapping> table_;
-    VAddr nextMmap_ = 0x4000'0000;
+    /**
+     * One entry per virtual page from mmapBase up to the last page
+     * ever mapped. It only grows: munmap leaves a hole, so a vpage
+     * is never reused.
+     */
+    std::vector<PageMapping> table_;
 };
 
 } // namespace csim

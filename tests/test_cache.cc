@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <functional>
 #include <set>
 #include <utility>
@@ -142,6 +143,19 @@ TEST(CacheTest, DoubleInsertPanics)
     c.insert(0, Mesi::shared, nullptr);
     EXPECT_THROW(c.insert(0, Mesi::shared, nullptr),
                  std::logic_error);
+
+    // A full 4-way set: the duplicate check covers every way, not
+    // only the last filled or the MRU one.
+    Cache wide("wide", CacheGeometry{4 * 4 * lineBytes, 4});
+    for (PAddr way = 0; way < 4; ++way)
+        wide.insert(way * 4 * lineBytes, Mesi::shared, nullptr);
+    for (PAddr way = 0; way < 4; ++way) {
+        EXPECT_THROW(wide.insert(way * 4 * lineBytes, Mesi::shared,
+                                 nullptr),
+                     std::logic_error)
+            << "way " << way;
+    }
+    EXPECT_EQ(wide.occupancy(), 4u);
 }
 
 TEST(CacheTest, InsertInvalidStatePanics)
@@ -345,6 +359,39 @@ TEST(CacheFresh, HoldsNothingUnderEveryPolicyAndIndexFunction)
  * and address) is hashed. The constants were produced by the
  * value-initialised line array that preceded lazy set construction.
  */
+/**
+ * A destroyed cache's line array goes to its thread's free list, and
+ * the next cache with the same line count takes it back, under ASan
+ * too (whose allocator would otherwise hand out a fresh block). That
+ * is what makes CacheFresh above read a used array.
+ */
+TEST(CacheRecycle, SameLineCountTakesTheFreedArray)
+{
+    // A private L1, the paper's 12 MB LLC (12288 sets) and a modulo
+    // geometry; each followed by a cache of another size, which must
+    // not take the freed array.
+    for (const CacheGeometry geom :
+         {CacheGeometry{32 * 1024, 8},
+          CacheGeometry{12 * 1024 * 1024, 16},
+          CacheGeometry{200 * 4 * lineBytes, 4}}) {
+        SCOPED_TRACE(msgCat(geom.numSets(), " sets"));
+        std::uintptr_t freed = 0;
+        {
+            Cache used("used", geom);
+            freed = reinterpret_cast<std::uintptr_t>(
+                &used.insert(0, Mesi::modified, nullptr));
+        }
+        const Cache other("other",
+                          CacheGeometry{geom.sizeBytes * 2, geom.assoc});
+        Cache fresh("fresh", geom);
+        EXPECT_EQ(fresh.find(0), nullptr);
+        EXPECT_EQ(fresh.occupancy(), 0u);
+        EXPECT_EQ(reinterpret_cast<std::uintptr_t>(
+                      &fresh.insert(0, Mesi::shared, nullptr)),
+                  freed);
+    }
+}
+
 TEST(CacheVictimPin, WalkClearRefillDisplacesTheSameLines)
 {
     const auto mix = [](std::uint64_t h, std::uint64_t v) {

@@ -903,8 +903,11 @@ TEST(Sharing, ExternalSharerForcesRetry)
     Process &ext2 = m.kernel.createProcess("external2");
     // Pre-plant the first-attempt pattern in two external processes.
     const std::uint64_t seed = 42;
+    VAddr ext1_va = 0;
     for (Process *p : {&ext1, &ext2}) {
         const VAddr va = p->mmap(pageBytes);
+        if (p == &ext1)
+            ext1_va = va;
         Rng rng(seed);
         std::vector<std::uint8_t> pattern(pageBytes);
         for (auto &byte : pattern)
@@ -921,8 +924,7 @@ TEST(Sharing, ExternalSharerForcesRetry)
     EXPECT_EQ(t.translate(blk.trojanVa), s.translate(blk.spyVa));
     // The block is not the externally shared page.
     EXPECT_NE(pageAlign(t.translate(blk.trojanVa)),
-              pageAlign(ext1.translate(
-                  ext1.pageTable().begin()->first)));
+              pageAlign(ext1.translate(ext1_va)));
 }
 
 /**

@@ -599,5 +599,35 @@ TEST(OfflineAnalysis, ReaderRejectsMalformedFields)
     EXPECT_EQ(ok[0].b, ~std::uint64_t{1});
 }
 
+/**
+ * A trace's `cycles` are outside input: one event far in the future
+ * must not size the dense timeseries. The replay refuses a span past
+ * maxReplayWindows with fatal(), before it allocates. The refused
+ * case sits just past the bound, so a replay without the check
+ * allocates about 100 MB here and fails, rather than the 10^9
+ * windows of a 10^14-cycle event.
+ */
+TEST(OfflineAnalysis, FarEventIsRefusedNotAllocated)
+{
+    const auto one_event = [](Tick when) {
+        return std::vector<TraceEvent>{TraceEvent{
+            TraceEventType::chTxBit, TraceCategory::channel, 0, when,
+            0, 1, 0}};
+    };
+    ObsConfig cfg;
+    cfg.windowCycles = 1000;
+    // Window index maxReplayWindows: one window past the bound.
+    EXPECT_THROW(analyzeTrace(one_event(maxReplayWindows * 1000), cfg),
+                 std::runtime_error);
+
+    // The bound counts windows, not cycles: with wider windows a
+    // 10^14-cycle event is fine.
+    cfg.windowCycles = 1'000'000'000;
+    const RunHealth wide = analyzeTrace(one_event(100'000'000'000'000),
+                                        cfg);
+    EXPECT_EQ(wide.series.windows().size(), 100'001u);
+    EXPECT_EQ(wide.series.windows().back().txBits, 1u);
+}
+
 } // namespace
 } // namespace csim

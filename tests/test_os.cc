@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <vector>
+
 #include "os/kernel.hh"
 
 namespace csim
@@ -204,6 +207,71 @@ TEST(ProcessTest, MapPhysicalShares)
     EXPECT_FALSE(a.lookup(va)->writable);
 }
 
+TEST(ProcessTest, LookupMissesOutsideTheMappedPages)
+{
+    PhysMem pm;
+    Process p(0, "p", pm);
+    const VAddr base = p.mmap(3 * pageBytes);
+    p.munmap(base + pageBytes, pageBytes);
+    // Below the first mmap, in the hole, and past the last page.
+    for (const VAddr va : {VAddr{0}, VAddr{0x1000}, base - 1,
+                           base + pageBytes, base + 2 * pageBytes - 1,
+                           base + 3 * pageBytes, ~VAddr{0}}) {
+        EXPECT_EQ(p.lookup(va), nullptr) << "vaddr " << va;
+    }
+    EXPECT_NE(p.lookup(base + pageBytes - 1), nullptr);
+    EXPECT_NE(p.lookup(base + 2 * pageBytes), nullptr);
+    EXPECT_THROW(p.translate(base + pageBytes), std::logic_error);
+}
+
+TEST(ProcessTest, RemapKeepsTheEntrySlot)
+{
+    PhysMem pm;
+    Process p(0, "p", pm);
+    const VAddr base = p.mmap(2 * pageBytes);
+    const PageMapping *before = p.lookup(base + pageBytes + 8);
+    PageMapping m = *before;
+    const PAddr fresh = pm.allocPage();
+    m.paddr = fresh;
+    m.writable = false;
+    m.cow = true;
+    p.remap(base + pageBytes, m);
+    const PageMapping *after = p.lookup(base + pageBytes);
+    EXPECT_EQ(after, before);
+    EXPECT_EQ(after->paddr, fresh);
+    EXPECT_TRUE(after->cow);
+    EXPECT_THROW(p.remap(base + 2 * pageBytes, m), std::logic_error);
+}
+
+TEST(ProcessTest, ForEachPageVisitsMappedPagesInAscendingOrder)
+{
+    PhysMem pm;
+    Process p(0, "p", pm);
+    const VAddr a = p.mmap(3 * pageBytes);
+    const VAddr b = p.mapPhysical({pm.allocPage()}, false);
+    const VAddr c = p.mmap(pageBytes);
+    p.munmap(a + pageBytes, pageBytes);
+    std::vector<VAddr> seen;
+    p.forEachPage([&](VAddr vpage, const PageMapping &m) {
+        EXPECT_EQ(p.lookup(vpage), &m);
+        seen.push_back(vpage);
+    });
+    EXPECT_EQ(seen, (std::vector<VAddr>{a, a + 2 * pageBytes, b, c}));
+}
+
+TEST(ProcessTest, MunmapThenMmapNeverReusesAVpage)
+{
+    PhysMem pm;
+    Process p(0, "p", pm);
+    std::set<VAddr> used;
+    for (int i = 0; i < 8; ++i) {
+        const VAddr va = p.mmap((i % 3 + 1) * pageBytes);
+        for (unsigned k = 0; k < i % 3 + 1u; ++k)
+            EXPECT_TRUE(used.insert(va + k * pageBytes).second);
+        p.munmap(va, (i % 3 + 1) * pageBytes);
+    }
+}
+
 struct KernelTest : public ::testing::Test
 {
     KernelTest() : mem(quietConfig()), kernel(mem) {}
@@ -397,6 +465,19 @@ TEST_F(KernelTest, UnboundThreadPanics)
                                    co_await api.load(0x1000);
                                });
     EXPECT_THROW(sched.runUntilFinished(t), std::logic_error);
+
+    // Straight through the backend: a tid below the highest bound
+    // one, past it, and negative.
+    Process &p = kernel.createProcess("p");
+    const VAddr va = p.mmap(pageBytes);
+    kernel.bindThread(5, p.pid());
+    EXPECT_NO_THROW(kernel.load(5, 0, va, 0));
+    for (const ThreadId tid : {0, 4, 6, 1000, invalidThread}) {
+        EXPECT_THROW(kernel.load(tid, 0, va, 0), std::logic_error)
+            << "tid " << tid;
+    }
+    EXPECT_THROW(kernel.bindThread(invalidThread, p.pid()),
+                 std::runtime_error);
 }
 
 TEST_F(KernelTest, LoadsThroughTranslationReachTheHierarchy)

@@ -249,6 +249,65 @@ TEST(ParallelSafety, ConcurrentMachinesMatchSoloRuns)
               conc_b.metrics.durationCycles);
 }
 
+/**
+ * Each worker thread keeps the line arrays of the machines it tears
+ * down for its next machine. Jobs that build and drop a machine of
+ * another shape, then run a seeded transmission, must give the same
+ * results on 4 workers as on 1, whichever arrays each worker reuses.
+ */
+TEST(ParallelSafety, RecycledCacheArraysMatchOneWorker)
+{
+    ChannelConfig base;
+    base.system.seed = 31;
+    const CalibrationResult cal =
+        calibrate(base.system, 150, base.params);
+    Rng rng(12);
+    const BitString payload = randomBits(rng, 24);
+
+    struct Cell
+    {
+        std::string received;
+        Tick duration = 0;
+        std::uint64_t loads = 0;
+    };
+    auto run = [&](int workers) {
+        std::vector<std::function<Cell()>> jobs;
+        for (int i = 0; i < 12; ++i) {
+            jobs.push_back([&base, &cal, &payload, i] {
+                {
+                    SystemConfig shape = base.system;
+                    shape.coresPerSocket = 4 + i % 3;
+                    shape.llc.sizeBytes = (4 + i % 2) << 20;
+                    Machine m(shape);
+                    m.mem.load(0, 0x1000, 0);
+                }
+                ChannelConfig cfg = base;
+                cfg.scenario = i % 2 ? Scenario::rexcC_lshB
+                                     : Scenario::lexcC_lshB;
+                cfg.system.seed = base.system.seed + i;
+                cfg.timeout = cfg.deriveTimeout(payload.size());
+                const ChannelReport rep =
+                    runVectorTransmission(cfg, payload, &cal);
+                return Cell{bitsToString(rep.received),
+                            rep.metrics.durationCycles,
+                            rep.counters.value("mem.loads")};
+            });
+        }
+        RunnerOptions opts;
+        opts.jobs = workers;
+        return runJobs(std::move(jobs), opts);
+    };
+
+    const auto one = run(1);
+    const auto four = run(4);
+    ASSERT_EQ(one.size(), four.size());
+    for (std::size_t i = 0; i < one.size(); ++i) {
+        EXPECT_EQ(one[i].received, four[i].received) << "job " << i;
+        EXPECT_EQ(one[i].duration, four[i].duration) << "job " << i;
+        EXPECT_EQ(one[i].loads, four[i].loads) << "job " << i;
+    }
+}
+
 /** The acceptance property: a sweep produces bit-identical tables
  *  for --jobs 1 and --jobs 8. */
 TEST(ParallelSweep, BitIdenticalAcrossWorkerCounts)
