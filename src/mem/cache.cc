@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <memory>
+#include <mutex>
+#include <new>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -14,50 +17,58 @@ namespace
 {
 
 /**
- * Line arrays of destroyed caches, kept per host thread for the next
- * cache of the same line count. A cell's machine is built, run and
- * destroyed on one runner thread, so the next cell's machine takes
- * back the arrays of the last one, and machine builds allocate no
- * large blocks after the first. Without it, every build returns a
- * few multi-megabyte blocks to the heap and asks for them again, and
- * peak RSS comes to hang on incidental heap layout (DESIGN §7).
+ * Line arrays of destroyed caches, kept for the next cache of the same
+ * line count built on any host thread. An array is allocated once and
+ * never goes back to the heap: a `fleet` or `mixed` cell's machine
+ * takes the arrays the set-up's calibration or the last cell left,
+ * whichever runner thread it lands on, so machine builds allocate no
+ * large blocks after the first. Returning them, on cache destruction
+ * or on thread exit, left peak RSS hanging on incidental heap layout
+ * (DESIGN §7). The pool holds, per line count, as many arrays as were
+ * ever alive at once.
  */
 struct LinePool
 {
-    /** (line count, array), most recently freed last. */
-    std::vector<std::pair<std::size_t, CacheLine *>> free;
-
-    ~LinePool();
+    std::mutex mutex;
+    /** Free arrays by line count, most recently freed last. */
+    std::unordered_map<std::size_t, std::vector<CacheLine *>> free;
 };
 
-/** Set when this thread's pool is destroyed: a cache that dies later
- *  in thread exit frees its array directly. Trivially destructible,
- *  so it outlives the pool. */
-thread_local bool linePoolGone = false;
-thread_local LinePool linePool;
-
-LinePool::~LinePool()
+/** Never destroyed, so a cache may die in any static or thread-local
+ *  destructor; the arrays are the process's until it exits. */
+LinePool &
+linePool()
 {
-    linePoolGone = true;
-    for (const auto &[count, lines] : free)
-        std::allocator<CacheLine>().deallocate(lines, count);
+    static LinePool *const pool = new LinePool;
+    return *pool;
 }
+
+/**
+ * Arrays of at least this many bytes start on a 2 MiB boundary, so
+ * which transparent huge pages their touched sets fall in does not
+ * hang on where the kernel placed the block.
+ */
+constexpr std::size_t hugePageBytes = std::size_t{2} << 20;
 
 /** An array of @p count lines: a recycled one if the pool has one. */
 CacheLine *
 takeLines(std::size_t count)
 {
-    if (!linePoolGone) {
-        auto &free = linePool.free;
-        for (auto it = free.rbegin(); it != free.rend(); ++it) {
-            if (it->first == count) {
-                CacheLine *lines = it->second;
-                free.erase(std::next(it).base());
-                return lines;
-            }
+    LinePool &pool = linePool();
+    {
+        const std::lock_guard<std::mutex> lock(pool.mutex);
+        auto it = pool.free.find(count);
+        if (it != pool.free.end() && !it->second.empty()) {
+            CacheLine *lines = it->second.back();
+            it->second.pop_back();
+            return lines;
         }
     }
-    return std::allocator<CacheLine>().allocate(count);
+    const std::size_t bytes = count * sizeof(CacheLine);
+    if (bytes < hugePageBytes)
+        return std::allocator<CacheLine>().allocate(count);
+    return static_cast<CacheLine *>(
+        ::operator new(bytes, std::align_val_t{hugePageBytes}));
 }
 
 } // namespace
@@ -65,10 +76,9 @@ takeLines(std::size_t count)
 void
 Cache::LineDeleter::operator()(CacheLine *lines) const
 {
-    if (linePoolGone)
-        std::allocator<CacheLine>().deallocate(lines, count);
-    else
-        linePool.free.emplace_back(count, lines);
+    LinePool &pool = linePool();
+    const std::lock_guard<std::mutex> lock(pool.mutex);
+    pool.free[count].push_back(lines);
 }
 
 const char *

@@ -203,7 +203,7 @@ class Cache
 
   private:
     /**
-     * Hands the line array to this host thread's free list, without
+     * Hands the line array to the process's free list, without
      * running per-line destructors, for the next cache of the same
      * line count to take (see takeLines() in cache.cc).
      */

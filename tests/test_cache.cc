@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <functional>
 #include <set>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -360,7 +361,7 @@ TEST(CacheFresh, HoldsNothingUnderEveryPolicyAndIndexFunction)
  * value-initialised line array that preceded lazy set construction.
  */
 /**
- * A destroyed cache's line array goes to its thread's free list, and
+ * A destroyed cache's line array goes to the process's free list, and
  * the next cache with the same line count takes it back, under ASan
  * too (whose allocator would otherwise hand out a fresh block). That
  * is what makes CacheFresh above read a used array.
@@ -389,6 +390,48 @@ TEST(CacheRecycle, SameLineCountTakesTheFreedArray)
         EXPECT_EQ(reinterpret_cast<std::uintptr_t>(
                       &fresh.insert(0, Mesi::shared, nullptr)),
                   freed);
+    }
+}
+
+/**
+ * The free list is the process's, not a thread's: the runner starts
+ * new worker threads for every batch of jobs, and a machine built on
+ * one must take the arrays that a machine on another thread left.
+ */
+TEST(CacheRecycle, ArrayFreedOnOneThreadIsTakenOnAnother)
+{
+    const CacheGeometry geom{12 * 1024 * 1024, 16};
+    std::uintptr_t freed = 0;
+    std::thread([&] {
+        Cache used("used", geom);
+        freed = reinterpret_cast<std::uintptr_t>(
+            &used.insert(0, Mesi::modified, nullptr));
+    }).join();
+    Cache fresh("fresh", geom);
+    EXPECT_EQ(fresh.occupancy(), 0u);
+    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(
+                  &fresh.insert(0, Mesi::shared, nullptr)),
+              freed);
+}
+
+/**
+ * An array of 2 MiB or more starts on a 2 MiB boundary, so the huge
+ * pages its touched sets fall in do not depend on where the block was
+ * placed; set 0's first way is the array's first line.
+ */
+TEST(CacheRecycle, LargeArraysStartOnAHugePageBoundary)
+{
+    constexpr std::uintptr_t hugePage = std::uintptr_t{2} << 20;
+    for (const CacheGeometry geom :
+         {CacheGeometry{12 * 1024 * 1024, 16},
+          CacheGeometry{4 * 1024 * 1024, 16},
+          CacheGeometry{6 * 1024 * 1024 + 200 * 16 * lineBytes, 16}}) {
+        SCOPED_TRACE(msgCat(geom.numSets(), " sets"));
+        Cache c("llc", geom);
+        EXPECT_EQ(reinterpret_cast<std::uintptr_t>(
+                      &c.insert(0, Mesi::shared, nullptr)) %
+                      hugePage,
+                  0u);
     }
 }
 

@@ -250,10 +250,11 @@ TEST(ParallelSafety, ConcurrentMachinesMatchSoloRuns)
 }
 
 /**
- * Each worker thread keeps the line arrays of the machines it tears
- * down for its next machine. Jobs that build and drop a machine of
- * another shape, then run a seeded transmission, must give the same
- * results on 4 workers as on 1, whichever arrays each worker reuses.
+ * The line arrays of the machines the workers tear down go to one
+ * free list for the next machine on any worker. Jobs that build and
+ * drop a machine of another shape, then run a seeded transmission,
+ * must give the same results on 4 workers as on 1, whichever arrays
+ * each worker reuses.
  */
 TEST(ParallelSafety, RecycledCacheArraysMatchOneWorker)
 {
