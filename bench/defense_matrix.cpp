@@ -49,7 +49,6 @@ struct CellResult
     std::uint64_t detFlushes = 0;
     double detIntervalCv = 0.0;
     double detAlternation = 0.0;
-    std::uint64_t rekeys = 0;
 };
 
 CellResult

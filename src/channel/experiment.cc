@@ -7,17 +7,6 @@
 namespace csim
 {
 
-const char *
-experimentKindName(ExperimentKind k)
-{
-    switch (k) {
-      case ExperimentKind::single: return "single";
-      case ExperimentKind::phy: return "phy";
-      case ExperimentKind::fleet: return "fleet";
-    }
-    return "?";
-}
-
 ExperimentResult
 runExperiment(const ExperimentSpec &spec, const CalibrationResult *cal,
               const BitString *payload)

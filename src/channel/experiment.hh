@@ -31,8 +31,6 @@ enum class ExperimentKind : std::uint8_t
     fleet,   //!< N concurrent pairs on one machine
 };
 
-const char *experimentKindName(ExperimentKind k);
-
 /**
  * Everything one dispatched experiment produced. Both single-pair
  * kinds fill @ref channel (a PHY run's stage and session results in

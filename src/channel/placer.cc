@@ -14,20 +14,7 @@ placerHelperBody(ThreadApi api, HelperCtl *ctl, Tick gap, Tick poll)
           case HelperCtl::Mode::stop:
             co_return;
           case HelperCtl::Mode::maintain:
-            ++ctl->loadsIssued;
             co_await api.load(ctl->addr);
-            co_await api.spin(gap);
-            break;
-          case HelperCtl::Mode::evict:
-            if (ctl->evictLines.empty()) {
-                co_await api.spin(poll);
-                break;
-            }
-            ++ctl->loadsIssued;
-            co_await api.load(
-                ctl->evictLines[ctl->evictPos %
-                                ctl->evictLines.size()]);
-            ++ctl->evictPos;
             co_await api.spin(gap);
             break;
           case HelperCtl::Mode::idle:
@@ -95,23 +82,6 @@ PlacerCrew::activate(Combo c, VAddr addr)
 }
 
 void
-PlacerCrew::activateEvict(const std::vector<VAddr> &lines)
-{
-    for (std::size_t i = 0; i < ctls_.size(); ++i) {
-        HelperCtl &ctl = *ctls_[i];
-        if (ctl.mode == HelperCtl::Mode::stop)
-            continue;
-        if (i < nLocal_) {
-            ctl.evictLines = lines;
-            ctl.evictPos = i;  // stagger cursors across loaders
-            setMode(i, HelperCtl::Mode::evict);
-        } else {
-            setMode(i, HelperCtl::Mode::idle);
-        }
-    }
-}
-
-void
 PlacerCrew::idle()
 {
     for (std::size_t i = 0; i < ctls_.size(); ++i) {
@@ -134,15 +104,6 @@ PlacerCrew::setMode(std::size_t i, HelperCtl::Mode mode)
         return;
     ctls_[i]->mode = mode;
     sched_.unpark(*loaders_[i]);
-}
-
-std::uint64_t
-PlacerCrew::totalLoads() const
-{
-    std::uint64_t n = 0;
-    for (const auto &ctl : ctls_)
-        n += ctl->loadsIssued;
-    return n;
 }
 
 } // namespace csim

@@ -34,23 +34,11 @@ struct HelperCtl
     {
         idle,      //!< park, touching nothing
         maintain,  //!< re-load the target line in a loop
-        evict,     //!< walk evictLines, pressuring one LLC set
         stop,      //!< terminate the loader coroutine
     };
 
     Mode mode = Mode::idle;
     VAddr addr = 0;
-    /**
-     * Eviction-mode working set: addresses conflicting with a target
-     * line (see channel/conflict.hh). The loader cycles through
-     * them, one load per gap, displacing whatever else lives in the
-     * set. Only read while mode == evict.
-     */
-    std::vector<VAddr> evictLines;
-    /** Next evictLines position (loader-private cursor). */
-    std::size_t evictPos = 0;
-    /** Loads issued while maintaining or evicting, for tests. */
-    std::uint64_t loadsIssued = 0;
 };
 
 /** Loader-thread coroutine body. */
@@ -92,16 +80,6 @@ class PlacerCrew
      */
     void activate(Combo c, VAddr addr);
 
-    /**
-     * Switch the local loaders to eviction mode over @p lines (a
-     * conflict set discovered through the machine's index function);
-     * remote loaders go idle. The caller owns staleness handling: a
-     * remap rekey silently turns the walk into harmless background
-     * traffic until a fresh set is supplied — eviction pressure
-     * degrades, nothing faults.
-     */
-    void activateEvict(const std::vector<VAddr> &lines);
-
     /** All loaders idle (trojan goes quiet). */
     void idle();
 
@@ -113,9 +91,6 @@ class PlacerCrew
     {
         return static_cast<int>(ctls_.size() - nLocal_);
     }
-
-    /** Loads issued so far by every loader (tests). */
-    std::uint64_t totalLoads() const;
 
   private:
     /** Set loader @p i's mode, waking it if that changes it. */

@@ -74,13 +74,6 @@ IncrementalTranslator::finish()
     return std::nullopt;
 }
 
-void
-IncrementalTranslator::reset()
-{
-    phase_ = Phase::seekBoundary;
-    cRun_ = 0;
-}
-
 BitString
 translateTrace(const std::vector<SpySample> &trace,
                const LatencyBand &tc, const LatencyBand &tb,

@@ -53,9 +53,6 @@ class IncrementalTranslator
     /** Flush a pending communication run at end of stream. */
     std::optional<int> finish();
 
-    /** Restart translation (e.g. at a packet boundary). */
-    void reset();
-
   private:
     enum class Phase : std::uint8_t
     {

@@ -17,7 +17,6 @@
 #include "channel/calibration.hh"
 #include "channel/channel.hh"
 #include "channel/combo.hh"
-#include "channel/conflict.hh"
 #include "channel/ecc.hh"
 #include "channel/experiment.hh"
 #include "channel/fleet.hh"

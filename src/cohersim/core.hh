@@ -31,7 +31,6 @@
 // Execution engine.
 #include "sim/memory_backend.hh"
 #include "sim/scheduler.hh"
-#include "sim/sync.hh"
 #include "sim/task.hh"
 #include "sim/thread.hh"
 #include "sim/thread_api.hh"
@@ -53,7 +52,6 @@
 #include "trace/counters.hh"
 #include "trace/event.hh"
 #include "trace/perfetto.hh"
-#include "trace/query.hh"
 #include "trace/recorder.hh"
 
 #endif // COHERSIM_COHERSIM_CORE_HH

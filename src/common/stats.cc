@@ -16,14 +16,6 @@ SampleSet::add(double v)
     sortedValid_ = false;
 }
 
-void
-SampleSet::clear()
-{
-    samples_.clear();
-    sorted_.clear();
-    sortedValid_ = false;
-}
-
 double
 SampleSet::mean() const
 {
@@ -33,38 +25,6 @@ SampleSet::mean() const
     for (double v : samples_)
         sum += v;
     return sum / samples_.size();
-}
-
-double
-SampleSet::stddev() const
-{
-    if (samples_.size() < 2)
-        return 0.0;
-    const double m = mean();
-    double acc = 0.0;
-    for (double v : samples_)
-        acc += (v - m) * (v - m);
-    // Bessel-corrected (N-1) sample estimator: these are always
-    // samples drawn from the latency distribution, never the whole
-    // population, and the population divisor understates the
-    // calibration band sigma.
-    return std::sqrt(acc / (samples_.size() - 1));
-}
-
-double
-SampleSet::min() const
-{
-    if (samples_.empty())
-        return 0.0;
-    return *std::min_element(samples_.begin(), samples_.end());
-}
-
-double
-SampleSet::max() const
-{
-    if (samples_.empty())
-        return 0.0;
-    return *std::max_element(samples_.begin(), samples_.end());
 }
 
 void
@@ -92,40 +52,6 @@ SampleSet::percentile(double p) const
     return sorted_[std::min(rank, sorted_.size()) - 1];
 }
 
-std::vector<std::pair<double, double>>
-SampleSet::cdf(std::size_t points) const
-{
-    std::vector<std::pair<double, double>> out;
-    if (samples_.empty() || points == 0)
-        return out;
-    ensureSorted();
-    out.reserve(points);
-    const double lo = sorted_.front();
-    const double hi = sorted_.back();
-    const double step = points > 1 ? (hi - lo) / (points - 1) : 0.0;
-    for (std::size_t i = 0; i < points; ++i) {
-        const double x = lo + step * i;
-        const auto it =
-            std::upper_bound(sorted_.begin(), sorted_.end(), x);
-        const double frac = static_cast<double>(it - sorted_.begin()) /
-                            sorted_.size();
-        out.emplace_back(x, frac);
-    }
-    return out;
-}
-
-double
-SampleSet::fractionWithin(double lo, double hi) const
-{
-    if (samples_.empty())
-        return 0.0;
-    std::size_t n = 0;
-    for (double v : samples_)
-        if (v >= lo && v <= hi)
-            ++n;
-    return static_cast<double>(n) / samples_.size();
-}
-
 Histogram::Histogram(double lo, double hi, std::size_t buckets)
     : lo_(lo), hi_(hi), counts_(buckets, 0)
 {
@@ -143,13 +69,6 @@ Histogram::add(double v)
                                        counts_.size()) - 1);
     ++counts_[static_cast<std::size_t>(idx)];
     ++total_;
-}
-
-double
-Histogram::bucketLo(std::size_t i) const
-{
-    const double width = (hi_ - lo_) / counts_.size();
-    return lo_ + width * i;
 }
 
 std::string

@@ -1,7 +1,7 @@
 /**
  * @file
  * Sample collection and summary statistics used by calibration and the
- * benchmark harnesses (CDFs, percentiles, means, histograms).
+ * benchmark harnesses (percentiles, means, histograms).
  */
 
 #ifndef COHERSIM_COMMON_STATS_HH
@@ -10,7 +10,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
-#include <utility>
 #include <vector>
 
 namespace csim
@@ -33,15 +32,6 @@ class SampleSet
     double mean() const;
 
     /**
-     * Sample standard deviation (Bessel-corrected, N-1 divisor);
-     * 0 if fewer than 2 samples.
-     */
-    double stddev() const;
-
-    double min() const;
-    double max() const;
-
-    /**
      * Percentile via nearest-rank on the sorted samples.
      *
      * @param p percentile in [0, 100].
@@ -51,22 +41,8 @@ class SampleSet
     /** Median (50th percentile). */
     double median() const { return percentile(50.0); }
 
-    /**
-     * Empirical CDF evaluated over the sample range.
-     *
-     * @param points number of (value, cumulative fraction) pairs.
-     * @return pairs with monotonically non-decreasing fractions.
-     */
-    std::vector<std::pair<double, double>> cdf(std::size_t points) const;
-
-    /** Fraction of samples inside [lo, hi]. */
-    double fractionWithin(double lo, double hi) const;
-
     /** Raw access for custom processing. */
     const std::vector<double> &values() const { return samples_; }
-
-    /** Remove all samples. */
-    void clear();
 
   private:
     void ensureSorted() const;
@@ -89,8 +65,6 @@ class Histogram
 
     std::size_t bucketCount() const { return counts_.size(); }
     std::uint64_t bucketValue(std::size_t i) const { return counts_[i]; }
-    /** Inclusive lower edge of bucket i. */
-    double bucketLo(std::size_t i) const;
     std::uint64_t total() const { return total_; }
 
     /** Render a one-line ASCII sparkline of the histogram. */

@@ -94,9 +94,6 @@ ExperimentSpec::toFleetConfig() const
 {
     FleetConfig cfg;
     cfg.base = toChannelConfig();
-    // Fleet noise is fleet-owned: the per-rig noiseThreads knob only
-    // feeds the contention-derived timeout below.
-    cfg.base.noiseThreads = 0;
     cfg.pairs = static_cast<int>(fleet.pairs);
     cfg.noiseAgents = static_cast<int>(fleet.noiseAgents);
     cfg.staggerCycles = static_cast<Tick>(fleet.staggerCycles);
@@ -151,6 +148,19 @@ ExperimentSpec::validate() const
             channel.phy.adaptive ? " with phy.adaptive = true" : "",
             " runs only on a single pair, not fleet.pairs = ",
             fleet.pairs, " (the fleet runs raw modulation)"));
+    // A fleet owns its noise and its safety timeout.
+    if (fleet.pairs > 1 && channel.noiseThreads != 0)
+        throw ConfigError(msgCat(
+            "channel.noise_threads = ", channel.noiseThreads,
+            " runs only on a single pair, not fleet.pairs = ",
+            fleet.pairs, " (a fleet's noise is fleet.noise_agents)"));
+    if (fleet.pairs > 1 && channel.timeout != ChannelConfig{}.timeout)
+        throw ConfigError(msgCat(
+            "channel.timeout = ", channel.timeout,
+            " runs only on a single pair, not fleet.pairs = ",
+            fleet.pairs,
+            " (a fleet derives its timeout from "
+            "channel.timeout_margin)"));
 
     if (!fleet.scenarioMix.empty()) {
         for (const std::string &name :

@@ -247,17 +247,6 @@ CoherenceChannelDetector::verdict(PAddr line) const
 }
 
 std::vector<LineVerdict>
-CoherenceChannelDetector::suspiciousEvictionLines() const
-{
-    std::vector<LineVerdict> out;
-    for (const auto &[line, state] : evictions_) {
-        if (state.suspicious)
-            out.push_back(verdictOf(state, line));
-    }
-    return out;
-}
-
-std::vector<LineVerdict>
 CoherenceChannelDetector::suspiciousFaultPids() const
 {
     std::vector<LineVerdict> out;
@@ -288,18 +277,6 @@ CoherenceChannelDetector::evictionVerdict(PAddr line) const
         return v;
     }
     return verdictOf(it->second, key);
-}
-
-LineVerdict
-CoherenceChannelDetector::faultVerdict(std::uint64_t pid) const
-{
-    const auto it = faults_.find(pid);
-    if (it == faults_.end()) {
-        LineVerdict v;
-        v.line = pid;
-        return v;
-    }
-    return verdictOf(it->second, pid);
 }
 
 LineVerdict

@@ -179,17 +179,10 @@ class CoherenceChannelDetector
     LineVerdict evictionVerdict(PAddr line) const;
 
     /**
-     * COW-fault-train verdict for process @p pid (page-fault
-     * channel signature; needs params.trackFaults). The verdict's
-     * `line` carries the pid and `flushes` counts faults;
-     * `alternation` is always 0.
+     * Flagged COW-fault trains (page-fault channel signature; needs
+     * params.trackFaults). Each verdict's `line` carries the pid and
+     * `flushes` counts faults; `alternation` is always 0.
      */
-    LineVerdict faultVerdict(std::uint64_t pid) const;
-
-    /** Flagged back-invalidation trains (cf. suspiciousLines). */
-    std::vector<LineVerdict> suspiciousEvictionLines() const;
-
-    /** Flagged COW-fault trains; each verdict's `line` is a pid. */
     std::vector<LineVerdict> suspiciousFaultPids() const;
 
     /**

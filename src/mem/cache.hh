@@ -199,7 +199,6 @@ class Cache
 
     /** The configured index function, or null for builtin linear. */
     IndexFunction *indexFunction() { return indexFn_.get(); }
-    const IndexFunction *indexFunction() const { return indexFn_.get(); }
 
   private:
     /**

@@ -17,13 +17,6 @@ IndexFunction::IndexFunction(IndexFn kind, unsigned numSets,
         ++setBits_;
 }
 
-void
-IndexFunction::rekey(std::uint64_t key)
-{
-    key_ = key;
-    ++generation_;
-}
-
 unsigned
 IndexFunction::fold(std::uint64_t frame) const
 {

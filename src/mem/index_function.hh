@@ -15,8 +15,7 @@
  *  - remap (CEASER-style dynamic remapping): a keyed mix of the
  *    frame; MemorySystem rekeys it every `mem.remap_period` LLC-side
  *    accesses, flushing resident lines through the normal victim
- *    paths so the old placement is actually destroyed. generation()
- *    counts rekeys so conflict-set users can detect staleness.
+ *    paths so the old placement is actually destroyed.
  *  - mirage (MIRAGE-style): a keyed random placement hash with a
  *    static key; MemorySystem pairs it with forced-random LLC
  *    eviction to approximate tagless random placement + global
@@ -59,12 +58,10 @@ class IndexFunction
         return 0;
     }
 
-    /** Install a fresh key (remap rekey); bumps generation(). */
-    void rekey(std::uint64_t key);
+    /** Install a fresh key (remap rekey). */
+    void rekey(std::uint64_t key) { key_ = key; }
 
     IndexFn kind() const { return kind_; }
-    /** Number of rekeys so far; 0 until the first one. */
-    std::uint64_t generation() const { return generation_; }
 
   private:
     unsigned fold(std::uint64_t frame) const;
@@ -76,7 +73,6 @@ class IndexFunction
     std::uint64_t mask_;
     bool maskValid_;
     std::uint64_t key_;
-    std::uint64_t generation_ = 0;
 };
 
 } // namespace csim

@@ -160,13 +160,6 @@ MemorySystem::inspect(PAddr addr) const
     return snap;
 }
 
-std::uint64_t
-MemorySystem::llcIndexGeneration() const
-{
-    const IndexFunction *fn = sockets_[0].llc->indexFunction();
-    return fn ? fn->generation() : 0;
-}
-
 void
 MemorySystem::rekeyNow(Tick when)
 {

@@ -154,8 +154,8 @@ class MemorySystem
     /** Snapshot everything the machine knows about one line. */
     LineSnapshot inspect(PAddr addr) const;
     /**
-     * A socket's LLC structure, exposed read-only so conflict-set
-     * builders can probe set membership through Cache::setIndex (and
+     * A socket's LLC structure, exposed read-only so conflict-line
+     * finders can probe set membership through Cache::setIndex (and
      * hence through whatever IndexFunction is configured) instead of
      * assuming linear set-stride arithmetic.
      */
@@ -164,12 +164,6 @@ class MemorySystem
     {
         return *sockets_[static_cast<std::size_t>(socket)].llc;
     }
-    /**
-     * Rekey count of the LLC index function (remap mode); 0 with a
-     * static index. Conflict-set users compare this against the
-     * generation they probed under to detect stale sets.
-     */
-    std::uint64_t llcIndexGeneration() const;
     /**
      * Verify every coherence invariant (single E/M owner, inclusion,
      * directory consistency). @return empty string if consistent,

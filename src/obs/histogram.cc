@@ -3,7 +3,6 @@
 #include <bit>
 
 #include "common/logging.hh"
-#include "runner/json_sink.hh"
 
 namespace csim
 {
@@ -129,21 +128,6 @@ LogHistogram::percentile(double q) const
         }
     }
     return max();
-}
-
-Json
-LogHistogram::toJson() const
-{
-    Json obj = Json::object();
-    obj["count"] = count_;
-    obj["sum"] = sum_;
-    obj["min"] = min();
-    obj["max"] = max();
-    obj["mean"] = mean();
-    obj["p50"] = percentile(50);
-    obj["p95"] = percentile(95);
-    obj["p99"] = percentile(99);
-    return obj;
 }
 
 } // namespace csim

@@ -20,8 +20,6 @@
 namespace csim
 {
 
-class Json;
-
 /** Streaming histogram over uint64 values (latencies in cycles). */
 class LogHistogram
 {
@@ -62,9 +60,6 @@ class LogHistogram
     {
         return buckets_;
     }
-
-    /** {count, sum, min, max, mean, p50, p95, p99} */
-    Json toJson() const;
 
   private:
     int subBits_;

@@ -1,7 +1,5 @@
 #include "os/ksm.hh"
 
-#include <algorithm>
-
 #include "common/logging.hh"
 #include "os/phys_mem.hh"
 #include "os/process.hh"
@@ -10,15 +8,6 @@ namespace csim
 {
 
 KsmDaemon::KsmDaemon(PhysMem &phys) : phys_(phys) {}
-
-bool
-KsmDaemon::isStablePage(PAddr page) const
-{
-    return std::any_of(stable_.begin(), stable_.end(),
-                       [page](const auto &kv) {
-                           return kv.second == page;
-                       });
-}
 
 std::vector<MergeEvent>
 KsmDaemon::scanOnce(const std::vector<Process *> &processes)

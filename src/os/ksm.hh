@@ -66,9 +66,6 @@ class KsmDaemon
     const KsmStats &stats() const { return stats_; }
     KsmStats &stats() { return stats_; }
 
-    /** Canonical (stable-tree) page for a content hash, if any. */
-    bool isStablePage(PAddr page) const;
-
   private:
     PhysMem &phys_;
     /** Stable tree: content hash -> canonical physical page. */

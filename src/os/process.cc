@@ -26,7 +26,6 @@ Process::mmap(std::uint64_t bytes)
     for (std::uint64_t i = 0; i < pages; ++i) {
         PageMapping m;
         m.paddr = phys_.allocPage();
-        m.mapped = true;
         table_.push_back(m);
     }
     return base;
@@ -42,22 +41,9 @@ Process::mapPhysical(const std::vector<PAddr> &pages, bool writable)
         PageMapping m;
         m.paddr = page;
         m.writable = writable;
-        m.mapped = true;
         table_.push_back(m);
     }
     return base;
-}
-
-void
-Process::munmap(VAddr base, std::uint64_t bytes)
-{
-    const std::uint64_t pages = (bytes + pageBytes - 1) / pageBytes;
-    for (std::uint64_t i = 0; i < pages; ++i) {
-        PageMapping *m = lookup(base + i * pageBytes);
-        fatal_if(!m, "munmap of unmapped page ", base + i * pageBytes);
-        phys_.release(m->paddr);
-        *m = PageMapping{};
-    }
 }
 
 void
@@ -107,7 +93,6 @@ Process::remap(VAddr vpage, const PageMapping &mapping)
     PageMapping *m = lookup(vpage);
     panic_if(!m, name_, ": remap of unmapped page ", vpage);
     *m = mapping;
-    m->mapped = true;
 }
 
 } // namespace csim

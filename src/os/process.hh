@@ -3,9 +3,10 @@
  * Simulated processes: per-process virtual address space backed by a
  * page table over PhysMem, with mmap/madvise-style management.
  *
- * mmap is a bump allocator from a fixed base, so the page table is a
- * dense array indexed by (vpage - base) / pageBytes and a lookup is
- * one bounds check and one index.
+ * mmap is a bump allocator from a fixed base and nothing is ever
+ * unmapped, so the page table is a dense array indexed by
+ * (vpage - base) / pageBytes and a lookup is one bounds check and one
+ * index.
  */
 
 #ifndef COHERSIM_OS_PROCESS_HH
@@ -31,8 +32,6 @@ struct PageMapping
     bool cow = false;
     /** Registered with madvise(MADV_MERGEABLE). */
     bool mergeable = false;
-    /** The slot holds a mapping (false: an munmap'd hole). */
-    bool mapped = false;
 };
 
 /** A simulated process and its address space. */
@@ -65,32 +64,26 @@ class Process
      */
     VAddr mapPhysical(const std::vector<PAddr> &pages, bool writable);
 
-    /** Unmap a previously mapped range, releasing page references. */
-    void munmap(VAddr base, std::uint64_t bytes);
-
     /** madvise(MADV_MERGEABLE): allow KSM to merge this range. */
     void madviseMergeable(VAddr base, std::uint64_t bytes);
 
     /**
      * Look up the mapping covering @p vaddr; nullptr if unmapped.
-     * The entry never moves on remap() or munmap(), so the pointer
-     * stays valid, and sees remaps, until the next mmap or
-     * mapPhysical.
+     * The entry never moves on remap(), so the pointer stays valid,
+     * and sees remaps, until the next mmap or mapPhysical.
      */
     const PageMapping *
     lookup(VAddr vaddr) const
     {
         const VAddr idx = indexOf(vaddr);
-        return idx < table_.size() && table_[idx].mapped ? &table_[idx]
-                                                         : nullptr;
+        return idx < table_.size() ? &table_[idx] : nullptr;
     }
 
     PageMapping *
     lookup(VAddr vaddr)
     {
         const VAddr idx = indexOf(vaddr);
-        return idx < table_.size() && table_[idx].mapped ? &table_[idx]
-                                                         : nullptr;
+        return idx < table_.size() ? &table_[idx] : nullptr;
     }
 
     /** Translate; panics on unmapped addresses (tests use lookup). */
@@ -105,16 +98,14 @@ class Process
     /**
      * Apply @p fn(vpage, mapping) to every mapped page in ascending
      * vpage order. @p fn may remap() pages, since that rewrites an
-     * entry in place, but must not mmap or munmap.
+     * entry in place, but must not mmap.
      */
     template <typename Fn>
     void
     forEachPage(Fn &&fn) const
     {
-        for (std::size_t i = 0; i < table_.size(); ++i) {
-            if (table_[i].mapped)
-                fn(mmapBase + i * pageBytes, table_[i]);
-        }
+        for (std::size_t i = 0; i < table_.size(); ++i)
+            fn(mmapBase + i * pageBytes, table_[i]);
     }
 
     /** Replace the mapping of one virtual page in place (KSM / COW). */
@@ -139,11 +130,8 @@ class Process
     ProcessId pid_;
     std::string name_;
     PhysMem &phys_;
-    /**
-     * One entry per virtual page from mmapBase up to the last page
-     * ever mapped. It only grows: munmap leaves a hole, so a vpage
-     * is never reused.
-     */
+    /** One entry per virtual page from mmapBase up to the last page
+     *  mapped. */
     std::vector<PageMapping> table_;
 };
 

@@ -42,18 +42,13 @@ word84(std::uint8_t nibble)
     return static_cast<std::uint8_t>((w7 << 1) | q);
 }
 
-template <std::uint8_t (*Word)(std::uint8_t)>
-constexpr std::array<std::uint8_t, 16>
-makeTable()
-{
+/** The 16 (8,4) codewords, indexed by nibble. */
+constexpr std::array<std::uint8_t, 16> table84 = [] {
     std::array<std::uint8_t, 16> t{};
     for (std::uint8_t n = 0; n < 16; ++n)
-        t[n] = Word(n);
+        t[n] = word84(n);
     return t;
-}
-
-constexpr std::array<std::uint8_t, 16> table74 = makeTable<word74>();
-constexpr std::array<std::uint8_t, 16> table84 = makeTable<word84>();
+}();
 
 std::uint8_t
 packBits(const BitString &bits, std::size_t n)
@@ -96,24 +91,6 @@ nearest(const std::array<std::uint8_t, 16> &table, std::uint8_t w)
 }
 
 } // namespace
-
-BitString
-hammingEncode74(std::uint8_t nibble)
-{
-    return unpackBits(table74[nibble & 0xf], 7);
-}
-
-std::uint8_t
-hammingDecode74(const BitString &bits, FecOutcome *outcome)
-{
-    const std::uint8_t w = packBits(bits, 7);
-    const auto [nibble, dist] = nearest(table74, w);
-    if (outcome) {
-        *outcome = dist == 0 ? FecOutcome::clean
-                             : FecOutcome::corrected;
-    }
-    return nibble;
-}
 
 BitString
 hammingEncode84(std::uint8_t nibble)

@@ -1,16 +1,15 @@
 /**
  * @file
- * Hamming codecs for the FEC stage: the classic (7,4) code (distance
- * 3, corrects any single bit error) and its extended (8,4) SECDED
- * form (an overall parity bit raises the distance to 4: corrects any
- * single error and *detects* any double error). The wire format uses
- * (8,4) — every payload nibble costs one byte on the wire — and the
+ * Hamming codec for the FEC stage: the extended (8,4) SECDED form of
+ * the classic (7,4) code (an overall parity bit raises the distance
+ * from 3 to 4: corrects any single error and *detects* any double
+ * error). Every payload nibble costs one byte on the wire, and the
  * soft decoder runs maximum-likelihood correlation over the 16
  * codewords using the spy's per-bit confidences.
  *
  * Codewords are systematic: bits [0..3] are the data nibble (MSB
  * first), bits [4..6] the Hamming parity, bit [7] the overall
- * parity. All codecs are pure functions over small tables, so the
+ * parity. The codecs are pure functions over a small table, so the
  * tests enumerate them exhaustively.
  */
 
@@ -46,19 +45,10 @@ enum class FecOutcome : std::uint8_t
     uncorrectable,  //!< double error detected (SECDED) / garbled
 };
 
-/** Encode a nibble into 7 bits: [d3 d2 d1 d0 p0 p1 p2]. */
-BitString hammingEncode74(std::uint8_t nibble);
-
 /**
- * Hard-decision (7,4) decode: the unique codeword within Hamming
- * distance 1. @p outcome reports whether a correction was applied
- * (distance-1 words always decode; the code has no detect-only
- * region).
+ * Encode a nibble into 8 bits: the (7,4) word [d3 d2 d1 d0 p0 p1 p2]
+ * plus overall parity.
  */
-std::uint8_t hammingDecode74(const BitString &bits,
-                             FecOutcome *outcome = nullptr);
-
-/** Encode a nibble into 8 bits: the (7,4) word plus overall parity. */
 BitString hammingEncode84(std::uint8_t nibble);
 
 /**

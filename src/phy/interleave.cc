@@ -36,15 +36,4 @@ interleaveBits(const BitString &in, int depth)
     return out;
 }
 
-BitString
-deinterleaveBits(const BitString &in, int depth)
-{
-    const std::vector<std::size_t> perm =
-        interleavePermutation(in.size(), depth);
-    BitString out(in.size());
-    for (std::size_t k = 0; k < in.size(); ++k)
-        out[perm[k]] = in[k];
-    return out;
-}
-
 } // namespace csim

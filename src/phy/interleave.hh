@@ -33,12 +33,10 @@ std::vector<std::size_t> interleavePermutation(std::size_t n,
 /** Codeword order -> wire order. */
 BitString interleaveBits(const BitString &in, int depth);
 
-/** Wire order -> codeword order (exact inverse of interleaveBits). */
-BitString deinterleaveBits(const BitString &in, int depth);
-
 /**
- * Deinterleave any element type (the spy deinterleaves soft bits,
- * not hard ones).
+ * Wire order -> codeword order, the exact inverse of interleaveBits,
+ * for any element type (the spy deinterleaves soft bits, not hard
+ * ones).
  */
 template <typename T>
 std::vector<T>

@@ -80,26 +80,4 @@ SoftTranslator::feed(SampleClass cls, double band_conf)
     return std::nullopt;
 }
 
-std::optional<SoftBit>
-SoftTranslator::finish()
-{
-    std::optional<SoftBit> out;
-    if (phase_ == Phase::inBit && cRun_ > 0)
-        out = emit();
-    phase_ = Phase::seekBoundary;
-    cRun_ = 0;
-    skips_ = 0;
-    confSum_ = 0.0;
-    return out;
-}
-
-void
-SoftTranslator::reset()
-{
-    phase_ = Phase::seekBoundary;
-    cRun_ = 0;
-    skips_ = 0;
-    confSum_ = 0.0;
-}
-
 } // namespace csim

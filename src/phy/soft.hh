@@ -49,11 +49,6 @@ class SoftTranslator
     /** Feed one classified sample; a SoftBit when one completes. */
     std::optional<SoftBit> feed(SampleClass cls, double band_conf);
 
-    /** Flush a pending communication run at end of stream. */
-    std::optional<SoftBit> finish();
-
-    void reset();
-
   private:
     SoftBit emit();
 

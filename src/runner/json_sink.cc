@@ -47,16 +47,6 @@ Json::push(Json v)
     arr_.push_back(std::move(v));
 }
 
-std::size_t
-Json::size() const
-{
-    if (kind_ == Kind::array)
-        return arr_.size();
-    if (kind_ == Kind::object)
-        return obj_.size();
-    return 0;
-}
-
 void
 Json::escape(std::ostream &os, const std::string &s)
 {

@@ -60,9 +60,6 @@ class Json
     /** Append to an array. */
     void push(Json v);
 
-    /** Number of array elements / object members. */
-    std::size_t size() const;
-
     /** Serialize with 2-space indentation. */
     void dump(std::ostream &os, int indent = 0) const;
     std::string dump() const;

@@ -20,17 +20,6 @@ traceCategoryName(TraceCategory c)
     return "?";
 }
 
-TraceCategory
-traceCategoryFromName(const char *name)
-{
-    for (int i = 0; i < numTraceCategories; ++i) {
-        const auto c = static_cast<TraceCategory>(i);
-        if (std::strcmp(name, traceCategoryName(c)) == 0)
-            return c;
-    }
-    return TraceCategory::numCategories;
-}
-
 const char *
 traceTypeName(TraceEventType t)
 {

@@ -57,12 +57,6 @@ inline constexpr std::uint32_t allTraceCategories =
 /** Printable name of a category ("mem", "coherence", ...). */
 const char *traceCategoryName(TraceCategory c);
 
-/**
- * Parse a category name; @return numCategories when unknown.
- * Accepts the names printed by traceCategoryName().
- */
-TraceCategory traceCategoryFromName(const char *name);
-
 /** Concrete event types. Payload word meaning is per type. */
 enum class TraceEventType : std::uint8_t
 {

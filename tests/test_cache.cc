@@ -276,7 +276,6 @@ TEST(CacheWalk, RemapRekeyEmptiesTheLlcAndLaterFillsAreVisited)
     // The fourth op rekeys before it runs; flushing an uncached line
     // then leaves nothing behind.
     mem.flush(0, 0x4000, now += 1'000);
-    EXPECT_EQ(mem.llcIndexGeneration(), 1u);
     for (SocketId s = 0; s < cfg.sockets; ++s)
         EXPECT_EQ(mem.llcOf(s).occupancy(), 0u) << "socket " << s;
     mem.load(1, 0x5000, now += 1'000);

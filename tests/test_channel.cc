@@ -7,11 +7,15 @@
 
 #include <gtest/gtest.h>
 
-#include "channel/conflict.hh"
+#include <map>
+#include <memory>
+
 #include "channel/placer.hh"
 #include "channel/vector.hh"
 #include "common/edit_distance.hh"
 #include "common/random.hh"
+#include "config/presets.hh"
+#include "config/resolver.hh"
 #include "sim/scheduler.hh"
 
 namespace csim
@@ -243,17 +247,6 @@ TEST(Translator, FinishFlushesPendingRun)
     EXPECT_FALSE(tr.finish().has_value());
 }
 
-TEST(Translator, ResetClearsState)
-{
-    IncrementalTranslator tr(3);
-    tr.feed(SampleClass::boundary);
-    tr.feed(SampleClass::communication);
-    tr.reset();
-    // After reset we are seeking a boundary again; a C does nothing.
-    EXPECT_FALSE(tr.feed(SampleClass::communication).has_value());
-    EXPECT_FALSE(tr.finish().has_value());
-}
-
 TEST(TranslateTraceTest, DecodesSyntheticTrace)
 {
     const LatencyBand tc{115, 135};
@@ -310,7 +303,6 @@ TEST(PlacerTest, CrewPlacesEveryCombo)
                   comboExpectedService(c))
             << comboName(c);
     }
-    EXPECT_GT(crew.totalLoads(), 0u);
 }
 
 TEST(PlacerTest, ActivateBeyondCrewPanics)
@@ -328,148 +320,6 @@ TEST(PlacerTest, ActivateBeyondCrewPanics)
                  std::logic_error);
     crew.stopAll();
     m.sched.run(1'000'000);
-}
-
-// Conflict-set discovery must go through the machine's index
-// function, never through set-stride arithmetic: the stride shortcut
-// is only valid for the linear mapping.
-TEST(ConflictTest, LinearProbeFindsStrideSpacedLines)
-{
-    SystemConfig cfg = baseConfig().system;
-    cfg.validate();
-    MemorySystem mem(cfg);
-    const PAddr target = 0x4000'0000;
-    const ConflictSet set =
-        buildConflictSet(mem, 0, target, 8, 0x1000'0000);
-    ASSERT_EQ(set.lines.size(), 8u);
-    const Cache &llc = mem.llcOf(0);
-    for (const PAddr addr : set.lines)
-        EXPECT_EQ(llc.setIndex(addr), set.setIndex);
-    // Linear indexing really is setBytes-strided: consecutive
-    // colliding lines sit one whole-LLC stride apart.
-    const PAddr stride =
-        static_cast<PAddr>(llc.numSets()) * lineBytes;
-    for (std::size_t i = 1; i < set.lines.size(); ++i)
-        EXPECT_EQ(set.lines[i] - set.lines[i - 1], stride);
-    EXPECT_FALSE(set.stale(mem));
-    EXPECT_DOUBLE_EQ(conflictFraction(mem, set), 1.0);
-}
-
-TEST(ConflictTest, XorFoldBreaksTheStrideAssumption)
-{
-    SystemConfig cfg = baseConfig().system;
-    cfg.llcIndex = IndexFn::xorFold;
-    cfg.validate();
-    MemorySystem mem(cfg);
-    const PAddr target = 0x4000'0000;
-    const ConflictSet set =
-        buildConflictSet(mem, 0, target, 8, 0x1000'0000);
-    ASSERT_EQ(set.lines.size(), 8u);
-    const Cache &llc = mem.llcOf(0);
-    for (const PAddr addr : set.lines)
-        EXPECT_EQ(llc.setIndex(addr), set.setIndex);
-    EXPECT_DOUBLE_EQ(conflictFraction(mem, set), 1.0);
-    // The historical shortcut — step by the set stride and assume
-    // collision — must now fail for most addresses.
-    const PAddr stride =
-        static_cast<PAddr>(llc.numSets()) * lineBytes;
-    int stride_hits = 0;
-    for (PAddr k = 1; k <= 8; ++k) {
-        if (llc.setIndex(target + k * stride) == set.setIndex)
-            ++stride_hits;
-    }
-    EXPECT_LT(stride_hits, 8);
-}
-
-TEST(ConflictTest, RemapRekeyStalenessIsDetected)
-{
-    SystemConfig cfg = baseConfig().system;
-    cfg.llcIndex = IndexFn::remap;
-    cfg.remapPeriod = 200;
-    cfg.validate();
-    MemorySystem mem(cfg);
-    const PAddr target = 0x4000'0000;
-    const ConflictSet set =
-        buildConflictSet(mem, 0, target, 12, 0x1000'0000);
-    EXPECT_FALSE(set.stale(mem));
-    EXPECT_DOUBLE_EQ(conflictFraction(mem, set), 1.0);
-
-    // Drive enough operations to trip at least one rekey.
-    Tick now = 0;
-    for (int i = 0; i < 600; ++i) {
-        mem.load(0, 0x5000'0000 +
-                        static_cast<PAddr>(i % 32) * lineBytes,
-                 now += 100);
-    }
-    ASSERT_GT(mem.llcIndexGeneration(), 0u);
-
-    // Graceful degradation: the set is flagged stale and its lines
-    // have scattered over the whole LLC; nothing faults.
-    EXPECT_TRUE(set.stale(mem));
-    EXPECT_LT(conflictFraction(mem, set), 0.5);
-
-    // Rebuilding under the new key restores a working set.
-    const ConflictSet fresh =
-        buildConflictSet(mem, 0, target, 12, 0x1000'0000);
-    EXPECT_FALSE(fresh.stale(mem));
-    EXPECT_DOUBLE_EQ(conflictFraction(mem, fresh), 1.0);
-}
-
-// Eviction mode end to end: loaders walking a conflict set
-// discovered through the index function must displace the target
-// from an inclusive LLC (back-invalidating the observer's copy), so
-// the observer's reload goes all the way to DRAM.
-TEST(PlacerTest, EvictModeDisplacesTargetThroughIndexFunction)
-{
-    SystemConfig cfg = baseConfig().system;
-    // A small LLC so a one-set walk evicts quickly; L1/L2 shrink to
-    // respect the size ordering the config validates.
-    cfg.l1 = CacheGeometry{4 * 1024, 2};
-    cfg.l2 = CacheGeometry{8 * 1024, 4};
-    cfg.llc = CacheGeometry{64 * 1024, 8};
-    cfg.validate();
-    Machine m(cfg);
-    Process &proc = m.kernel.createProcess("trojan");
-    const VAddr target = proc.mmap(pageBytes);
-    const VAddr buf = proc.mmap(256 * 1024);
-
-    // Probe the conflict set through the LLC's own index function,
-    // translating buffer lines to physical addresses.
-    const Cache &llc = m.mem.llcOf(0);
-    const unsigned want =
-        llc.setIndex(lineAlign(proc.translate(target)));
-    std::vector<VAddr> conflict;
-    for (std::uint64_t off = 0;
-         off < 256 * 1024 && conflict.size() < 16;
-         off += lineBytes) {
-        if (llc.setIndex(lineAlign(proc.translate(buf + off))) ==
-            want) {
-            conflict.push_back(buf + off);
-        }
-    }
-    ASSERT_EQ(conflict.size(), 16u);
-
-    ChannelParams params;
-    PlacerCrew crew(m.kernel, m.sched, proc,
-                    {cfg.coreOf(0, 1), cfg.coreOf(0, 2)}, {},
-                    params);
-    ServedBy reload = ServedBy::none;
-    SimThread *observer = m.kernel.spawnThread(
-        m.sched, "observer", cfg.coreOf(0, 0), proc,
-        [&](ThreadApi api) -> Task {
-            co_await api.load(target);  // install everywhere
-            crew.activateEvict(conflict);
-            co_await api.spin(300'000);  // loaders churn the set
-            crew.idle();
-            co_await api.spin(5'000);
-            co_await api.load(target);
-            reload = api.lastServed();
-            crew.stopAll();
-        });
-    m.sched.runUntilFinished(observer, 10'000'000);
-    ASSERT_TRUE(observer->finished);
-    EXPECT_EQ(reload, ServedBy::dram);
-    EXPECT_GT(crew.totalLoads(), 16u);
 }
 
 /**
@@ -613,8 +463,6 @@ crewScheduleDigest(std::uint64_t seed)
     sched.run();
     h = fnvMix(h, sched.now());
     EXPECT_TRUE(sched.allFinished());
-    EXPECT_GT(a.totalLoads(), 0u);
-    EXPECT_GT(b->totalLoads(), 0u);
 
     for (const auto &op : log.ops) {
         h = fnvMix(h, static_cast<std::uint64_t>(op.kind));
@@ -669,6 +517,59 @@ TEST(CorePlanTest, RejectsTooSmallMachines)
     sys = baseConfig().system;
     sys.coresPerSocket = 3;
     EXPECT_THROW(CorePlan::standard(sys), std::runtime_error);
+}
+
+// The quantum hand-over gives a freed core to the lowest waiting
+// thread id, so of three busy threads on one core the third never
+// runs. No single-pair preset, in any scenario or noise level of its
+// sweep, puts three threads on a core, so no paper golden depends on
+// that rule. Each rig is built as runVectorTransmission builds it, up
+// to the spawned trojan and spy, and never run.
+TEST(CorePlanTest, NoSinglePairPresetPutsThreeThreadsOnACore)
+{
+    for (const Preset &preset : allPresets()) {
+        ConfigResolver res;
+        res.applyPreset(preset.name);
+        const ExperimentSpec &base = res.spec();
+        if (base.fleet.pairs > 1)
+            continue;
+        const GridAxes axes = sweepAxes(base);
+        for (const Scenario sc : axes.scenarios) {
+            for (const int noise : axes.noiseLevels) {
+                ExperimentSpec spec = base;
+                spec.channel.scenario = sc;
+                spec.channel.noiseThreads = noise;
+                SCOPED_TRACE(msgCat(preset.name, ", ",
+                                    scenarioInfo(sc).notation,
+                                    ", ", noise, " noise thread(s)"));
+                const ChannelConfig cfg = spec.toChannelConfig();
+                const std::unique_ptr<LeakageVector> vec =
+                    makeLeakageVector(cfg.vector);
+                const ScenarioInfo &scenario = scenarioInfo(sc);
+                SinglePairRig rig(cfg, &sharedCal(),
+                                  vec->localLoaders(scenario),
+                                  vec->remoteLoaders(scenario),
+                                  scenario.csc);
+                const BitString payload = spec.makePayload();
+                TrojanResult trojan;
+                SpyResult spy;
+                VectorRun run{rig.host.cfg, scenario, rig.host.cal,
+                              payload,      rig.pair, trojan,
+                              spy};
+                vec->prepare(run);
+                rig.pair.spawn(
+                    [&](ThreadApi api) { return vec->trojanTask(api, run); },
+                    [&](ThreadApi api) { return vec->spyTask(api, run); });
+                std::map<CoreId, int> live;
+                for (const auto &t : rig.host.machine.sched.threads()) {
+                    if (!t->finished)
+                        ++live[t->core()];
+                }
+                for (const auto &[core, n] : live)
+                    EXPECT_LE(n, 2) << "core " << core;
+            }
+        }
+    }
 }
 
 /** End-to-end transmission for every Table I scenario. */

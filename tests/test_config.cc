@@ -311,6 +311,28 @@ TEST(ExperimentSpec, ValidatesCrossFieldConstraints)
             EXPECT_NE(msg.find("fleet.pairs = 2"), std::string::npos);
         }
     }
+
+    // A fleet owns its noise and its safety timeout: the per-pair
+    // knobs are refused on one, not ignored.
+    for (const std::string field :
+         {"channel.noise_threads", "channel.timeout"}) {
+        spec = ExperimentSpec{};
+        spec.fleet.pairs = 2;
+        if (field == "channel.timeout")
+            spec.channel.timeout = 100'000;
+        else
+            spec.channel.noiseThreads = 4;
+        try {
+            spec.validate();
+            ADD_FAILURE() << "expected ConfigError for " << field;
+        } catch (const ConfigError &e) {
+            const std::string msg = e.what();
+            EXPECT_NE(msg.find(field), std::string::npos);
+            EXPECT_NE(msg.find("fleet.pairs = 2"), std::string::npos);
+        }
+        spec.fleet.pairs = 1;
+        EXPECT_NO_THROW(spec.validate()) << field;
+    }
 }
 
 TEST(ExperimentSpec, DerivesChannelConfigFromRate)

@@ -51,40 +51,6 @@ sharedCal()
 
 // ---------------------------------------------------------------- FEC
 
-TEST(Hamming74, ExhaustiveSingleBitCorrection)
-{
-    for (std::uint8_t nibble = 0; nibble < 16; ++nibble) {
-        const BitString code = hammingEncode74(nibble);
-        ASSERT_EQ(code.size(), 7u);
-        FecOutcome outcome;
-        EXPECT_EQ(hammingDecode74(code, &outcome), nibble);
-        EXPECT_EQ(outcome, FecOutcome::clean);
-        for (std::size_t flip = 0; flip < 7; ++flip) {
-            BitString bad = code;
-            bad[flip] ^= 1;
-            EXPECT_EQ(hammingDecode74(bad, &outcome), nibble)
-                << "nibble " << int(nibble) << " flip " << flip;
-            EXPECT_EQ(outcome, FecOutcome::corrected);
-        }
-    }
-}
-
-TEST(Hamming74, MinimumDistanceIsThree)
-{
-    for (int a = 0; a < 16; ++a) {
-        for (int b = a + 1; b < 16; ++b) {
-            const BitString ca =
-                hammingEncode74(static_cast<std::uint8_t>(a));
-            const BitString cb =
-                hammingEncode74(static_cast<std::uint8_t>(b));
-            int dist = 0;
-            for (std::size_t i = 0; i < 7; ++i)
-                dist += ca[i] != cb[i];
-            EXPECT_GE(dist, 3) << a << " vs " << b;
-        }
-    }
-}
-
 TEST(Hamming84, ExhaustiveCorrectAndDetect)
 {
     for (std::uint8_t nibble = 0; nibble < 16; ++nibble) {
@@ -203,7 +169,7 @@ TEST(Interleaver, PermutationRoundTrip)
             Rng rng(1000 + depth);
             const BitString orig = randomBits(rng, n);
             const BitString inter = interleaveBits(orig, depth);
-            EXPECT_EQ(deinterleaveBits(inter, depth), orig);
+            EXPECT_EQ(deinterleave(inter, depth), orig);
             if (depth == 1) {
                 EXPECT_EQ(inter, orig);
             }

@@ -210,7 +210,7 @@ TEST_F(ProfTest, JsonAndCsvExportCarryAllColumns)
     EXPECT_EQ(schema->asString(), "cohersim.profile.v1");
     const Json *spans = doc.find("spans");
     ASSERT_NE(spans, nullptr);
-    ASSERT_EQ(spans->size(), 1u);
+    ASSERT_EQ(spans->items().size(), 1u);
     const Json &row = spans->items()[0];
     EXPECT_EQ(row.find("path")->asString(), "export");
     EXPECT_EQ(row.find("count")->asInt(), 1);

@@ -6,11 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "channel/experiment.hh"
 #include "channel/symbols.hh"
 #include "channel/vector.hh"
 #include "config/resolver.hh"
-#include "trace/query.hh"
 #include "trace/recorder.hh"
 
 namespace csim
@@ -146,12 +147,16 @@ TEST(SymbolChannel, PublishesBitMilestones)
     const ChannelReport report =
         runVectorTransmission(cfg, payload, &sharedCal());
     const std::vector<TraceEvent> events = recorder.drain();
-    const TraceQuery q(events);
+    auto count = [&events](TraceEventType type) {
+        return static_cast<std::size_t>(std::count_if(
+            events.begin(), events.end(),
+            [type](const TraceEvent &ev) { return ev.type == type; }));
+    };
     EXPECT_EQ(report.received, payload);
-    EXPECT_EQ(q.count(TraceEventType::chTxBit), payload.size());
-    EXPECT_EQ(q.count(TraceEventType::chRxBit), payload.size());
-    EXPECT_EQ(q.count(TraceEventType::chTxEnd), 1u);
-    EXPECT_EQ(q.count(TraceEventType::chRxEnd), 1u);
+    EXPECT_EQ(count(TraceEventType::chTxBit), payload.size());
+    EXPECT_EQ(count(TraceEventType::chRxBit), payload.size());
+    EXPECT_EQ(count(TraceEventType::chTxEnd), 1u);
+    EXPECT_EQ(count(TraceEventType::chRxEnd), 1u);
 }
 
 TEST(SymbolVector, ResolvesFromTheRegistryAndRunsThroughRunExperiment)

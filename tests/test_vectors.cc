@@ -193,7 +193,6 @@ TEST(VectorDetect, EvictionTrainFlagsLruChannel)
     EXPECT_LE(v.intervalCv, params.maxEvictionCv);
     EXPECT_GE(v.alternation, params.minAlternation);
     EXPECT_TRUE(det.anySuspicious());
-    EXPECT_FALSE(det.suspiciousEvictionLines().empty());
     // The classic flush train stays silent — nothing flushes.
     EXPECT_FALSE(det.verdict(r.channel.shared.paddr).suspicious);
 }
@@ -238,7 +237,7 @@ TEST(VectorDetect, DefaultDetectorIgnoresCrossVectorEvents)
     }
     EXPECT_FALSE(det.anySuspicious());
     EXPECT_FALSE(det.evictionVerdict(line).suspicious);
-    EXPECT_FALSE(det.faultVerdict(7).suspicious);
+    EXPECT_TRUE(det.suspiciousFaultPids().empty());
     EXPECT_EQ(det.eventsObserved(), 240u);
 }
 

@@ -27,6 +27,7 @@
  * Run `cohersim <subcommand> --help` for the options of each.
  */
 
+#include <bit>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -373,9 +374,11 @@ writeTransmitTrace(const std::string &path, TraceRecorder &recorder,
 {
     const std::vector<TraceEvent> events = recorder.drain();
     writePerfettoTrace(path, events, sys);
-    const TraceQuery query(events);
+    std::uint32_t categories = 0;
+    for (const TraceEvent &ev : events)
+        categories |= categoryBit(ev.category);
     std::cout << "trace:     " << events.size() << " events ("
-              << query.categoriesPresent() << " categories) -> "
+              << std::popcount(categories) << " categories) -> "
               << path << "\n";
 }
 
