@@ -11,6 +11,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <set>
 
 #include "channel/vector.hh"
 #include "config/presets.hh"
@@ -150,6 +151,28 @@ TEST(FieldRegistry, ParsesScenarioRowNumbers)
     EXPECT_EQ(res.spec().channel.scenario, Scenario::rshC_lexB);
     EXPECT_THROW(res.applyOverride("scenario", "7", "cli"),
                  ConfigError);
+}
+
+TEST(FieldRegistry, EveryChoiceRoundTrips)
+{
+    // parse -> set -> get -> format gives every choice back, and
+    // distinct choices leave distinct specs.
+    const FieldRegistry &reg = FieldRegistry::instance();
+    int choice_fields = 0;
+    for (const FieldDef &f : reg.fields()) {
+        if (f.type != FieldDef::Type::choice)
+            continue;
+        ++choice_fields;
+        std::set<std::string> dumps;
+        for (const std::string &choice : f.choices) {
+            ConfigResolver res;
+            res.applyOverride(f.name, choice, "test");
+            EXPECT_EQ(f.format(f.get(res.spec())), choice) << f.name;
+            dumps.insert(res.toJson().dump());
+        }
+        EXPECT_EQ(dumps.size(), f.choices.size()) << f.name;
+    }
+    EXPECT_EQ(choice_fields, 10);
 }
 
 TEST(FieldRegistry, RejectsTypeMismatchesFromJson)

@@ -186,6 +186,27 @@ check_all() {
     # preset.
     run_case vectors_quick stdout "$cli" transmit --preset lru-quick \
         -- bench_stdout "$bench_dir/vector_matrix" --quick --jobs 1 --quiet
+
+    # The config layer: pin the field listing and resolved manifests
+    # that move every choice field off its default. phy.profile runs
+    # only on the coherence vector, so the non-default vectors get
+    # dumps of their own.
+    run_case config_fields fields "$cli" info --fields \
+        -- dump_pagefault "$cli" info --dump-config pagefault.json \
+        --system.flavor moesi --system.lookup snoop \
+        --mem.replacement srrip --mem.inclusivity exclusive \
+        --mem.llc_index mirage --channel.vector pagefault \
+        --channel.scenario RExclc-LSharedb --channel.sharing ksm \
+        --channel.defense ksm-guard \
+        -- dump_phy "$cli" info --dump-config phy.json \
+        --phy.profile hamming-hard --system.flavor mesif \
+        --mem.replacement plru --mem.inclusivity nine \
+        --mem.llc_index xor-fold --channel.scenario 2 \
+        --channel.defense targeted-noise \
+        -- dump_2bit "$cli" info --dump-config 2bit.json \
+        --channel.vector coherence-2bit --mem.replacement random \
+        --mem.llc_index remap --channel.scenario 6 \
+        --channel.defense llc-notify
 }
 
 for ((run = 1; run <= repeat; run++)); do
