@@ -54,13 +54,15 @@ ConfigResolver::applyJson(const Json &root, const std::string &source)
 
     // Walk the nested tree; the dotted path of each leaf is the
     // field name.
+    // Depth-first in document order keeps error messages stable, and
+    // lets a manifest's mem.inclusivity win over the legacy
+    // system.llc_inclusive written before it.
     std::vector<std::pair<std::string, const Json *>> stack;
-    for (const auto &[key, value] : root.entries()) {
-        if (key == "preset")
-            continue;
-        stack.emplace_back(key, &value);
+    const auto &top = root.entries();
+    for (auto it = top.rbegin(); it != top.rend(); ++it) {
+        if (it->first != "preset")
+            stack.emplace_back(it->first, &it->second);
     }
-    // Depth-first in document order keeps error messages stable.
     std::vector<std::pair<std::string, const Json *>> leaves;
     while (!stack.empty()) {
         auto [path, node] = stack.back();

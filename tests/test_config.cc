@@ -283,6 +283,25 @@ TEST(ConfigResolver, DumpFileReloads)
     std::remove(path.c_str());
 }
 
+TEST(ConfigResolver, EveryChoiceManifestReloads)
+{
+    // A manifest is applied in document order, so the legacy
+    // system.llc_inclusive it carries cannot undo mem.inclusivity
+    // (an exclusive LLC used to reload as NINE).
+    const FieldRegistry &reg = FieldRegistry::instance();
+    for (const FieldDef &f : reg.fields()) {
+        for (const std::string &choice : f.choices) {
+            ConfigResolver res;
+            res.applyOverride(f.name, choice, "test");
+            const std::string dump = res.toJson().dump();
+            ConfigResolver again;
+            again.applyJson(parseJson(dump), "file:dump");
+            EXPECT_EQ(again.toJson().dump(), dump)
+                << f.name << " = " << choice;
+        }
+    }
+}
+
 TEST(ConfigResolver, NamesFileInUnknownKeyError)
 {
     ConfigResolver res;
