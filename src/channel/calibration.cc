@@ -10,16 +10,15 @@
 namespace csim
 {
 
-namespace
-{
-
-/** Band spanning [p1, p99] of the samples, widened on both sides. */
 LatencyBand
 bandOf(const SampleSet &s, double widen)
 {
     return LatencyBand{s.percentile(1.0) - widen,
                        s.percentile(99.0) + widen};
 }
+
+namespace
+{
 
 Task
 calibrationBody(ThreadApi api, PlacerCrew &crew, VAddr block,

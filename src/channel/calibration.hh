@@ -68,6 +68,12 @@ struct CalibrationResult
 };
 
 /**
+ * The band a calibrated latency class claims: [p1, p99] of its
+ * samples, widened by @p widen on both sides.
+ */
+LatencyBand bandOf(const SampleSet &s, double widen);
+
+/**
  * Extend each band's upper edge into the gap up to the next band by
  * @p fraction of the gap (leaving a small guard). Contention only
  * ever *delays* loads, so a sample in the gap above a band most

@@ -48,7 +48,7 @@ void
 publishShareEstablished(Machine &machine, const SharedBlock &block)
 {
     TraceBus &bus = machine.mem.trace();
-    if (!bus.enabled<TraceCategory::channel>())
+    if (!bus.enabled(TraceCategory::channel))
         return;
     bus.publish(TraceEvent{TraceEventType::chShareEstablished,
                            TraceCategory::channel, invalidCore,

@@ -23,7 +23,7 @@ chEvent(const ThreadApi &api, TraceEventType type,
         std::uint64_t a = 0, std::uint64_t b = 0, PAddr addr = 0)
 {
     TraceBus *bus = api.traceBus();
-    if (bus && bus->enabled<TraceCategory::channel>()) {
+    if (bus && bus->enabled(TraceCategory::channel)) {
         bus->publish(TraceEvent{type, TraceCategory::channel,
                                 api.core(), api.now(), addr, a, b,
                                 api.pairTag()});

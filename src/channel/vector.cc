@@ -1,7 +1,5 @@
 #include "channel/vector.hh"
 
-#include <stdexcept>
-
 #include "common/logging.hh"
 #include "detect/cchunter.hh"
 #include "os/kernel.hh"
@@ -21,18 +19,6 @@ vectorName(VectorKind k)
       case VectorKind::coherence2bit: return "coherence-2bit";
     }
     return "?";
-}
-
-VectorKind
-vectorFromName(const std::string &name)
-{
-    for (int i = 0; i < numVectorKinds; ++i) {
-        const auto k = static_cast<VectorKind>(i);
-        if (name == vectorName(k))
-            return k;
-    }
-    throw std::invalid_argument(
-        msgCat("unknown leakage vector '", name, "'"));
 }
 
 namespace

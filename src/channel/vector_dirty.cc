@@ -92,15 +92,9 @@ class DirtyVector final : public LeakageVector
         panic_if(!observer->finished,
                  "dirty-vector calibration did not complete");
 
-        for (int i = 0; i < 2; ++i) {
-            const SampleSet &s = out.samples[i];
-            out.bands[i] =
-                LatencyBand{s.percentile(1.0) - params.bandWiden,
-                            s.percentile(99.0) + params.bandWiden};
-        }
-        out.dramBand = LatencyBand{
-            out.dramSamples.percentile(1.0) - params.bandWiden,
-            out.dramSamples.percentile(99.0) + params.bandWiden};
+        for (int i = 0; i < 2; ++i)
+            out.bands[i] = bandOf(out.samples[i], params.bandWiden);
+        out.dramBand = bandOf(out.dramSamples, params.bandWiden);
         return out;
     }
 

@@ -10,7 +10,6 @@
 #define COHERSIM_CHANNEL_VECTOR_KIND_HH
 
 #include <cstdint>
-#include <string>
 
 namespace csim
 {
@@ -34,9 +33,6 @@ inline constexpr int numVectorKinds = 5;
 
 /** Printable name: coherence, dirty, lru, pagefault, coherence-2bit. */
 const char *vectorName(VectorKind k);
-
-/** Parse a vector name; throws std::invalid_argument on others. */
-VectorKind vectorFromName(const std::string &name);
 
 } // namespace csim
 

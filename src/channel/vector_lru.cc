@@ -121,12 +121,8 @@ class LruVector final : public LeakageVector
         panic_if(!observer->finished,
                  "lru-vector calibration did not complete");
 
-        for (int i = 0; i < 2; ++i) {
-            const SampleSet &s = out.samples[i];
-            out.bands[i] =
-                LatencyBand{s.percentile(1.0) - params.bandWiden,
-                            s.percentile(99.0) + params.bandWiden};
-        }
+        for (int i = 0; i < 2; ++i)
+            out.bands[i] = bandOf(out.samples[i], params.bandWiden);
         out.dramBand = out.bands[0];
         out.dramSamples = out.samples[0];
         return out;

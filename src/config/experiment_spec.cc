@@ -33,29 +33,36 @@ splitCsv(const std::string &text)
     return out;
 }
 
-double
-parseReal(const std::string &field, const std::string &text)
+/** Throw unless a strto* call read all of @p text, up to @p end. */
+void
+requireWhole(const std::string &what, const std::string &text,
+             const char *end, const char *kind)
 {
-    char *end = nullptr;
-    const double v = std::strtod(text.c_str(), &end);
     if (end == text.c_str() || *end != '\0')
-        throw ConfigError(msgCat(field, ": '", text,
-                                 "' is not a number"));
-    return v;
-}
-
-int
-parseInt(const std::string &field, const std::string &text)
-{
-    char *end = nullptr;
-    const long v = std::strtol(text.c_str(), &end, 10);
-    if (end == text.c_str() || *end != '\0')
-        throw ConfigError(msgCat(field, ": '", text,
-                                 "' is not an integer"));
-    return static_cast<int>(v);
+        throw ConfigError(
+            msgCat(what, " = '", text, "' is not ", kind));
 }
 
 } // namespace
+
+std::int64_t
+parseInteger(const std::string &what, const std::string &text,
+             int base)
+{
+    char *end = nullptr;
+    const long long v = std::strtoll(text.c_str(), &end, base);
+    requireWhole(what, text, end, "an integer");
+    return v;
+}
+
+double
+parseReal(const std::string &what, const std::string &text)
+{
+    char *end = nullptr;
+    const double v = std::strtod(text.c_str(), &end);
+    requireWhole(what, text, end, "a number");
+    return v;
+}
 
 std::size_t
 ExperimentSpec::payloadBits() const
@@ -223,14 +230,25 @@ sweepAxes(const ExperimentSpec &spec)
     }
 
     if (!spec.sweep.noiseLevels.empty()) {
+        if (spec.fleet.pairs > 1)
+            throw ConfigError(msgCat(
+                "sweep.noise_levels = '", spec.sweep.noiseLevels,
+                "' runs only on a single pair, not fleet.pairs = ",
+                spec.fleet.pairs,
+                " (a fleet's noise is fleet.noise_agents)"));
+        // Each level becomes a point's channel.noise_threads.
+        const FieldDef &threads =
+            *FieldRegistry::instance().find("channel.noise_threads");
         for (const std::string &n :
              splitCsv(spec.sweep.noiseLevels)) {
-            const int threads = parseInt("sweep.noise_levels", n);
-            if (threads < 0)
+            const std::int64_t level =
+                parseInteger("sweep.noise_levels", n);
+            if (level < threads.min || level > threads.max)
                 throw ConfigError(msgCat(
-                    "sweep.noise_levels entry ", threads,
-                    " is negative"));
-            axes.noiseLevels.push_back(threads);
+                    "sweep.noise_levels entry ", level, " is outside ",
+                    threads.name, "'s range [", threads.min, ", ",
+                    threads.max, "]"));
+            axes.noiseLevels.push_back(static_cast<int>(level));
         }
     } else {
         axes.noiseLevels.push_back(spec.channel.noiseThreads);

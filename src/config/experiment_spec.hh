@@ -20,6 +20,7 @@
 #define COHERSIM_CONFIG_EXPERIMENT_SPEC_HH
 
 #include <cstddef>
+#include <cstdint>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -43,6 +44,16 @@ class ConfigError : public std::runtime_error
   public:
     using std::runtime_error::runtime_error;
 };
+
+/**
+ * The one number parser for outside input: all of @p text as an
+ * integer in @p base (0 also takes 0x and 0 prefixes), or as a real.
+ * Throws ConfigError "<what> = '<text>' is not an integer" (or "a
+ * number") when none or only part of it parses.
+ */
+std::int64_t parseInteger(const std::string &what,
+                          const std::string &text, int base = 10);
+double parseReal(const std::string &what, const std::string &text);
 
 /** What the trojan transmits. */
 struct PayloadSpec

@@ -1,8 +1,9 @@
 #include "config/field_registry.hh"
 
 #include <algorithm>
-#include <cstdlib>
+#include <cstring>
 #include <sstream>
+#include <type_traits>
 
 #include "common/logging.hh"
 #include "config/presets.hh"
@@ -155,24 +156,12 @@ FieldRegistry::parse(const FieldDef &field,
                                      "true/false)"));
         break;
       }
-      case FieldDef::Type::integer: {
-        char *end = nullptr;
-        const long long v = std::strtoll(text.c_str(), &end, 10);
-        if (end == text.c_str() || *end != '\0')
-            throw ConfigError(msgCat(field.name, " = '", text,
-                                     "' is not an integer"));
-        value = static_cast<std::int64_t>(v);
+      case FieldDef::Type::integer:
+        value = parseInteger(field.name, text);
         break;
-      }
-      case FieldDef::Type::real: {
-        char *end = nullptr;
-        const double v = std::strtod(text.c_str(), &end);
-        if (end == text.c_str() || *end != '\0')
-            throw ConfigError(msgCat(field.name, " = '", text,
-                                     "' is not a number"));
-        value = v;
+      case FieldDef::Type::real:
+        value = parseReal(field.name, text);
         break;
-      }
       case FieldDef::Type::text:
       case FieldDef::Type::choice:
         value = text;
@@ -281,109 +270,88 @@ namespace
 using Type = FieldDef::Type;
 
 /**
- * Builders keep the registry table below declarative: one line per
- * field with the name, range, doc and an lvalue expression locating
- * the member inside the spec.
+ * The spec member at @p path, as an accessor that reads a const spec
+ * and writes a mutable one, so the table below names each member once.
  */
-#define ACCESS_INT(expr)                                               \
-    [](const ExperimentSpec &s) -> FieldValue {                        \
-        return static_cast<std::int64_t>(expr);                        \
-    },                                                                 \
-    [](ExperimentSpec &s, const FieldValue &v) {                       \
-        expr = static_cast<std::remove_reference_t<decltype(expr)>>(   \
-            std::get<std::int64_t>(v));                                \
-    }
+#define ACCESS(path) [](auto &s) -> auto & { return s.path; }
 
-#define ACCESS_REAL(expr)                                              \
-    [](const ExperimentSpec &s) -> FieldValue {                        \
-        return static_cast<double>(expr);                              \
-    },                                                                 \
-    [](ExperimentSpec &s, const FieldValue &v) {                       \
-        expr = std::get<double>(v);                                    \
-    }
+/** The C++ type of the spec member accessor @p At reaches. */
+template <typename At>
+using MemberOf = std::remove_cvref_t<decltype(std::declval<At>()(
+    std::declval<ExperimentSpec &>()))>;
 
-#define ACCESS_BOOL(expr)                                              \
-    [](const ExperimentSpec &s) -> FieldValue { return bool(expr); },  \
-    [](ExperimentSpec &s, const FieldValue &v) {                       \
-        expr = std::get<bool>(v);                                      \
-    }
-
-#define ACCESS_TEXT(expr)                                              \
-    [](const ExperimentSpec &s) -> FieldValue { return expr; },        \
-    [](ExperimentSpec &s, const FieldValue &v) {                       \
-        expr = std::get<std::string>(v);                               \
-    }
-
+/**
+ * A bool, text, integer or real field over the member @p at reaches:
+ * the member's C++ type picks the field type, and [lo, hi] bounds a
+ * number. `add` fills in the name, doc and aliases.
+ */
+template <typename At>
 FieldDef
-makeNumeric(const char *name, Type type, double lo, double hi,
-            const char *doc,
-            std::function<FieldValue(const ExperimentSpec &)> get,
-            std::function<void(ExperimentSpec &, const FieldValue &)>
-                set,
-            std::vector<std::string> aliases = {})
+scalar(At at, double lo = 0.0, double hi = 0.0)
 {
+    using T = MemberOf<At>;
+    constexpr bool flag = std::is_same_v<T, bool>;
+    constexpr bool text = std::is_same_v<T, std::string>;
+    constexpr bool real = std::is_floating_point_v<T>;
+    // The FieldValue alternative the member travels as.
+    using V = std::conditional_t<flag || text, T,
+                                 std::conditional_t<real, double,
+                                                    std::int64_t>>;
     FieldDef f;
-    f.name = name;
-    f.type = type;
-    f.doc = doc;
+    f.type = flag   ? Type::boolean
+             : text ? Type::text
+             : real ? Type::real
+                    : Type::integer;
     f.min = lo;
     f.max = hi;
-    f.aliases = std::move(aliases);
-    f.get = std::move(get);
-    f.set = std::move(set);
+    f.get = [at](const ExperimentSpec &s) -> FieldValue {
+        return FieldValue(std::in_place_type<V>, at(s));
+    };
+    f.set = [at](ExperimentSpec &s, const FieldValue &v) {
+        at(s) = static_cast<T>(std::get<V>(v));
+    };
     return f;
 }
 
-FieldDef
-makeFlag(const char *name, const char *doc,
-         std::function<FieldValue(const ExperimentSpec &)> get,
-         std::function<void(ExperimentSpec &, const FieldValue &)>
-             set,
-         std::vector<std::string> aliases = {})
+/**
+ * The names of enum E by value, read off its name function, which
+ * returns "?" past the last enumerator.
+ */
+template <typename E>
+std::vector<std::string>
+namesOf(const char *(*name)(E))
 {
-    FieldDef f;
-    f.name = name;
-    f.type = Type::boolean;
-    f.doc = doc;
-    f.aliases = std::move(aliases);
-    f.get = std::move(get);
-    f.set = std::move(set);
-    return f;
+    std::vector<std::string> names;
+    while (true) {
+        const char *n = name(static_cast<E>(names.size()));
+        if (std::strcmp(n, "?") == 0)
+            return names;
+        names.push_back(n);
+    }
 }
 
+/**
+ * A choice field over the enum member @p at reaches, whose value i is
+ * spelt names[i]: the accepted choices, the getter and the setter all
+ * come from that one table.
+ */
+template <typename At>
 FieldDef
-makeText(const char *name, const char *doc,
-         std::function<FieldValue(const ExperimentSpec &)> get,
-         std::function<void(ExperimentSpec &, const FieldValue &)>
-             set,
-         std::vector<std::string> aliases = {})
+choice(At at, std::vector<std::string> names)
 {
+    using E = MemberOf<At>;
     FieldDef f;
-    f.name = name;
-    f.type = Type::text;
-    f.doc = doc;
-    f.aliases = std::move(aliases);
-    f.get = std::move(get);
-    f.set = std::move(set);
-    return f;
-}
-
-FieldDef
-makeChoice(const char *name, std::vector<std::string> choices,
-           const char *doc,
-           std::function<FieldValue(const ExperimentSpec &)> get,
-           std::function<void(ExperimentSpec &, const FieldValue &)>
-               set,
-           std::vector<std::string> aliases = {})
-{
-    FieldDef f;
-    f.name = name;
     f.type = Type::choice;
-    f.doc = doc;
-    f.choices = std::move(choices);
-    f.aliases = std::move(aliases);
-    f.get = std::move(get);
-    f.set = std::move(set);
+    f.choices = names;
+    f.get = [at, names](const ExperimentSpec &s) -> FieldValue {
+        return names[static_cast<std::size_t>(at(s))];
+    };
+    f.set = [at, names](ExperimentSpec &s, const FieldValue &v) {
+        // check() has accepted the name already.
+        const auto it = std::find(names.begin(), names.end(),
+                                  std::get<std::string>(v));
+        at(s) = static_cast<E>(it - names.begin());
+    };
     return f;
 }
 
@@ -391,502 +359,303 @@ makeChoice(const char *name, std::vector<std::string> choices,
 
 FieldRegistry::FieldRegistry()
 {
-    auto add = [this](FieldDef f) {
+    auto add = [this](const char *name, const char *doc, FieldDef f,
+                      std::vector<std::string> aliases = {}) {
+        f.name = name;
+        f.doc = doc;
+        f.aliases = std::move(aliases);
         fields_.push_back(std::move(f));
     };
     constexpr double big = 1e18;
 
     // --- system: topology and protocol --------------------------------
-    add(makeNumeric("system.sockets", Type::integer, 2, 8,
-                    "processor packages (the channel needs two)",
-                    ACCESS_INT(s.channel.system.sockets)));
-    add(makeNumeric("system.cores_per_socket", Type::integer, 4, 32,
-                    "cores per socket (>= 4 for the core plan)",
-                    ACCESS_INT(s.channel.system.coresPerSocket)));
-    add(makeChoice("system.flavor", {"mesi", "mesif", "moesi"},
-                   "coherence protocol flavor",
-                   [](const ExperimentSpec &s) -> FieldValue {
-                       switch (s.channel.system.flavor) {
-                         case CoherenceFlavor::mesi:
-                           return std::string("mesi");
-                         case CoherenceFlavor::mesif:
-                           return std::string("mesif");
-                         case CoherenceFlavor::moesi:
-                           return std::string("moesi");
-                       }
-                       return std::string("?");
-                   },
-                   [](ExperimentSpec &s, const FieldValue &v) {
-                       const std::string &n =
-                           std::get<std::string>(v);
-                       s.channel.system.flavor =
-                           n == "mesif" ? CoherenceFlavor::mesif
-                           : n == "moesi"
-                               ? CoherenceFlavor::moesi
-                               : CoherenceFlavor::mesi;
-                   },
-                   {"flavor"}));
-    add(makeChoice("system.lookup", {"directory", "snoop"},
-                   "how a miss locates other copies",
-                   [](const ExperimentSpec &s) -> FieldValue {
-                       return std::string(coherenceLookupName(
-                           s.channel.system.lookup));
-                   },
-                   [](ExperimentSpec &s, const FieldValue &v) {
-                       s.channel.system.lookup =
-                           std::get<std::string>(v) == "snoop"
-                               ? CoherenceLookup::snoop
-                               : CoherenceLookup::directory;
-                   },
-                   {"lookup"}));
-    add(makeFlag("system.llc_inclusive",
-                 "legacy switch: inclusive LLC (true) vs NINE "
-                 "(false); superseded by mem.inclusivity",
-                 [](const ExperimentSpec &s) -> FieldValue {
-                     return s.channel.system.llcInclusive();
-                 },
-                 [](ExperimentSpec &s, const FieldValue &v) {
-                     s.channel.system.inclusivity =
-                         std::get<bool>(v) ? Inclusivity::inclusive
-                                           : Inclusivity::nine;
-                 }));
-    add(makeNumeric("system.seed", Type::integer, 0, big,
-                    "seed for all simulator randomness",
-                    ACCESS_INT(s.channel.system.seed), {"seed"}));
+    add("system.sockets", "processor packages (the channel needs two)",
+        scalar(ACCESS(channel.system.sockets), 2, 8));
+    add("system.cores_per_socket", "cores per socket (>= 4 for the core plan)",
+        scalar(ACCESS(channel.system.coresPerSocket), 4, 32));
+    add("system.flavor", "coherence protocol flavor",
+        choice(ACCESS(channel.system.flavor), {"mesi", "mesif", "moesi"}),
+        {"flavor"});
+    add("system.lookup", "how a miss locates other copies",
+        choice(ACCESS(channel.system.lookup), namesOf(coherenceLookupName)),
+        {"lookup"});
+    add("system.llc_inclusive",
+        "legacy switch: inclusive LLC (true) vs NINE (false); superseded by "
+        "mem.inclusivity",
+        [] {
+            FieldDef f;
+            f.type = Type::boolean;
+            f.get = [](const ExperimentSpec &s) -> FieldValue {
+                return s.channel.system.llcInclusive();
+            };
+            f.set = [](ExperimentSpec &s, const FieldValue &v) {
+                s.channel.system.inclusivity =
+                    std::get<bool>(v) ? Inclusivity::inclusive
+                                      : Inclusivity::nine;
+            };
+            return f;
+        }());
+    add("system.seed", "seed for all simulator randomness",
+        scalar(ACCESS(channel.system.seed), 0, big), {"seed"});
 
     // --- system: cache geometry ---------------------------------------
-    add(makeNumeric("system.l1_bytes", Type::integer, 4096, 1 << 20,
-                    "private L1 data cache size",
-                    ACCESS_INT(s.channel.system.l1.sizeBytes)));
-    add(makeNumeric("system.l1_assoc", Type::integer, 1, 64,
-                    "L1 associativity",
-                    ACCESS_INT(s.channel.system.l1.assoc)));
-    add(makeNumeric("system.l2_bytes", Type::integer, 4096, 1 << 24,
-                    "private L2 cache size",
-                    ACCESS_INT(s.channel.system.l2.sizeBytes)));
-    add(makeNumeric("system.l2_assoc", Type::integer, 1, 64,
-                    "L2 associativity",
-                    ACCESS_INT(s.channel.system.l2.assoc)));
-    add(makeNumeric("system.llc_bytes", Type::integer, 65536,
-                    1ll << 32, "shared LLC size per socket",
-                    ACCESS_INT(s.channel.system.llc.sizeBytes)));
-    add(makeNumeric("system.llc_assoc", Type::integer, 1, 64,
-                    "LLC associativity",
-                    ACCESS_INT(s.channel.system.llc.assoc)));
+    add("system.l1_bytes", "private L1 data cache size",
+        scalar(ACCESS(channel.system.l1.sizeBytes), 4096, 1 << 20));
+    add("system.l1_assoc", "L1 associativity",
+        scalar(ACCESS(channel.system.l1.assoc), 1, 64));
+    add("system.l2_bytes", "private L2 cache size",
+        scalar(ACCESS(channel.system.l2.sizeBytes), 4096, 1 << 24));
+    add("system.l2_assoc", "L2 associativity",
+        scalar(ACCESS(channel.system.l2.assoc), 1, 64));
+    add("system.llc_bytes", "shared LLC size per socket",
+        scalar(ACCESS(channel.system.llc.sizeBytes), 65536, 1ll << 32));
+    add("system.llc_assoc", "LLC associativity",
+        scalar(ACCESS(channel.system.llc.assoc), 1, 64));
 
     // --- system.timing: clock and hit/hop latencies --------------------
-    add(makeNumeric("system.timing.clock_ghz", Type::real, 0.1, 10,
-                    "reference clock, GHz",
-                    ACCESS_REAL(s.channel.system.timing.clockGhz)));
-    add(makeNumeric("system.timing.l1_hit", Type::integer, 1, 100,
-                    "L1 hit latency, cycles",
-                    ACCESS_INT(s.channel.system.timing.l1Hit)));
-    add(makeNumeric("system.timing.l2_hit", Type::integer, 1, 200,
-                    "L2 hit latency, cycles",
-                    ACCESS_INT(s.channel.system.timing.l2Hit)));
-    add(makeNumeric(
-        "system.timing.priv_miss_overhead", Type::integer, 0, 10000,
+    add("system.timing.clock_ghz", "reference clock, GHz",
+        scalar(ACCESS(channel.system.timing.clockGhz), 0.1, 10));
+    add("system.timing.l1_hit", "L1 hit latency, cycles",
+        scalar(ACCESS(channel.system.timing.l1Hit), 1, 100));
+    add("system.timing.l2_hit", "L2 hit latency, cycles",
+        scalar(ACCESS(channel.system.timing.l2Hit), 1, 200));
+    add("system.timing.priv_miss_overhead",
         "L1+L2 lookup and request-issue cost, cycles",
-        ACCESS_INT(s.channel.system.timing.privMissOverhead)));
-    add(makeNumeric("system.timing.llc_service", Type::integer, 1,
-                    10000, "LLC tag+data access and reply, cycles",
-                    ACCESS_INT(s.channel.system.timing.llcService)));
-    add(makeNumeric("system.timing.owner_fwd", Type::integer, 0,
-                    10000, "LLC -> owner cache -> reply hop, cycles",
-                    ACCESS_INT(s.channel.system.timing.ownerFwd)));
-    add(makeNumeric(
-        "system.timing.qpi_round_trip", Type::integer, 0, 10000,
-        "cross-socket link round trip, cycles",
-        ACCESS_INT(s.channel.system.timing.qpiRoundTrip)));
-    add(makeNumeric(
-        "system.timing.remote_owner_fwd", Type::integer, 0, 10000,
+        scalar(ACCESS(channel.system.timing.privMissOverhead), 0, 10000));
+    add("system.timing.llc_service", "LLC tag+data access and reply, cycles",
+        scalar(ACCESS(channel.system.timing.llcService), 1, 10000));
+    add("system.timing.owner_fwd", "LLC -> owner cache -> reply hop, cycles",
+        scalar(ACCESS(channel.system.timing.ownerFwd), 0, 10000));
+    add("system.timing.qpi_round_trip", "cross-socket link round trip, cycles",
+        scalar(ACCESS(channel.system.timing.qpiRoundTrip), 0, 10000));
+    add("system.timing.remote_owner_fwd",
         "remote LLC -> remote owner hop, cycles",
-        ACCESS_INT(s.channel.system.timing.remoteOwnerFwd)));
-    add(makeNumeric(
-        "system.timing.dram_service", Type::integer, 1, 100000,
+        scalar(ACCESS(channel.system.timing.remoteOwnerFwd), 0, 10000));
+    add("system.timing.dram_service",
         "memory controller + DRAM service, cycles",
-        ACCESS_INT(s.channel.system.timing.dramService)));
-    add(makeNumeric("system.timing.flush_base", Type::integer, 1,
-                    10000, "clflush issue + global invalidate, cycles",
-                    ACCESS_INT(s.channel.system.timing.flushBase)));
-    add(makeNumeric(
-        "system.timing.flush_dirty_extra", Type::integer, 0, 10000,
+        scalar(ACCESS(channel.system.timing.dramService), 1, 100000));
+    add("system.timing.flush_base",
+        "clflush issue + global invalidate, cycles",
+        scalar(ACCESS(channel.system.timing.flushBase), 1, 10000));
+    add("system.timing.flush_dirty_extra",
         "extra flush cost when dirty data writes back, cycles",
-        ACCESS_INT(s.channel.system.timing.flushDirtyExtra)));
-    add(makeNumeric("system.timing.upgrade_lat", Type::integer, 0,
-                    10000, "S->M invalidation round, cycles",
-                    ACCESS_INT(s.channel.system.timing.upgradeLat)));
-    add(makeNumeric(
-        "system.timing.invalidate_lat", Type::integer, 0, 10000,
-        "RFO invalidation cost, cycles",
-        ACCESS_INT(s.channel.system.timing.invalidateLat)));
-    add(makeNumeric(
-        "system.timing.cow_fault_lat", Type::integer, 0, 1000000,
+        scalar(ACCESS(channel.system.timing.flushDirtyExtra), 0, 10000));
+    add("system.timing.upgrade_lat", "S->M invalidation round, cycles",
+        scalar(ACCESS(channel.system.timing.upgradeLat), 0, 10000));
+    add("system.timing.invalidate_lat", "RFO invalidation cost, cycles",
+        scalar(ACCESS(channel.system.timing.invalidateLat), 0, 10000));
+    add("system.timing.cow_fault_lat",
         "OS copy-on-write fault handling, cycles",
-        ACCESS_INT(s.channel.system.timing.cowFaultLat)));
+        scalar(ACCESS(channel.system.timing.cowFaultLat), 0, 1000000));
 
     // --- system.timing: jitter and contention --------------------------
-    add(makeNumeric("system.timing.jitter_sd", Type::real, 0, 1000,
-                    "gaussian sd around each path latency",
-                    ACCESS_REAL(s.channel.system.timing.jitterSd)));
-    add(makeNumeric(
-        "system.timing.long_tail_prob", Type::real, 0, 1,
+    add("system.timing.jitter_sd", "gaussian sd around each path latency",
+        scalar(ACCESS(channel.system.timing.jitterSd), 0, 1000));
+    add("system.timing.long_tail_prob",
         "chance of a TLB-walk/IRQ long tail per timed op",
-        ACCESS_REAL(s.channel.system.timing.longTailProb)));
-    add(makeNumeric("system.timing.long_tail_min", Type::integer, 0,
-                    100000, "long-tail extra delay lower bound",
-                    ACCESS_INT(s.channel.system.timing.longTailMin)));
-    add(makeNumeric("system.timing.long_tail_max", Type::integer, 0,
-                    100000, "long-tail extra delay upper bound",
-                    ACCESS_INT(s.channel.system.timing.longTailMax)));
-    add(makeNumeric("system.timing.llc_port_busy", Type::integer, 0,
-                    10000, "LLC port occupancy per access, cycles",
-                    ACCESS_INT(s.channel.system.timing.llcPortBusy)));
-    add(makeNumeric("system.timing.qpi_busy", Type::integer, 0,
-                    10000, "QPI link occupancy per crossing, cycles",
-                    ACCESS_INT(s.channel.system.timing.qpiBusy)));
-    add(makeNumeric("system.timing.dram_busy", Type::integer, 0,
-                    10000, "DRAM channel occupancy per access, cycles",
-                    ACCESS_INT(s.channel.system.timing.dramBusy)));
-    add(makeNumeric(
-        "system.timing.snoop_overhead", Type::integer, 0, 10000,
+        scalar(ACCESS(channel.system.timing.longTailProb), 0, 1));
+    add("system.timing.long_tail_min", "long-tail extra delay lower bound",
+        scalar(ACCESS(channel.system.timing.longTailMin), 0, 100000));
+    add("system.timing.long_tail_max", "long-tail extra delay upper bound",
+        scalar(ACCESS(channel.system.timing.longTailMax), 0, 100000));
+    add("system.timing.llc_port_busy", "LLC port occupancy per access, cycles",
+        scalar(ACCESS(channel.system.timing.llcPortBusy), 0, 10000));
+    add("system.timing.qpi_busy", "QPI link occupancy per crossing, cycles",
+        scalar(ACCESS(channel.system.timing.qpiBusy), 0, 10000));
+    add("system.timing.dram_busy", "DRAM channel occupancy per access, cycles",
+        scalar(ACCESS(channel.system.timing.dramBusy), 0, 10000));
+    add("system.timing.snoop_overhead",
         "extra private-miss cycles under snoop lookup",
-        ACCESS_INT(s.channel.system.timing.snoopOverhead)));
-    add(makeNumeric(
-        "system.timing.contention_mean", Type::real, 0, 10000,
+        scalar(ACCESS(channel.system.timing.snoopOverhead), 0, 10000));
+    add("system.timing.contention_mean",
         "mean utilization-scaled interference delay",
-        ACCESS_REAL(s.channel.system.timing.contentionMean)));
-    add(makeNumeric(
-        "system.timing.contention_sd", Type::real, 0, 10000,
+        scalar(ACCESS(channel.system.timing.contentionMean), 0, 10000));
+    add("system.timing.contention_sd",
         "sd of the utilization-scaled interference delay",
-        ACCESS_REAL(s.channel.system.timing.contentionSd)));
-    add(makeNumeric(
-        "system.timing.excl_path_contention", Type::real, 0, 100,
+        scalar(ACCESS(channel.system.timing.contentionSd), 0, 10000));
+    add("system.timing.excl_path_contention",
         "contention multiplier on owner-forward paths",
-        ACCESS_REAL(s.channel.system.timing.exclPathContention)));
-    add(makeNumeric(
-        "system.timing.uncore_coupling", Type::real, 0, 1,
+        scalar(ACCESS(channel.system.timing.exclPathContention), 0, 100));
+    add("system.timing.uncore_coupling",
         "fraction of DRAM pressure felt by every miss",
-        ACCESS_REAL(s.channel.system.timing.uncoreCoupling)));
-    add(makeNumeric(
-        "system.timing.contention_tau", Type::real, 1, 1e9,
+        scalar(ACCESS(channel.system.timing.uncoreCoupling), 0, 1));
+    add("system.timing.contention_tau",
         "time constant of the utilization estimate, cycles",
-        ACCESS_REAL(s.channel.system.timing.contentionTau)));
-    add(makeFlag(
-        "system.timing.numa_interleave",
+        scalar(ACCESS(channel.system.timing.contentionTau), 1, 1e9));
+    add("system.timing.numa_interleave",
         "home-interleave physical lines across sockets",
-        ACCESS_BOOL(s.channel.system.timing.numaInterleave)));
-    add(makeNumeric(
-        "system.timing.numa_remote_extra", Type::integer, 0, 10000,
+        scalar(ACCESS(channel.system.timing.numaInterleave)));
+    add("system.timing.numa_remote_extra",
         "extra latency for remote-homed DRAM access, cycles",
-        ACCESS_INT(s.channel.system.timing.numaRemoteExtra)));
-    add(makeFlag(
-        "system.timing.llc_notified_of_upgrade",
+        scalar(ACCESS(channel.system.timing.numaRemoteExtra), 0, 10000));
+    add("system.timing.llc_notified_of_upgrade",
         "mitigation 3: LLC serves E-state reads directly",
-        ACCESS_BOOL(
-            s.channel.system.timing.llcNotifiedOfUpgrade)));
+        scalar(ACCESS(channel.system.timing.llcNotifiedOfUpgrade)));
 
     // --- mem: pluggable hierarchy and randomized defenses ---------------
     // Registered after system.* so mem.inclusivity wins over the
     // legacy system.llc_inclusive alias on config round-trips.
-    add(makeChoice(
-        "mem.replacement", {"lru", "plru", "random", "srrip"},
-        "cache replacement policy, all levels",
-        [](const ExperimentSpec &s) -> FieldValue {
-            return std::string(
-                replPolicyName(s.channel.system.replacement));
-        },
-        [](ExperimentSpec &s, const FieldValue &v) {
-            const std::string &n = std::get<std::string>(v);
-            s.channel.system.replacement =
-                n == "plru"     ? ReplPolicy::plru
-                : n == "random" ? ReplPolicy::random
-                : n == "srrip"  ? ReplPolicy::srrip
-                                : ReplPolicy::lru;
-        },
-        {"replacement"}));
-    add(makeChoice(
-        "mem.inclusivity", {"inclusive", "nine", "exclusive"},
-        "LLC inclusion policy (inclusive / NINE / victim-cache "
-        "exclusive)",
-        [](const ExperimentSpec &s) -> FieldValue {
-            return std::string(
-                inclusivityName(s.channel.system.inclusivity));
-        },
-        [](ExperimentSpec &s, const FieldValue &v) {
-            const std::string &n = std::get<std::string>(v);
-            s.channel.system.inclusivity =
-                n == "nine"        ? Inclusivity::nine
-                : n == "exclusive" ? Inclusivity::exclusive
-                                   : Inclusivity::inclusive;
-        },
-        {"inclusivity"}));
-    add(makeChoice(
-        "mem.llc_index", {"linear", "xor-fold", "remap", "mirage"},
-        "LLC set index function (linear / slice hash / randomized "
-        "defenses)",
-        [](const ExperimentSpec &s) -> FieldValue {
-            return std::string(
-                indexFnName(s.channel.system.llcIndex));
-        },
-        [](ExperimentSpec &s, const FieldValue &v) {
-            const std::string &n = std::get<std::string>(v);
-            s.channel.system.llcIndex =
-                n == "xor-fold" ? IndexFn::xorFold
-                : n == "remap"  ? IndexFn::remap
-                : n == "mirage" ? IndexFn::mirage
-                                : IndexFn::linear;
-        },
-        {"llc_index", "index"}));
-    add(makeNumeric(
-        "mem.remap_period", Type::integer, 100, big,
+    add("mem.replacement", "cache replacement policy, all levels",
+        choice(ACCESS(channel.system.replacement), namesOf(replPolicyName)),
+        {"replacement"});
+    add("mem.inclusivity",
+        "LLC inclusion policy (inclusive / NINE / victim-cache exclusive)",
+        choice(ACCESS(channel.system.inclusivity), namesOf(inclusivityName)),
+        {"inclusivity"});
+    add("mem.llc_index",
+        "LLC set index function (linear / slice hash / randomized defenses)",
+        choice(ACCESS(channel.system.llcIndex), namesOf(indexFnName)),
+        {"llc_index", "index"});
+    add("mem.remap_period",
         "LLC-side operations between index rekeys (remap mode)",
-        ACCESS_INT(s.channel.system.remapPeriod),
-        {"remap_period"}));
+        scalar(ACCESS(channel.system.remapPeriod), 100, big),
+        {"remap_period"});
 
     // --- channel: scenario and transmission setup ----------------------
-    add(makeChoice(
-        "channel.vector",
-        {"coherence", "dirty", "lru", "pagefault", "coherence-2bit"},
+    add("channel.vector",
         "leakage vector carrying the bits (channel/vector.hh): "
         "coherence-state timing, dirty-state writeback timing, "
-        "replacement-metadata (LRU) eviction, or KSM copy-on-write "
-        "fault timing",
-        [](const ExperimentSpec &s) -> FieldValue {
-            return std::string(vectorName(s.channel.vector));
-        },
-        [](ExperimentSpec &s, const FieldValue &v) {
-            s.channel.vector =
-                vectorFromName(std::get<std::string>(v));
-        },
-        {"vector"}));
-    {
-        std::vector<std::string> notations;
-        for (const ScenarioInfo &sc : allScenarios())
-            notations.push_back(sc.notation);
-        add(makeChoice(
-            "channel.scenario", std::move(notations),
-            "Table I attack scenario (notation or row 1-6)",
-            [](const ExperimentSpec &s) -> FieldValue {
-                return std::string(
-                    scenarioInfo(s.channel.scenario).notation);
-            },
-            [](ExperimentSpec &s, const FieldValue &v) {
-                s.channel.scenario =
-                    scenarioFromName(std::get<std::string>(v));
-            },
-            {"scenario"}));
-    }
-    add(makeChoice("channel.sharing", {"explicit", "ksm"},
-                   "how trojan and spy obtain the shared page",
-                   [](const ExperimentSpec &s) -> FieldValue {
-                       return std::string(
-                           sharingModeName(s.channel.sharing));
-                   },
-                   [](ExperimentSpec &s, const FieldValue &v) {
-                       s.channel.sharing =
-                           std::get<std::string>(v) == "ksm"
-                               ? SharingMode::ksm
-                               : SharingMode::explicitShared;
-                   },
-                   {"sharing"}));
-    add(makeNumeric("channel.noise_threads", Type::integer, 0, 64,
-                    "co-located kernel-build noise threads",
-                    ACCESS_INT(s.channel.noiseThreads), {"noise"}));
-    add(makeChoice(
-        "channel.defense",
-        {"none", "targeted-noise", "ksm-guard", "llc-notify"},
-        "deployed defence (paper Section VIII-E)",
-        [](const ExperimentSpec &s) -> FieldValue {
-            return std::string(defenseName(s.channel.defense));
-        },
-        [](ExperimentSpec &s, const FieldValue &v) {
-            const std::string &n = std::get<std::string>(v);
-            s.channel.defense = n == "targeted-noise"
-                                    ? Defense::targetedNoise
-                                : n == "ksm-guard"
-                                    ? Defense::ksmGuard
-                                : n == "llc-notify"
-                                    ? Defense::llcNotify
-                                    : Defense::none;
-        },
-        {"defense"}));
-    add(makeNumeric(
-        "channel.rate_kbps", Type::real, 0, 100000,
+        "replacement-metadata (LRU) eviction, or KSM copy-on-write fault "
+        "timing",
+        choice(ACCESS(channel.vector), namesOf(vectorName)), {"vector"});
+    std::vector<std::string> notations;
+    for (const ScenarioInfo &sc : allScenarios())
+        notations.push_back(sc.notation);
+    add("channel.scenario", "Table I attack scenario (notation or row 1-6)",
+        choice(ACCESS(channel.scenario), notations), {"scenario"});
+    add("channel.sharing", "how trojan and spy obtain the shared page",
+        choice(ACCESS(channel.sharing), namesOf(sharingModeName)),
+        {"sharing"});
+    add("channel.noise_threads", "co-located kernel-build noise threads",
+        scalar(ACCESS(channel.noiseThreads), 0, 64), {"noise"});
+    add("channel.defense", "deployed defence (paper Section VIII-E)",
+        choice(ACCESS(channel.defense), namesOf(defenseName)), {"defense"});
+    add("channel.rate_kbps",
         "target raw rate; > 0 derives ts/helper_gap/poll_interval",
-        ACCESS_REAL(s.rateKbps), {"rate"}));
-    add(makeNumeric("channel.timeout", Type::integer, 1, big,
-                    "safety stop, cycles",
-                    ACCESS_INT(s.channel.timeout), {"timeout"}));
-    add(makeNumeric(
-        "channel.timeout_margin", Type::real, 0, 1000,
+        scalar(ACCESS(rateKbps), 0, 100000), {"rate"});
+    add("channel.timeout", "safety stop, cycles",
+        scalar(ACCESS(channel.timeout), 1, big), {"timeout"});
+    add("channel.timeout_margin",
         "> 0: derive the timeout from the payload with this margin",
-        ACCESS_REAL(s.timeoutMargin)));
+        scalar(ACCESS(timeoutMargin), 0, 1000));
 
     // --- channel: protocol counters and intervals -----------------------
-    add(makeNumeric("channel.c1", Type::integer, 1, 1000,
-                    "CSc sample periods encoding a '1' bit",
-                    ACCESS_INT(s.channel.params.c1)));
-    add(makeNumeric("channel.c0", Type::integer, 1, 1000,
-                    "CSc sample periods encoding a '0' bit",
-                    ACCESS_INT(s.channel.params.c0)));
-    add(makeNumeric("channel.cb", Type::integer, 1, 1000,
-                    "CSb sample periods delimiting bits",
-                    ACCESS_INT(s.channel.params.cb)));
-    add(makeNumeric("channel.ts", Type::integer, 1, 1000000,
-                    "spy wait between flush and timed reload, cycles",
-                    ACCESS_INT(s.channel.params.ts)));
-    add(makeNumeric("channel.end_n", Type::integer, 1, 1000,
-                    "out-of-band samples ending reception",
-                    ACCESS_INT(s.channel.params.endN)));
-    add(makeNumeric("channel.helper_gap", Type::integer, 1, 100000,
-                    "trojan loader re-load gap, cycles",
-                    ACCESS_INT(s.channel.params.helperGap)));
-    add(makeNumeric("channel.poll_interval", Type::integer, 1,
-                    100000, "trojan helper polling granularity",
-                    ACCESS_INT(s.channel.params.pollInterval)));
-    add(makeNumeric("channel.band_widen", Type::real, 0, 1000,
-                    "cycles beyond calibrated band edges accepted",
-                    ACCESS_REAL(s.channel.params.bandWiden)));
-    add(makeNumeric("channel.gap_claim", Type::real, 0, 1,
-                    "fraction of the inter-band gap each band claims",
-                    ACCESS_REAL(s.channel.params.gapClaim)));
+    add("channel.c1", "CSc sample periods encoding a '1' bit",
+        scalar(ACCESS(channel.params.c1), 1, 1000));
+    add("channel.c0", "CSc sample periods encoding a '0' bit",
+        scalar(ACCESS(channel.params.c0), 1, 1000));
+    add("channel.cb", "CSb sample periods delimiting bits",
+        scalar(ACCESS(channel.params.cb), 1, 1000));
+    add("channel.ts", "spy wait between flush and timed reload, cycles",
+        scalar(ACCESS(channel.params.ts), 1, 1000000));
+    add("channel.end_n", "out-of-band samples ending reception",
+        scalar(ACCESS(channel.params.endN), 1, 1000));
+    add("channel.helper_gap", "trojan loader re-load gap, cycles",
+        scalar(ACCESS(channel.params.helperGap), 1, 100000));
+    add("channel.poll_interval", "trojan helper polling granularity",
+        scalar(ACCESS(channel.params.pollInterval), 1, 100000));
+    add("channel.band_widen", "cycles beyond calibrated band edges accepted",
+        scalar(ACCESS(channel.params.bandWiden), 0, 1000));
+    add("channel.gap_claim", "fraction of the inter-band gap each band claims",
+        scalar(ACCESS(channel.params.gapClaim), 0, 1));
 
     // --- PHY channel stack (src/phy) -------------------------------------
-    add(makeChoice(
-        "phy.profile",
-        {"legacy-parity", "hamming-hard", "hamming-soft"},
-        "channel coding stack: the paper's parity+NACK scheme, or "
-        "the framed whiten/interleave/Hamming(8,4) stack with hard "
-        "or soft-decision decoding",
-        [](const ExperimentSpec &s) -> FieldValue {
-            return std::string(
-                phyProfileName(s.channel.phy.profile));
-        },
-        [](ExperimentSpec &s, const FieldValue &v) {
-            PhyProfile p = PhyProfile::legacyParity;
-            phyProfileFromName(std::get<std::string>(v).c_str(), p);
-            s.channel.phy.profile = p;
-        },
-        {"profile"}));
-    add(makeNumeric("phy.interleaver_depth", Type::integer, 1, 64,
-                    "block interleaver depth, wire bits (1: off); "
-                    "a depth-long burst hits each codeword once",
-                    ACCESS_INT(s.channel.phy.interleaverDepth)));
-    add(makeNumeric("phy.preamble_len", Type::integer, 8, 64,
-                    "correlation preamble length, wire bits "
-                    "(Barker-13 derived)",
-                    ACCESS_INT(s.channel.phy.preambleLen)));
-    add(makeFlag("phy.whiten",
-                 "PN9-whiten frame bodies to break payload runs",
-                 ACCESS_BOOL(s.channel.phy.whiten)));
-    add(makeFlag("phy.adaptive",
-                 "pick profile and raw rate from calibrated band "
-                 "separation (overrides phy.profile when it picks)",
-                 ACCESS_BOOL(s.channel.phy.adaptive), {"adaptive"}));
-    add(makeNumeric("phy.frame_nibbles", Type::integer, 4, 256,
-                    "payload nibbles per frame body (x8 wire bits "
-                    "after FEC)",
-                    ACCESS_INT(s.channel.phy.frameNibbles)));
+    add("phy.profile",
+        "channel coding stack: the paper's parity+NACK scheme, or the framed "
+        "whiten/interleave/Hamming(8,4) stack with hard or soft-decision "
+        "decoding",
+        choice(ACCESS(channel.phy.profile), namesOf(phyProfileName)),
+        {"profile"});
+    add("phy.interleaver_depth",
+        "block interleaver depth, wire bits (1: off); a depth-long burst hits "
+        "each codeword once",
+        scalar(ACCESS(channel.phy.interleaverDepth), 1, 64));
+    add("phy.preamble_len",
+        "correlation preamble length, wire bits (Barker-13 derived)",
+        scalar(ACCESS(channel.phy.preambleLen), 8, 64));
+    add("phy.whiten", "PN9-whiten frame bodies to break payload runs",
+        scalar(ACCESS(channel.phy.whiten)));
+    add("phy.adaptive",
+        "pick profile and raw rate from calibrated band separation (overrides "
+        "phy.profile when it picks)",
+        scalar(ACCESS(channel.phy.adaptive)), {"adaptive"});
+    add("phy.frame_nibbles",
+        "payload nibbles per frame body (x8 wire bits after FEC)",
+        scalar(ACCESS(channel.phy.frameNibbles), 4, 256));
 
     // --- noise workload -------------------------------------------------
-    add(makeNumeric("noise.buffer_bytes", Type::integer, 4096, big,
-                    "per-agent working buffer size",
-                    ACCESS_INT(s.channel.noise.bufferBytes)));
-    add(makeNumeric("noise.stream_burst", Type::integer, 1, 100000,
-                    "lines touched per streaming burst",
-                    ACCESS_INT(s.channel.noise.streamBurst)));
-    add(makeNumeric("noise.random_burst", Type::integer, 1, 100000,
-                    "lines touched per random burst",
-                    ACCESS_INT(s.channel.noise.randomBurst)));
-    add(makeNumeric(
-        "noise.store_fraction", Type::real, 0, 1,
+    add("noise.buffer_bytes", "per-agent working buffer size",
+        scalar(ACCESS(channel.noise.bufferBytes), 4096, big));
+    add("noise.stream_burst", "lines touched per streaming burst",
+        scalar(ACCESS(channel.noise.streamBurst), 1, 100000));
+    add("noise.random_burst", "lines touched per random burst",
+        scalar(ACCESS(channel.noise.randomBurst), 1, 100000));
+    add("noise.store_fraction",
         "fraction of random-burst accesses that are stores",
-        ACCESS_REAL(s.channel.noise.storeFraction)));
-    add(makeNumeric("noise.access_gap", Type::integer, 0, 100000,
-                    "idle gap between accesses in a burst, cycles",
-                    ACCESS_INT(s.channel.noise.accessGap)));
-    add(makeNumeric("noise.inter_burst_gap", Type::integer, 0, big,
-                    "blocking pause between bursts, cycles",
-                    ACCESS_INT(s.channel.noise.interBurstGap)));
-    add(makeNumeric("noise.active_phase", Type::integer, 1, big,
-                    "compile-phase duration, cycles",
-                    ACCESS_INT(s.channel.noise.activePhase)));
-    add(makeNumeric("noise.idle_phase", Type::integer, 1, big,
-                    "I/O-phase duration, cycles",
-                    ACCESS_INT(s.channel.noise.idlePhase)));
+        scalar(ACCESS(channel.noise.storeFraction), 0, 1));
+    add("noise.access_gap", "idle gap between accesses in a burst, cycles",
+        scalar(ACCESS(channel.noise.accessGap), 0, 100000));
+    add("noise.inter_burst_gap", "blocking pause between bursts, cycles",
+        scalar(ACCESS(channel.noise.interBurstGap), 0, big));
+    add("noise.active_phase", "compile-phase duration, cycles",
+        scalar(ACCESS(channel.noise.activePhase), 1, big));
+    add("noise.idle_phase", "I/O-phase duration, cycles",
+        scalar(ACCESS(channel.noise.idlePhase), 1, big));
 
     // --- payload ---------------------------------------------------------
-    add(makeText("payload.message",
-                 "text payload (used when payload.bits is 0)",
-                 ACCESS_TEXT(s.payload.message), {"message"}));
-    add(makeNumeric("payload.bits", Type::integer, 0, 10000000,
-                    "> 0: seeded random payload of this many bits",
-                    ACCESS_INT(s.payload.bits), {"bits"}));
+    add("payload.message", "text payload (used when payload.bits is 0)",
+        scalar(ACCESS(payload.message)), {"message"});
+    add("payload.bits", "> 0: seeded random payload of this many bits",
+        scalar(ACCESS(payload.bits), 0, 10000000), {"bits"});
 
     // --- sweep grid ------------------------------------------------------
-    add(makeNumeric("sweep.from_kbps", Type::real, 0, 100000,
-                    "rate axis start (with to/step), Kbps",
-                    ACCESS_REAL(s.sweep.fromKbps), {"from"}));
-    add(makeNumeric("sweep.to_kbps", Type::real, 0, 100000,
-                    "rate axis end (inclusive), Kbps",
-                    ACCESS_REAL(s.sweep.toKbps), {"to"}));
-    add(makeNumeric("sweep.step_kbps", Type::real, 0, 100000,
-                    "rate axis step, Kbps",
-                    ACCESS_REAL(s.sweep.stepKbps), {"step"}));
-    add(makeText("sweep.rates",
-                 "explicit rate list (CSV, Kbps); overrides "
-                 "from/to/step",
-                 ACCESS_TEXT(s.sweep.rates)));
-    add(makeText("sweep.scenarios",
-                 "scenario axis: CSV of notations/rows, or \"all\"",
-                 ACCESS_TEXT(s.sweep.scenarios)));
-    add(makeText("sweep.noise_levels",
-                 "noise axis: CSV of thread counts",
-                 ACCESS_TEXT(s.sweep.noiseLevels)));
+    add("sweep.from_kbps", "rate axis start (with to/step), Kbps",
+        scalar(ACCESS(sweep.fromKbps), 0, 100000), {"from"});
+    add("sweep.to_kbps", "rate axis end (inclusive), Kbps",
+        scalar(ACCESS(sweep.toKbps), 0, 100000), {"to"});
+    add("sweep.step_kbps", "rate axis step, Kbps",
+        scalar(ACCESS(sweep.stepKbps), 0, 100000), {"step"});
+    add("sweep.rates",
+        "explicit rate list (CSV, Kbps); overrides from/to/step",
+        scalar(ACCESS(sweep.rates)));
+    add("sweep.scenarios", "scenario axis: CSV of notations/rows, or \"all\"",
+        scalar(ACCESS(sweep.scenarios)));
+    add("sweep.noise_levels", "noise axis: CSV of thread counts",
+        scalar(ACCESS(sweep.noiseLevels)));
 
     // --- multi-tenant fleet ----------------------------------------------
-    add(makeNumeric("fleet.pairs", Type::integer, 1, 64,
-                    "concurrent trojan/spy pairs on one machine "
-                    "(> 1 runs the fleet path)",
-                    ACCESS_INT(s.fleet.pairs), {"pairs"}));
-    add(makeNumeric("fleet.noise_agents", Type::integer, 0, 64,
-                    "fleet-wide co-tenant noise agents",
-                    ACCESS_INT(s.fleet.noiseAgents)));
-    add(makeNumeric("fleet.stagger_cycles", Type::integer, 0, big,
-                    "start-offset spacing between consecutive "
-                    "pairs, cycles",
-                    ACCESS_INT(s.fleet.staggerCycles)));
-    add(makeText("fleet.scenario_mix",
-                 "CSV of Table I notations/rows cycled over the "
-                 "pairs (empty: every pair runs channel.scenario)",
-                 ACCESS_TEXT(s.fleet.scenarioMix)));
+    add("fleet.pairs",
+        "concurrent trojan/spy pairs on one machine (> 1 runs the fleet path)",
+        scalar(ACCESS(fleet.pairs), 1, 64), {"pairs"});
+    add("fleet.noise_agents", "fleet-wide co-tenant noise agents",
+        scalar(ACCESS(fleet.noiseAgents), 0, 64));
+    add("fleet.stagger_cycles",
+        "start-offset spacing between consecutive pairs, cycles",
+        scalar(ACCESS(fleet.staggerCycles), 0, big));
+    add("fleet.scenario_mix",
+        "CSV of Table I notations/rows cycled over the pairs (empty: every "
+        "pair runs channel.scenario)",
+        scalar(ACCESS(fleet.scenarioMix)));
 
     // --- run-health observability (cohersim report) ----------------------
-    add(makeNumeric("obs.window_cycles", Type::integer, 1000, big,
-                    "telemetry aggregation window, virtual cycles",
-                    ACCESS_INT(s.obs.windowCycles), {"window"}));
-    add(makeNumeric("obs.hist_sub_bits", Type::integer, 0, 16,
-                    "latency histogram sub-bucket bits (precision "
-                    "per power of two)",
-                    ACCESS_INT(s.obs.histSubBits)));
-    add(makeNumeric("obs.band_core", Type::integer, -1, 4096,
-                    "core whose loads feed the latency bands "
-                    "(-1: all cores)",
-                    ACCESS_INT(s.obs.bandCore)));
-    add(makeNumeric("obs.drift_warn_fraction", Type::real, 0, 1,
-                    "flag a band when more than this fraction of "
-                    "its samples fall outside the calibrated range",
-                    ACCESS_REAL(s.obs.driftWarnFraction)));
-    add(makeNumeric("obs.pair", Type::integer, -1, 64,
-                    "fleet pair whose channel events feed the "
-                    "health report (-1: all pairs)",
-                    ACCESS_INT(s.obs.pair)));
+    add("obs.window_cycles", "telemetry aggregation window, virtual cycles",
+        scalar(ACCESS(obs.windowCycles), 1000, big), {"window"});
+    add("obs.hist_sub_bits",
+        "latency histogram sub-bucket bits (precision per power of two)",
+        scalar(ACCESS(obs.histSubBits), 0, 16));
+    add("obs.band_core",
+        "core whose loads feed the latency bands (-1: all cores)",
+        scalar(ACCESS(obs.bandCore), -1, 4096));
+    add("obs.drift_warn_fraction",
+        "flag a band when more than this fraction of its samples fall outside "
+        "the calibrated range",
+        scalar(ACCESS(obs.driftWarnFraction), 0, 1));
+    add("obs.pair",
+        "fleet pair whose channel events feed the health report (-1: all "
+        "pairs)",
+        scalar(ACCESS(obs.pair), -1, 64));
 }
 
-#undef ACCESS_INT
-#undef ACCESS_REAL
-#undef ACCESS_BOOL
-#undef ACCESS_TEXT
+#undef ACCESS
 
 } // namespace csim

@@ -37,7 +37,7 @@ void
 pubCoh(const TraceBus &bus, TraceEventType type, CoreId core,
        PAddr line, Tick when, std::uint64_t a = 0, std::uint64_t b = 0)
 {
-    if (bus.enabled<TraceCategory::coherence>())
+    if (bus.enabled(TraceCategory::coherence))
         bus.publish(TraceEvent{type, TraceCategory::coherence, core,
                                when, line, a, b});
 }
@@ -107,7 +107,7 @@ MemorySystem::loadImpl(CoreId core, PAddr addr, Tick when)
     }
     const AccessResult res{
         wait + lat + contentionDelay(path_util) + jitter(), served};
-    if (trace_.enabled<TraceCategory::mem>()) {
+    if (trace_.enabled(TraceCategory::mem)) {
         trace_.publish(TraceEvent{
             TraceEventType::memLoad, TraceCategory::mem, core, when,
             line, static_cast<std::uint64_t>(res.servedBy),
@@ -444,7 +444,7 @@ MemorySystem::storeImpl(CoreId core, PAddr addr, Tick when)
     maybeRekey(when);
     ++stats_.stores;
     const PAddr line = lineAlign(addr);
-    if (trace_.enabled<TraceCategory::mem>()) {
+    if (trace_.enabled(TraceCategory::mem)) {
         trace_.publish(TraceEvent{
             TraceEventType::memStore, TraceCategory::mem, core, when,
             line, static_cast<std::uint64_t>(ServedBy::none), 0});
@@ -512,7 +512,7 @@ MemorySystem::flushImpl(CoreId core, PAddr addr, Tick when)
     maybeRekey(when);
     ++stats_.flushes;
     const PAddr line = lineAlign(addr);
-    if (trace_.enabled<TraceCategory::mem>()) {
+    if (trace_.enabled(TraceCategory::mem)) {
         trace_.publish(TraceEvent{
             TraceEventType::memFlush, TraceCategory::mem, core, when,
             line, static_cast<std::uint64_t>(ServedBy::none), 0});

@@ -89,7 +89,7 @@ MemorySystem::occupy(Resource &res, Tick when, Tick service)
     res.util = std::min(res.util, 1.5);
     res.lastNoteAt = std::max(res.lastNoteAt, when);
     pathUtil_ += res.util;
-    if (trace_.enabled<TraceCategory::link>()) {
+    if (trace_.enabled(TraceCategory::link)) {
         trace_.publish(TraceEvent{res.tag, TraceCategory::link,
                                   invalidCore, when, 0, wait,
                                   service});

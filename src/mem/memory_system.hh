@@ -102,46 +102,38 @@ class MemorySystem
      * The public entry points are thin wrappers over the protocol
      * implementations so the self-profiler can sample every
      * stride-th operation (per MemorySystem, keeping the sampled set
-     * deterministic at any host --jobs split). With
-     * -DCOHERSIM_PROF_MEM=0 the wrappers compile down to the bare
-     * calls — zero extra instructions on the hot path; with it on
-     * (the default) the cost is one member load and a predictable
-     * branch (the countdown doubles as the enable flag: armed at
-     * construction iff the profiler is on, see Profiler::armSample),
-     * plus the countdown decrement when armed. All recording lives
-     * out of line in profiledOp, entered once per stride.
+     * deterministic at any host --jobs split). The cost is one
+     * member load and a predictable branch (the countdown doubles as
+     * the enable flag: armed at construction iff the profiler is on,
+     * see Profiler::armSample), plus the countdown decrement when
+     * armed. All recording lives out of line in profiledOp, entered
+     * once per stride.
      * @{
      */
     AccessResult
     load(CoreId core, PAddr addr, Tick when)
     {
-#if COHERSIM_PROF_MEM
         if (profCountdown_ != 0 && --profCountdown_ == 0)
             [[unlikely]]
             return profiledOp(0, core, addr, when);
-#endif
         return loadImpl(core, addr, when);
     }
 
     AccessResult
     store(CoreId core, PAddr addr, Tick when)
     {
-#if COHERSIM_PROF_MEM
         if (profCountdown_ != 0 && --profCountdown_ == 0)
             [[unlikely]]
             return profiledOp(1, core, addr, when);
-#endif
         return storeImpl(core, addr, when);
     }
 
     AccessResult
     flush(CoreId core, PAddr addr, Tick when)
     {
-#if COHERSIM_PROF_MEM
         if (profCountdown_ != 0 && --profCountdown_ == 0)
             [[unlikely]]
             return profiledOp(2, core, addr, when);
-#endif
         return flushImpl(core, addr, when);
     }
     /** @} */

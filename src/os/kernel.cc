@@ -62,7 +62,7 @@ Kernel::mapSharedRegion(Process &a, Process &b, std::uint64_t bytes)
     // reference so the pages die with their last mapping.
     for (PAddr p : pages)
         phys_.release(p);
-    if (mem_.trace().enabled<TraceCategory::os>()) {
+    if (mem_.trace().enabled(TraceCategory::os)) {
         mem_.trace().publish(TraceEvent{
             TraceEventType::osMapShared, TraceCategory::os,
             invalidCore, 0, pages.front(), npages,
@@ -79,7 +79,7 @@ Kernel::runKsmScan(Tick when)
     for (auto &p : processes_)
         procs.push_back(p.get());
     std::vector<MergeEvent> merges = ksm_.scanOnce(procs);
-    if (mem_.trace().enabled<TraceCategory::os>()) {
+    if (mem_.trace().enabled(TraceCategory::os)) {
         for (const MergeEvent &m : merges) {
             mem_.trace().publish(TraceEvent{
                 TraceEventType::osKsmMerge, TraceCategory::os,
@@ -141,7 +141,7 @@ Kernel::store(ThreadId tid, CoreId core, VAddr addr, Tick when)
         ++stats_.cowFaults;
         ++ksm_.stats().pagesUnmerged;
         fault_lat = mem_.config().timing.cowFaultLat;
-        if (mem_.trace().enabled<TraceCategory::os>()) {
+        if (mem_.trace().enabled(TraceCategory::os)) {
             mem_.trace().publish(TraceEvent{
                 TraceEventType::osCowFault, TraceCategory::os, core,
                 when, old_page,
@@ -207,7 +207,7 @@ Kernel::unmergePage(PAddr page, bool quarantine, Tick when)
             ++touched;
         });
     }
-    if (touched > 0 && mem_.trace().enabled<TraceCategory::os>()) {
+    if (touched > 0 && mem_.trace().enabled(TraceCategory::os)) {
         mem_.trace().publish(TraceEvent{
             TraceEventType::osKsmUnmerge, TraceCategory::os,
             invalidCore, when, page,

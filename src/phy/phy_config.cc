@@ -1,8 +1,5 @@
 #include "phy/phy_config.hh"
 
-#include <cstring>
-#include <initializer_list>
-
 namespace csim
 {
 
@@ -15,20 +12,6 @@ phyProfileName(PhyProfile p)
       case PhyProfile::hammingSoft: return "hamming-soft";
     }
     return "?";
-}
-
-bool
-phyProfileFromName(const char *name, PhyProfile &out)
-{
-    for (const PhyProfile p :
-         {PhyProfile::legacyParity, PhyProfile::hammingHard,
-          PhyProfile::hammingSoft}) {
-        if (std::strcmp(name, phyProfileName(p)) == 0) {
-            out = p;
-            return true;
-        }
-    }
-    return false;
 }
 
 } // namespace csim

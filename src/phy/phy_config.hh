@@ -39,12 +39,6 @@ enum class PhyProfile : std::uint8_t
 
 const char *phyProfileName(PhyProfile p);
 
-/**
- * Parse a profile name ("legacy-parity", "hamming-hard",
- * "hamming-soft"); @return false when unknown.
- */
-bool phyProfileFromName(const char *name, PhyProfile &out);
-
 /** PHY channel-stack knobs (the `phy.*` config axis). */
 struct PhyConfig
 {

@@ -24,11 +24,6 @@
  * advancement — so every seeded output is bit-identical with
  * profiling on or off; tools/check_golden.sh can be re-run under
  * COHERSIM_PROFILE=1 to prove it.
- *
- * The mem hot path is additionally compile-time-maskable (like
- * COHERSIM_TRACE_MASK): building with -DCOHERSIM_PROF_MEM=0 removes
- * the sampled instrumentation from MemorySystem::load/store/flush
- * entirely — zero instructions, not a disabled branch.
  */
 
 #ifndef COHERSIM_PROF_PROFILER_HH
@@ -41,15 +36,6 @@
 #include <vector>
 
 #include "common/types.hh"
-
-/**
- * Compile-time mask for the MemorySystem hot-path sampling; defaults
- * on (the runtime flag still gates any actual work). Set to 0 to
- * compile the instrumentation out of load/store/flush completely.
- */
-#ifndef COHERSIM_PROF_MEM
-#define COHERSIM_PROF_MEM 1
-#endif
 
 namespace csim
 {

@@ -249,7 +249,7 @@ Scheduler::execute(SimThread &t)
         } else {
             refresh(t);
         }
-        if (trace_ && trace_->enabled<TraceCategory::sched>()) {
+        if (trace_ && trace_->enabled(TraceCategory::sched)) {
             trace_->publish(TraceEvent{
                 TraceEventType::schedSleep, TraceCategory::sched,
                 t.core(), start, 0,
@@ -260,7 +260,7 @@ Scheduler::execute(SimThread &t)
     const Tick start = effectiveStart(t);
     if (core.lastThread != t.id()) {
         if (core.lastThread != invalidThread && trace_ &&
-            trace_->enabled<TraceCategory::sched>()) {
+            trace_->enabled(TraceCategory::sched)) {
             trace_->publish(TraceEvent{
                 TraceEventType::schedSwitch, TraceCategory::sched,
                 t.core(), start, 0,
@@ -311,7 +311,7 @@ Scheduler::execute(SimThread &t)
     core.freeAt = t.now;
     if (t.now - core.acquiredAt > params_.quantum && hasWaiter(t)) {
         core.mustYield = true;
-        if (trace_ && trace_->enabled<TraceCategory::sched>()) {
+        if (trace_ && trace_->enabled(TraceCategory::sched)) {
             trace_->publish(TraceEvent{
                 TraceEventType::schedPreempt, TraceCategory::sched,
                 t.core(), t.now, 0,
@@ -336,7 +336,7 @@ Scheduler::park(SimThread &t)
     CoreState &core = cores_[static_cast<std::size_t>(t.core())];
     const Tick poll = t.lastLatency;
     if (poll == 0 || poll > maxGridSpan ||
-        (trace_ && trace_->enabled<TraceCategory::sched>()))
+        (trace_ && trace_->enabled(TraceCategory::sched)))
         return false;
     // For the whole grid every waiter must be waiting on a park it
     // has issued. It did so at its last resume, no later than now,

@@ -52,26 +52,14 @@ class TraceBus
     std::size_t subscriberCount() const { return subs_.size(); }
 
     /**
-     * Whether publishing category @p C can reach anyone. Publish
+     * Whether publishing category @p c can reach anyone. Publish
      * sites guard on this so event construction is skipped while
-     * nobody listens; categories masked out of COHERSIM_TRACE_MASK
-     * fold to `false` at compile time.
+     * nobody listens.
      */
-    template <TraceCategory C>
     bool
-    enabled() const
+    enabled(TraceCategory c) const
     {
-        if constexpr ((COHERSIM_TRACE_MASK & categoryBit(C)) == 0)
-            return false;
-        else
-            return (liveMask_ & categoryBit(C)) != 0;
-    }
-
-    /** Runtime variant for callers with a dynamic category. */
-    bool
-    enabledDyn(TraceCategory c) const
-    {
-        return (COHERSIM_TRACE_MASK & liveMask_ & categoryBit(c)) != 0;
+        return (liveMask_ & categoryBit(c)) != 0;
     }
 
     /** Deliver @p ev to every subscriber listening to its category. */
@@ -80,9 +68,9 @@ class TraceBus
     {
         const std::uint32_t bit = categoryBit(ev.category);
         // One branch when the category has no audience: publish
-        // sites that cannot guard with enabled<C>() (dynamic
-        // category, or events built unconditionally) still cost
-        // nearly nothing while nobody listens.
+        // sites that do not guard with enabled() (events built
+        // unconditionally) still cost nearly nothing while nobody
+        // listens.
         if ((liveMask_ & bit) == 0)
             return;
         ++published_;

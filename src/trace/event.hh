@@ -6,11 +6,6 @@
  * (for cheap filtering), a concrete type, the virtual timestamp, the
  * core it happened on and two generic payload words. Events are plain
  * aggregates, so a recorder stores them by value.
- *
- * Categories can be compiled out wholesale by defining
- * COHERSIM_TRACE_MASK to a bit mask of the categories to keep;
- * publish sites guarded by TraceBus::enabled<C>() then fold to
- * nothing for masked-out categories.
  */
 
 #ifndef COHERSIM_TRACE_EVENT_HH
@@ -19,11 +14,6 @@
 #include <cstdint>
 
 #include "common/types.hh"
-
-/** Compile-time category filter; default: every category compiled. */
-#ifndef COHERSIM_TRACE_MASK
-#define COHERSIM_TRACE_MASK 0xffffffffu
-#endif
 
 namespace csim
 {

@@ -476,6 +476,17 @@ TEST(GridExpansion, RejectsMalformedAxes)
     spec.sweep.toKbps = 100;
     spec.sweep.stepKbps = 100;
     EXPECT_THROW(sweepAxes(spec), ConfigError);
+
+    // Each noise level must fit channel.noise_threads, and a fleet,
+    // whose noise is fleet.noise_agents, takes no noise axis.
+    spec = ExperimentSpec{};
+    spec.sweep.noiseLevels = "0,100000";
+    EXPECT_THROW(sweepAxes(spec), ConfigError);
+    spec.sweep.noiseLevels = "0,4";
+    spec.fleet.pairs = 4;
+    EXPECT_THROW(sweepAxes(spec), ConfigError);
+    spec.fleet.pairs = 1;
+    EXPECT_NO_THROW(sweepAxes(spec));
 }
 
 // --- presets ----------------------------------------------------------

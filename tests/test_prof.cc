@@ -262,12 +262,8 @@ TEST_F(ProfTest, MemHotPathSamplingIsDeterministic)
         mem.load(0, 0x40000000 + 64 * (i % 8), now += 100);
     const ProfileSnapshot snap = Profiler::instance().snapshot();
     const SpanStats loads = snap.totalOf("mem.load");
-#if COHERSIM_PROF_MEM
     EXPECT_EQ(loads.count, 2u);
     EXPECT_GT(loads.vcycles, 0u);  // carries the access latency
-#else
-    EXPECT_EQ(loads.count, 0u);
-#endif
 }
 
 TEST_F(ProfTest, ProfilingNeverPerturbsSimulatedLatencies)

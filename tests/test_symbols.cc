@@ -161,8 +161,6 @@ TEST(SymbolChannel, PublishesBitMilestones)
 
 TEST(SymbolVector, ResolvesFromTheRegistryAndRunsThroughRunExperiment)
 {
-    EXPECT_EQ(vectorFromName("coherence-2bit"),
-              VectorKind::coherence2bit);
     EXPECT_EQ(makeLeakageVector(VectorKind::coherence2bit)->kind(),
               VectorKind::coherence2bit);
     ConfigResolver res;

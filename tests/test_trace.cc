@@ -81,15 +81,15 @@ TEST(TraceBus, DeliversToMatchingSubscribersOnly)
 TEST(TraceBus, UnsubscribeRecomputesLiveMask)
 {
     TraceBus bus;
-    EXPECT_FALSE(bus.enabled<TraceCategory::mem>());
+    EXPECT_FALSE(bus.enabled(TraceCategory::mem));
     const int id =
         bus.subscribe(categoryBit(TraceCategory::mem),
                       [](const TraceEvent &) {});
-    EXPECT_TRUE(bus.enabled<TraceCategory::mem>());
-    EXPECT_FALSE(bus.enabled<TraceCategory::os>());
+    EXPECT_TRUE(bus.enabled(TraceCategory::mem));
+    EXPECT_FALSE(bus.enabled(TraceCategory::os));
     EXPECT_EQ(bus.subscriberCount(), 1u);
     bus.unsubscribe(id);
-    EXPECT_FALSE(bus.enabled<TraceCategory::mem>());
+    EXPECT_FALSE(bus.enabled(TraceCategory::mem));
     EXPECT_EQ(bus.subscriberCount(), 0u);
     // Unknown ids are ignored.
     bus.unsubscribe(12345);

@@ -14,6 +14,7 @@
 #include "channel/experiment.hh"
 #include "channel/vector.hh"
 #include "config/experiment_spec.hh"
+#include "config/resolver.hh"
 #include "detect/cchunter.hh"
 
 namespace csim
@@ -52,12 +53,15 @@ vectorCal(VectorKind kind)
 
 TEST(VectorRegistry, NamesRoundTrip)
 {
+    ConfigResolver res;
     for (int i = 0; i < numVectorKinds; ++i) {
         const auto k = static_cast<VectorKind>(i);
-        EXPECT_EQ(vectorFromName(vectorName(k)), k);
+        res.applyOverride("channel.vector", vectorName(k), "test");
+        EXPECT_EQ(res.spec().channel.vector, k);
         EXPECT_EQ(makeLeakageVector(k)->kind(), k);
     }
-    EXPECT_THROW(vectorFromName("mesi"), std::invalid_argument);
+    EXPECT_THROW(res.applyOverride("channel.vector", "mesi", "test"),
+                 ConfigError);
 }
 
 TEST(VectorCalibration, ActionAndIdleBandsSeparate)

@@ -28,6 +28,8 @@
  */
 
 #include <bit>
+#include <climits>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -105,12 +107,26 @@ class Args
         return it == tool_.end() ? fallback : it->second;
     }
 
-    long
-    num(const std::string &key, long fallback) const
+    /**
+     * A whole-number tool option in [lo, hi] (@p base 0 also takes a
+     * 0x prefix); a malformed or out-of-range value is a ConfigError
+     * naming the option.
+     */
+    std::int64_t
+    num(const std::string &key, std::int64_t fallback,
+        std::int64_t lo = 0, std::int64_t hi = INT_MAX,
+        int base = 10) const
     {
         const auto it = tool_.find(key);
-        return it == tool_.end() ? fallback
-                                 : std::stol(it->second);
+        if (it == tool_.end())
+            return fallback;
+        const std::int64_t v =
+            parseInteger("--" + key, it->second, base);
+        if (v < lo || v > hi)
+            throw ConfigError(msgCat("--", key, " = ", v,
+                                     " is out of range [", lo, ", ",
+                                     hi, "]"));
+        return v;
     }
 
     bool flag(const std::string &key) const
@@ -318,7 +334,7 @@ cmdCalibrate(const Args &args)
     }
     const ConfigResolver res = args.resolve();
     const SystemConfig &sys = res.spec().channel.system;
-    const int samples = static_cast<int>(args.num("samples", 1000));
+    const int samples = static_cast<int>(args.num("samples", 1000, 1));
     const CalibrationResult cal = calibrate(sys, samples);
     TablePrinter table;
     table.header({"combination", "mean", "p1", "p99", "band"});
@@ -536,6 +552,12 @@ cmdSweep(const Args &args)
                       {"payload.bits", "300"},
                       {"channel.timeout_margin", "10"}});
     const ExperimentSpec &base = res.spec();
+    // Each row prints one pair's channel metrics.
+    if (base.fleet.pairs > 1)
+        throw ConfigError(msgCat(
+            "sweep runs a single pair, not fleet.pairs = ",
+            base.fleet.pairs,
+            "; sweep fleets with the fleet_scaling bench"));
     const std::string counters_path = args.str("counters", "");
     // The sweep payload keeps its historical seed derivation
     // (seed + 2) so existing sweep outputs stay reproducible.
@@ -743,7 +765,7 @@ cmdInspect(const Args &args)
     sys.timing.longTailProb = 0.0;
     MemorySystem mem(sys);
     const PAddr line = static_cast<PAddr>(
-        std::stoull(args.str("line", "0x40000000"), nullptr, 0));
+        args.num("line", 0x40000000, 0, INT64_MAX, 0));
     const CoreId remote = sys.coreOf(sys.sockets - 1, 0);
 
     std::cout << "Following line 0x" << std::hex << lineAlign(line)
@@ -851,9 +873,7 @@ cmdReport(const Args &args)
         } else if (channel_events == 0) {
             warn("trace ", trace_path, " contains no channel-"
                  "category events — bit counters and the error "
-                 "budget below are empty. Re-capture without "
-                 "compiling the channel category out "
-                 "(COHERSIM_TRACE_MASK)");
+                 "budget below are empty");
         }
         const RunHealth health = analyzeTrace(events, res.spec().obs);
         emitHealthArtifacts(health, json_path, csv_path);
