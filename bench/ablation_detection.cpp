@@ -34,9 +34,8 @@ main()
     for (const ScenarioInfo &sc : allScenarios()) {
         cfg.scenario = sc.id;
         CoherenceChannelDetector detector;
-        cfg.detector = &detector;
-        const ChannelReport rep =
-            runVectorTransmission(cfg, payload, &cal);
+        cfg.taps = {&detector};
+        const ChannelReport rep = runTransmission(cfg, payload, &cal);
         const TrojanResult &trojan = rep.trojan;
         const ChannelMetrics &metrics = rep.metrics;
         const LineVerdict v =
@@ -74,7 +73,7 @@ main()
         sys.seed = 999;
         Machine m(sys);
         CoherenceChannelDetector detector;
-        detector.attach(m.mem.trace());
+        detector.attach(m.mem.trace(), sys.numCores());
         spawnNoiseAgents(m, 8,
                          {sys.coreOf(0, 4), sys.coreOf(0, 5),
                           sys.coreOf(1, 2), sys.coreOf(1, 3),

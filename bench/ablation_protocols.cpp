@@ -55,14 +55,14 @@ main(int argc, char **argv)
             const CalibrationResult cal =
                 calibrate(cfg.system, 300, cfg.params);
             const ChannelReport slow =
-                runVectorTransmission(cfg, payload, &cal);
+                runTransmission(cfg, payload, &cal);
             cfg.params = ChannelParams::forTargetKbps(
                 500, cfg.system.timing);
             cfg.timeout = cfg.deriveTimeout(payload.size());
             const CalibrationResult cal_fast =
                 calibrate(cfg.system, 300, cfg.params);
             const ChannelReport fast =
-                runVectorTransmission(cfg, payload, &cal_fast);
+                runTransmission(cfg, payload, &cal_fast);
             return Result{cal.band(Combo::localExcl),
                           cal.band(Combo::localShared),
                           slow.metrics.accuracy,

@@ -60,7 +60,7 @@ runCell(const ExperimentSpec &base, Scenario sc,
     if (defense)
         applyPreset(spec, *defense);
     CoherenceChannelDetector det;
-    spec.channel.detector = &det;
+    spec.channel.taps.push_back(&det);
     // Defended runs can leave the spy polling to the safety stop;
     // the margin in the manifest absorbs defense-induced slowdown.
     const ChannelReport report =

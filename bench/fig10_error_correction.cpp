@@ -48,7 +48,7 @@ main()
         for (int noise : {0, 4, 8}) {
             cfg.noiseThreads = noise;
             const ChannelReport rep =
-                runPhyTransmission(cfg, payload, &cal);
+                runTransmission(cfg, payload, &cal);
             rates.push_back(rep.phy.effectiveKbps);
             retx.push_back(rep.metrics.retransmits);
             residual += rep.phy.residualErrors;

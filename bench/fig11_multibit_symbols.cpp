@@ -33,7 +33,7 @@ main()
         ChannelConfig sym_cfg = cfg;
         sym_cfg.vector = VectorKind::coherence2bit;
         const ChannelReport rep =
-            runVectorTransmission(sym_cfg, example, &cal);
+            runTransmission(sym_cfg, example, &cal);
         std::cout << "received:            "
                   << bitsToString(rep.received) << "\n";
         std::cout << "symbols sent:        ";
@@ -68,9 +68,9 @@ main()
         ChannelConfig sym_cfg = cfg;
         sym_cfg.vector = VectorKind::coherence2bit;
         const ChannelReport bin =
-            runVectorTransmission(cfg, payload, &cal);
+            runTransmission(cfg, payload, &cal);
         const ChannelReport sym =
-            runVectorTransmission(sym_cfg, payload, &cal);
+            runTransmission(sym_cfg, payload, &cal);
         if (bin.metrics.accuracy >= 0.9)
             binary_peak = std::max(binary_peak,
                                    bin.metrics.rawKbps);

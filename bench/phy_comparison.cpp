@@ -28,7 +28,6 @@
 #include "cohersim/attack.hh"
 #include "cohersim/harness.hh"
 #include "detect/cchunter.hh"
-#include "phy/phy_channel.hh"
 
 namespace
 {
@@ -49,13 +48,13 @@ runPoint(const ExperimentSpec &base, const CalibrationResult &cal,
     point.channel.noiseThreads = noise;
     point.channel.phy.profile = profile;
     CoherenceChannelDetector det;
-    point.channel.detector = &det;
+    point.channel.taps.push_back(&det);
     Rng rng(payload_seed);
     const BitString payload =
         randomBits(rng, static_cast<std::size_t>(base.payload.bits));
 
     PointResult r{
-        runPhyTransmission(point.toChannelConfig(), payload, &cal)};
+        runTransmission(point.toChannelConfig(), payload, &cal)};
     r.detected = det.anySuspicious();
     return r;
 }

@@ -74,7 +74,7 @@ runCell(const ExperimentSpec &spec_in, VectorKind kind, int noise,
         spec.channel.system.llc.numSets() * lineBytes;
     params.trackFaults = true;
     CoherenceChannelDetector det(params);
-    spec.channel.detector = &det;
+    spec.channel.taps.push_back(&det);
     const ChannelReport report =
         runExperiment(spec, &cal).channel;
 

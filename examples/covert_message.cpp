@@ -33,7 +33,7 @@ main()
               << "Kbps with 2 background processes\n\n";
 
     const ChannelReport rep =
-        runVectorTransmission(cfg, textToBits(secret));
+        runTransmission(cfg, textToBits(secret));
 
     std::cout << "shared page established via "
               << sharingModeName(cfg.sharing) << " (attempt "

@@ -23,7 +23,7 @@ attack(bool mitigated)
     cfg.system.timing.llcNotifiedOfUpgrade = mitigated;
     cfg.timeout = 300'000'000;
     Rng rng(1);
-    return runVectorTransmission(cfg, randomBits(rng, 64));
+    return runTransmission(cfg, randomBits(rng, 64));
 }
 
 } // namespace

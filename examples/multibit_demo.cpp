@@ -28,7 +28,7 @@ main()
               << " 11=" << comboName(symbolCombo(3)) << "\n\n";
 
     const ChannelReport rep =
-        runVectorTransmission(cfg, textToBits(secret));
+        runTransmission(cfg, textToBits(secret));
 
     std::cout << "sent symbols:     ";
     for (int s : bitsToSymbols(rep.sent, bitsPerSymbol))

@@ -40,7 +40,7 @@ main()
     std::cout << "\nTransmitting \"" << secret << "\" via "
               << scenarioInfo(cfg.scenario).notation << "...\n";
     const ChannelReport report =
-        runVectorTransmission(cfg, textToBits(secret), &cal);
+        runTransmission(cfg, textToBits(secret), &cal);
 
     std::cout << "received: \"" << bitsToText(report.received)
               << "\"\n";

@@ -5,7 +5,6 @@
 
 #include "channel/vector.hh"
 #include "common/logging.hh"
-#include "detect/cchunter.hh"
 #include "os/kernel.hh"
 #include "prof/profiler.hh"
 
@@ -123,22 +122,14 @@ MachineRig::MachineRig(const ChannelConfig &cfg_in,
       machine_(buildMachine(cfg.system)),
       cal(cal_in ? *cal_in : learned_), machine(*machine_)
 {
-    if (cfg.recorder)
-        cfg.recorder->attach(machine.mem.trace(), cfg.system.numCores());
     for (BusTap *tap : cfg.taps)
         tap->attach(machine.mem.trace(), cfg.system.numCores());
-    if (cfg.detector)
-        cfg.detector->attach(machine.mem.trace());
 }
 
 MachineRig::~MachineRig()
 {
-    if (cfg.detector)
-        cfg.detector->detach();
     for (BusTap *tap : cfg.taps)
         tap->detach();
-    if (cfg.recorder)
-        cfg.recorder->detach();
     ScopedSpan span("rig.teardown");
     machine_.reset();
 }

@@ -4,12 +4,10 @@
  * its report, and the rigs that set up the shared machine
  * (MachineRig: observers, noise, defences) and each trojan/spy pair
  * on it (ExperimentRig: processes, shared block, crew, threads). The
- * single-pair drivers on top of them are runVectorTransmission
- * (channel/vector.hh: every leakage vector, 2-bit symbols included)
- * and runPhyTransmission (phy/phy_channel.hh: the framed FEC chains
- * and the paper's parity+NACK chain); runExperiment
- * (channel/experiment.hh) routes a declarative spec to the right
- * one.
+ * drivers on top of them live in channel/experiment.hh:
+ * runTransmission runs one pair through the chain phy.profile
+ * selects, and runExperiment routes a declarative spec to it or to
+ * the fleet.
  */
 
 #ifndef COHERSIM_CHANNEL_CHANNEL_HH
@@ -36,13 +34,10 @@
 #include "phy/phy_config.hh"
 #include "phy/phy_result.hh"
 #include "trace/counters.hh"
-#include "trace/recorder.hh"
 #include "trace/tap.hh"
 
 namespace csim
 {
-
-class CoherenceChannelDetector;
 
 /**
  * Deployed defence against the channel (paper §VIII-E). The first two
@@ -89,38 +84,24 @@ struct ChannelConfig
     /** Defence deployed against the adversaries (§VIII-E). */
     Defense defense = Defense::none;
     /**
-     * PHY channel stack selection (`phy.*`, src/phy). Under the
-     * default legacy-parity profile runExperiment keeps every
-     * classic raw-modulation path (runPhyTransmission runs it as
-     * parity+NACK); with a hamming profile runExperiment routes the
-     * transmission through the framed FEC stack.
+     * PHY channel stack selection (`phy.*`, src/phy). The profile
+     * picks the chain runTransmission runs: raw modulation (the
+     * default, `raw`), else a PHY session (parity+NACK or framed
+     * FEC).
      */
     PhyConfig phy;
     /** Record the spy's raw latency trace (paper Fig. 7). */
     bool collectTrace = false;
     /**
-     * When set, the MachineRig subscribes this recorder to the machine's
-     * trace bus before shared-memory establishment, so the captured
-     * stream covers the whole experiment (KSM merging included).
-     * The recorder outlives the rig; drain it after the run.
-     */
-    TraceRecorder *recorder = nullptr;
-    /**
-     * Additional bus subscribers (run-health monitors, test probes)
-     * attached exactly like the recorder: before share
-     * establishment, detached when the MachineRig dies. The taps outlive
-     * the rig and keep their accumulated state.
+     * Observers of the run (a TraceRecorder, a CC-Hunter detector, a
+     * run-health monitor, test probes). The MachineRig subscribes
+     * them, in order, to the machine's trace bus before
+     * shared-memory establishment, so their streams cover the whole
+     * experiment (KSM merging included), and detaches them when it
+     * dies. The taps outlive the rig and keep their accumulated
+     * state: drain a recorder, read a detector's verdicts.
      */
     std::vector<BusTap *> taps;
-    /**
-     * CC-Hunter-style detector watching the run (detect/cchunter).
-     * Attached to the machine's trace bus alongside the recorder and
-     * detached when the MachineRig dies; its verdicts stay readable
-     * afterwards. The defense matrix uses this to ask whether the
-     * detector still fires when a randomized cache degrades the
-     * channel itself.
-     */
-    CoherenceChannelDetector *detector = nullptr;
     /** Safety stop, in cycles (~300 ms of simulated time). */
     Tick timeout = 800'000'000ULL;
 
@@ -170,7 +151,7 @@ struct ChannelReport
     SharedBlock shared;
     /** Machine-wide counter totals, snapshotted after the run. */
     CounterRegistry counters;
-    /** PHY-session outcome (runPhyTransmission); zero otherwise. */
+    /** PHY-session outcome (phy.profile != raw); zero otherwise. */
     PhyResult phy;
     /** False if the run hit the safety timeout. */
     bool completed = false;
@@ -202,11 +183,10 @@ struct CorePlan
  * The constructor applies the llc-notify defence to the timing model
  * (so calibration and machine both sample the defended hardware),
  * resolves the calibration, builds the machine and subscribes the
- * config's recorder, taps and detector to its trace bus before
- * anything touches memory, so the captures include share
- * establishment (KSM scans, COW splits, the ch.share_established
- * milestone). The destructor detaches them again; their captured
- * state stays readable afterwards.
+ * config's taps to its trace bus before anything touches memory, so
+ * the captures include share establishment (KSM scans, COW splits,
+ * the ch.share_established milestone). The destructor detaches them
+ * again; their captured state stays readable afterwards.
  */
 class MachineRig
 {

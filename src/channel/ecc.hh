@@ -10,8 +10,9 @@
  * during the trojan's acknowledgement window; the trojan then
  * retransmits. The scheme guarantees (near-)complete bit recovery at
  * the cost of retransmission and acknowledgement overhead. The
- * session itself is the legacy-parity chain of runPhyTransmission
- * (phy/phy_channel.hh).
+ * session itself is the PHY session's parity chain
+ * (phy/phy_channel.cc), which runTransmission runs under
+ * phy.profile = legacy-parity.
  */
 
 #ifndef COHERSIM_CHANNEL_ECC_HH

@@ -1,16 +1,16 @@
 /**
  * @file
- * The one-call experiment dispatcher: `runExperiment(spec)` resolves
- * a declarative ExperimentSpec and routes it to the right driver —
- * the single-pair vector transmission (channel/vector.hh), the PHY
- * channel stack (phy/phy_channel.hh) or the multi-tenant fleet
- * orchestrator (channel/fleet.hh) — returning one sum-type result.
+ * The experiment drivers. runTransmission runs one trojan/spy pair
+ * through the chain cfg.phy.profile selects: raw modulation over the
+ * leakage-vector plugin (channel/vector.hh), or the PHY session
+ * (phy/phy_channel.cc: the framed FEC chains and the paper's
+ * parity+NACK chain). runExperiment resolves a declarative
+ * ExperimentSpec and routes it to runTransmission or to the
+ * multi-tenant fleet orchestrator (runFleet, channel/fleet.hh),
+ * returning one sum-type result.
  *
  * This sits at the top of the channel stack, one layer above the
- * config resolution it consumes, and is the only place that routes a
- * run. The drivers below it stay callable directly for a raw config
- * (runVectorTransmission, runPhyTransmission, runFleet); each runs
- * exactly the kind it is named for.
+ * config resolution it consumes.
  */
 
 #ifndef COHERSIM_CHANNEL_EXPERIMENT_HH
@@ -27,7 +27,7 @@ namespace csim
 enum class ExperimentKind : std::uint8_t
 {
     single,  //!< one pair, raw modulation (any leakage vector)
-    phy,     //!< one pair through the framed FEC stack
+    phy,     //!< one pair through a PHY session (phy.profile != raw)
     fleet,   //!< N concurrent pairs on one machine
 };
 
@@ -53,12 +53,25 @@ struct ExperimentResult
 };
 
 /**
- * Resolve @p spec and run it end to end.
+ * Run one covert transmission of @p payload on one trojan/spy pair.
  *
- * Dispatch order: fleet.pairs > 1 runs the fleet; a coherence-vector
- * spec with a PHY profile (PhyConfig::framed: a hamming profile or
- * the adaptive controller) runs the PHY stack; everything else runs
- * one plain vector transmission.
+ * cfg.phy.profile picks the chain: raw runs plain modulation over
+ * cfg.vector; every other profile runs the PHY session, which
+ * exists on the coherence vector only (a fatal error elsewhere;
+ * ExperimentSpec::validate refuses such a spec first).
+ *
+ * @param cfg experiment configuration.
+ * @param payload bits the trojan exfiltrates.
+ * @param cal pre-computed calibration to reuse across a sweep;
+ *            calibrated per cfg.vector when null.
+ */
+ChannelReport runTransmission(const ChannelConfig &cfg,
+                              const BitString &payload,
+                              const CalibrationResult *cal = nullptr);
+
+/**
+ * Resolve @p spec and run it end to end: fleet.pairs > 1 runs the
+ * fleet, everything else runTransmission.
  *
  * @param spec the declarative experiment description.
  * @param cal pre-computed calibration to reuse across a sweep;

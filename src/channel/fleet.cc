@@ -50,11 +50,10 @@ runFleet(const FleetConfig &cfg, const CalibrationResult *cal)
     MachineRig host(cfg.base, cal);
     Machine &machine = host.machine;
     // The fleet's own CC-Hunter monitor observes the host next to the
-    // caller's recorder, taps and detector, from before the first
-    // share. Declared after the host, it unsubscribes before the
-    // machine's bus goes.
+    // caller's taps, from before the first share. Declared after the
+    // host, it unsubscribes before the machine's bus goes.
     CoherenceChannelDetector detector(cfg.detector);
-    detector.attach(machine.mem.trace());
+    detector.attach(machine.mem.trace(), cfg.base.system.numCores());
     host.spawnNoise(cfg.noiseAgents);
 
     // Per-pair state needs stable addresses: the spawned coroutines

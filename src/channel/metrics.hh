@@ -44,7 +44,7 @@ struct ChannelMetrics
      * Goodput: correctly delivered *payload* bits per second, net of
      * any framing/FEC/parity overhead the scheme spends on the wire.
      * For raw modulation (every leakage vector) every wire bit is a
-     * payload bit, so this equals effectiveKbps; runPhyTransmission
+     * payload bit, so this equals effectiveKbps; a PHY session
      * overwrites it with the payload-level rate of its FEC or
      * parity+NACK chain.
      */
@@ -53,9 +53,9 @@ struct ChannelMetrics
      * @name Retry cost (paper Fig. 10)
      * NACKs the transmitter observed and packet retransmissions it
      * issued, so effectiveKbps can be read against the retry
-     * overhead. Filled by the legacy-parity (parity+NACK) chain of
-     * runPhyTransmission; zero for raw modulation and the FEC
-     * chains, which never retransmit.
+     * overhead. Filled by the legacy-parity (parity+NACK) chain; zero
+     * for raw modulation and the FEC chains, which never
+     * retransmit.
      */
     /** @{ */
     std::uint64_t nacks = 0;

@@ -1,7 +1,6 @@
 #include "channel/vector.hh"
 
 #include "common/logging.hh"
-#include "detect/cchunter.hh"
 #include "os/kernel.hh"
 #include "prof/profiler.hh"
 
@@ -95,17 +94,16 @@ makeLeakageVector(VectorKind kind)
     fatal("unknown vector kind ", static_cast<int>(kind));
 }
 
+/**
+ * runTransmission's branch for phy.profile = raw: the vector
+ * prepares, the SinglePairRig runs its trojan/spy bodies, and this
+ * computes metrics.
+ */
 ChannelReport
 runVectorTransmission(const ChannelConfig &cfg_in,
                       const BitString &payload,
                       const CalibrationResult *cal)
 {
-    fatal_if(cfg_in.phy.framed(),
-             "runVectorTransmission runs raw modulation only; a PHY "
-             "profile (phy.profile other than legacy-parity, or "
-             "phy.adaptive) runs through runExperiment, and only on "
-             "the coherence vector");
-
     const std::unique_ptr<LeakageVector> vec =
         makeLeakageVector(cfg_in.vector);
     const ScenarioInfo &scenario = scenarioInfo(cfg_in.scenario);

@@ -52,7 +52,7 @@ idleBand(const CalibrationResult &cal)
 
 /**
  * Everything one trojan/spy pair's bodies need, assembled by the
- * driver (runVectorTransmission) or the fleet orchestrator. The
+ * raw-modulation driver (runTransmission) or the fleet orchestrator. The
  * referenced objects outlive the spawned coroutines.
  */
 struct VectorRun
@@ -134,22 +134,6 @@ class LeakageVector
 
 /** Instantiate the plugin for a vector kind. */
 std::unique_ptr<LeakageVector> makeLeakageVector(VectorKind kind);
-
-/**
- * Run one raw-modulation covert transmission of @p payload over
- * cfg.vector.
- *
- * The SinglePairRig lifecycle applies the llc-notify timing change,
- * calibrates with the vector (unless @p cal is given) and runs the
- * pair; this driver lets the vector prepare, hands the rig its
- * trojan/spy bodies and computes metrics. A PHY config
- * (cfg.phy.framed()) is a fatal error here: runExperiment routes
- * those to the framed FEC stack.
- */
-ChannelReport runVectorTransmission(const ChannelConfig &cfg,
-                                    const BitString &payload,
-                                    const CalibrationResult *cal =
-                                        nullptr);
 
 } // namespace csim
 

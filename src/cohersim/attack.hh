@@ -29,7 +29,6 @@
 #include "channel/symbols.hh"
 #include "channel/trojan.hh"
 #include "channel/vector.hh"
-#include "phy/phy_channel.hh"
 
 // Defences.
 #include "detect/cchunter.hh"

@@ -1,7 +1,6 @@
 #include "config/experiment_spec.hh"
 
 #include <cctype>
-#include <cstdlib>
 
 #include "common/logging.hh"
 #include "common/random.hh"
@@ -33,36 +32,7 @@ splitCsv(const std::string &text)
     return out;
 }
 
-/** Throw unless a strto* call read all of @p text, up to @p end. */
-void
-requireWhole(const std::string &what, const std::string &text,
-             const char *end, const char *kind)
-{
-    if (end == text.c_str() || *end != '\0')
-        throw ConfigError(
-            msgCat(what, " = '", text, "' is not ", kind));
-}
-
 } // namespace
-
-std::int64_t
-parseInteger(const std::string &what, const std::string &text,
-             int base)
-{
-    char *end = nullptr;
-    const long long v = std::strtoll(text.c_str(), &end, base);
-    requireWhole(what, text, end, "an integer");
-    return v;
-}
-
-double
-parseReal(const std::string &what, const std::string &text)
-{
-    char *end = nullptr;
-    const double v = std::strtod(text.c_str(), &end);
-    requireWhole(what, text, end, "a number");
-    return v;
-}
 
 std::size_t
 ExperimentSpec::payloadBits() const
@@ -143,16 +113,16 @@ ExperimentSpec::validate() const
             " must not exceed system.timing.long_tail_max = ",
             channel.system.timing.longTailMax));
 
-    if (channel.phy.framed() && channel.vector != VectorKind::coherence)
+    // Every profile but raw is a PHY session: one coherence pair.
+    const bool phy = channel.phy.profile != PhyProfile::raw;
+    if (phy && channel.vector != VectorKind::coherence)
         throw ConfigError(msgCat(
             "phy.profile = ", phyProfileName(channel.phy.profile),
-            channel.phy.adaptive ? " with phy.adaptive = true" : "",
             " runs only on channel.vector = coherence, not ",
             vectorName(channel.vector)));
-    if (channel.phy.framed() && fleet.pairs > 1)
+    if (phy && fleet.pairs > 1)
         throw ConfigError(msgCat(
             "phy.profile = ", phyProfileName(channel.phy.profile),
-            channel.phy.adaptive ? " with phy.adaptive = true" : "",
             " runs only on a single pair, not fleet.pairs = ",
             fleet.pairs, " (the fleet runs raw modulation)"));
     // A fleet owns its noise and its safety timeout.

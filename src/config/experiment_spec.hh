@@ -21,39 +21,17 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "channel/channel.hh"
 #include "channel/fleet.hh"
 #include "common/bit_string.hh"
+#include "common/parse.hh"
 #include "obs/obs_config.hh"
 
 namespace csim
 {
-
-/**
- * Configuration error: an unknown key, an out-of-range value, a
- * malformed list. Thrown (not fatal()ed) so callers — the CLI, the
- * benches, the tests — can report or assert on the message, which
- * always names the offending key and value.
- */
-class ConfigError : public std::runtime_error
-{
-  public:
-    using std::runtime_error::runtime_error;
-};
-
-/**
- * The one number parser for outside input: all of @p text as an
- * integer in @p base (0 also takes 0x and 0 prefixes), or as a real.
- * Throws ConfigError "<what> = '<text>' is not an integer" (or "a
- * number") when none or only part of it parses.
- */
-std::int64_t parseInteger(const std::string &what,
-                          const std::string &text, int base = 10);
-double parseReal(const std::string &what, const std::string &text);
 
 /** What the trojan transmits. */
 struct PayloadSpec

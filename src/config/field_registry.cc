@@ -379,22 +379,6 @@ FieldRegistry::FieldRegistry()
     add("system.lookup", "how a miss locates other copies",
         choice(ACCESS(channel.system.lookup), namesOf(coherenceLookupName)),
         {"lookup"});
-    add("system.llc_inclusive",
-        "legacy switch: inclusive LLC (true) vs NINE (false); superseded by "
-        "mem.inclusivity",
-        [] {
-            FieldDef f;
-            f.type = Type::boolean;
-            f.get = [](const ExperimentSpec &s) -> FieldValue {
-                return s.channel.system.llcInclusive();
-            };
-            f.set = [](ExperimentSpec &s, const FieldValue &v) {
-                s.channel.system.inclusivity =
-                    std::get<bool>(v) ? Inclusivity::inclusive
-                                      : Inclusivity::nine;
-            };
-            return f;
-        }());
     add("system.seed", "seed for all simulator randomness",
         scalar(ACCESS(channel.system.seed), 0, big), {"seed"});
 
@@ -493,8 +477,6 @@ FieldRegistry::FieldRegistry()
         scalar(ACCESS(channel.system.timing.llcNotifiedOfUpgrade)));
 
     // --- mem: pluggable hierarchy and randomized defenses ---------------
-    // Registered after system.* so mem.inclusivity wins over the
-    // legacy system.llc_inclusive alias on config round-trips.
     add("mem.replacement", "cache replacement policy, all levels",
         choice(ACCESS(channel.system.replacement), namesOf(replPolicyName)),
         {"replacement"});
@@ -561,9 +543,10 @@ FieldRegistry::FieldRegistry()
 
     // --- PHY channel stack (src/phy) -------------------------------------
     add("phy.profile",
-        "channel coding stack: the paper's parity+NACK scheme, or the framed "
+        "chain the pair runs: the paper's parity+NACK scheme, the framed "
         "whiten/interleave/Hamming(8,4) stack with hard or soft-decision "
-        "decoding",
+        "decoding, raw modulation (any vector), or adaptive (a hamming "
+        "profile and rate picked from the calibrated bands)",
         choice(ACCESS(channel.phy.profile), namesOf(phyProfileName)),
         {"profile"});
     add("phy.interleaver_depth",
@@ -575,10 +558,6 @@ FieldRegistry::FieldRegistry()
         scalar(ACCESS(channel.phy.preambleLen), 8, 64));
     add("phy.whiten", "PN9-whiten frame bodies to break payload runs",
         scalar(ACCESS(channel.phy.whiten)));
-    add("phy.adaptive",
-        "pick profile and raw rate from calibrated band separation (overrides "
-        "phy.profile when it picks)",
-        scalar(ACCESS(channel.phy.adaptive)), {"adaptive"});
     add("phy.frame_nibbles",
         "payload nibbles per frame body (x8 wire bits after FEC)",
         scalar(ACCESS(channel.phy.frameNibbles), 4, 256));

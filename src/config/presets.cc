@@ -76,32 +76,32 @@ buildPresets()
                        "MESI / directory (baseline)",
                        {{"system.flavor", "mesi"},
                         {"system.lookup", "directory"},
-                        {"system.llc_inclusive", "true"}}});
+                        {"mem.inclusivity", "inclusive"}}});
     presets.push_back({"proto-mesif-dir",
                        "MESIF / directory (Intel)",
                        {{"system.flavor", "mesif"},
                         {"system.lookup", "directory"},
-                        {"system.llc_inclusive", "true"}}});
+                        {"mem.inclusivity", "inclusive"}}});
     presets.push_back({"proto-moesi-dir",
                        "MOESI / directory (AMD)",
                        {{"system.flavor", "moesi"},
                         {"system.lookup", "directory"},
-                        {"system.llc_inclusive", "true"}}});
+                        {"mem.inclusivity", "inclusive"}}});
     presets.push_back({"proto-mesi-snoop",
                        "MESI / snoop bus",
                        {{"system.flavor", "mesi"},
                         {"system.lookup", "snoop"},
-                        {"system.llc_inclusive", "true"}}});
+                        {"mem.inclusivity", "inclusive"}}});
     presets.push_back({"proto-moesi-snoop",
                        "MOESI / snoop bus",
                        {{"system.flavor", "moesi"},
                         {"system.lookup", "snoop"},
-                        {"system.llc_inclusive", "true"}}});
+                        {"mem.inclusivity", "inclusive"}}});
     presets.push_back({"proto-mesi-noninclusive",
                        "MESI / non-inclusive LLC",
                        {{"system.flavor", "mesi"},
                         {"system.lookup", "directory"},
-                        {"system.llc_inclusive", "false"}}});
+                        {"mem.inclusivity", "nine"}}});
 
     // Bench sweep grids.
     presets.push_back(

@@ -54,9 +54,7 @@ ConfigResolver::applyJson(const Json &root, const std::string &source)
 
     // Walk the nested tree; the dotted path of each leaf is the
     // field name.
-    // Depth-first in document order keeps error messages stable, and
-    // lets a manifest's mem.inclusivity win over the legacy
-    // system.llc_inclusive written before it.
+    // Depth-first in document order keeps error messages stable.
     std::vector<std::pair<std::string, const Json *>> stack;
     const auto &top = root.entries();
     for (auto it = top.rbegin(); it != top.rend(); ++it) {

@@ -23,7 +23,7 @@ CoherenceChannelDetector::~CoherenceChannelDetector()
 }
 
 void
-CoherenceChannelDetector::attach(TraceBus &bus)
+CoherenceChannelDetector::attach(TraceBus &bus, int)
 {
     detach();
     bus_ = &bus;

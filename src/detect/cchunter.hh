@@ -33,6 +33,7 @@
 
 #include "common/types.hh"
 #include "mem/memory_system.hh"
+#include "trace/tap.hh"
 
 namespace csim
 {
@@ -138,14 +139,15 @@ struct LineVerdict
 };
 
 /**
- * The detector. Attach with attach(); it subscribes to the mem
- * category of the given trace bus and unsubscribes on destruction.
+ * The detector. Attach with attach(), or list it in
+ * ChannelConfig::taps; it subscribes to the mem category of the
+ * given trace bus and unsubscribes on destruction.
  */
-class CoherenceChannelDetector
+class CoherenceChannelDetector : public BusTap
 {
   public:
     explicit CoherenceChannelDetector(DetectorParams params = {});
-    ~CoherenceChannelDetector();
+    ~CoherenceChannelDetector() override;
 
     CoherenceChannelDetector(const CoherenceChannelDetector &) =
         delete;
@@ -154,12 +156,13 @@ class CoherenceChannelDetector
 
     /**
      * Subscribe to @p bus (detaching from any previous bus first).
-     * Only mem-category events are delivered.
+     * Only mem-category events are delivered; the verdicts are per
+     * line, so the core count is not needed.
      */
-    void attach(TraceBus &bus);
+    void attach(TraceBus &bus, int num_cores) override;
 
     /** Drop the bus subscription, keeping accumulated verdicts. */
-    void detach();
+    void detach() override;
 
     /** Feed one event (attach() arranges this automatically). */
     void observe(const TraceEvent &ev);

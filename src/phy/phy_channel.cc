@@ -1,10 +1,31 @@
-#include "phy/phy_channel.hh"
+/**
+ * @file
+ * The single-pair PHY session: the chain every phy.profile but raw
+ * selects, on one trojan/spy pair. runTransmission
+ * (channel/experiment.hh) is its one entry point.
+ *
+ * The hamming profiles (and adaptive, which picks one of them) run
+ * the framed, whitened, interleaved, FEC-protected wire format of
+ * src/phy. The transmit chain runs whiten -> Hamming(8,4) ->
+ * interleave -> frame (preamble + header + body); the receive chain
+ * runs the soft demapper -> preamble hunt -> deinterleave -> FEC
+ * decode -> dewhiten. There is no reverse channel: residual errors
+ * are the codewords FEC could not repair, and the rate is whatever
+ * the operating point sustains, the trade the adaptive controller
+ * navigates (src/phy/adaptive.hh).
+ *
+ * The legacy-parity profile runs the paper's §VIII-C chain instead
+ * (Fig. 10): 64-byte even-parity packets (channel/ecc.hh), each
+ * retransmitted until the spy stops NACKing it over a brief role
+ * reversal.
+ */
 
 #include <algorithm>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "channel/channel.hh"
 #include "channel/ecc.hh"
 #include "channel/trace_hooks.hh"
 #include "common/logging.hh"
@@ -65,9 +86,9 @@ struct PhySession
 };
 
 /**
- * Resolve the operating point (running the adaptive controller when
- * cfg.phy.adaptive) and pre-encode the payload into wire frames, or
- * into parity packets under legacy-parity.
+ * Resolve the operating point (running the adaptive controller under
+ * the adaptive profile) and pre-encode the payload into wire frames,
+ * or into parity packets under legacy-parity.
  */
 void
 phyPrepareSession(PhySession &s, const ChannelConfig &cfg,
@@ -79,7 +100,7 @@ phyPrepareSession(PhySession &s, const ChannelConfig &cfg,
     s.params = cfg.params;
     s.phy = cfg.phy;
 
-    if (cfg.phy.adaptive) {
+    if (cfg.phy.profile == PhyProfile::adaptive) {
         const AdaptiveDecision d = phyChooseOperatingPoint(
             cal, *s.scenario, cfg.noiseThreads);
         s.phy.profile = d.profile;
@@ -99,7 +120,7 @@ phyPrepareSession(PhySession &s, const ChannelConfig &cfg,
     // Parity packets carry 64 bytes (the last one zero-padded) with
     // 8-bit sequence numbers.
     ScopedSpan span("phy.encode");
-    const bool framed = s.phy.framed();
+    const bool framed = s.phy.profile != PhyProfile::legacyParity;
     const std::size_t chunk_bits =
         framed ? static_cast<std::size_t>(s.phy.frameNibbles) *
                      hammingDataBits
@@ -494,7 +515,7 @@ phyFinalizeSession(PhySession &s, const TimingParams &timing,
     PhyResult &r = s.rep.phy;
     r.frames = static_cast<int>(s.frames.size());
 
-    if (!s.phy.framed()) {
+    if (s.phy.profile == PhyProfile::legacyParity) {
         // Parity+NACK accepts packets in order: concatenate them and
         // cut the last packet's zero padding.
         for (const auto &[index, data] : s.accepted)
@@ -548,9 +569,9 @@ addPhyCounters(CounterRegistry &reg, const std::string &prefix,
     reg.counter(base + "fec_uncorrectable") =
         phy.stages.fecUncorrectable;
     reg.counter(base + "wire_bits") = phy.rawBitsSent;
-    // The profile the session actually ran (the adaptive controller
-    // may override the configured one) and, when adaptive, the raw
-    // rate it picked — so report consumers need no side channel.
+    // The profile the session ran (under adaptive, the one the
+    // controller picked) and, when adaptive, the raw rate it picked
+    // — so report consumers need no side channel.
     reg.counter(base + "profile") =
         static_cast<std::uint64_t>(phy.profileUsed);
     if (phy.rateKbps > 0.0)
@@ -560,6 +581,11 @@ addPhyCounters(CounterRegistry &reg, const std::string &prefix,
 
 } // namespace
 
+/**
+ * runTransmission's branch for every phy.profile but raw. Counters
+ * carry `ch.*` then `ch.phy.*`; phy holds the stage and session-clock
+ * results.
+ */
 ChannelReport
 runPhyTransmission(const ChannelConfig &cfg_in,
                    const BitString &payload,
@@ -577,7 +603,8 @@ runPhyTransmission(const ChannelConfig &cfg_in,
 
     // The parity spy loops until the trojan is done, so the
     // trojan's exit ends that session.
-    const bool parity = !session.phy.framed();
+    const bool parity =
+        session.phy.profile == PhyProfile::legacyParity;
     rep.completed = rig.run(
         [&](ThreadApi api) {
             return parity ? parityTrojanBody(api, *pair.crew,

@@ -10,6 +10,8 @@ phyProfileName(PhyProfile p)
       case PhyProfile::legacyParity: return "legacy-parity";
       case PhyProfile::hammingHard: return "hamming-hard";
       case PhyProfile::hammingSoft: return "hamming-soft";
+      case PhyProfile::raw: return "raw";
+      case PhyProfile::adaptive: return "adaptive";
     }
     return "?";
 }

@@ -17,24 +17,30 @@ namespace csim
 {
 
 /**
- * Which transmit/receive chain the channel runs.
+ * Which transmit/receive chain the channel runs. Each value runs one
+ * chain, whatever the entry point.
  *
- * legacyParity is the default, and what it runs depends on the
- * entry point. runExperiment (and so every CLI transmit, sweep and
- * fleet) runs plain raw modulation under it, so every pre-PHY
- * experiment is bit-identical. runPhyTransmission runs the paper's
- * §VIII-C chain under it: even-parity packets with NACK-triggered
- * retransmission (Fig. 10). The hamming profiles replace ARQ with
- * forward error correction over a framed, whitened, interleaved wire
- * format on both entry points; `hard` decodes each codeword from
- * hard bit decisions, `soft` runs maximum-likelihood decoding over
- * the spy's per-bit confidence.
+ * raw, the default, is plain modulation on any leakage vector: every
+ * classic experiment (Figs. 8-9, 11). legacyParity is the paper's
+ * §VIII-C chain (Fig. 10): even-parity packets with NACK-triggered
+ * retransmission. The hamming profiles replace ARQ with forward
+ * error correction over a framed, whitened, interleaved wire format;
+ * `hard` decodes each codeword from hard bit decisions, `soft` runs
+ * maximum-likelihood decoding over the spy's per-bit confidence.
+ * adaptive picks a hamming profile and the bit period from the
+ * calibrated band separation at session start. Every value but raw
+ * runs on the coherence vector of a single pair only.
+ *
+ * The numbers are published (the `ch.phy.profile` counter), so new
+ * values are appended.
  */
 enum class PhyProfile : std::uint8_t
 {
-    legacyParity,
-    hammingHard,
-    hammingSoft,
+    legacyParity = 0,
+    hammingHard = 1,
+    hammingSoft = 2,
+    raw = 3,
+    adaptive = 4,
 };
 
 const char *phyProfileName(PhyProfile p);
@@ -42,7 +48,7 @@ const char *phyProfileName(PhyProfile p);
 /** PHY channel-stack knobs (the `phy.*` config axis). */
 struct PhyConfig
 {
-    PhyProfile profile = PhyProfile::legacyParity;
+    PhyProfile profile = PhyProfile::raw;
     /**
      * Block-interleaver rows. Burst errors of up to this many
      * consecutive wire bits land in distinct FEC codewords. 1
@@ -58,27 +64,11 @@ struct PhyConfig
     /** Whiten frame bodies with the PN9 sequence before FEC. */
     bool whiten = true;
     /**
-     * Pick the FEC profile and bit period from the calibrated band
-     * separation at session start instead of the configured ones.
-     */
-    bool adaptive = false;
-    /**
      * Payload nibbles per frame. Short frames bound how far a lost
      * bit boundary can shear the positional FEC alignment; each
      * frame re-locks at its own preamble.
      */
     int frameNibbles = 32;
-
-    /**
-     * Does this config run the framed FEC stack? A hamming profile
-     * does, and so does the adaptive controller, which never picks
-     * legacy-parity.
-     */
-    bool
-    framed() const
-    {
-        return profile != PhyProfile::legacyParity || adaptive;
-    }
 };
 
 } // namespace csim

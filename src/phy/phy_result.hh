@@ -1,7 +1,7 @@
 /**
  * @file
  * The `phy` member of ChannelReport. Dependency-free on purpose,
- * like phy_config.hh: phy_channel.hh includes the channel layer.
+ * like phy_config.hh: the channel layer embeds it.
  */
 
 #ifndef COHERSIM_PHY_PHY_RESULT_HH
@@ -32,8 +32,8 @@ struct PhyStageStats
 };
 
 /**
- * The PHY-only outcome of one runPhyTransmission session. Raw
- * modulation (runVectorTransmission, fleet pairs) leaves it zero.
+ * The PHY-only outcome of one PHY session (any phy.profile but
+ * raw). Raw modulation (every vector, fleet pairs) leaves it zero.
  * The delivered bits, completion flag and the parity chain's
  * NACK/retransmission counts live in the common ChannelReport.
  */
@@ -47,8 +47,8 @@ struct PhyResult
     /** Positional bit errors remaining after FEC (or parity). */
     std::uint64_t residualErrors = 0;
     PhyStageStats stages;
-    /** Profile the session actually ran (adaptive may override). */
-    PhyProfile profileUsed = PhyProfile::legacyParity;
+    /** Profile the session ran (adaptive: the one it picked). */
+    PhyProfile profileUsed = PhyProfile::raw;
     /** Raw rate the adaptive controller picked; 0 = configured. */
     double rateKbps = 0.0;
     /** Calibrated band separation the controller acted on. */

@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <climits>
 #include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
@@ -12,6 +13,7 @@
 #include <unistd.h>
 #endif
 
+#include "common/parse.hh"
 #include "prof/profiler.hh"
 
 namespace csim
@@ -24,15 +26,26 @@ RunnerOptions::fromArgs(int argc, char **argv)
 #ifndef _WIN32
     opts.progress = isatty(2) != 0;
 #endif
-    if (const char *env = std::getenv("CSIM_JOBS"))
-        opts.jobs = std::atoi(env);
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--jobs" && i + 1 < argc) {
-            opts.jobs = std::atoi(argv[++i]);
-        } else if (arg == "--quiet") {
-            opts.progress = false;
+    // The CLI's range: 0 picks the hardware concurrency.
+    auto jobs = [](const char *what, const char *text) {
+        return static_cast<int>(parseIntegerIn(what, text, 0, INT_MAX));
+    };
+    try {
+        if (const char *env = std::getenv("CSIM_JOBS"))
+            opts.jobs = jobs("CSIM_JOBS", env);
+        for (int i = 1; i < argc; ++i) {
+            const std::string arg = argv[i];
+            if (arg == "--jobs") {
+                if (i + 1 == argc)
+                    throw ConfigError("--jobs needs a value");
+                opts.jobs = jobs("--jobs", argv[++i]);
+            } else if (arg == "--quiet") {
+                opts.progress = false;
+            }
         }
+    } catch (const ConfigError &e) {
+        std::fprintf(stderr, "%s: %s\n", argv[0], e.what());
+        std::exit(2);
     }
     return opts;
 }

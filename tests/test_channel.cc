@@ -11,6 +11,7 @@
 #include <memory>
 
 #include "channel/placer.hh"
+#include "channel/experiment.hh"
 #include "channel/vector.hh"
 #include "common/edit_distance.hh"
 #include "common/random.hh"
@@ -523,7 +524,7 @@ TEST(CorePlanTest, RejectsTooSmallMachines)
 // thread id, so of three busy threads on one core the third never
 // runs. No single-pair preset, in any scenario or noise level of its
 // sweep, puts three threads on a core, so no paper golden depends on
-// that rule. Each rig is built as runVectorTransmission builds it, up
+// that rule. Each rig is built as runTransmission builds it, up
 // to the spawned trojan and spy, and never run.
 TEST(CorePlanTest, NoSinglePairPresetPutsThreeThreadsOnACore)
 {
@@ -584,7 +585,7 @@ TEST_P(EndToEnd, TransmitsAccurately)
     Rng rng(99 + GetParam());
     const BitString payload = randomBits(rng, 80);
     const ChannelReport report =
-        runVectorTransmission(cfg, payload, &sharedCal());
+        runTransmission(cfg, payload, &sharedCal());
     EXPECT_TRUE(report.completed);
     EXPECT_TRUE(report.spy.sawTransmission);
     EXPECT_GE(report.metrics.accuracy, 0.95)
@@ -604,7 +605,7 @@ TEST(EndToEndExtras, TraceCollectionWorks)
     Rng rng(5);
     const BitString payload = randomBits(rng, 20);
     const ChannelReport report =
-        runVectorTransmission(cfg, payload, &sharedCal());
+        runTransmission(cfg, payload, &sharedCal());
     EXPECT_FALSE(report.spy.trace.empty());
     // The trace decodes to the same bits the spy reported.
     const ScenarioInfo &sc = scenarioInfo(cfg.scenario);
@@ -625,7 +626,7 @@ TEST(EndToEndExtras, KsmSharingWorksEndToEnd)
     Rng rng(6);
     const BitString payload = randomBits(rng, 40);
     const ChannelReport report =
-        runVectorTransmission(cfg, payload, &sharedCal());
+        runTransmission(cfg, payload, &sharedCal());
     EXPECT_TRUE(report.completed);
     EXPECT_TRUE(report.shared.viaKsm);
     EXPECT_GE(report.metrics.accuracy, 0.95);
@@ -635,7 +636,7 @@ TEST(EndToEndExtras, EmptyPayloadCompletes)
 {
     ChannelConfig cfg = baseConfig();
     const ChannelReport report =
-        runVectorTransmission(cfg, BitString{}, &sharedCal());
+        runTransmission(cfg, BitString{}, &sharedCal());
     EXPECT_TRUE(report.completed);
     EXPECT_TRUE(report.received.empty());
 }
@@ -648,10 +649,10 @@ TEST(EndToEndExtras, HigherRatesLoseAccuracy)
     const BitString payload = randomBits(rng, 150);
     cfg.params =
         ChannelParams::forTargetKbps(150, cfg.system.timing);
-    const auto slow = runVectorTransmission(cfg, payload);
+    const auto slow = runTransmission(cfg, payload);
     cfg.params =
         ChannelParams::forTargetKbps(1000, cfg.system.timing);
-    const auto fast = runVectorTransmission(cfg, payload);
+    const auto fast = runTransmission(cfg, payload);
     EXPECT_GE(slow.metrics.accuracy, 0.97);
     EXPECT_LT(fast.metrics.accuracy, slow.metrics.accuracy);
     EXPECT_GT(fast.metrics.rawKbps, slow.metrics.rawKbps * 3);
@@ -667,9 +668,9 @@ TEST(EndToEndExtras, HeavyNoiseDegradesAccuracy)
     const BitString payload = randomBits(rng, 150);
     const CalibrationResult cal =
         calibrate(cfg.system, 300, cfg.params);
-    const auto quiet = runVectorTransmission(cfg, payload, &cal);
+    const auto quiet = runTransmission(cfg, payload, &cal);
     cfg.noiseThreads = 8;
-    const auto noisy = runVectorTransmission(cfg, payload, &cal);
+    const auto noisy = runTransmission(cfg, payload, &cal);
     EXPECT_TRUE(noisy.completed);
     EXPECT_GE(quiet.metrics.accuracy, 0.97);
     EXPECT_LT(noisy.metrics.accuracy, quiet.metrics.accuracy);

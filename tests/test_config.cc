@@ -13,7 +13,7 @@
 #include <fstream>
 #include <set>
 
-#include "channel/vector.hh"
+#include "channel/experiment.hh"
 #include "config/presets.hh"
 #include "config/resolver.hh"
 #include "os/kernel.hh"
@@ -335,22 +335,32 @@ TEST(ExperimentSpec, ValidatesCrossFieldConstraints)
     spec.channel.system.timing.longTailMax = 100;
     EXPECT_THROW(spec.validate(), ConfigError);
 
-    // A fleet runs raw modulation: a PHY profile (or the adaptive
-    // controller) on more than one pair is refused, not ignored.
-    for (const bool adaptive : {false, true}) {
-        spec = ExperimentSpec{};
-        spec.fleet.pairs = 2;
-        if (adaptive)
-            spec.channel.phy.adaptive = true;
-        else
-            spec.channel.phy.profile = PhyProfile::hammingSoft;
-        try {
-            spec.validate();
-            ADD_FAILURE() << "expected ConfigError";
-        } catch (const ConfigError &e) {
-            const std::string msg = e.what();
-            EXPECT_NE(msg.find("phy.profile"), std::string::npos);
-            EXPECT_NE(msg.find("fleet.pairs = 2"), std::string::npos);
+    // Every profile but raw is a PHY session, which runs on one
+    // coherence pair: on another vector or on a fleet it is refused,
+    // not ignored.
+    for (const PhyProfile profile :
+         {PhyProfile::legacyParity, PhyProfile::hammingHard,
+          PhyProfile::hammingSoft, PhyProfile::adaptive}) {
+        const std::string name =
+            msgCat("phy.profile = ", phyProfileName(profile));
+        ExperimentSpec dirty;
+        dirty.channel.vector = VectorKind::dirty;
+        ExperimentSpec fleet;
+        fleet.fleet.pairs = 2;
+        for (auto [bad, field] :
+             {std::pair{&dirty, "channel.vector = coherence, not dirty"},
+              std::pair{&fleet, "fleet.pairs = 2"}}) {
+            bad->channel.phy.profile = profile;
+            try {
+                bad->validate();
+                ADD_FAILURE() << name << ": expected ConfigError";
+            } catch (const ConfigError &e) {
+                const std::string msg = e.what();
+                EXPECT_NE(msg.find(name), std::string::npos) << msg;
+                EXPECT_NE(msg.find(field), std::string::npos) << msg;
+            }
+            bad->channel.phy.profile = PhyProfile::raw;
+            EXPECT_NO_THROW(bad->validate()) << field;
         }
     }
 
@@ -544,15 +554,16 @@ TEST(FieldRegistry, PhyFieldsResolveWithDocsAndAliases)
     // Every phy.* knob is registered with a non-empty doc line.
     for (const char *name :
          {"phy.profile", "phy.interleaver_depth",
-          "phy.preamble_len", "phy.whiten", "phy.adaptive",
-          "phy.frame_nibbles"}) {
+          "phy.preamble_len", "phy.whiten", "phy.frame_nibbles"}) {
         const FieldDef *f = reg.find(name);
         ASSERT_NE(f, nullptr) << name;
         EXPECT_FALSE(std::string(f->doc).empty()) << name;
     }
     // The short aliases route to the same definitions.
     EXPECT_EQ(reg.find("profile"), reg.find("phy.profile"));
-    EXPECT_EQ(reg.find("adaptive"), reg.find("phy.adaptive"));
+    // The adaptive controller is a profile value, not a flag.
+    EXPECT_EQ(reg.find("phy.adaptive"), nullptr);
+    EXPECT_EQ(reg.find("adaptive"), nullptr);
 
     ConfigResolver res;
     res.applyOverride("phy.profile", "hamming-soft", "cli");
@@ -620,9 +631,9 @@ TEST(Presets, PresetTransmissionMatchesManualSetup)
     ExperimentSpec manual = preset_spec;
     manual.channel.scenario = Scenario::rexcC_lexB;
 
-    const ChannelReport a = runVectorTransmission(
+    const ChannelReport a = runTransmission(
         preset_spec.toChannelConfig(), preset_spec.makePayload());
-    const ChannelReport b = runVectorTransmission(
+    const ChannelReport b = runTransmission(
         manual.toChannelConfig(), manual.makePayload());
     EXPECT_EQ(a.received, b.received);
     EXPECT_EQ(a.metrics.durationCycles, b.metrics.durationCycles);

@@ -140,7 +140,7 @@ TEST(DetectorEndToEnd, FlagsTheCovertChannel)
                       scenario.remoteLoaders, scenario.csc);
     const ExperimentRig &pair = rig.pair;
     CoherenceChannelDetector detector;
-    detector.attach(pair.machine.mem.trace());
+    detector.attach(pair.machine.mem.trace(), cfg.system.numCores());
 
     Rng rng(4);
     const BitString payload = randomBits(rng, 60);
@@ -175,7 +175,7 @@ TEST(DetectorEndToEnd, QuietOnNoiseOnlyWorkloads)
     sys.seed = 78;
     Machine m(sys);
     CoherenceChannelDetector detector;
-    detector.attach(m.mem.trace());
+    detector.attach(m.mem.trace(), sys.numCores());
     spawnNoiseAgents(m, 4, {4, 5, 8, 9}, NoiseConfig{}, 5);
     m.sched.run(3'000'000);
     EXPECT_GT(detector.eventsObserved(), 1'000u);

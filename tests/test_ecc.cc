@@ -2,13 +2,13 @@
  * @file
  * Tests for the error-detection and retransmission scheme
  * (paper §VIII-C, Figure 10): the packet codec and the legacy-parity
- * chain of runPhyTransmission.
+ * chain runTransmission runs.
  */
 
 #include <gtest/gtest.h>
 
 #include "channel/ecc.hh"
-#include "phy/phy_channel.hh"
+#include "channel/experiment.hh"
 
 namespace csim
 {
@@ -21,6 +21,7 @@ baseConfig()
     ChannelConfig cfg;
     cfg.system.seed = 31337;
     cfg.scenario = Scenario::rexcC_lshB;
+    cfg.phy.profile = PhyProfile::legacyParity;
     return cfg;
 }
 
@@ -126,7 +127,7 @@ TEST(EccSession, DeliversPayloadWithoutNoise)
     ChannelConfig cfg = baseConfig();
     const BitString payload = someData(7, 1024);
     const ChannelReport report =
-        runPhyTransmission(cfg, payload, &sharedCal());
+        runTransmission(cfg, payload, &sharedCal());
     EXPECT_TRUE(report.completed);
     EXPECT_EQ(report.phy.profileUsed, PhyProfile::legacyParity);
     EXPECT_EQ(report.phy.frames, 2);
@@ -141,7 +142,7 @@ TEST(EccSession, ShortPayloadIsPadded)
     ChannelConfig cfg = baseConfig();
     const BitString payload = someData(8, 100);
     const ChannelReport report =
-        runPhyTransmission(cfg, payload, &sharedCal());
+        runTransmission(cfg, payload, &sharedCal());
     EXPECT_EQ(report.phy.frames, 1);
     EXPECT_EQ(report.phy.residualErrors, 0u);
     EXPECT_EQ(report.received.size(), 100u);
@@ -154,7 +155,7 @@ TEST(EccSession, RecoversUnderMediumNoise)
     cfg.noiseThreads = 4;
     const BitString payload = someData(9, 1024);
     const ChannelReport report =
-        runPhyTransmission(cfg, payload, &sharedCal());
+        runTransmission(cfg, payload, &sharedCal());
     EXPECT_TRUE(report.completed);
     // Per-chunk parity misses an even number of flips within one
     // 32-bit chunk (see PacketCodec.DoubleFlipInOneChunkEscapesParity)
@@ -170,10 +171,10 @@ TEST(EccSession, NoiseCostsThroughput)
     ChannelConfig cfg = baseConfig();
     const BitString payload = someData(10, 1024);
     const ChannelReport quiet =
-        runPhyTransmission(cfg, payload, &sharedCal());
+        runTransmission(cfg, payload, &sharedCal());
     cfg.noiseThreads = 4;
     const ChannelReport noisy =
-        runPhyTransmission(cfg, payload, &sharedCal());
+        runTransmission(cfg, payload, &sharedCal());
     EXPECT_EQ(quiet.phy.residualErrors, 0u);
     // Under noise a rare even-flip-per-chunk corruption can escape
     // the parity check (see DoubleFlipInOneChunkEscapesParity).
@@ -190,8 +191,8 @@ TEST(EccSession, LlcNotifyDefenseIsTheTimingChange)
     defended.defense = Defense::llcNotify;
     ChannelConfig direct = baseConfig();
     direct.system.timing.llcNotifiedOfUpgrade = true;
-    const ChannelReport a = runPhyTransmission(defended, payload);
-    const ChannelReport b = runPhyTransmission(direct, payload);
+    const ChannelReport a = runTransmission(defended, payload);
+    const ChannelReport b = runTransmission(direct, payload);
     EXPECT_EQ(a.received, b.received);
     EXPECT_EQ(a.phy.durationCycles, b.phy.durationCycles);
     EXPECT_EQ(a.phy.rawBitsSent, b.phy.rawBitsSent);
@@ -205,7 +206,7 @@ TEST(EccSession, RetryCostReachesChannelMetrics)
     cfg.params = ChannelParams::forTargetKbps(550, cfg.system.timing);
     const BitString payload = someData(12, packetDataBits);
     const ChannelReport report =
-        runPhyTransmission(cfg, payload, &sharedCal());
+        runTransmission(cfg, payload, &sharedCal());
     EXPECT_GT(report.metrics.nacks, 0u);
     EXPECT_GE(report.metrics.nacks, report.metrics.retransmits);
     EXPECT_EQ(report.counters.value("ch.nacks"), report.metrics.nacks);

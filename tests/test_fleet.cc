@@ -213,7 +213,7 @@ TEST(FleetRun, CallerDetectorWatchesNextToTheFleets)
     const FleetReport plain = runFleet(quickFleet(2));
     FleetConfig cfg = quickFleet(2);
     CoherenceChannelDetector mine(cfg.detector);
-    cfg.base.detector = &mine;
+    cfg.base.taps.push_back(&mine);
     const FleetReport rep = runFleet(cfg);
     EXPECT_GT(mine.eventsObserved(), 0u);
     // Watching changes nothing the fleet reports, and with the
@@ -411,8 +411,7 @@ TEST(MachineLifecyclePin, NoisyTargetedNoisePairIsUnchanged)
     spec.rateKbps = 500;
     spec.timeoutMargin = 20.0;
     const ChannelReport rep =
-        runVectorTransmission(spec.toChannelConfig(),
-                              spec.makePayload());
+        runTransmission(spec.toChannelConfig(), spec.makePayload());
     const std::uint64_t h =
         pairDigest(0xcbf29ce484222325ULL, rep.sent, rep.received,
                    rep.metrics, rep.completed);

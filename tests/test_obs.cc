@@ -20,7 +20,7 @@
 #include <string>
 #include <vector>
 
-#include "channel/vector.hh"
+#include "channel/experiment.hh"
 #include "common/edit_distance.hh"
 #include "common/logging.hh"
 #include "common/random.hh"
@@ -292,7 +292,7 @@ TEST(RunHealthMonitor, WindowTotalsMatchRunTotals)
     ocfg.windowCycles = 100'000;  // force many windows
     RunHealthMonitor monitor(ocfg);
     cfg.taps.push_back(&monitor);
-    const ChannelReport rep = runVectorTransmission(cfg, payload);
+    const ChannelReport rep = runTransmission(cfg, payload);
     ASSERT_TRUE(rep.completed);
     const RunHealth health = monitor.finalize();
 
@@ -328,7 +328,7 @@ TEST(RunHealthMonitor, BandsPopulatedAndAssessed)
     monitor.setBands(cal);
     cfg.taps.push_back(&monitor);
     const ChannelReport rep =
-        runVectorTransmission(cfg, payload, &cal);
+        runTransmission(cfg, payload, &cal);
     ASSERT_TRUE(rep.completed);
     const RunHealth health = monitor.finalize();
 
@@ -397,13 +397,13 @@ TEST(OfflineAnalysis, TraceRoundTripMatchesLiveMonitor)
         cfg.timeout = cfg.deriveTimeout(payload.size(), 20.0);
 
         TraceRecorder recorder;
-        cfg.recorder = &recorder;
+        cfg.taps.push_back(&recorder);
         ObsConfig ocfg;
         ocfg.windowCycles = 100'000;
         ocfg.bandCore = -1;  // a saved trace replays every core too
         RunHealthMonitor monitor(ocfg);
         cfg.taps.push_back(&monitor);
-        const ChannelReport rep = runVectorTransmission(cfg, payload);
+        const ChannelReport rep = runTransmission(cfg, payload);
         ASSERT_TRUE(rep.completed);
         const RunHealth live = monitor.finalize();
 
@@ -483,8 +483,8 @@ TEST(OfflineAnalysis, MutatedTracesAreRejectedNotCrashed)
     const BitString payload = randomBits(payload_rng, 4);
     cfg.timeout = cfg.deriveTimeout(payload.size(), 20.0);
     TraceRecorder recorder;
-    cfg.recorder = &recorder;
-    ASSERT_TRUE(runVectorTransmission(cfg, payload).completed);
+    cfg.taps.push_back(&recorder);
+    ASSERT_TRUE(runTransmission(cfg, payload).completed);
     std::vector<TraceEvent> events = recorder.drain();
     ASSERT_GT(events.size(), 40u);
     events.resize(40);

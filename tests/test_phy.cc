@@ -8,17 +8,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
 #include <set>
 
+#include "channel/ecc.hh"
 #include "channel/experiment.hh"
-#include "channel/vector.hh"
 #include "common/random.hh"
 #include "detect/cchunter.hh"
 #include "phy/adaptive.hh"
 #include "phy/frame.hh"
 #include "phy/hamming.hh"
 #include "phy/interleave.hh"
-#include "phy/phy_channel.hh"
 #include "phy/preamble.hh"
 #include "phy/soft.hh"
 #include "phy/whiten.hh"
@@ -356,7 +356,7 @@ TEST(PhyEndToEnd, SoftProfileDeliversCleanPayload)
     cfg.timeout = cfg.deriveTimeout(payload.size() * 3);
 
     const ChannelReport rep =
-        runPhyTransmission(cfg, payload, &sharedCal());
+        runTransmission(cfg, payload, &sharedCal());
     EXPECT_TRUE(rep.completed);
     EXPECT_EQ(rep.phy.residualErrors, 0u);
     EXPECT_EQ(rep.received, payload);
@@ -393,9 +393,9 @@ TEST(PhyEndToEnd, DispatchesThroughRunExperiment)
     EXPECT_GT(rep.counters.value("ch.phy.frames_sent"), 0);
     EXPECT_GT(rep.counters.value("ch.phy.preamble_locks"), 0);
 
-    // The dispatcher returns exactly the driver's report: same
+    // The dispatcher returns exactly runTransmission's report: same
     // reception, metrics, PHY results and counters, in order.
-    const ChannelReport direct = runPhyTransmission(
+    const ChannelReport direct = runTransmission(
         spec.toChannelConfig(), payload, &sharedCal());
     EXPECT_EQ(rep.received, direct.received);
     EXPECT_EQ(rep.metrics, direct.metrics);
@@ -404,40 +404,107 @@ TEST(PhyEndToEnd, DispatchesThroughRunExperiment)
     EXPECT_EQ(rep.phy.profileUsed, PhyProfile::hammingSoft);
 }
 
-TEST(PhyEndToEnd, RawVectorDriverRejectsPhyConfigs)
-{
-    // runExperiment is the only router: a PHY config handed to the
-    // raw-modulation driver fails loudly instead of rerouting.
-    ChannelConfig adaptive = baseConfig();
-    adaptive.phy.profile = PhyProfile::legacyParity;
-    adaptive.phy.adaptive = true;
-    const BitString payload = bitsFromString("1011");
-    for (const ChannelConfig &cfg : {baseConfig(), adaptive}) {
-        try {
-            runVectorTransmission(cfg, payload, &sharedCal());
-            ADD_FAILURE() << "a PHY config ran as raw modulation";
-        } catch (const std::runtime_error &e) {
-            EXPECT_NE(std::string(e.what()).find("runExperiment"),
-                      std::string::npos)
-                << e.what();
-        }
-    }
-}
-
 TEST(PhyEndToEnd, AdaptiveModePicksAnOperatingPoint)
 {
     ChannelConfig cfg = baseConfig();
-    cfg.phy.adaptive = true;
+    cfg.phy.profile = PhyProfile::adaptive;
     Rng rng(8);
     const BitString payload = randomBits(rng, 128);
     cfg.timeout = cfg.deriveTimeout(payload.size() * 3);
 
     const ChannelReport rep =
-        runPhyTransmission(cfg, payload, &sharedCal());
+        runTransmission(cfg, payload, &sharedCal());
     EXPECT_TRUE(rep.completed);
     EXPECT_GT(rep.phy.rateKbps, 0.0);
     EXPECT_NE(rep.phy.bandSeparation, 0.0);
     EXPECT_EQ(rep.phy.residualErrors, 0u);
+}
+
+// ch.phy.profile publishes the enumerator, and committed digests hash
+// it: the values that predate raw and adaptive keep their numbers.
+static_assert(static_cast<int>(PhyProfile::legacyParity) == 0);
+static_assert(static_cast<int>(PhyProfile::hammingHard) == 1);
+static_assert(static_cast<int>(PhyProfile::hammingSoft) == 2);
+
+TEST(PhyRouting, EachProfileRunsOneChainThroughEitherDriver)
+{
+    struct Route
+    {
+        PhyProfile profile;
+        ExperimentKind kind;
+    };
+    const Route routes[] = {
+        {PhyProfile::legacyParity, ExperimentKind::phy},
+        {PhyProfile::hammingHard, ExperimentKind::phy},
+        {PhyProfile::hammingSoft, ExperimentKind::phy},
+        {PhyProfile::raw, ExperimentKind::single},
+        {PhyProfile::adaptive, ExperimentKind::phy},
+    };
+    // One row per enumerator, in order: a new profile needs a row.
+    for (std::size_t i = 0; i < std::size(routes); ++i)
+        ASSERT_EQ(static_cast<std::size_t>(routes[i].profile), i);
+    ASSERT_STREQ(
+        phyProfileName(static_cast<PhyProfile>(std::size(routes))), "?");
+
+    Rng rng(12);
+    const BitString payload = randomBits(rng, 64);
+    for (const Route &route : routes) {
+        SCOPED_TRACE(phyProfileName(route.profile));
+        ExperimentSpec spec;
+        spec.channel = baseConfig();
+        spec.channel.phy.profile = route.profile;
+        spec.validate();
+        const ExperimentResult res =
+            runExperiment(spec, &sharedCal(), &payload);
+        EXPECT_EQ(res.kind, route.kind);
+        const ChannelReport &rep = res.channel;
+        EXPECT_TRUE(rep.completed);
+        EXPECT_EQ(rep.received, payload);
+
+        switch (route.profile) {
+          case PhyProfile::raw:
+            EXPECT_EQ(rep.phy, PhyResult{});
+            break;
+          case PhyProfile::legacyParity:
+            // One 64-byte parity packet, no preamble hunt.
+            EXPECT_EQ(rep.phy.profileUsed, PhyProfile::legacyParity);
+            EXPECT_EQ(rep.phy.frames, 1);
+            EXPECT_GE(rep.phy.rawBitsSent, packetTotalBits);
+            EXPECT_EQ(rep.phy.stages.preambleLocks, 0u);
+            break;
+          case PhyProfile::hammingHard:
+          case PhyProfile::hammingSoft:
+            EXPECT_EQ(rep.phy.profileUsed, route.profile);
+            EXPECT_GT(rep.phy.stages.preambleLocks, 0u);
+            EXPECT_EQ(rep.phy.rateKbps, 0.0);
+            break;
+          case PhyProfile::adaptive:
+            EXPECT_TRUE(rep.phy.profileUsed == PhyProfile::hammingHard ||
+                        rep.phy.profileUsed == PhyProfile::hammingSoft);
+            EXPECT_GT(rep.phy.stages.preambleLocks, 0u);
+            EXPECT_GT(rep.phy.rateKbps, 0.0);
+            break;
+        }
+        if (route.kind == ExperimentKind::phy) {
+            EXPECT_EQ(rep.counters.value("ch.phy.profile"),
+                      static_cast<std::uint64_t>(rep.phy.profileUsed));
+        }
+
+        // The value means the same chain through either driver.
+        const ChannelReport direct =
+            runTransmission(spec.toChannelConfig(), payload, &sharedCal());
+        EXPECT_EQ(direct.received, rep.received);
+        EXPECT_EQ(direct.metrics, rep.metrics);
+        EXPECT_EQ(direct.phy, rep.phy);
+        EXPECT_EQ(direct.counters.entries(), rep.counters.entries());
+    }
+
+    // The PHY session exists on the coherence vector only; a config
+    // that skipped validate() fails instead of ignoring the vector.
+    ChannelConfig dirty = baseConfig();
+    dirty.vector = VectorKind::dirty;
+    dirty.phy.profile = PhyProfile::legacyParity;
+    EXPECT_THROW(runTransmission(dirty, payload), std::runtime_error);
 }
 
 TEST(PhyEndToEnd, BitIdenticalAcrossWorkerCounts)
@@ -467,7 +534,7 @@ TEST(PhyEndToEnd, BitIdenticalAcrossWorkerCounts)
                         rate, cfg.system.timing);
                     cfg.timeout =
                         cfg.deriveTimeout(payload.size() * 3);
-                    const ChannelReport rep = runPhyTransmission(
+                    const ChannelReport rep = runTransmission(
                         cfg, payload, &sharedCal());
                     return Cell{bitsToString(rep.received),
                                 rep.phy.residualErrors,
@@ -508,9 +575,9 @@ TEST(PhyEndToEnd, CcHunterStillFlagsFecTraffic)
     cfg.timeout = cfg.deriveTimeout(payload.size() * 3);
 
     CoherenceChannelDetector detector;
-    cfg.detector = &detector;
+    cfg.taps.push_back(&detector);
     const ChannelReport rep =
-        runPhyTransmission(cfg, payload, &sharedCal());
+        runTransmission(cfg, payload, &sharedCal());
     EXPECT_TRUE(rep.completed);
     EXPECT_TRUE(detector.anySuspicious());
     const LineVerdict v =

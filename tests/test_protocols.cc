@@ -9,7 +9,7 @@
 
 #include <gtest/gtest.h>
 
-#include "channel/vector.hh"
+#include "channel/experiment.hh"
 #include "mem/memory_system.hh"
 
 namespace csim
@@ -286,7 +286,7 @@ TEST_P(ChannelUnderVariant, CovertChannelStillWorks)
     cfg.scenario = Scenario::lexcC_lshB;
     Rng rng(6);
     const BitString payload = randomBits(rng, 50);
-    const ChannelReport rep = runVectorTransmission(cfg, payload);
+    const ChannelReport rep = runTransmission(cfg, payload);
     EXPECT_TRUE(rep.completed);
     EXPECT_GE(rep.metrics.accuracy, 0.94)
         << coherenceFlavorName(GetParam().flavor) << "/"
@@ -476,7 +476,7 @@ TEST(NonInclusive, ChannelStillWorks)
     cfg.scenario = Scenario::lexcC_lshB;
     Rng rng(7);
     const BitString payload = randomBits(rng, 50);
-    const ChannelReport rep = runVectorTransmission(cfg, payload);
+    const ChannelReport rep = runTransmission(cfg, payload);
     EXPECT_TRUE(rep.completed);
     EXPECT_GE(rep.metrics.accuracy, 0.9);
 }

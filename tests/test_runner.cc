@@ -18,7 +18,7 @@
 #include <stdexcept>
 #include <thread>
 
-#include "channel/vector.hh"
+#include "channel/experiment.hh"
 #include "config/presets.hh"
 #include "config/resolver.hh"
 #include "runner/json_sink.hh"
@@ -221,7 +221,7 @@ TEST(ParallelSafety, ConcurrentMachinesMatchSoloRuns)
     auto run_one = [&](Scenario sc) {
         ChannelConfig c = cfg;
         c.scenario = sc;
-        return runVectorTransmission(c, payload, &cal);
+        return runTransmission(c, payload, &cal);
     };
 
     // Solo (sequential) reference runs.
@@ -288,7 +288,7 @@ TEST(ParallelSafety, RecycledCacheArraysMatchOneWorker)
                 cfg.system.seed = base.system.seed + i;
                 cfg.timeout = cfg.deriveTimeout(payload.size());
                 const ChannelReport rep =
-                    runVectorTransmission(cfg, payload, &cal);
+                    runTransmission(cfg, payload, &cal);
                 return Cell{bitsToString(rep.received),
                             rep.metrics.durationCycles,
                             rep.counters.value("mem.loads")};
@@ -343,7 +343,7 @@ TEST(ParallelSweep, BitIdenticalAcrossWorkerCounts)
                     cfg.timeout =
                         cfg.deriveTimeout(payload.size());
                     const ChannelReport rep =
-                        runVectorTransmission(cfg, payload, &cal);
+                        runTransmission(cfg, payload, &cal);
                     return Cell{bitsToString(rep.received),
                                 rep.metrics.accuracy,
                                 rep.metrics.rawKbps,
@@ -400,7 +400,7 @@ TEST(ParallelSweep, ConfigBuiltGridBitIdenticalAcrossWorkerCounts)
         std::vector<std::function<Cell()>> jobs;
         for (const ExperimentSpec &point : grid) {
             jobs.push_back([&point, &cal, &payload] {
-                const ChannelReport rep = runVectorTransmission(
+                const ChannelReport rep = runTransmission(
                     point.toChannelConfig(), payload, &cal);
                 return Cell{bitsToString(rep.received),
                             rep.metrics.durationCycles,

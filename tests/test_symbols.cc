@@ -54,7 +54,7 @@ TEST(SymbolChannel, TransmitsTwoBitsPerSymbol)
     Rng rng(11);
     const BitString payload = randomBits(rng, 120);
     const ChannelReport report =
-        runVectorTransmission(cfg, payload, &sharedCal());
+        runTransmission(cfg, payload, &sharedCal());
     EXPECT_TRUE(report.completed);
     EXPECT_EQ(bitsToSymbols(report.sent, bitsPerSymbol).size(), 60u);
     EXPECT_GE(report.metrics.accuracy, 0.9);
@@ -72,7 +72,7 @@ TEST(SymbolChannel, OddPayloadIsPadded)
     ChannelConfig cfg = baseConfig();
     const BitString payload = bitsFromString("101");
     const ChannelReport report =
-        runVectorTransmission(cfg, payload, &sharedCal());
+        runTransmission(cfg, payload, &sharedCal());
     EXPECT_EQ(report.sent, payload);
     EXPECT_EQ(report.received, payload);
 }
@@ -86,7 +86,7 @@ TEST(SymbolChannel, AllFourSymbolValuesSurviveTransmission)
                                       2, 0, 3, 1};
     const BitString payload = symbolsToBits(symbols, bitsPerSymbol);
     const ChannelReport report =
-        runVectorTransmission(cfg, payload, &sharedCal());
+        runTransmission(cfg, payload, &sharedCal());
     EXPECT_TRUE(report.completed);
     EXPECT_GE(report.metrics.accuracy, 0.9);
 }
@@ -98,10 +98,10 @@ TEST(SymbolChannel, FasterThanBinaryAtSameSamplingRate)
     Rng rng(12);
     const BitString payload = randomBits(rng, 100);
     const ChannelReport sym =
-        runVectorTransmission(cfg, payload, &sharedCal());
+        runTransmission(cfg, payload, &sharedCal());
     cfg.vector = VectorKind::coherence;
     const ChannelReport bin =
-        runVectorTransmission(cfg, payload, &sharedCal());
+        runTransmission(cfg, payload, &sharedCal());
     EXPECT_GE(sym.metrics.accuracy, 0.9);
     EXPECT_GT(sym.metrics.rawKbps, bin.metrics.rawKbps * 1.5);
 }
@@ -117,12 +117,12 @@ TEST(SymbolChannel, LlcNotifyDefenseIsTheTimingChange)
     defended.defense = Defense::llcNotify;
     ChannelConfig direct = baseConfig();
     direct.system.timing.llcNotifiedOfUpgrade = true;
-    const ChannelReport a = runVectorTransmission(defended, payload);
-    const ChannelReport b = runVectorTransmission(direct, payload);
+    const ChannelReport a = runTransmission(defended, payload);
+    const ChannelReport b = runTransmission(direct, payload);
     EXPECT_EQ(a.received, b.received);
     EXPECT_EQ(a.metrics.durationCycles, b.metrics.durationCycles);
     const ChannelReport open =
-        runVectorTransmission(baseConfig(), payload);
+        runTransmission(baseConfig(), payload);
     EXPECT_NE(a.received, open.received);
 }
 
@@ -133,7 +133,7 @@ TEST(SymbolChannel, CollectsTrace)
     Rng rng(13);
     const BitString payload = randomBits(rng, 36);
     const ChannelReport report =
-        runVectorTransmission(cfg, payload, &sharedCal());
+        runTransmission(cfg, payload, &sharedCal());
     EXPECT_FALSE(report.spy.trace.empty());
 }
 
@@ -142,10 +142,10 @@ TEST(SymbolChannel, PublishesBitMilestones)
     // The health report's error budget pairs chTxBit with chRxBit.
     ChannelConfig cfg = baseConfig();
     TraceRecorder recorder;
-    cfg.recorder = &recorder;
+    cfg.taps.push_back(&recorder);
     const BitString payload = bitsFromString("1001010001");
     const ChannelReport report =
-        runVectorTransmission(cfg, payload, &sharedCal());
+        runTransmission(cfg, payload, &sharedCal());
     const std::vector<TraceEvent> events = recorder.drain();
     auto count = [&events](TraceEventType type) {
         return static_cast<std::size_t>(std::count_if(
@@ -184,7 +184,7 @@ TEST(SymbolVector, KeepsTheSpySocketLineOnRemoteScenarios)
     // seed), while the binary coherence channel moves to socket 1.
     ChannelConfig cfg = baseConfig();
     cfg.scenario = Scenario::rexcC_lshB;
-    const ChannelReport report = runVectorTransmission(
+    const ChannelReport report = runTransmission(
         cfg, bitsFromString("10"), &sharedCal());
     EXPECT_EQ(report.shared.paddr, 0x10000000u);
 

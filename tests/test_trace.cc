@@ -17,7 +17,7 @@
 #include <utility>
 #include <vector>
 
-#include "channel/vector.hh"
+#include "channel/experiment.hh"
 #include "runner/json_sink.hh"
 #include "runner/runner.hh"
 #include "trace/bus.hh"
@@ -290,12 +290,12 @@ TEST(EndToEnd, TracedTransmission)
 
     // Reference run without a recorder.
     const ChannelReport plain =
-        runVectorTransmission(cfg, payload, &cal);
+        runTransmission(cfg, payload, &cal);
 
     TraceRecorder recorder;
-    cfg.recorder = &recorder;
+    cfg.taps.push_back(&recorder);
     const ChannelReport traced =
-        runVectorTransmission(cfg, payload, &cal);
+        runTransmission(cfg, payload, &cal);
 
     // Observation must not perturb: bit-identical outcome.
     EXPECT_EQ(bitsToString(plain.received),

@@ -86,7 +86,7 @@ TEST(RunExperiment, CoherenceMatchesClassicDriver)
     ExperimentSpec spec = vectorSpec(VectorKind::coherence, 40);
     const CalibrationResult &cal = vectorCal(VectorKind::coherence);
     const ExperimentResult via_api = runExperiment(spec, &cal);
-    const ChannelReport classic = runVectorTransmission(
+    const ChannelReport classic = runTransmission(
         spec.toChannelConfig(), spec.makePayload(), &cal);
     EXPECT_EQ(via_api.kind, ExperimentKind::single);
     EXPECT_TRUE(via_api.completed());
@@ -183,7 +183,7 @@ TEST(VectorDetect, EvictionTrainFlagsLruChannel)
     params.evictionFoldBytes =
         spec.channel.system.llc.numSets() * lineBytes;
     CoherenceChannelDetector det(params);
-    spec.channel.detector = &det;
+    spec.channel.taps.push_back(&det);
     const ExperimentResult r =
         runExperiment(spec, &vectorCal(VectorKind::lru));
     EXPECT_TRUE(r.completed());
@@ -207,7 +207,7 @@ TEST(VectorDetect, FaultTrainFlagsPagefaultChannel)
     params.trackFaults = true;
     CoherenceChannelDetector det(params);
     ExperimentSpec spec = vectorSpec(VectorKind::pagefault, 32);
-    spec.channel.detector = &det;
+    spec.channel.taps.push_back(&det);
     const ExperimentResult r =
         runExperiment(spec, &vectorCal(VectorKind::pagefault));
     EXPECT_TRUE(r.completed());

@@ -168,11 +168,12 @@ check_all() {
         -- sweep_stdout "$bench_dir/fleet_scaling" --quick --jobs 1 --quiet
 
     # The PHY channel stack: pin the phy-quick CLI transmit (hamming-soft
-    # end to end), the CLI's parity+NACK session (`cohersim ecc`, the
-    # legacy-parity chain) and the quick parity-vs-FEC comparison (its
-    # BENCH_phy.json must be bit-identical at any --jobs).
+    # end to end), a CLI transmit through the paper's parity+NACK chain
+    # (phy.profile legacy-parity) and the quick parity-vs-FEC comparison
+    # (its BENCH_phy.json must be bit-identical at any --jobs).
     run_case phy_quick stdout "$cli" transmit --preset phy-quick \
-        -- ecc_stdout "$cli" ecc \
+        -- parity_stdout "$cli" transmit --phy.profile legacy-parity \
+        --message "GUARANTEED DELIVERY" \
         -- bench_stdout "$bench_dir/phy_comparison" --quick --jobs 1 --quiet
 
     # The defense matrix: pin the quick grid (Table I row 4 against every

@@ -7,7 +7,6 @@
  *   calibrate  measure the (location, coherence state) latency bands
  *   transmit   run one covert transmission and print the result
  *   sweep      run the experiment grid of a sweep spec
- *   ecc        run an error-corrected (parity + NACK) session
  *   trace      describe the tracing subsystem's event vocabulary
  *   report     run-health report: band separation, error budget,
  *              windowed telemetry (live run or saved trace)
@@ -120,13 +119,7 @@ class Args
         const auto it = tool_.find(key);
         if (it == tool_.end())
             return fallback;
-        const std::int64_t v =
-            parseInteger("--" + key, it->second, base);
-        if (v < lo || v > hi)
-            throw ConfigError(msgCat("--", key, " = ", v,
-                                     " is out of range [", lo, ", ",
-                                     hi, "]"));
-        return v;
+        return parseIntegerIn("--" + key, it->second, lo, hi, base);
     }
 
     bool flag(const std::string &key) const
@@ -450,6 +443,10 @@ cmdTransmit(const Args &args)
                "Perfetto/Chrome JSON trace\n"
                "  --counters FILE  dump the machine-wide counter "
                "totals as JSON\n"
+               "  --phy.profile legacy-parity runs the paper's "
+               "parity+NACK chain (Fig. 10); hamming-hard,\n"
+               "  hamming-soft and adaptive run the framed FEC stack "
+               "(coherence vector, one pair)\n"
                "  fleet.pairs > 1 (e.g. --preset fleet-quick, or "
                "--fleet.pairs 4) runs N concurrent\n"
                "  trojan/spy pairs on one machine and reports "
@@ -463,7 +460,7 @@ cmdTransmit(const Args &args)
     const std::string counters_path = args.str("counters", "");
     TraceRecorder recorder;
     if (!trace_path.empty())
-        run.channel.recorder = &recorder;
+        run.channel.taps.push_back(&recorder);
     const ExperimentResult result = runExperiment(run);
     const bool fleet = result.kind == ExperimentKind::fleet;
     if (!trace_path.empty())
@@ -503,11 +500,16 @@ cmdTransmit(const Args &args)
               << " Kbps effective, "
               << TablePrinter::num(rep.metrics.payloadKbps)
               << " Kbps payload\n";
-    if (result.kind == ExperimentKind::phy) {
+    if (run.channel.phy.profile == PhyProfile::legacyParity) {
+        std::cout << "phy:       legacy-parity, " << rep.phy.frames
+                  << " packet(s), " << rep.metrics.retransmits
+                  << " retransmission(s), " << rep.phy.residualErrors
+                  << " residual error(s)\n";
+    } else if (result.kind == ExperimentKind::phy) {
         const auto ran = static_cast<PhyProfile>(
             rep.counters.value("ch.phy.profile"));
         std::cout << "phy:       " << phyProfileName(ran);
-        if (run.channel.phy.adaptive)
+        if (run.channel.phy.profile == PhyProfile::adaptive)
             std::cout << " (adaptive @ "
                       << rep.counters.value("ch.phy.adapt_rate_kbps")
                       << " Kbps)";
@@ -681,34 +683,6 @@ cmdTrace(const Args &args)
     }
     table.print(std::cout);
     return 0;
-}
-
-int
-cmdEcc(const Args &args)
-{
-    if (args.help) {
-        std::cout << "cohersim ecc [--message TEXT] "
-                     "[--scenario NAME|ROW] [--rate KBPS] "
-                     "[--noise N] [--seed S]\n"
-                  << kCommonHelp;
-        return 0;
-    }
-    const ConfigResolver res = args.resolve(
-        {{"payload.message", "GUARANTEED DELIVERY"}});
-    const ExperimentSpec &spec = res.spec();
-    ChannelConfig cfg = spec.toChannelConfig();
-    cfg.phy = PhyConfig{};  // legacy-parity: the parity+NACK chain
-    const ChannelReport rep =
-        runPhyTransmission(cfg, spec.makePayload());
-    std::cout << "packets:          " << rep.phy.frames << "\n"
-              << "retransmissions:  " << rep.metrics.retransmits
-              << "\n"
-              << "residual errors:  " << rep.phy.residualErrors << "\n"
-              << "effective rate:   "
-              << TablePrinter::num(rep.phy.effectiveKbps) << " Kbps\n"
-              << "delivered:        \""
-              << bitsToText(rep.received) << "\"\n";
-    return rep.phy.residualErrors == 0 ? 0 : 1;
 }
 
 /** One row of `cohersim inspect` output for the current state. */
@@ -989,7 +963,7 @@ cmdProfile(const Args &args)
         jobs.push_back([&point, &cal, &payload, record, &recorder] {
             ExperimentSpec run = point;
             if (record)
-                run.channel.recorder = &recorder;
+                run.channel.taps.push_back(&recorder);
             runExperiment(run, &cal, &payload);
             return 0;
         });
@@ -1039,7 +1013,6 @@ usage()
            "  calibrate  measure the latency bands (paper Fig. 2)\n"
            "  transmit   run one covert transmission\n"
            "  sweep      run the experiment grid of a sweep spec\n"
-           "  ecc        parity + NACK retransmission session\n"
            "  inspect    follow one line's LineSnapshot through the "
            "protocol\n"
            "  trace      tracing subsystem: list event categories\n"
@@ -1082,8 +1055,6 @@ main(int argc, char **argv)
             return cmdTransmit(args);
         if (cmd == "sweep")
             return cmdSweep(args);
-        if (cmd == "ecc")
-            return cmdEcc(args);
         if (cmd == "inspect")
             return cmdInspect(args);
         if (cmd == "trace")
