@@ -31,18 +31,22 @@ RunnerOptions::fromArgs(int argc, char **argv)
         return static_cast<int>(parseIntegerIn(what, text, 0, INT_MAX));
     };
     try {
-        if (const char *env = std::getenv("CSIM_JOBS"))
-            opts.jobs = jobs("CSIM_JOBS", env);
+        bool jobs_given = false;
         for (int i = 1; i < argc; ++i) {
             const std::string arg = argv[i];
             if (arg == "--jobs") {
                 if (i + 1 == argc)
                     throw ConfigError("--jobs needs a value");
                 opts.jobs = jobs("--jobs", argv[++i]);
+                jobs_given = true;
             } else if (arg == "--quiet") {
                 opts.progress = false;
             }
         }
+        // --jobs wins over CSIM_JOBS; an empty CSIM_JOBS is unset.
+        const char *env = std::getenv("CSIM_JOBS");
+        if (!jobs_given && env && *env)
+            opts.jobs = jobs("CSIM_JOBS", env);
     } catch (const ConfigError &e) {
         std::fprintf(stderr, "%s: %s\n", argv[0], e.what());
         std::exit(2);

@@ -45,9 +45,9 @@ struct RunnerOptions
     std::string label;
 
     /**
-     * Parse `--jobs N` (and `--quiet`) from a bench argv, after the
-     * `CSIM_JOBS` environment variable; other arguments are left for
-     * the caller. progress defaults to on when stderr is a terminal.
+     * Parse `--jobs N` (and `--quiet`) from a bench argv; without
+     * `--jobs`, a non-empty `CSIM_JOBS` environment variable sets the
+     * count. Other arguments are left for the caller. progress defaults to on when stderr is a terminal.
      * A job count that is not an integer in [0, INT_MAX], or a
      * trailing `--jobs` with no value, prints the error and exits 2
      * before any worker starts.

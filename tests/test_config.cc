@@ -182,11 +182,14 @@ TEST(FieldRegistry, RejectsTypeMismatchesFromJson)
         res.applyJson(parseJson("{\"system\": {\"seed\": \"x\"}}"),
                       "test"),
         ConfigError);
-    EXPECT_THROW(
-        res.applyJson(
-            parseJson("{\"system\": {\"llc_inclusive\": 1}}"),
-            "test"),
-        ConfigError);
+    try {
+        res.applyJson(parseJson("{\"phy\": {\"whiten\": 1}}"), "test");
+        FAIL() << "expected ConfigError";
+    } catch (const ConfigError &e) {
+        EXPECT_NE(std::string(e.what()).find("must be a boolean"),
+                  std::string::npos)
+            << e.what();
+    }
     // Integer fields accept integers only, not floats.
     EXPECT_THROW(
         res.applyJson(parseJson("{\"system\": {\"seed\": 1.5}}"),
@@ -285,9 +288,7 @@ TEST(ConfigResolver, DumpFileReloads)
 
 TEST(ConfigResolver, EveryChoiceManifestReloads)
 {
-    // A manifest is applied in document order, so the legacy
-    // system.llc_inclusive it carries cannot undo mem.inclusivity
-    // (an exclusive LLC used to reload as NINE).
+    // Every choice of every field survives a dump and reload.
     const FieldRegistry &reg = FieldRegistry::instance();
     for (const FieldDef &f : reg.fields()) {
         for (const std::string &choice : f.choices) {

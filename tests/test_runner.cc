@@ -12,6 +12,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <set>
 #include <sstream>
@@ -113,6 +114,33 @@ TEST(RunnerOptions, FromArgsParsesJobs)
     EXPECT_FALSE(opts.progress);
     EXPECT_EQ(opts.resolvedJobs(), 7);
     EXPECT_GE(RunnerOptions{}.resolvedJobs(), 1);
+}
+
+TEST(RunnerOptions, JobsFlagWinsOverEnvironmentAndEmptyEnvIsUnset)
+{
+    const char *saved = std::getenv("CSIM_JOBS");
+    const std::string restore = saved ? saved : "";
+
+    // A malformed CSIM_JOBS is never read when --jobs is given.
+    ::setenv("CSIM_JOBS", "x", 1);
+    const char *flag[] = {"bench", "--jobs", "2"};
+    EXPECT_EQ(RunnerOptions::fromArgs(3, const_cast<char **>(flag)).jobs,
+              2);
+
+    // CSIM_JOBS=${N} with N unset means automatic, as if unset.
+    ::setenv("CSIM_JOBS", "", 1);
+    const char *bare[] = {"bench"};
+    EXPECT_EQ(RunnerOptions::fromArgs(1, const_cast<char **>(bare)).jobs,
+              0);
+
+    ::setenv("CSIM_JOBS", "3", 1);
+    EXPECT_EQ(RunnerOptions::fromArgs(1, const_cast<char **>(bare)).jobs,
+              3);
+
+    if (saved)
+        ::setenv("CSIM_JOBS", restore.c_str(), 1);
+    else
+        ::unsetenv("CSIM_JOBS");
 }
 
 TEST(RunJobs, ResultsInSubmissionOrderForAnyWorkerCount)
