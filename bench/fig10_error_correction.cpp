@@ -49,14 +49,14 @@ main()
             cfg.noiseThreads = noise;
             const ChannelReport rep =
                 runTransmission(cfg, payload, &cal);
-            rates.push_back(rep.phy.effectiveKbps);
+            rates.push_back(rep.metrics.effectiveKbps);
             retx.push_back(rep.metrics.retransmits);
             residual += rep.phy.residualErrors;
             Json row = Json::object();
             row["scenario"] = sc.notation;
             row["noise_threads"] =
                 static_cast<std::int64_t>(noise);
-            row["effective_kbps"] = rep.phy.effectiveKbps;
+            row["effective_kbps"] = rep.metrics.effectiveKbps;
             row["nacks"] =
                 static_cast<std::int64_t>(rep.metrics.nacks);
             row["retransmissions"] =

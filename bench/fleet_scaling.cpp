@@ -72,10 +72,9 @@ main(int argc, char **argv)
         jobs.push_back([&base, &cal, pairs] {
             ExperimentSpec point = base;
             point.fleet.pairs = pairs;
-            // runFleet directly (not the runExperiment dispatcher):
-            // the pairs=1 baseline must still go through the fleet
-            // orchestrator to report the same FleetReport shape.
-            return runFleet(point.toFleetConfig(), &cal);
+            // The preset's noise agents keep the pairs=1 baseline a
+            // fleet (FleetSpec::enabled), with the same report shape.
+            return runExperiment(point, &cal).fleet;
         });
     }
 

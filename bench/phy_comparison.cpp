@@ -4,9 +4,10 @@
  * src/phy stack. All three coding schemes transmit the same payloads
  * at the same fixed raw wire rate (550 Kbps, past the legacy
  * scheme's reliable envelope on Table I row 4) across noise levels,
- * and the bench reports effective rate, goodput (payloadKbps, net of
- * framing/FEC overhead and residual errors) and CC-Hunter's verdict
- * per run.
+ * and the bench reports effective rate (ChannelMetrics: payload
+ * bits over the run, scaled by edit-distance accuracy), goodput
+ * (payload bits delivered without residual error over the same
+ * clock) and CC-Hunter's verdict per run.
  *
  * The north-star acceptance check is printed at the end: the
  * hamming-soft profile must achieve effectiveKbps >= the legacy
@@ -99,6 +100,7 @@ main(int argc, char **argv)
                                   PhyProfile::hammingSoft};
 
     const ChannelConfig base_cfg = base.toChannelConfig();
+    const TimingParams &timing = base_cfg.system.timing;
     const CalibrationResult cal =
         calibrate(base_cfg.system, 400, base_cfg.params);
 
@@ -133,12 +135,15 @@ main(int argc, char **argv)
             for (std::size_t si = 0; si < n_schemes; ++si) {
                 const ChannelReport &rep = results[idx].rep;
                 const PhyResult &r = rep.phy;
+                const ChannelMetrics &m = rep.metrics;
                 const bool detected = results[idx++].detected;
+                const double payload_kbps = timing.kbps(
+                    m.bitsSent - r.residualErrors, m.durationCycles);
                 eff[ni * n_schemes + si] +=
-                    r.effectiveKbps /
+                    m.effectiveKbps /
                     static_cast<double>(trials.size());
                 good[ni * n_schemes + si] +=
-                    r.payloadKbps /
+                    payload_kbps /
                     static_cast<double>(trials.size());
                 Json row = Json::object();
                 row["scheme"] = phyProfileName(schemes[si]);
@@ -146,8 +151,8 @@ main(int argc, char **argv)
                     noise_levels[ni]);
                 row["payload_seed"] =
                     static_cast<std::int64_t>(trial);
-                row["effective_kbps"] = r.effectiveKbps;
-                row["payload_kbps"] = r.payloadKbps;
+                row["effective_kbps"] = m.effectiveKbps;
+                row["payload_kbps"] = payload_kbps;
                 row["residual_errors"] =
                     static_cast<std::int64_t>(r.residualErrors);
                 row["raw_bits_sent"] =

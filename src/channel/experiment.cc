@@ -14,6 +14,9 @@ ChannelReport runVectorTransmission(const ChannelConfig &cfg,
 ChannelReport runPhyTransmission(const ChannelConfig &cfg,
                                  const BitString &payload,
                                  const CalibrationResult *cal);
+// runExperiment's fleet branch (channel/fleet.cc).
+FleetReport runFleet(const ExperimentSpec &spec,
+                     const CalibrationResult *cal);
 
 ChannelReport
 runTransmission(const ChannelConfig &cfg, const BitString &payload,
@@ -33,10 +36,10 @@ runExperiment(const ExperimentSpec &spec, const CalibrationResult *cal,
               const BitString *payload)
 {
     ExperimentResult out;
-    if (spec.fleet.pairs > 1) {
+    if (spec.fleet.enabled()) {
         ScopedSpan span("experiment.fleet");
         out.kind = ExperimentKind::fleet;
-        out.fleet = runFleet(spec.toFleetConfig(), cal);
+        out.fleet = runFleet(spec, cal);
         return out;
     }
     const ChannelConfig cfg = spec.toChannelConfig();

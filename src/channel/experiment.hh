@@ -6,8 +6,8 @@
  * (phy/phy_channel.cc: the framed FEC chains and the paper's
  * parity+NACK chain). runExperiment resolves a declarative
  * ExperimentSpec and routes it to runTransmission or to the
- * multi-tenant fleet orchestrator (runFleet, channel/fleet.hh),
- * returning one sum-type result.
+ * multi-tenant fleet orchestrator (channel/fleet.cc), returning one
+ * sum-type result. These are the two public drivers.
  *
  * This sits at the top of the channel stack, one layer above the
  * config resolution it consumes.
@@ -70,8 +70,9 @@ ChannelReport runTransmission(const ChannelConfig &cfg,
                               const CalibrationResult *cal = nullptr);
 
 /**
- * Resolve @p spec and run it end to end: fleet.pairs > 1 runs the
- * fleet, everything else runTransmission.
+ * Resolve @p spec and run it end to end: a spec whose fleet.* axes
+ * ask for a fleet (FleetSpec::enabled) runs the fleet, everything
+ * else runTransmission.
  *
  * @param spec the declarative experiment description.
  * @param cal pre-computed calibration to reuse across a sweep;

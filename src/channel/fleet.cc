@@ -6,6 +6,7 @@
 #include "channel/vector.hh"
 #include "common/logging.hh"
 #include "common/random.hh"
+#include "config/experiment_spec.hh"
 #include "os/kernel.hh"
 
 namespace csim
@@ -41,20 +42,34 @@ fleetCorePlan(const SystemConfig &sys, int k)
     return plan;
 }
 
+/**
+ * runExperiment's branch for a spec whose fleet.* axes ask for a
+ * fleet (FleetSpec::enabled): every pair runs spec.toChannelConfig()
+ * on one machine, with fleet.noise_agents co-tenant noise agents.
+ * The safety timeout is always contention-derived
+ * (ChannelConfig::deriveTimeout, margin channel.timeout_margin or 20
+ * when unset), because co-resident pairs stretch every transmission.
+ */
 FleetReport
-runFleet(const FleetConfig &cfg, const CalibrationResult *cal)
+runFleet(const ExperimentSpec &spec, const CalibrationResult *cal)
 {
-    fatal_if(cfg.pairs < 1, "a fleet needs >= 1 pair");
+    const ChannelConfig base = spec.toChannelConfig();
+    const int pairs = static_cast<int>(spec.fleet.pairs);
+    const int noise_agents = static_cast<int>(spec.fleet.noiseAgents);
+    const Tick stagger = static_cast<Tick>(spec.fleet.staggerCycles);
+    const std::vector<Scenario> mix = spec.fleet.scenarios();
+    const std::size_t payload_bits = spec.payloadBits();
+    fatal_if(pairs < 1, "a fleet needs >= 1 pair");
     // Every pair drives the same leakage vector (they probe the same
     // microarchitecture), so one calibration serves the fleet.
-    MachineRig host(cfg.base, cal);
+    MachineRig host(base, cal);
     Machine &machine = host.machine;
     // The fleet's own CC-Hunter monitor observes the host next to the
     // caller's taps, from before the first share. Declared after the
     // host, it unsubscribes before the machine's bus goes.
-    CoherenceChannelDetector detector(cfg.detector);
-    detector.attach(machine.mem.trace(), cfg.base.system.numCores());
-    host.spawnNoise(cfg.noiseAgents);
+    CoherenceChannelDetector detector;
+    detector.attach(machine.mem.trace(), base.system.numCores());
+    host.spawnNoise(noise_agents);
 
     // Per-pair state needs stable addresses: the spawned coroutines
     // hold pointers into it for the whole run.
@@ -75,42 +90,39 @@ runFleet(const FleetConfig &cfg, const CalibrationResult *cal)
     std::vector<std::unique_ptr<PairRun>> runs;
     std::vector<PAddr> shared_lines;
 
-    for (int k = 0; k < cfg.pairs; ++k) {
+    for (int k = 0; k < pairs; ++k) {
         const std::uint32_t id = static_cast<std::uint32_t>(k + 1);
         auto run = std::make_unique<PairRun>();
         const Scenario sc =
-            cfg.scenarioMix.empty()
-                ? cfg.base.scenario
-                : cfg.scenarioMix[static_cast<std::size_t>(k) %
-                                  cfg.scenarioMix.size()];
+            mix.empty() ? base.scenario
+                        : mix[static_cast<std::size_t>(k) % mix.size()];
         run->scenario = &scenarioInfo(sc);
         run->cfg = host.cfg;
         run->cfg.scenario = sc;
-        run->vec = makeLeakageVector(cfg.base.vector);
+        run->vec = makeLeakageVector(base.vector);
         // Distinct per-pair share patterns: identical patterns would
         // let KSM merge co-resident pairs' pages with *each other*,
         // collapsing N channels onto one physical line.
         run->rig = std::make_unique<ExperimentRig>(
-            machine, run->cfg, fleetCorePlan(cfg.base.system, k),
+            machine, run->cfg, fleetCorePlan(base.system, k),
             run->scenario->csc, id,
-            deriveSeed(cfg.base.system.seed ^ 0x6b5fca37, id));
+            deriveSeed(base.system.seed ^ 0x6b5fca37, id));
         run->rig->startCrew(run->vec->localLoaders(*run->scenario),
                             run->vec->remoteLoaders(*run->scenario));
         shared_lines.push_back(run->rig->shared.paddr);
         // Payload from the pair's own seed stream (the + 1 mirrors
         // the single-pair CLI's payload seeding).
-        Rng payload_rng(deriveSeed(cfg.base.system.seed + 1, id));
-        run->payload = randomBits(payload_rng, cfg.payloadBits);
+        Rng payload_rng(deriveSeed(base.system.seed + 1, id));
+        run->payload = randomBits(payload_rng, payload_bits);
         runs.push_back(std::move(run));
     }
     host.deployDefences(shared_lines);
 
     std::vector<const SimThread *> spies;
-    for (int k = 0; k < cfg.pairs; ++k) {
+    for (int k = 0; k < pairs; ++k) {
         PairRun *run = runs[static_cast<std::size_t>(k)].get();
         ExperimentRig &rig = *run->rig;
-        const Tick offset =
-            cfg.staggerCycles * static_cast<Tick>(k);
+        const Tick offset = stagger * static_cast<Tick>(k);
         // Bind the pair's run context and let the vector stake out
         // its per-pair state (conflict sets, slot clocks, daemon
         // helpers) with the stagger offset as its epoch base.
@@ -135,15 +147,13 @@ runFleet(const FleetConfig &cfg, const CalibrationResult *cal)
 
     // The safety timeout accounts for the whole fleet's contention
     // plus the staggered tail-pair start.
-    ChannelConfig derive = cfg.base;
-    derive.noiseThreads = cfg.noiseAgents;
-    derive.coResidentPairs = cfg.pairs;
-    const Tick timeout =
-        (cfg.timeoutMargin > 0.0
-             ? derive.deriveTimeout(cfg.payloadBits,
-                                    cfg.timeoutMargin)
-             : cfg.base.timeout) +
-        cfg.staggerCycles * static_cast<Tick>(cfg.pairs);
+    ChannelConfig derive = base;
+    derive.noiseThreads = noise_agents;
+    derive.coResidentPairs = pairs;
+    const double margin =
+        spec.timeoutMargin > 0.0 ? spec.timeoutMargin : 20.0;
+    const Tick timeout = derive.deriveTimeout(payload_bits, margin) +
+                         stagger * static_cast<Tick>(pairs);
     machine.sched.runUntilFinished(spies, timeout);
     for (const auto &run : runs)
         run->rig->crew->stopAll();

@@ -4,15 +4,16 @@
  * concurrent trojan/spy pairs plus M noise agents.
  *
  * The paper evaluates one pair on an otherwise idle host, but its
- * threat model is a shared cloud machine. The fleet orchestrator
- * (`runFleet`) hosts one `ExperimentRig` per pair on one `MachineRig`
- * (the single-pair path's machine lifecycle: observers, noise,
- * defences), with per-pair seeds, per-pair core plans and staggered
- * start offsets, then reports per-pair
- * accuracy/effectiveKbps alongside the CC-Hunter view of the whole
- * host — both the per-pair line verdicts and the machine-aggregate
- * (address-blind) verdict that answers "does the detector still fire
- * when N channels interleave?".
+ * threat model is a shared cloud machine. runExperiment runs a spec
+ * whose fleet.* axes ask for one (FleetSpec::enabled) through the
+ * fleet orchestrator (fleet.cc), which hosts one `ExperimentRig` per
+ * pair on one `MachineRig` (the single-pair path's machine
+ * lifecycle: observers, noise, defences), with per-pair seeds,
+ * per-pair core plans and staggered start offsets, then reports
+ * per-pair accuracy/effectiveKbps alongside the CC-Hunter view of
+ * the whole host — both the per-pair line verdicts and the
+ * machine-aggregate (address-blind) verdict that answers "does the
+ * detector still fire when N channels interleave?".
  *
  * Everything is deterministic: pair k's payload, share pattern and
  * scenario follow from the base seed and k alone, so a fleet run is
@@ -31,47 +32,6 @@
 
 namespace csim
 {
-
-/** Configuration of one multi-tenant fleet experiment. */
-struct FleetConfig
-{
-    /**
-     * Per-pair channel knobs and the shared host's `system`. The
-     * fields the orchestrator owns machine-wide are lifted out of
-     * the per-pair path: `noiseThreads` is replaced by
-     * @ref noiseAgents, `defense` is deployed once for the whole
-     * host (the targeted-noise monitor watches every pair's line),
-     * `recorder`/`taps` observe the whole machine, and so does
-     * `detector`, next to the fleet's own monitor (@ref detector).
-     */
-    ChannelConfig base;
-    /** Concurrent trojan/spy pairs (>= 1). */
-    int pairs = 2;
-    /** Fleet-wide noise agents (co-tenant background load). */
-    int noiseAgents = 0;
-    /**
-     * Start-offset spacing, in cycles: pair k begins its protocol
-     * k * stagger cycles in. Real tenants do not start in lockstep,
-     * and a common start would synchronize every pair's sync phase
-     * into one burst.
-     */
-    Tick staggerCycles = 200'000;
-    /**
-     * Scenario of pair k: mix[k % mix.size()]; empty runs every
-     * pair in base.scenario.
-     */
-    std::vector<Scenario> scenarioMix;
-    /** Random payload bits each pair transmits (per-pair seeded). */
-    std::size_t payloadBits = 64;
-    /**
-     * Safety-timeout margin, applied through
-     * ChannelConfig::deriveTimeout with the fleet's contention
-     * (noise agents + co-resident pairs) folded in.
-     */
-    double timeoutMargin = 20.0;
-    /** Thresholds of the attached CC-Hunter monitor. */
-    DetectorParams detector;
-};
 
 /** One pair's slice of a fleet run. */
 struct PairReport
@@ -120,17 +80,6 @@ struct FleetReport
  * uncore only. Pair 0's plan equals CorePlan::standard.
  */
 CorePlan fleetCorePlan(const SystemConfig &sys, int k);
-
-/**
- * Run one fleet experiment.
- *
- * @param cfg fleet configuration.
- * @param cal pre-computed calibration shared by every pair (they
- *            probe the same microarchitecture); calibrated on a
- *            scratch machine when null.
- */
-FleetReport runFleet(const FleetConfig &cfg,
-                     const CalibrationResult *cal = nullptr);
 
 } // namespace csim
 

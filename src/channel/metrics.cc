@@ -18,8 +18,7 @@ computeMetrics(const BitString &sent, const BitString &received,
     // accuracy * bitsSent is the edit-distance count of correctly
     // received bits, so this rate reflects what the spy actually got.
     m.effectiveKbps = m.rawKbps * m.accuracy;
-    // Every wire bit of the plain channel is a payload bit; framed
-    // schemes overwrite this with their payload-level goodput.
+    // bitsSent counts payload bits, so the rate above is goodput.
     m.payloadKbps = m.effectiveKbps;
     return m;
 }

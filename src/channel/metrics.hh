@@ -43,10 +43,9 @@ struct ChannelMetrics
     /**
      * Goodput: correctly delivered *payload* bits per second, net of
      * any framing/FEC/parity overhead the scheme spends on the wire.
-     * For raw modulation (every leakage vector) every wire bit is a
-     * payload bit, so this equals effectiveKbps; a PHY session
-     * overwrites it with the payload-level rate of its FEC or
-     * parity+NACK chain.
+     * bitsSent counts payload bits on every path (a PHY session
+     * scores the payload, not its wire frames), so this equals
+     * effectiveKbps; a PHY session's wire rate is rawKbps.
      */
     double payloadKbps = 0.0;
     /**

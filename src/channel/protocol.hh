@@ -85,26 +85,30 @@ struct ChannelParams
     }
 
     /**
-     * Derive parameters targeting a given raw bit rate by shrinking
-     * the spy's sampling interval (the paper's knob 2); the helper
-     * re-load gap shrinks along with it (knob 1 analogue).
+     * Retarget @p p (default parameters when omitted) to a given raw
+     * bit rate by shrinking the spy's sampling interval (the paper's
+     * knob 2); the helper re-load gap and poll interval shrink along
+     * with it (knob 1 analogue). Only ts, helperGap and pollInterval
+     * change: the counts, band widening and gap claim stay @p p's.
      */
-    static ChannelParams
-    forTargetKbps(double kbps, const TimingParams &t)
-    {
-        ChannelParams p;
-        const double cycles_per_bit = t.clockGhz * 1e9 / (kbps * 1e3);
-        const double period = cycles_per_bit / p.samplesPerBit();
-        const Tick mid_load =
-            (t.localSharedLat() + t.remoteExclLat()) / 2;
-        const double ts =
-            period - static_cast<double>(t.flushBase + mid_load);
-        p.ts = static_cast<Tick>(std::max(ts, 40.0));
-        p.helperGap = std::clamp<Tick>(p.ts / 4, 24, 150);
-        p.pollInterval = std::clamp<Tick>(p.ts / 5, 18, 100);
-        return p;
-    }
+    static ChannelParams forTargetKbps(double kbps,
+                                       const TimingParams &t,
+                                       ChannelParams p);
 };
+
+inline ChannelParams
+ChannelParams::forTargetKbps(double kbps, const TimingParams &t,
+                             ChannelParams p = {})
+{
+    const double cycles_per_bit = t.clockGhz * 1e9 / (kbps * 1e3);
+    const double period = cycles_per_bit / p.samplesPerBit();
+    const Tick mid_load = (t.localSharedLat() + t.remoteExclLat()) / 2;
+    const double ts = period - static_cast<double>(t.flushBase + mid_load);
+    p.ts = static_cast<Tick>(std::max(ts, 40.0));
+    p.helperGap = std::clamp<Tick>(p.ts / 4, 24, 150);
+    p.pollInterval = std::clamp<Tick>(p.ts / 5, 18, 100);
+    return p;
+}
 
 } // namespace csim
 

@@ -32,6 +32,14 @@ splitCsv(const std::string &text)
     return out;
 }
 
+/** The fleet.* values that make @p f a fleet, for error messages. */
+std::string
+fleetName(const FleetSpec &f)
+{
+    return f.pairs > 1 ? msgCat("fleet.pairs = ", f.pairs)
+                       : msgCat("fleet.noise_agents = ", f.noiseAgents);
+}
+
 } // namespace
 
 std::size_t
@@ -59,33 +67,27 @@ ExperimentSpec::toChannelConfig() const
     ChannelConfig cfg = channel;
     if (rateKbps > 0.0)
         cfg.params = ChannelParams::forTargetKbps(
-            rateKbps, cfg.system.timing);
+            rateKbps, cfg.system.timing, cfg.params);
     if (timeoutMargin > 0.0)
         cfg.timeout = cfg.deriveTimeout(payloadBits(),
                                         timeoutMargin);
     return cfg;
 }
 
-FleetConfig
-ExperimentSpec::toFleetConfig() const
+std::vector<Scenario>
+FleetSpec::scenarios() const
 {
-    FleetConfig cfg;
-    cfg.base = toChannelConfig();
-    cfg.pairs = static_cast<int>(fleet.pairs);
-    cfg.noiseAgents = static_cast<int>(fleet.noiseAgents);
-    cfg.staggerCycles = static_cast<Tick>(fleet.staggerCycles);
-    for (const std::string &name : splitCsv(fleet.scenarioMix)) {
+    std::vector<Scenario> mix;
+    for (const std::string &name : splitCsv(scenarioMix)) {
         try {
-            cfg.scenarioMix.push_back(scenarioFromName(name));
+            mix.push_back(scenarioFromName(name));
         } catch (const std::exception &) {
             throw ConfigError(msgCat(
                 "fleet.scenario_mix entry '", name,
                 "' is not a Table I notation or row number"));
         }
     }
-    cfg.payloadBits = payloadBits();
-    cfg.timeoutMargin = timeoutMargin > 0.0 ? timeoutMargin : 20.0;
-    return cfg;
+    return mix;
 }
 
 void
@@ -120,38 +122,27 @@ ExperimentSpec::validate() const
             "phy.profile = ", phyProfileName(channel.phy.profile),
             " runs only on channel.vector = coherence, not ",
             vectorName(channel.vector)));
-    if (phy && fleet.pairs > 1)
-        throw ConfigError(msgCat(
-            "phy.profile = ", phyProfileName(channel.phy.profile),
-            " runs only on a single pair, not fleet.pairs = ",
-            fleet.pairs, " (the fleet runs raw modulation)"));
-    // A fleet owns its noise and its safety timeout.
-    if (fleet.pairs > 1 && channel.noiseThreads != 0)
-        throw ConfigError(msgCat(
-            "channel.noise_threads = ", channel.noiseThreads,
-            " runs only on a single pair, not fleet.pairs = ",
-            fleet.pairs, " (a fleet's noise is fleet.noise_agents)"));
-    if (fleet.pairs > 1 && channel.timeout != ChannelConfig{}.timeout)
-        throw ConfigError(msgCat(
-            "channel.timeout = ", channel.timeout,
-            " runs only on a single pair, not fleet.pairs = ",
-            fleet.pairs,
-            " (a fleet derives its timeout from "
-            "channel.timeout_margin)"));
-
-    if (!fleet.scenarioMix.empty()) {
-        for (const std::string &name :
-             splitCsv(fleet.scenarioMix)) {
-            try {
-                scenarioFromName(name);
-            } catch (const std::exception &) {
-                throw ConfigError(msgCat(
-                    "fleet.scenario_mix entry '", name,
-                    "' is not a Table I notation or row number"));
-            }
-        }
+    // A fleet runs raw modulation and owns its noise and its safety
+    // timeout.
+    if (fleet.enabled()) {
+        const std::string single =
+            msgCat(" runs only on a single pair, not ", fleetName(fleet));
+        if (phy)
+            throw ConfigError(msgCat(
+                "phy.profile = ", phyProfileName(channel.phy.profile),
+                single, " (the fleet runs raw modulation)"));
+        if (channel.noiseThreads != 0)
+            throw ConfigError(msgCat(
+                "channel.noise_threads = ", channel.noiseThreads,
+                single, " (a fleet's noise is fleet.noise_agents)"));
+        if (channel.timeout != ChannelConfig{}.timeout)
+            throw ConfigError(msgCat(
+                "channel.timeout = ", channel.timeout, single,
+                " (a fleet derives its timeout from "
+                "channel.timeout_margin)"));
     }
 
+    fleet.scenarios();  // throws on a malformed mix entry
     sweepAxes(*this);  // throws on malformed axis lists
 }
 
@@ -200,11 +191,11 @@ sweepAxes(const ExperimentSpec &spec)
     }
 
     if (!spec.sweep.noiseLevels.empty()) {
-        if (spec.fleet.pairs > 1)
+        if (spec.fleet.enabled())
             throw ConfigError(msgCat(
                 "sweep.noise_levels = '", spec.sweep.noiseLevels,
-                "' runs only on a single pair, not fleet.pairs = ",
-                spec.fleet.pairs,
+                "' runs only on a single pair, not ",
+                fleetName(spec.fleet),
                 " (a fleet's noise is fleet.noise_agents)"));
         // Each level becomes a point's channel.noise_threads.
         const FieldDef &threads =

@@ -25,7 +25,6 @@
 #include <vector>
 
 #include "channel/channel.hh"
-#include "channel/fleet.hh"
 #include "common/bit_string.hh"
 #include "common/parse.hh"
 #include "obs/obs_config.hh"
@@ -66,20 +65,39 @@ struct SweepSpec
 /** Multi-tenant fleet axes (`fleet.*` config fields). */
 struct FleetSpec
 {
-    /**
-     * Concurrent trojan/spy pairs on one machine; > 1 switches
-     * `cohersim transmit` onto the fleet path.
-     */
+    /** Concurrent trojan/spy pairs on one machine. */
     long pairs = 1;
     /** Fleet-wide co-tenant noise agents. */
     long noiseAgents = 0;
-    /** Start-offset spacing between consecutive pairs, cycles. */
+    /**
+     * Start-offset spacing between consecutive pairs, cycles. Real
+     * tenants do not start in lockstep, and a common start would
+     * synchronize every pair's sync phase into one burst.
+     */
     long staggerCycles = 200'000;
     /**
      * CSV of Table I notations/row numbers, cycled over the pairs;
      * empty runs every pair in channel.scenario.
      */
     std::string scenarioMix;
+
+    /**
+     * Does the spec run as a fleet? More than one pair, or noise
+     * agents around even one pair (a single-pair run's noise is
+     * channel.noise_threads).
+     */
+    bool
+    enabled() const
+    {
+        return pairs > 1 || noiseAgents > 0;
+    }
+
+    /**
+     * The scenario mix parsed into Scenario ids; empty when unset.
+     * Throws ConfigError on an entry that is not a Table I notation
+     * or row number.
+     */
+    std::vector<Scenario> scenarios() const;
 };
 
 /** The complete declarative description of one experiment (family). */
@@ -118,21 +136,11 @@ struct ExperimentSpec
     /**
      * Resolve the runnable per-experiment configuration: derive
      * params from rateKbps and the timeout from the payload when a
-     * margin is set. The defence stays a field: the experiment rig
-     * (or runFleet) applies llc-notify to the timing model.
+     * margin is set. The defence stays a field: the machine rig
+     * applies llc-notify to the timing model. A fleet runs every
+     * pair on this configuration.
      */
     ChannelConfig toChannelConfig() const;
-
-    /**
-     * Resolve the runnable fleet configuration: the resolved
-     * per-pair base (toChannelConfig) plus the fleet.* axes, with
-     * the scenario mix parsed into Scenario ids. The timeout margin
-     * falls back to 20 when unset — fleet timeouts are always
-     * contention-derived (ChannelConfig::deriveTimeout), never the
-     * raw channel.timeout, because co-resident pairs stretch every
-     * transmission. Throws ConfigError on a malformed mix entry.
-     */
-    FleetConfig toFleetConfig() const;
 
     /**
      * Check every registry field against its valid range plus the

@@ -60,7 +60,6 @@ struct PhySession
     /** @name Live coroutine state */
     /** @{ */
     bool trojanDone = false;
-    Tick sessionStart = 0;  //!< sync end (payload clock starts)
     Tick trojanEnd = 0;
     /** @} */
 
@@ -104,8 +103,8 @@ phyPrepareSession(PhySession &s, const ChannelConfig &cfg,
         const AdaptiveDecision d = phyChooseOperatingPoint(
             cal, *s.scenario, cfg.noiseThreads);
         s.phy.profile = d.profile;
-        s.params = ChannelParams::forTargetKbps(d.rateKbps,
-                                                cfg.system.timing);
+        s.params = ChannelParams::forTargetKbps(
+            d.rateKbps, cfg.system.timing, cfg.params);
         s.rep.phy.rateKbps = d.rateKbps;
         s.rep.phy.bandSeparation = d.separation;
     }
@@ -152,7 +151,6 @@ phyTrojanBody(ThreadApi api, PlacerCrew &crew, VAddr block,
 {
     co_await trojanSyncPhase(api, block, *s.cal, s.params,
                              s.rep.trojan);
-    s.sessionStart = api.now();
     PhyResult &out = s.rep.phy;
     if (out.rateKbps > 0.0) {
         chEvent(api, TraceEventType::chPhyAdapt,
@@ -357,7 +355,7 @@ parityTrojanBody(ThreadApi api, PlacerCrew &crew, VAddr block,
 {
     co_await trojanSyncPhase(api, block, *s.cal, s.params,
                              s.rep.trojan);
-    s.sessionStart = s.rep.trojan.txStart = api.now();
+    s.rep.trojan.txStart = api.now();
     const double cached_threshold = s.cal->dramBand.lo - 2.0;
 
     for (const BitString &packet : s.frames) {
@@ -501,13 +499,10 @@ paritySpyBody(ThreadApi api, VAddr block, PhySession &s)
 
 /**
  * Harvest the session into its report: the reassembled payload as
- * received, residual errors and the session-clock rates in phy.
- * @p fallback_end bounds the session clock when the trojan never
- * finished (timeout).
+ * received and the residual errors in phy.
  */
 void
-phyFinalizeSession(PhySession &s, const TimingParams &timing,
-                   Tick fallback_end)
+phyFinalizeSession(PhySession &s)
 {
     ScopedSpan span("phy.finalize");
     const BitString &payload = s.rep.sent;
@@ -541,15 +536,6 @@ phyFinalizeSession(PhySession &s, const TimingParams &timing,
         if (i >= delivered.size() || delivered[i] != payload[i])
             ++r.residualErrors;
     }
-
-    const Tick end = s.trojanDone ? s.trojanEnd : fallback_end;
-    r.durationCycles =
-        end > s.sessionStart ? end - s.sessionStart : 0;
-    r.effectiveKbps = timing.kbps(payload.size(), r.durationCycles);
-    const std::uint64_t good =
-        payload.size() - std::min<std::uint64_t>(r.residualErrors,
-                                                 payload.size());
-    r.payloadKbps = timing.kbps(good, r.durationCycles);
 }
 
 /**
@@ -583,8 +569,8 @@ addPhyCounters(CounterRegistry &reg, const std::string &prefix,
 
 /**
  * runTransmission's branch for every phy.profile but raw. Counters
- * carry `ch.*` then `ch.phy.*`; phy holds the stage and session-clock
- * results.
+ * carry `ch.*` then `ch.phy.*`; phy holds the stage results, metrics
+ * the clock and the rates.
  */
 ChannelReport
 runPhyTransmission(const ChannelConfig &cfg_in,
@@ -623,16 +609,20 @@ runPhyTransmission(const ChannelConfig &cfg_in,
         parity ? SinglePairRig::Finisher::trojan
                : SinglePairRig::Finisher::spy);
 
-    const TimingParams &timing = cfg.system.timing;
-    phyFinalizeSession(session, timing, pair.machine.sched.now());
+    phyFinalizeSession(session);
     rep.shared = pair.shared;
     // Payload-level accuracy and goodput; the wire rate keeps the
     // FEC expansion factor visible next to them, and the parity
-    // chain's NACK/retransmission counts are the retry cost.
+    // chain's NACK/retransmission counts are the retry cost. A
+    // session cut by the timeout ends at the last transmit, or at
+    // the stop when the trojan never finished one (the parity
+    // trojan records its end only as it exits).
+    const TimingParams &timing = cfg.system.timing;
+    const Tick tx_end = rep.trojan.txEnd ? rep.trojan.txEnd
+                                         : pair.machine.sched.now();
     ChannelMetrics &m = rep.metrics;
-    m = pair.score(
-        rep.sent, rep.received, rep.trojan.txStart,
-        session.trojanDone ? session.trojanEnd : rep.trojan.txEnd);
+    m = pair.score(rep.sent, rep.received, rep.trojan.txStart,
+                   session.trojanDone ? session.trojanEnd : tx_end);
     m.rawKbps = timing.kbps(rep.phy.rawBitsSent, m.durationCycles);
     m.nacks = session.nacks;
     m.retransmits = session.retransmissions;

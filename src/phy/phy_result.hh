@@ -34,8 +34,9 @@ struct PhyStageStats
 /**
  * The PHY-only outcome of one PHY session (any phy.profile but
  * raw). Raw modulation (every vector, fleet pairs) leaves it zero.
- * The delivered bits, completion flag and the parity chain's
- * NACK/retransmission counts live in the common ChannelReport.
+ * The delivered bits, completion flag, clock and rates, and the
+ * parity chain's NACK/retransmission counts live in the common
+ * ChannelReport.
  */
 struct PhyResult
 {
@@ -53,22 +54,6 @@ struct PhyResult
     double rateKbps = 0.0;
     /** Calibrated band separation the controller acted on. */
     double bandSeparation = 0.0;
-    /**
-     * @name Session clock (sync end to trojan completion)
-     * Payload-level rates over the session duration, as Fig. 10 and
-     * the PHY comparison report them. ChannelMetrics times the same
-     * run from the first frame's transmit start instead.
-     */
-    /** @{ */
-    Tick durationCycles = 0;
-    /** Payload bits over the session duration, Kbits/s. */
-    double effectiveKbps = 0.0;
-    /** Goodput: correctly delivered payload bits over the session
-     *  duration, Kbits/s — net of framing/FEC overhead and of the
-     *  residual errors effectiveKbps still credits. */
-    double payloadKbps = 0.0;
-    /** @} */
-
     bool operator==(const PhyResult &) const = default;
 };
 

@@ -532,7 +532,7 @@ TEST(CorePlanTest, NoSinglePairPresetPutsThreeThreadsOnACore)
         ConfigResolver res;
         res.applyPreset(preset.name);
         const ExperimentSpec &base = res.spec();
-        if (base.fleet.pairs > 1)
+        if (base.fleet.enabled())
             continue;
         const GridAxes axes = sweepAxes(base);
         for (const Scenario sc : axes.scenarios) {

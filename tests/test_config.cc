@@ -383,9 +383,46 @@ TEST(ExperimentSpec, ValidatesCrossFieldConstraints)
             EXPECT_NE(msg.find(field), std::string::npos);
             EXPECT_NE(msg.find("fleet.pairs = 2"), std::string::npos);
         }
+        // Noise agents make one pair a fleet too.
         spec.fleet.pairs = 1;
+        spec.fleet.noiseAgents = 2;
+        try {
+            spec.validate();
+            ADD_FAILURE() << "expected ConfigError for " << field;
+        } catch (const ConfigError &e) {
+            const std::string msg = e.what();
+            EXPECT_NE(msg.find("fleet.noise_agents = 2"),
+                      std::string::npos);
+        }
+        spec.fleet.noiseAgents = 0;
         EXPECT_NO_THROW(spec.validate()) << field;
     }
+}
+
+TEST(ExperimentSpec, RateKeepsTheProtocolCounts)
+{
+    // A rate derives only ts, helper_gap and poll_interval; every
+    // other protocol field stays as configured, and the interval is
+    // sized for the configured counts.
+    ExperimentSpec spec;
+    spec.rateKbps = 500;
+    ChannelParams &set = spec.channel.params;
+    set.c1 = 9;
+    set.c0 = 3;
+    set.cb = 4;
+    set.endN = 30;
+    set.bandWiden = 40.0;
+    set.gapClaim = 0.1;
+    const ChannelParams p = spec.toChannelConfig().params;
+    EXPECT_EQ(p.c1, 9);
+    EXPECT_EQ(p.c0, 3);
+    EXPECT_EQ(p.cb, 4);
+    EXPECT_EQ(p.endN, 30);
+    EXPECT_EQ(p.bandWiden, 40.0);
+    EXPECT_EQ(p.gapClaim, 0.1);
+    const TimingParams &t = spec.channel.system.timing;
+    EXPECT_NEAR(p.nominalKbps(t), 500.0, 1.0);
+    EXPECT_LT(p.ts, ChannelParams::forTargetKbps(500, t).ts);
 }
 
 TEST(ExperimentSpec, DerivesChannelConfigFromRate)

@@ -133,7 +133,7 @@ TEST(EccSession, DeliversPayloadWithoutNoise)
     EXPECT_EQ(report.phy.frames, 2);
     EXPECT_EQ(report.phy.residualErrors, 0u);
     EXPECT_EQ(report.received, payload);
-    EXPECT_GT(report.phy.effectiveKbps, 0.0);
+    EXPECT_GT(report.metrics.effectiveKbps, 0.0);
     EXPECT_GE(report.phy.rawBitsSent, 2 * packetTotalBits);
 }
 
@@ -179,7 +179,8 @@ TEST(EccSession, NoiseCostsThroughput)
     // Under noise a rare even-flip-per-chunk corruption can escape
     // the parity check (see DoubleFlipInOneChunkEscapesParity).
     EXPECT_LE(noisy.phy.residualErrors, 8u);
-    EXPECT_LT(noisy.phy.effectiveKbps, quiet.phy.effectiveKbps * 1.05);
+    EXPECT_LT(noisy.metrics.effectiveKbps,
+              quiet.metrics.effectiveKbps * 1.05);
 }
 
 TEST(EccSession, LlcNotifyDefenseIsTheTimingChange)
@@ -194,8 +195,29 @@ TEST(EccSession, LlcNotifyDefenseIsTheTimingChange)
     const ChannelReport a = runTransmission(defended, payload);
     const ChannelReport b = runTransmission(direct, payload);
     EXPECT_EQ(a.received, b.received);
-    EXPECT_EQ(a.phy.durationCycles, b.phy.durationCycles);
+    EXPECT_EQ(a.metrics.durationCycles, b.metrics.durationCycles);
     EXPECT_EQ(a.phy.rawBitsSent, b.phy.rawBitsSent);
+}
+
+TEST(EccSession, TimedOutSessionIsTimedToTheStop)
+{
+    // The parity trojan records its end only as it exits: a session
+    // the safety timeout cuts short is timed up to the stop, not
+    // reported as a zero-cycle run.
+    ChannelConfig cfg = baseConfig();
+    const BitString payload = someData(10, 1024);
+    const ChannelReport full =
+        runTransmission(cfg, payload, &sharedCal());
+    ASSERT_TRUE(full.completed);
+    cfg.timeout = full.trojan.txStart + full.metrics.durationCycles / 2;
+    const ChannelReport cut =
+        runTransmission(cfg, payload, &sharedCal());
+    EXPECT_FALSE(cut.completed);
+    EXPECT_EQ(cut.trojan.txEnd, 0u);
+    const Tick stop = cut.trojan.txStart + cut.metrics.durationCycles;
+    EXPECT_GE(stop, cfg.timeout);
+    EXPECT_LT(stop, full.trojan.txEnd);
+    EXPECT_GT(cut.metrics.rawKbps, 0.0);
 }
 
 TEST(EccSession, RetryCostReachesChannelMetrics)

@@ -23,7 +23,7 @@ namespace
 {
 
 /** The fleet-quick preset shrunk to test size (fast, completing). */
-FleetConfig
+ExperimentSpec
 quickFleet(int pairs)
 {
     ConfigResolver res;
@@ -32,7 +32,16 @@ quickFleet(int pairs)
     spec.fleet.pairs = pairs;
     spec.fleet.noiseAgents = 0;
     spec.payload.bits = 32;
-    return spec.toFleetConfig();
+    return spec;
+}
+
+/** Run @p spec, which must resolve to a fleet. */
+FleetReport
+fleetReport(const ExperimentSpec &spec)
+{
+    const ExperimentResult res = runExperiment(spec);
+    EXPECT_EQ(res.kind, ExperimentKind::fleet);
+    return res.fleet;
 }
 
 TEST(ContentionTimeout, FactorIsExactlyOneWithoutContention)
@@ -104,9 +113,9 @@ TEST(FleetCorePlanTest, BlocksAreDisjointUntilTheyWrap)
 
 TEST(FleetRun, IsDeterministic)
 {
-    const FleetConfig cfg = quickFleet(2);
-    const FleetReport a = runFleet(cfg);
-    const FleetReport b = runFleet(cfg);
+    const ExperimentSpec spec = quickFleet(2);
+    const FleetReport a = fleetReport(spec);
+    const FleetReport b = fleetReport(spec);
     ASSERT_EQ(a.pairs.size(), b.pairs.size());
     EXPECT_EQ(a.durationCycles, b.durationCycles);
     for (std::size_t i = 0; i < a.pairs.size(); ++i) {
@@ -128,9 +137,9 @@ TEST(FleetRun, BitIdenticalAcrossRunnerWorkerCounts)
     // not depend on the host's parallelism.
     auto sweep = [] {
         std::vector<std::function<FleetReport()>> jobs;
-        for (const int pairs : {1, 2, 3})
+        for (const int pairs : {2, 3, 4})
             jobs.push_back(
-                [pairs] { return runFleet(quickFleet(pairs)); });
+                [pairs] { return fleetReport(quickFleet(pairs)); });
         return jobs;
     };
     std::vector<std::vector<FleetReport>> results;
@@ -158,8 +167,8 @@ TEST(FleetRun, BitIdenticalAcrossRunnerWorkerCounts)
 
 TEST(FleetRun, AttributesEachPairItsOwnTraffic)
 {
-    const FleetConfig cfg = quickFleet(4);
-    const FleetReport rep = runFleet(cfg);
+    const ExperimentSpec spec = quickFleet(4);
+    const FleetReport rep = fleetReport(spec);
     ASSERT_EQ(rep.pairs.size(), 4u);
     EXPECT_TRUE(rep.completed);
     std::vector<PAddr> lines;
@@ -174,7 +183,7 @@ TEST(FleetRun, AttributesEachPairItsOwnTraffic)
         // cross-pair mixup would score ~50% against the wrong
         // pattern. The per-pair pattern seeds also give each pair a
         // distinct physical line (no KSM cross-pair merging).
-        EXPECT_EQ(pr.sent.size(), cfg.payloadBits);
+        EXPECT_EQ(pr.sent.size(), spec.payloadBits());
         EXPECT_GT(pr.metrics.accuracy, 0.9);
         lines.push_back(pr.sharedLine);
     }
@@ -192,7 +201,7 @@ TEST(FleetRun, NamespacesCountersPerPair)
     // The regression the namespacing fixes: two rigs on one machine
     // used to write the same counter names, so the second rig's
     // totals silently overwrote (or summed into) the first's.
-    const FleetReport rep = runFleet(quickFleet(2));
+    const FleetReport rep = fleetReport(quickFleet(2));
     ASSERT_EQ(rep.pairs.size(), 2u);
     for (const PairReport &pr : rep.pairs) {
         const std::string prefix =
@@ -210,11 +219,11 @@ TEST(FleetRun, NamespacesCountersPerPair)
 
 TEST(FleetRun, CallerDetectorWatchesNextToTheFleets)
 {
-    const FleetReport plain = runFleet(quickFleet(2));
-    FleetConfig cfg = quickFleet(2);
-    CoherenceChannelDetector mine(cfg.detector);
-    cfg.base.taps.push_back(&mine);
-    const FleetReport rep = runFleet(cfg);
+    const FleetReport plain = fleetReport(quickFleet(2));
+    ExperimentSpec spec = quickFleet(2);
+    CoherenceChannelDetector mine;
+    spec.channel.taps.push_back(&mine);
+    const FleetReport rep = fleetReport(spec);
     EXPECT_GT(mine.eventsObserved(), 0u);
     // Watching changes nothing the fleet reports, and with the
     // fleet's thresholds the caller's detector reaches its verdicts.
@@ -228,6 +237,19 @@ TEST(FleetRun, CallerDetectorWatchesNextToTheFleets)
     EXPECT_EQ(rep.pairsFlagged, plain.pairsFlagged);
 }
 
+TEST(FleetRun, NoiseAgentsMakeOnePairAFleet)
+{
+    // fleet.noise_agents acts on one pair too: the run is a fleet
+    // with its noise agents, not a single pair that ignores them.
+    ExperimentSpec spec = quickFleet(1);
+    spec.fleet.noiseAgents = 1;
+    const FleetReport rep = fleetReport(spec);
+    ASSERT_EQ(rep.pairs.size(), 1u);
+    EXPECT_EQ(rep.pairs[0].sent.size(), spec.payloadBits());
+    spec.fleet.noiseAgents = 0;
+    EXPECT_EQ(runExperiment(spec).kind, ExperimentKind::single);
+}
+
 TEST(FleetRun, ScenarioMixCyclesOverPairs)
 {
     ConfigResolver res;
@@ -237,13 +259,13 @@ TEST(FleetRun, ScenarioMixCyclesOverPairs)
     spec.fleet.noiseAgents = 0;
     spec.fleet.scenarioMix = "1,2";
     spec.payload.bits = 16;
-    const FleetConfig cfg = spec.toFleetConfig();
-    ASSERT_EQ(cfg.scenarioMix.size(), 2u);
-    const FleetReport rep = runFleet(cfg);
+    const std::vector<Scenario> mix = spec.fleet.scenarios();
+    ASSERT_EQ(mix.size(), 2u);
+    const FleetReport rep = fleetReport(spec);
     ASSERT_EQ(rep.pairs.size(), 3u);
-    EXPECT_EQ(rep.pairs[0].scenario, cfg.scenarioMix[0]);
-    EXPECT_EQ(rep.pairs[1].scenario, cfg.scenarioMix[1]);
-    EXPECT_EQ(rep.pairs[2].scenario, cfg.scenarioMix[0]);
+    EXPECT_EQ(rep.pairs[0].scenario, mix[0]);
+    EXPECT_EQ(rep.pairs[1].scenario, mix[1]);
+    EXPECT_EQ(rep.pairs[2].scenario, mix[0]);
 }
 
 TEST(FleetRun, LayersMachineGlobalMitigationPresets)
@@ -261,13 +283,13 @@ TEST(FleetRun, LayersMachineGlobalMitigationPresets)
         spec.fleet.pairs = 2;
         spec.fleet.noiseAgents = 0;
         spec.payload.bits = 32;
-        return spec.toFleetConfig();
+        return spec;
     };
-    const FleetReport open = runFleet(fleet(nullptr));
+    const FleetReport open = fleetReport(fleet(nullptr));
     const FleetReport noisy =
-        runFleet(fleet("mitigation-targeted-noise"));
+        fleetReport(fleet("mitigation-targeted-noise"));
     const FleetReport guarded =
-        runFleet(fleet("mitigation-ksm-guard"));
+        fleetReport(fleet("mitigation-ksm-guard"));
     ASSERT_EQ(open.pairs.size(), 2u);
     ASSERT_EQ(noisy.pairs.size(), 2u);
     ASSERT_EQ(guarded.pairs.size(), 2u);
@@ -283,7 +305,7 @@ TEST(FleetRun, LayersMachineGlobalMitigationPresets)
 
     // Defended fleets stay deterministic like every other path.
     const FleetReport again =
-        runFleet(fleet("mitigation-targeted-noise"));
+        fleetReport(fleet("mitigation-targeted-noise"));
     ASSERT_EQ(again.pairs.size(), noisy.pairs.size());
     for (std::size_t i = 0; i < noisy.pairs.size(); ++i) {
         EXPECT_EQ(again.pairs[i].received, noisy.pairs[i].received);
@@ -376,7 +398,7 @@ defendedFleetDigest(const char *mitigation)
     spec.fleet.pairs = 2;
     spec.fleet.noiseAgents = 1;
     spec.payload.bits = 32;
-    const FleetReport rep = runFleet(spec.toFleetConfig());
+    const FleetReport rep = fleetReport(spec);
     std::uint64_t h = 0xcbf29ce484222325ULL;
     for (const PairReport &pr : rep.pairs) {
         h = pairDigest(h, pr.sent, pr.received, pr.metrics,

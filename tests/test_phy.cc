@@ -14,6 +14,7 @@
 #include "channel/ecc.hh"
 #include "channel/experiment.hh"
 #include "common/random.hh"
+#include "config/resolver.hh"
 #include "detect/cchunter.hh"
 #include "phy/adaptive.hh"
 #include "phy/frame.hh"
@@ -363,9 +364,59 @@ TEST(PhyEndToEnd, SoftProfileDeliversCleanPayload)
     EXPECT_EQ(rep.phy.frames, 2);
     EXPECT_EQ(rep.phy.stages.framesAccepted, 2u);
     EXPECT_GT(rep.phy.rawBitsSent, payload.size() * 2);
-    EXPECT_GT(rep.phy.effectiveKbps, 0.0);
-    // Clean delivery: goodput equals the effective rate.
-    EXPECT_DOUBLE_EQ(rep.phy.payloadKbps, rep.phy.effectiveKbps);
+    EXPECT_GT(rep.metrics.effectiveKbps, 0.0);
+    // Clean delivery: the effective rate is the whole payload over
+    // the run.
+    EXPECT_DOUBLE_EQ(rep.metrics.effectiveKbps,
+                     cfg.system.timing.kbps(payload.size(),
+                                            rep.metrics.durationCycles));
+}
+
+// phy_comparison's contested point (phy-quick at 550 Kbps, no noise,
+// payload seed 8): hamming-hard leaves residual errors, and the
+// effective rate counts only what arrived, below the payload bits
+// over the run.
+TEST(PhyEndToEnd, ResidualErrorsLowerTheEffectiveRate)
+{
+    ConfigResolver res;
+    res.applyOverride("system.seed", "2018", "test");
+    res.applyPreset("phy-quick");
+    res.applyOverride("channel.rate_kbps", "550", "test");
+    res.applyOverride("channel.noise_threads", "0", "test");
+    res.applyOverride("payload.bits", "512", "test");
+    res.applyOverride("channel.timeout_margin", "25", "test");
+    res.applyOverride("phy.profile", "hamming-hard", "test");
+    const ChannelConfig cfg = res.spec().toChannelConfig();
+    const CalibrationResult cal =
+        calibrate(cfg.system, 400, cfg.params);
+    Rng rng(8);
+    const ChannelReport rep =
+        runTransmission(cfg, randomBits(rng, 512), &cal);
+    ASSERT_TRUE(rep.completed);
+    EXPECT_EQ(rep.phy.residualErrors, 88u);
+    const ChannelMetrics &m = rep.metrics;
+    EXPECT_LT(m.effectiveKbps,
+              cfg.system.timing.kbps(m.bitsSent, m.durationCycles));
+    EXPECT_GT(m.effectiveKbps, 0.0);
+}
+
+TEST(PhyEndToEnd, AdaptiveRateKeepsTheProtocolCounts)
+{
+    // The controller's rate replaces only the intervals: a session
+    // with other counts runs them at the picked rate.
+    ChannelConfig cfg = baseConfig();
+    cfg.phy.profile = PhyProfile::adaptive;
+    Rng rng(12);
+    const BitString payload = randomBits(rng, 64);
+    const ChannelReport plain =
+        runTransmission(cfg, payload, &sharedCal());
+    cfg.params.c1 = 9;
+    cfg.params.c0 = 3;
+    const ChannelReport counted =
+        runTransmission(cfg, payload, &sharedCal());
+    EXPECT_EQ(counted.phy.rateKbps, plain.phy.rateKbps);
+    EXPECT_NE(counted.metrics.durationCycles,
+              plain.metrics.durationCycles);
 }
 
 // ch.phy.profile publishes the enumerator, and committed digests hash
@@ -488,7 +539,7 @@ TEST(PhyEndToEnd, BitIdenticalAcrossWorkerCounts)
                         cfg, payload, &sharedCal());
                     return Cell{bitsToString(rep.received),
                                 rep.phy.residualErrors,
-                                rep.phy.durationCycles,
+                                rep.metrics.durationCycles,
                                 rep.phy.stages.fecCorrected};
                 });
             }

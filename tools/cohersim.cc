@@ -392,8 +392,8 @@ writeTransmitTrace(const std::string &path, TraceRecorder &recorder,
 }
 
 /**
- * The multi-tenant transmit summary (fleet.pairs > 1): N concurrent
- * pairs on one machine, a per-pair results table and the
+ * The multi-tenant transmit summary (FleetSpec::enabled): N
+ * concurrent pairs on one machine, a per-pair results table and the
  * machine-aggregate CC-Hunter verdict.
  */
 int
@@ -447,11 +447,11 @@ cmdTransmit(const Args &args)
                "parity+NACK chain (Fig. 10); hamming-hard,\n"
                "  hamming-soft and adaptive run the framed FEC stack "
                "(coherence vector, one pair)\n"
-               "  fleet.pairs > 1 (e.g. --preset fleet-quick, or "
-               "--fleet.pairs 4) runs N concurrent\n"
-               "  trojan/spy pairs on one machine and reports "
-               "per-pair accuracy plus the aggregate\n"
-               "  CC-Hunter verdict\n";
+               "  fleet.pairs > 1 or fleet.noise_agents > 0 (e.g. "
+               "--preset fleet-quick, or --fleet.pairs 4)\n"
+               "  runs N concurrent trojan/spy pairs on one machine "
+               "and reports per-pair accuracy\n"
+               "  plus the aggregate CC-Hunter verdict\n";
         return 0;
     }
     const ConfigResolver res = args.resolve();
@@ -555,10 +555,11 @@ cmdSweep(const Args &args)
                       {"channel.timeout_margin", "10"}});
     const ExperimentSpec &base = res.spec();
     // Each row prints one pair's channel metrics.
-    if (base.fleet.pairs > 1)
+    if (base.fleet.enabled())
         throw ConfigError(msgCat(
             "sweep runs a single pair, not fleet.pairs = ",
-            base.fleet.pairs,
+            base.fleet.pairs, " with fleet.noise_agents = ",
+            base.fleet.noiseAgents,
             "; sweep fleets with the fleet_scaling bench"));
     const std::string counters_path = args.str("counters", "");
     // The sweep payload keeps its historical seed derivation
