@@ -214,7 +214,7 @@ main(int argc, char **argv)
     std::cout
         << "\nReading: at 550 Kbps raw the legacy ARQ loop is past "
            "its envelope — ack windows misread, so it retransmits "
-           "into the noise and its goodput collapses to zero — "
+           "into the noise and its goodput collapses to near zero — "
            "while the framed FEC profiles keep their fixed "
            "transmit schedule, repair scattered wire flips "
            "(interleaving spreads bursts across codewords) and "

@@ -44,8 +44,10 @@ struct ChannelMetrics
      * Goodput: correctly delivered *payload* bits per second, net of
      * any framing/FEC/parity overhead the scheme spends on the wire.
      * bitsSent counts payload bits on every path (a PHY session
-     * scores the payload, not its wire frames), so this equals
-     * effectiveKbps; a PHY session's wire rate is rawKbps.
+     * scores the payload, not its wire frames), so this always
+     * equals effectiveKbps; a PHY session's wire rate is rawKbps.
+     * Nothing prints it; it stays because the repository benchmark's
+     * cell digest (`benchmark/src/workloads.cc`) hashes it.
      */
     double payloadKbps = 0.0;
     /**

@@ -23,7 +23,6 @@
 // Host-parallel experiment runner.
 #include "runner/json_sink.hh"
 #include "runner/runner.hh"
-#include "runner/thread_pool.hh"
 
 // Declarative experiment configuration.
 #include "config/experiment_spec.hh"

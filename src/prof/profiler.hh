@@ -98,11 +98,11 @@ struct ProfileSnapshot
 /**
  * The process-wide registry. Threads register their span trees on
  * first use and fold them back in when they exit, so a snapshot sees
- * the work of worker pools that have already been torn down.
+ * the work of runner workers that have already exited.
  *
  * snapshot()/reset() must only be called while no other thread is
- * actively inside a span (in practice: after runJobs/SweepRunner::run
- * returned, which joins its workers).
+ * actively inside a span (in practice: after runJobs returned, which
+ * joins its workers).
  */
 class Profiler
 {

@@ -1,11 +1,13 @@
 #include "runner/runner.hh"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <climits>
 #include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
+#include <exception>
 #include <mutex>
 #include <thread>
 
@@ -63,89 +65,74 @@ RunnerOptions::resolvedJobs() const
     return hw > 0 ? static_cast<int>(hw) : 1;
 }
 
-SweepRunner::SweepRunner(RunnerOptions opts) : opts_(std::move(opts)) {}
-
-void
-SweepRunner::run(std::size_t n,
-                 const std::function<void(std::size_t)> &run_one)
+double
+runIndexed(std::size_t n, const std::function<void(std::size_t)> &run_one,
+           const RunnerOptions &opts)
 {
     using Clock = std::chrono::steady_clock;
     const auto t0 = Clock::now();
 
-    std::atomic<std::size_t> completed{0};
-
-    // Progress/ETA reporter: one line, rewritten in place on stderr.
-    std::atomic<bool> reporting{opts_.progress && n > 0};
-    std::mutex repMtx;
-    std::condition_variable repCv;
-    std::thread reporter;
-    if (reporting.load()) {
-        reporter = std::thread([&] {
-            std::unique_lock<std::mutex> lk(repMtx);
-            for (;;) {
-                repCv.wait_for(lk, std::chrono::milliseconds(250),
-                               [&] { return !reporting.load(); });
-                const std::size_t done = completed.load();
-                const double elapsed =
-                    std::chrono::duration<double>(Clock::now() - t0)
-                        .count();
-                const double eta =
-                    done > 0 ? elapsed * static_cast<double>(n - done) /
-                                   static_cast<double>(done)
-                             : 0.0;
-                std::fprintf(stderr,
-                             "\r%s%s%zu/%zu jobs  %.1fs elapsed  "
-                             "eta %.1fs   ",
-                             opts_.label.c_str(),
-                             opts_.label.empty() ? "" : ": ", done, n,
-                             elapsed, eta);
-                std::fflush(stderr);
-                if (!reporting.load())
-                    break;
+    std::atomic<std::size_t> next{0};
+    std::vector<std::exception_ptr> errors(n);
+    std::mutex mtx;
+    std::condition_variable finished;
+    std::size_t done = 0;  // guarded by mtx
+    const auto work = [&] {
+        for (std::size_t i = next++; i < n; i = next++) {
+            try {
+                // One identical span per job, whatever worker thread
+                // claimed it: nested spans then share the same path
+                // at any --jobs split.
+                ScopedSpan span("runner.job");
+                run_one(i);
+            } catch (...) {
+                errors[i] = std::current_exception();
             }
-            std::fprintf(stderr, "\n");
-        });
-    }
+            std::lock_guard<std::mutex> lk(mtx);
+            if (++done == n)
+                finished.notify_one();
+        }
+    };
 
-    {
-        WorkStealingPool pool(opts_.resolvedJobs());
-        for (std::size_t i = 0; i < n; ++i) {
-            pool.submit([&, i] {
-                {
-                    // One identical span per job, whatever worker
-                    // thread picked it up: nested spans then share
-                    // the same path at any --jobs split.
-                    ScopedSpan span("runner.job");
-                    run_one(i);
-                }
-                completed.fetch_add(1, std::memory_order_relaxed);
-            });
-        }
-        try {
-            pool.drain();
-        } catch (...) {
-            if (reporter.joinable()) {
-                {
-                    std::lock_guard<std::mutex> lk(repMtx);
-                    reporting.store(false);
-                }
-                repCv.notify_all();
-                reporter.join();
-            }
-            throw;
-        }
-    }
+    // Jobs never run on the caller's thread, even at one worker: the
+    // runner.job span then has the same path whoever calls, and job
+    // allocations stay in the workers' malloc arenas. jthreads join
+    // on destruction, so a worker that fails to start leaves the
+    // started ones to finish the jobs before the error propagates.
+    const std::size_t count =
+        std::min(static_cast<std::size_t>(opts.resolvedJobs()), n);
+    std::vector<std::jthread> workers;
+    workers.reserve(count);
+    for (std::size_t w = 0; w < count; ++w)
+        workers.emplace_back(work);
 
-    if (reporter.joinable()) {
-        {
-            std::lock_guard<std::mutex> lk(repMtx);
-            reporting.store(false);
+    if (opts.progress && n > 0) {
+        // One line, rewritten in place on stderr.
+        std::unique_lock<std::mutex> lk(mtx);
+        for (bool all = false; !all;) {
+            all = finished.wait_for(lk, std::chrono::milliseconds(250),
+                                    [&] { return done == n; });
+            const double elapsed =
+                std::chrono::duration<double>(Clock::now() - t0).count();
+            const double eta =
+                done > 0 ? elapsed * static_cast<double>(n - done) /
+                               static_cast<double>(done)
+                         : 0.0;
+            std::fprintf(stderr,
+                         "\r%s%s%zu/%zu jobs  %.1fs elapsed  eta %.1fs   ",
+                         opts.label.c_str(), opts.label.empty() ? "" : ": ",
+                         done, n, elapsed, eta);
+            std::fflush(stderr);
         }
-        repCv.notify_all();
-        reporter.join();
+        std::fprintf(stderr, "\n");
     }
-    lastWallSeconds_ =
-        std::chrono::duration<double>(Clock::now() - t0).count();
+    for (std::jthread &t : workers)
+        t.join();
+
+    for (const std::exception_ptr &e : errors)
+        if (e)
+            std::rethrow_exception(e);
+    return std::chrono::duration<double>(Clock::now() - t0).count();
 }
 
 } // namespace csim

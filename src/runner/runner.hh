@@ -5,10 +5,11 @@
  *
  * Every paper sweep (Fig. 8's scenarios x rates grid, Fig. 9's noise
  * grid, the §VIII-E ablation matrices) is a set of independent,
- * deterministic simulations. The runner executes them on a
- * work-stealing pool and writes each job's result into a slot indexed
- * by submission order, so the assembled table is bit-identical
- * regardless of worker count or scheduling order.
+ * deterministic simulations whose count is known up front. The
+ * runner's worker threads claim job indices from one shared counter
+ * and write each job's result into the slot of its index, so the
+ * assembled table is bit-identical regardless of worker count or
+ * which worker ran which job.
  *
  * Per-job randomness must come from deriveSeed(base, index) — never
  * from a shared Rng advanced across jobs — or results would depend on
@@ -18,10 +19,10 @@
 #ifndef COHERSIM_RUNNER_RUNNER_HH
 #define COHERSIM_RUNNER_RUNNER_HH
 
-#include <cstdint>
+#include <cstddef>
 #include <functional>
 #include <string>
-#include <utility>
+#include <type_traits>
 #include <vector>
 
 // deriveSeed — the per-job seed derivation every sweep relies on —
@@ -29,7 +30,6 @@
 // can share it; re-exported here because the runner is where sweep
 // authors look for it.
 #include "common/random.hh"
-#include "runner/thread_pool.hh"
 
 namespace csim
 {
@@ -59,46 +59,39 @@ struct RunnerOptions
 };
 
 /**
- * Runs index-addressed jobs on a work-stealing pool and reports
- * progress. One instance per sweep.
+ * Run @p run_one(i) for every i in [0, n) on min(resolvedJobs(), n)
+ * host threads, never on the caller's. Each worker claims the next
+ * unclaimed index until none is left, so at one worker the jobs run
+ * in index order. A job that throws does not stop the others; once
+ * all have run, the lowest failing index's exception is rethrown, so
+ * the error does not depend on the worker count. With
+ * @p opts.progress the caller prints a progress/ETA line to stderr
+ * every 250 ms while it waits.
+ *
+ * @return the wall-clock seconds the whole batch took.
  */
-class SweepRunner
-{
-  public:
-    explicit SweepRunner(RunnerOptions opts = {});
-
-    /**
-     * Execute @p run_one for every index in [0, n) across the pool;
-     * blocks until all complete. Rethrows the first job exception.
-     */
-    void run(std::size_t n, const std::function<void(std::size_t)> &run_one);
-
-    int jobs() const { return opts_.resolvedJobs(); }
-    const RunnerOptions &options() const { return opts_; }
-
-    /** Wall-clock seconds of the last run() call. */
-    double lastWallSeconds() const { return lastWallSeconds_; }
-
-  private:
-    RunnerOptions opts_;
-    double lastWallSeconds_ = 0.0;
-};
+double runIndexed(std::size_t n,
+                  const std::function<void(std::size_t)> &run_one,
+                  const RunnerOptions &opts);
 
 /**
- * Convenience: run a vector of result-returning jobs, collecting the
- * results in submission order (deterministic for any worker count).
+ * Run a vector of result-returning jobs, collecting the results in
+ * submission order (deterministic for any worker count).
  */
 template <typename R>
 std::vector<R>
 runJobs(std::vector<std::function<R()>> jobs, RunnerOptions opts = {},
         double *wall_seconds = nullptr)
 {
+    // Workers write neighbouring slots at once, which vector<bool>'s
+    // packed bits would turn into a data race.
+    static_assert(!std::is_same_v<R, bool>, "return char, not bool");
     std::vector<R> results(jobs.size());
-    SweepRunner runner(std::move(opts));
-    runner.run(jobs.size(),
-               [&](std::size_t i) { results[i] = jobs[i](); });
+    const double wall = runIndexed(
+        jobs.size(), [&](std::size_t i) { results[i] = jobs[i](); },
+        opts);
     if (wall_seconds)
-        *wall_seconds = runner.lastWallSeconds();
+        *wall_seconds = wall;
     return results;
 }
 

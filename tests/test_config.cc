@@ -9,9 +9,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
+#include <limits>
 #include <set>
+#include <sstream>
 
 #include "channel/experiment.hh"
 #include "config/presets.hh"
@@ -315,6 +319,163 @@ TEST(ConfigResolver, NamesFileInUnknownKeyError)
         const std::string msg = e.what();
         EXPECT_NE(msg.find("file:bad.json"), std::string::npos);
         EXPECT_NE(msg.find("system.flavr"), std::string::npos);
+    }
+}
+
+/**
+ * Feed @p text through what `--config FILE` does: read the file,
+ * apply it, validate the spec. True when it resolved; a ConfigError
+ * or JsonParseError is a clean rejection (false); anything else — a
+ * panic's std::logic_error included — fails the test.
+ */
+bool
+resolvesOrFailsCleanly(const std::string &text, const std::string &what)
+{
+    const std::string path = "test_config_fuzz.json";
+    {
+        std::ofstream out(path, std::ios::binary | std::ios::trunc);
+        out << text;
+    }
+    bool resolved = false;
+    try {
+        ConfigResolver res;
+        res.applyFile(path);
+        res.spec().validate();
+        resolved = true;
+    } catch (const ConfigError &) {
+    } catch (const JsonParseError &) {
+    } catch (const std::exception &e) {
+        ADD_FAILURE() << what << ": " << e.what();
+    } catch (...) {
+        ADD_FAILURE() << what << ": non-standard exception";
+    }
+    std::remove(path.c_str());
+    return resolved;
+}
+
+/** Dotted paths of every member of @p node, containers included. */
+void
+memberPaths(const Json &node, const std::string &prefix,
+            std::vector<std::string> &out)
+{
+    for (const auto &[key, value] : node.entries()) {
+        const std::string path = prefix.empty() ? key : prefix + "." + key;
+        out.push_back(path);
+        memberPaths(value, path, out);
+    }
+}
+
+/**
+ * A copy of @p node whose member at dotted @p path is renamed to
+ * @p rename, or (with @p rename empty) has its value replaced by
+ * @p value.
+ */
+Json
+mutatedAt(const Json &node, const std::string &path,
+          const std::string &rename, const Json &value)
+{
+    const std::size_t dot = path.find('.');
+    const std::string head = path.substr(0, dot);
+    Json out = Json::object();
+    for (const auto &[key, member] : node.entries()) {
+        if (key != head)
+            out[key] = member;
+        else if (dot != std::string::npos)
+            out[key] = mutatedAt(member, path.substr(dot + 1), rename,
+                                 value);
+        else if (rename.empty())
+            out[key] = value;
+        else
+            out[rename] = member;
+    }
+    return out;
+}
+
+/**
+ * Seeded mutation fuzz of the config-file path: byte flips,
+ * truncations, value-type swaps, renamed keys and hostile nesting of
+ * the golden manifests must resolve or be refused with a message,
+ * never crash, panic or hang.
+ */
+TEST(ConfigResolver, MutatedConfigsFailCleanly)
+{
+    std::vector<std::filesystem::path> manifests;
+    for (const auto &entry : std::filesystem::directory_iterator(
+             COHERSIM_GOLDEN_DIR "/config_fields"))
+        if (entry.path().extension() == ".json")
+            manifests.push_back(entry.path());
+    std::sort(manifests.begin(), manifests.end());
+    ASSERT_FALSE(manifests.empty());
+
+    const std::vector<Json> swaps = {
+        Json("7"), Json(2.5), Json(-5), Json(0), Json(nullptr),
+        Json(true), Json::array(), Json::object(), Json(""),
+        Json(std::numeric_limits<std::int64_t>::max()),
+        Json(std::numeric_limits<std::int64_t>::min()),
+        Json(std::numeric_limits<double>::max()),
+    };
+    Rng rng(2026);
+    for (const std::filesystem::path &manifest : manifests) {
+        std::ifstream in(manifest);
+        std::stringstream buf;
+        buf << in.rdbuf();
+        const std::string text = buf.str();
+        const std::string name = manifest.filename().string();
+        ASSERT_TRUE(resolvesOrFailsCleanly(text, name)) << name;
+
+        for (int i = 0; i < 60; ++i) {
+            const std::size_t cut = rng.below(text.size());
+            resolvesOrFailsCleanly(text.substr(0, cut),
+                                   msgCat(name, " truncated at ", cut));
+        }
+        for (int i = 0; i < 150; ++i) {
+            std::string flipped = text;
+            const std::size_t at = rng.below(text.size());
+            flipped[at] = static_cast<char>(rng.below(256));
+            resolvesOrFailsCleanly(flipped, msgCat(name, " byte ", at));
+        }
+
+        const Json doc = parseJson(text);
+        std::vector<std::string> paths;
+        memberPaths(doc, "", paths);
+        for (int i = 0; i < 150; ++i) {
+            const std::string &path = paths[rng.below(paths.size())];
+            const Json &swap = swaps[rng.below(swaps.size())];
+            resolvesOrFailsCleanly(mutatedAt(doc, path, "", swap).dump(),
+                                   msgCat(name, " swap ", i, " at ", path));
+        }
+        // Renames: typos, a case change, a NUL, a blank key and
+        // another member's dotted path.
+        for (int i = 0; i < 60; ++i) {
+            const std::string &path = paths[rng.below(paths.size())];
+            const std::string key = path.substr(path.rfind('.') + 1);
+            const std::vector<std::string> renames = {
+                key + "_", "_" + key.substr(1), std::string(1, '\0') + key,
+                "Seed", " ", paths[rng.below(paths.size())]};
+            const std::string &rename = renames[rng.below(renames.size())];
+            resolvesOrFailsCleanly(mutatedAt(doc, path, rename, {}).dump(),
+                                   msgCat(name, " rename ", path, " to ",
+                                          rename));
+        }
+
+        // Nesting past the parser's 512 levels: around the document,
+        // inside one of its values, and unclosed.
+        std::string deep;
+        for (int d = 0; d < 600; ++d)
+            deep += "{\"system\": ";
+        resolvesOrFailsCleanly(deep + text + std::string(600, '}'),
+                               name + " under 600 objects");
+        Json nested = Json::array();
+        for (int d = 0; d < 520; ++d) {
+            Json outer = Json::array();
+            outer.push(std::move(nested));
+            nested = std::move(outer);
+        }
+        resolvesOrFailsCleanly(
+            mutatedAt(doc, paths.back(), "", nested).dump(),
+            name + " 520-deep value at " + paths.back());
+        resolvesOrFailsCleanly(std::string(200'000, '['), "deep [");
+        resolvesOrFailsCleanly(std::string(200'000, '{'), "deep {");
     }
 }
 

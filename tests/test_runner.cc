@@ -1,98 +1,158 @@
 /**
  * @file
- * Tests for the host-parallel experiment runner: the work-stealing
- * pool, per-job seed derivation, the JSON result sink, and — the load
- * bearing property — that sweeps are bit-identical for any worker
- * count, which requires the simulator to be safely embeddable
- * many-per-process.
+ * Tests for the host-parallel experiment runner: runJobs's shared
+ * job counter and its error rule, per-job seed derivation, the JSON
+ * result sink, and — the load bearing property — that sweeps are
+ * bit-identical for any worker count, which requires the simulator
+ * to be safely embeddable many-per-process.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <mutex>
+#include <numeric>
 #include <set>
 #include <sstream>
 #include <stdexcept>
 #include <thread>
+#include <vector>
 
 #include "channel/experiment.hh"
 #include "config/presets.hh"
 #include "config/resolver.hh"
 #include "runner/json_sink.hh"
 #include "runner/runner.hh"
-#include "runner/thread_pool.hh"
 
 namespace csim
 {
 namespace
 {
 
-TEST(WorkStealingPool, RunsEveryTask)
+TEST(RunJobs, RunsEveryIndexExactlyOnce)
 {
-    WorkStealingPool pool(4);
-    std::atomic<int> count{0};
-    for (int i = 0; i < 100; ++i)
-        pool.submit([&count] { count.fetch_add(1); });
-    pool.drain();
-    EXPECT_EQ(count.load(), 100);
-}
-
-TEST(WorkStealingPool, DrainIsReusable)
-{
-    WorkStealingPool pool(2);
-    std::atomic<int> count{0};
-    pool.submit([&count] { count.fetch_add(1); });
-    pool.drain();
-    EXPECT_EQ(count.load(), 1);
-    pool.submit([&count] { count.fetch_add(1); });
-    pool.submit([&count] { count.fetch_add(1); });
-    pool.drain();
-    EXPECT_EQ(count.load(), 3);
-}
-
-TEST(WorkStealingPool, StealsFromBusyWorkers)
-{
-    // One long task pins a worker; the short tasks round-robined to
-    // it must be stolen by the idle workers for the drain to finish
-    // quickly. Generous bound: without stealing the serial tail of
-    // 50 x 2ms behind one 200ms task still passes, but a deadlocked
-    // steal path would hang drain() entirely.
-    WorkStealingPool pool(4);
-    std::atomic<int> count{0};
-    pool.submit([] {
-        std::this_thread::sleep_for(std::chrono::milliseconds(200));
-    });
-    for (int i = 0; i < 50; ++i) {
-        pool.submit([&count] {
-            std::this_thread::sleep_for(std::chrono::milliseconds(2));
-            count.fetch_add(1);
+    std::vector<std::atomic<int>> runs(100);
+    std::vector<std::function<std::size_t()>> jobs;
+    for (std::size_t i = 0; i < runs.size(); ++i) {
+        jobs.push_back([&runs, i] {
+            runs[i].fetch_add(1);
+            return i;
         });
     }
-    pool.drain();
-    EXPECT_EQ(count.load(), 50);
+    RunnerOptions opts;
+    opts.jobs = 4;
+    const std::vector<std::size_t> results =
+        runJobs(std::move(jobs), opts);
+    ASSERT_EQ(results.size(), runs.size());
+    for (std::size_t i = 0; i < runs.size(); ++i) {
+        EXPECT_EQ(runs[i].load(), 1) << "job " << i;
+        EXPECT_EQ(results[i], i);
+    }
 }
 
-TEST(WorkStealingPool, PropagatesFirstException)
+TEST(RunJobs, OneWorkerRunsJobsInIndexOrder)
 {
-    WorkStealingPool pool(2);
-    std::atomic<int> ran{0};
+    std::vector<std::size_t> order;
+    std::vector<std::function<int()>> jobs;
+    for (std::size_t i = 0; i < 12; ++i) {
+        jobs.push_back([&order, i] {
+            order.push_back(i);
+            return 0;
+        });
+    }
+    RunnerOptions opts;
+    opts.jobs = 1;
+    runJobs(std::move(jobs), opts);
+    std::vector<std::size_t> expected(12);
+    std::iota(expected.begin(), expected.end(), std::size_t{0});
+    EXPECT_EQ(order, expected);
+}
+
+TEST(RunJobs, FreeWorkerRunsTheRestWhileOneJobWaits)
+{
+    // Job 0 waits for the last job to run. The other worker must
+    // claim every remaining index meanwhile; a static round-robin
+    // split would queue job 8 behind job 0 on one worker, and job 0
+    // would time out.
+    constexpr std::size_t n = 9;
+    std::mutex mtx;
+    std::condition_variable cv;
+    bool last_ran = false;
+    std::vector<std::function<int()>> jobs;
+    for (std::size_t i = 0; i < n; ++i) {
+        jobs.push_back([&, i] {
+            std::unique_lock<std::mutex> lk(mtx);
+            if (i == 0) {
+                return static_cast<int>(
+                    cv.wait_for(lk, std::chrono::seconds(5),
+                                [&] { return last_ran; }));
+            }
+            if (i == n - 1) {
+                last_ran = true;
+                cv.notify_all();
+            }
+            return 1;
+        });
+    }
+    RunnerOptions opts;
+    opts.jobs = 2;
+    const std::vector<int> finished = runJobs(std::move(jobs), opts);
+    EXPECT_EQ(finished[0], 1) << "job 0 timed out waiting for job 8";
+}
+
+TEST(RunJobs, FailedJobLeavesTheOthersRunning)
+{
+    for (int workers : {1, 2}) {
+        std::atomic<int> ran{0};
+        std::vector<std::function<int()>> jobs;
+        for (int i = 0; i < 8; ++i) {
+            jobs.push_back([&ran, i] {
+                ran.fetch_add(1);
+                if (i == 3)
+                    throw std::runtime_error("job 3 failed");
+                return i;
+            });
+        }
+        RunnerOptions opts;
+        opts.jobs = workers;
+        EXPECT_THROW(runJobs(std::move(jobs), opts), std::runtime_error);
+        EXPECT_EQ(ran.load(), 8) << workers << " worker(s)";
+        // The runner keeps no state between calls: the next one works.
+        std::vector<std::function<int()>> next = {[] { return 7; }};
+        EXPECT_EQ(runJobs(std::move(next), opts), std::vector<int>{7});
+    }
+}
+
+TEST(RunJobs, RethrowsTheLowestFailingIndex)
+{
+    // Job 1 throws late, well after job 6 has thrown: the error is
+    // still job 1's, so it does not depend on timing or --jobs.
+    std::vector<std::function<int()>> jobs;
     for (int i = 0; i < 8; ++i) {
-        pool.submit([&ran, i] {
-            ran.fetch_add(1);
-            if (i == 3)
-                throw std::runtime_error("job 3 failed");
+        jobs.push_back([i] {
+            if (i == 1) {
+                std::this_thread::sleep_for(
+                    std::chrono::milliseconds(100));
+                throw std::runtime_error("job 1 failed");
+            }
+            if (i == 6)
+                throw std::runtime_error("job 6 failed");
+            return i;
         });
     }
-    EXPECT_THROW(pool.drain(), std::runtime_error);
-    // The other jobs still ran; the pool is usable afterwards.
-    EXPECT_EQ(ran.load(), 8);
-    pool.submit([&ran] { ran.fetch_add(1); });
-    EXPECT_NO_THROW(pool.drain());
-    EXPECT_EQ(ran.load(), 9);
+    RunnerOptions opts;
+    opts.jobs = 8;
+    try {
+        runJobs(std::move(jobs), opts);
+        FAIL() << "expected runtime_error";
+    } catch (const std::runtime_error &e) {
+        EXPECT_STREQ(e.what(), "job 1 failed");
+    }
 }
 
 TEST(DeriveSeed, DeterministicAndDecorrelated)

@@ -497,9 +497,7 @@ cmdTransmit(const Args &args)
               << TablePrinter::num(rep.metrics.rawKbps)
               << " Kbps raw, "
               << TablePrinter::num(rep.metrics.effectiveKbps)
-              << " Kbps effective, "
-              << TablePrinter::num(rep.metrics.payloadKbps)
-              << " Kbps payload\n";
+              << " Kbps effective\n";
     if (run.channel.phy.profile == PhyProfile::legacyParity) {
         std::cout << "phy:       legacy-parity, " << rep.phy.frames
                   << " packet(s), " << rep.metrics.retransmits
