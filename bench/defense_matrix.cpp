@@ -29,7 +29,6 @@
  * BENCH_defense_matrix_manifest.json.
  */
 
-#include <cstring>
 #include <iostream>
 
 #include "cohersim/attack.hh"
@@ -85,13 +84,10 @@ main(int argc, char **argv)
 {
     using namespace csim;
 
-    RunnerOptions opts = RunnerOptions::fromArgs(argc, argv);
+    RunnerOptions opts =
+        RunnerOptions::fromArgs(argc, argv, /*has_quick_grid=*/true);
     opts.label = "defense_matrix";
-    bool quick = false;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--quick") == 0)
-            quick = true;
-    }
+    const bool quick = opts.quick;
 
     // Shared cell baseline: the paper's KSM setting, seed 2018. The
     // defense presets re-assert channel.sharing=ksm, so defended and

@@ -31,8 +31,8 @@ main()
                      TablePrinter::num(s.percentile(1)),
                      TablePrinter::num(s.percentile(50)),
                      TablePrinter::num(s.percentile(99)),
-                     "[" + TablePrinter::num(band.lo) + ", " +
-                         TablePrinter::num(band.hi) + "]"});
+                     msgCat("[", TablePrinter::num(band.lo), ", ",
+                            TablePrinter::num(band.hi), "]")});
     };
     for (Combo c : allCombos())
         row(comboName(c), cal.comboSamples(c), cal.band(c));

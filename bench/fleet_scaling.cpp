@@ -21,7 +21,6 @@
  * BENCH_fleet.json and the re-runnable BENCH_fleet_manifest.json.
  */
 
-#include <cstring>
 #include <iostream>
 
 #include "cohersim/attack.hh"
@@ -32,13 +31,10 @@ main(int argc, char **argv)
 {
     using namespace csim;
 
-    RunnerOptions opts = RunnerOptions::fromArgs(argc, argv);
+    RunnerOptions opts =
+        RunnerOptions::fromArgs(argc, argv, /*has_quick_grid=*/true);
     opts.label = "fleet";
-    bool quick = false;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--quick") == 0)
-            quick = true;
-    }
+    const bool quick = opts.quick;
 
     // The fleet-quick preset carries the machine shape (16 cores per
     // socket: four disjoint 4-core pair blocks per socket before the

@@ -20,7 +20,6 @@
  * BENCH_vectors_manifest.json.
  */
 
-#include <cstring>
 #include <iostream>
 
 #include "cohersim/attack.hh"
@@ -128,13 +127,10 @@ main(int argc, char **argv)
 {
     using namespace csim;
 
-    RunnerOptions opts = RunnerOptions::fromArgs(argc, argv);
+    RunnerOptions opts =
+        RunnerOptions::fromArgs(argc, argv, /*has_quick_grid=*/true);
     opts.label = "vectors";
-    bool quick = false;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--quick") == 0)
-            quick = true;
-    }
+    const bool quick = opts.quick;
 
     // Shared cell baseline: seed 2018; each cell then applies its
     // vector's quick preset (payload size, rate, timeout policy).

@@ -1,30 +1,9 @@
 #include "common/edit_distance.hh"
 
 #include <algorithm>
-#include <vector>
 
 namespace csim
 {
-
-std::size_t
-editDistance(const BitString &a, const BitString &b)
-{
-    // Two-row dynamic program; O(|a|*|b|) time, O(|b|) space.
-    const std::size_t n = b.size();
-    std::vector<std::size_t> prev(n + 1), cur(n + 1);
-    for (std::size_t j = 0; j <= n; ++j)
-        prev[j] = j;
-    for (std::size_t i = 1; i <= a.size(); ++i) {
-        cur[0] = i;
-        for (std::size_t j = 1; j <= n; ++j) {
-            const std::size_t sub =
-                prev[j - 1] + (a[i - 1] == b[j - 1] ? 0 : 1);
-            cur[j] = std::min({prev[j] + 1, cur[j - 1] + 1, sub});
-        }
-        std::swap(prev, cur);
-    }
-    return prev[n];
-}
 
 double
 rawBitAccuracy(const BitString &sent, const BitString &received)

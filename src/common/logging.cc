@@ -11,6 +11,7 @@ namespace logging_detail
 {
 
 std::atomic<bool> quiet{false};
+thread_local std::vector<LogLine> *threadLog = nullptr;
 
 namespace
 {
@@ -24,6 +25,18 @@ sinkMutex()
 {
     static std::mutex m;
     return m;
+}
+
+/** Write one line to its stream, or hold it in this thread's log. */
+void
+emit(LogLine line)
+{
+    if (threadLog) {
+        threadLog->push_back(std::move(line));
+        return;
+    }
+    std::lock_guard<std::mutex> lk(sinkMutex());
+    (line.toStderr ? std::cerr : std::cout) << line.text << std::endl;
 }
 } // namespace
 
@@ -54,19 +67,22 @@ fatalImpl(const char *file, int line, const std::string &msg)
 void
 warnImpl(const std::string &msg)
 {
-    if (!quiet.load(std::memory_order_relaxed)) {
-        std::lock_guard<std::mutex> lk(sinkMutex());
-        std::cerr << "warn: " << msg << std::endl;
-    }
+    if (!quiet.load(std::memory_order_relaxed))
+        emit({true, "warn: " + msg});
 }
 
 void
 informImpl(const std::string &msg)
 {
-    if (!quiet.load(std::memory_order_relaxed)) {
-        std::lock_guard<std::mutex> lk(sinkMutex());
-        std::cout << "info: " << msg << std::endl;
-    }
+    if (!quiet.load(std::memory_order_relaxed))
+        emit({false, "info: " + msg});
+}
+
+void
+flushLog(const std::vector<LogLine> &lines)
+{
+    for (const LogLine &line : lines)
+        emit(line);
 }
 
 } // namespace logging_detail

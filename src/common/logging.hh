@@ -13,6 +13,7 @@
 #include <atomic>
 #include <sstream>
 #include <string>
+#include <vector>
 
 namespace csim
 {
@@ -34,6 +35,24 @@ void informImpl(const std::string &msg);
  * concurrent simulations never interleave mid-line.
  */
 extern std::atomic<bool> quiet;
+
+/** One warn()/inform() line held back from its stream. */
+struct LogLine
+{
+    bool toStderr = false;
+    std::string text;
+};
+
+/**
+ * While non-null, warn()/inform() on this thread append to it instead
+ * of printing (after the quiet check). The runner points it at the
+ * running job's buffer and flushes the buffers in job order, so a
+ * sweep's output does not depend on which job finished first.
+ */
+extern thread_local std::vector<LogLine> *threadLog;
+
+/** Print @p lines in order, as if warn()/inform() ran now. */
+void flushLog(const std::vector<LogLine> &lines);
 } // namespace logging_detail
 
 /** Build a message from stream-style arguments. */

@@ -5,6 +5,7 @@
 #include <sstream>
 #include <type_traits>
 
+#include "common/edit_distance.hh"
 #include "common/logging.hh"
 #include "config/presets.hh"
 #include "phy/phy_config.hh"
@@ -15,26 +16,6 @@ namespace csim
 
 namespace
 {
-
-/** Plain Levenshtein over key names, for "did you mean" hints. */
-std::size_t
-keyDistance(const std::string &a, const std::string &b)
-{
-    std::vector<std::size_t> row(b.size() + 1);
-    for (std::size_t j = 0; j <= b.size(); ++j)
-        row[j] = j;
-    for (std::size_t i = 1; i <= a.size(); ++i) {
-        std::size_t diag = row[0];
-        row[0] = i;
-        for (std::size_t j = 1; j <= b.size(); ++j) {
-            const std::size_t sub =
-                diag + (a[i - 1] == b[j - 1] ? 0 : 1);
-            diag = row[j];
-            row[j] = std::min({row[j - 1] + 1, row[j] + 1, sub});
-        }
-    }
-    return row[b.size()];
-}
 
 std::string
 joinChoices(const std::vector<std::string> &choices)
@@ -244,7 +225,7 @@ FieldRegistry::unknownKeyMessage(const std::string &key,
     std::size_t best_dist = 3;  // suggest only plausible typos
     for (const FieldDef &f : fields_) {
         auto consider = [&](const std::string &candidate) {
-            const std::size_t d = keyDistance(key, candidate);
+            const std::size_t d = editDistance(key, candidate);
             if (d < best_dist) {
                 best_dist = d;
                 best = &f;
@@ -545,8 +526,7 @@ FieldRegistry::FieldRegistry()
     add("phy.profile",
         "chain the pair runs: the paper's parity+NACK scheme, the framed "
         "whiten/interleave/Hamming(8,4) stack with hard or soft-decision "
-        "decoding, raw modulation (any vector), or adaptive (a hamming "
-        "profile and rate picked from the calibrated bands)",
+        "decoding, or raw modulation (any vector)",
         choice(ACCESS(channel.phy.profile), namesOf(phyProfileName)),
         {"profile"});
     add("phy.interleaver_depth",

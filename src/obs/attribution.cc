@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/edit_distance.hh"
 #include "common/logging.hh"
 #include "runner/json_sink.hh"
 
@@ -17,27 +18,6 @@ namespace
  * to a distance-only pass with every error unattributed.
  */
 constexpr std::size_t maxAlignCells = 16u << 20;
-
-/** Two-row Levenshtein, for the over-budget fallback. */
-std::size_t
-plainDistance(const std::vector<BitObs> &a,
-              const std::vector<BitObs> &b)
-{
-    std::vector<std::size_t> row(b.size() + 1);
-    for (std::size_t j = 0; j <= b.size(); ++j)
-        row[j] = j;
-    for (std::size_t i = 1; i <= a.size(); ++i) {
-        std::size_t diag = row[0];
-        row[0] = i;
-        for (std::size_t j = 1; j <= b.size(); ++j) {
-            const std::size_t sub =
-                diag + (a[i - 1].bit == b[j - 1].bit ? 0 : 1);
-            diag = row[j];
-            row[j] = std::min({row[j - 1] + 1, row[j] + 1, sub});
-        }
-    }
-    return row[b.size()];
-}
 
 ErrorCause
 nearestCause(const std::vector<CauseEvent> &causes, Tick when,
@@ -122,7 +102,9 @@ attributeErrors(const std::vector<BitObs> &sent,
     if ((n + 1) * (m + 1) > maxAlignCells) {
         // Too big to backtrace: count the errors, stamp them at the
         // end of reception, attribute nothing.
-        const std::size_t dist = plainDistance(sent, received);
+        const std::size_t dist = editDistance(
+            sent, received,
+            [](const BitObs &x, const BitObs &y) { return x.bit == y.bit; });
         const Tick when = m ? received.back().when : 0;
         errors.resize(dist, {when, ErrorCause::unattributed});
         return errors;

@@ -4,15 +4,14 @@
  * selects, on one trojan/spy pair. runTransmission
  * (channel/experiment.hh) is its one entry point.
  *
- * The hamming profiles (and adaptive, which picks one of them) run
- * the framed, whitened, interleaved, FEC-protected wire format of
- * src/phy. The transmit chain runs whiten -> Hamming(8,4) ->
- * interleave -> frame (preamble + header + body); the receive chain
+ * The hamming profiles run the framed, whitened, interleaved,
+ * FEC-protected wire format of src/phy. The transmit chain runs
+ * whiten -> Hamming(8,4) -> interleave -> frame (preamble + header +
+ * body); the receive chain
  * runs the soft demapper -> preamble hunt -> deinterleave -> FEC
  * decode -> dewhiten. There is no reverse channel: residual errors
  * are the codewords FEC could not repair, and the rate is whatever
- * the operating point sustains, the trade the adaptive controller
- * navigates (src/phy/adaptive.hh).
+ * the configured operating point sustains.
  *
  * The legacy-parity profile runs the paper's §VIII-C chain instead
  * (Fig. 10): 64-byte even-parity packets (channel/ecc.hh), each
@@ -29,7 +28,6 @@
 #include "channel/ecc.hh"
 #include "channel/trace_hooks.hh"
 #include "common/logging.hh"
-#include "phy/adaptive.hh"
 #include "phy/frame.hh"
 #include "phy/preamble.hh"
 #include "phy/soft.hh"
@@ -44,16 +42,15 @@ namespace
 /**
  * State one PHY session's two coroutines share, plus everything they
  * record. Fill with phyPrepareSession(), hand to the bodies, then
- * harvest with phyFinalizeSession(). The scenario/calibration
- * pointers are non-owning and must outlive the run.
+ * harvest with phyFinalizeSession(). The config, scenario and
+ * calibration pointers are non-owning and must outlive the run.
  */
 struct PhySession
 {
+    const ChannelConfig *cfg = nullptr;
     const ScenarioInfo *scenario = nullptr;
     const CalibrationResult *cal = nullptr;
-    ChannelParams params;   //!< post-adaptive operating parameters
-    PhyConfig phy;          //!< post-adaptive profile and knobs
-    Tick period = 0;        //!< nominal sample period under params
+    Tick period = 0;        //!< nominal sample period of cfg->params
     /** Wire frames (or parity packets) to transmit. */
     std::vector<BitString> frames;
 
@@ -68,8 +65,7 @@ struct PhySession
     /**
      * The report the run returns, filled as it goes: sent, the
      * trojan/spy results (spy.bits = demapped wire bits, for
-     * diagnostics) and phy's stage counters, wire bits and
-     * adaptive-controller evidence.
+     * diagnostics) and phy's stage counters and wire bits.
      */
     ChannelReport rep;
     /**
@@ -85,32 +81,19 @@ struct PhySession
 };
 
 /**
- * Resolve the operating point (running the adaptive controller under
- * the adaptive profile) and pre-encode the payload into wire frames,
- * or into parity packets under legacy-parity.
+ * Pre-encode the payload into wire frames, or into parity packets
+ * under legacy-parity.
  */
 void
 phyPrepareSession(PhySession &s, const ChannelConfig &cfg,
                   const BitString &payload,
                   const CalibrationResult &cal)
 {
+    s.cfg = &cfg;
     s.scenario = &scenarioInfo(cfg.scenario);
     s.cal = &cal;
-    s.params = cfg.params;
-    s.phy = cfg.phy;
-
-    if (cfg.phy.profile == PhyProfile::adaptive) {
-        const AdaptiveDecision d = phyChooseOperatingPoint(
-            cal, *s.scenario, cfg.noiseThreads);
-        s.phy.profile = d.profile;
-        s.params = ChannelParams::forTargetKbps(
-            d.rateKbps, cfg.system.timing, cfg.params);
-        s.rep.phy.rateKbps = d.rateKbps;
-        s.rep.phy.bandSeparation = d.separation;
-    }
-    s.period = s.params.nominalSamplePeriod(cfg.system.timing);
+    s.period = cfg.params.nominalSamplePeriod(cfg.system.timing);
     s.rep.sent = payload;
-    s.rep.phy.profileUsed = s.phy.profile;
 
     // Pre-encode the payload. FEC frames carry fixed-size chunks
     // with 4-bit sequence numbers; FEC mode never retransmits, so
@@ -119,9 +102,9 @@ phyPrepareSession(PhySession &s, const ChannelConfig &cfg,
     // Parity packets carry 64 bytes (the last one zero-padded) with
     // 8-bit sequence numbers.
     ScopedSpan span("phy.encode");
-    const bool framed = s.phy.profile != PhyProfile::legacyParity;
+    const bool framed = cfg.phy.profile != PhyProfile::legacyParity;
     const std::size_t chunk_bits =
-        framed ? static_cast<std::size_t>(s.phy.frameNibbles) *
+        framed ? static_cast<std::size_t>(cfg.phy.frameNibbles) *
                      hammingDataBits
                : packetDataBits;
     for (std::size_t off = 0; off < payload.size();
@@ -134,7 +117,7 @@ phyPrepareSession(PhySession &s, const ChannelConfig &cfg,
         if (framed) {
             s.frames.push_back(phyEncodeFrame(
                 static_cast<std::uint8_t>(s.frames.size() & 0xf),
-                chunk, s.phy));
+                chunk, cfg.phy));
         } else {
             chunk.resize(packetDataBits, 0);
             s.frames.push_back(encodePacket(
@@ -149,20 +132,15 @@ Task
 phyTrojanBody(ThreadApi api, PlacerCrew &crew, VAddr block,
               PhySession &s)
 {
-    co_await trojanSyncPhase(api, block, *s.cal, s.params,
-                             s.rep.trojan);
+    const ChannelParams &params = s.cfg->params;
+    co_await trojanSyncPhase(api, block, *s.cal, params, s.rep.trojan);
     PhyResult &out = s.rep.phy;
-    if (out.rateKbps > 0.0) {
-        chEvent(api, TraceEventType::chPhyAdapt,
-                static_cast<std::uint64_t>(s.phy.profile),
-                static_cast<std::uint64_t>(out.rateKbps));
-    }
 
     bool first = true;
     for (const BitString &frame : s.frames) {
         TrojanResult tr;
         co_await trojanTransmit(api, crew, block, *s.scenario,
-                                s.params, s.period, frame, tr);
+                                params, s.period, frame, tr);
         if (first) {
             s.rep.trojan.txStart = tr.txStart;
             first = false;
@@ -186,6 +164,8 @@ phyTrojanBody(ThreadApi api, PlacerCrew &crew, VAddr block,
 Task
 phySpyBody(ThreadApi api, VAddr block, PhySession &s)
 {
+    const ChannelParams &params = s.cfg->params;
+    const PhyConfig &phy = s.cfg->phy;
     PhyStageStats &stages = s.rep.phy.stages;
     SpyResult &spy = s.rep.spy;
     LatencyBand tc = s.cal->band(s.scenario->csc);
@@ -193,12 +173,12 @@ phySpyBody(ThreadApi api, VAddr block, PhySession &s)
     LatencyBand dram = s.cal->dramBand;
     {
         std::vector<LatencyBand *> used = {&tc, &tb, &dram};
-        claimGaps(used, s.params.gapClaim);
+        claimGaps(used, params.gapClaim);
     }
 
-    SoftTranslator translator(s.params);
-    PreambleDetector detector(preamblePattern(s.phy.preambleLen),
-                              preambleMismatchBudget(s.phy.preambleLen));
+    SoftTranslator translator(params);
+    PreambleDetector detector(preamblePattern(phy.preambleLen),
+                              preambleMismatchBudget(phy.preambleLen));
     enum class Rx : std::uint8_t { hunt, header, body };
     Rx rx = Rx::hunt;
     BitString header_bits;
@@ -221,7 +201,7 @@ phySpyBody(ThreadApi api, VAddr block, PhySession &s)
 
     while (!session_over()) {
         co_await api.flush(block);
-        co_await api.spin(s.params.ts);
+        co_await api.spin(params.ts);
         const Tick lat = co_await api.load(block);
         const double latency = static_cast<double>(lat);
         const auto cls = classifySample(latency, tc, tb);
@@ -269,7 +249,7 @@ phySpyBody(ThreadApi api, VAddr block, PhySession &s)
                 // wall-scope (never held across a suspension).
                 ScopedSpan hdr_span("phy.decode.header");
                 if (const auto h =
-                        phyDecodeHeader(header_bits, s.phy)) {
+                        phyDecodeHeader(header_bits, phy)) {
                     hdr = *h;
                     body_bits.clear();
                     rx = Rx::body;
@@ -286,7 +266,7 @@ phySpyBody(ThreadApi api, VAddr block, PhySession &s)
             if (body_bits.size() == phyBodyWireBits(hdr.nibbles)) {
                 ScopedSpan body_span("phy.decode.body");
                 const PhyBodyResult res =
-                    phyDecodeBody(body_bits, hdr, s.phy);
+                    phyDecodeBody(body_bits, hdr, phy);
                 stages.fecBlocks +=
                     static_cast<std::uint64_t>(res.blocks);
                 stages.fecCorrected +=
@@ -353,8 +333,8 @@ Task
 parityTrojanBody(ThreadApi api, PlacerCrew &crew, VAddr block,
                  PhySession &s)
 {
-    co_await trojanSyncPhase(api, block, *s.cal, s.params,
-                             s.rep.trojan);
+    const ChannelParams &params = s.cfg->params;
+    co_await trojanSyncPhase(api, block, *s.cal, params, s.rep.trojan);
     s.rep.trojan.txStart = api.now();
     const double cached_threshold = s.cal->dramBand.lo - 2.0;
 
@@ -363,18 +343,18 @@ parityTrojanBody(ThreadApi api, PlacerCrew &crew, VAddr block,
         for (;;) {
             TrojanResult tr;
             co_await trojanTransmit(api, crew, block, *s.scenario,
-                                    s.params, s.period, packet, tr);
+                                    params, s.period, packet, tr);
             s.rep.phy.rawBitsSent += packet.size();
             // Let the spy run into its end-of-packet detection.
             co_await api.spinUntil(
                 tr.txEnd +
-                static_cast<Tick>(s.params.endN + 2) * s.period);
+                static_cast<Tick>(params.endN + 2) * s.period);
             // Acknowledgement window: probe whether the spy is
             // holding B cached (its NACK signal).
             int cached = 0;
             for (int i = 0; i < ackSamples; ++i) {
                 co_await api.flush(block);
-                co_await api.spin(s.params.ts);
+                co_await api.spin(params.ts);
                 const Tick lat = co_await api.load(block);
                 if (static_cast<double>(lat) < cached_threshold)
                     ++cached;
@@ -415,12 +395,13 @@ parityTrojanBody(ThreadApi api, PlacerCrew &crew, VAddr block,
 Task
 paritySpyBody(ThreadApi api, VAddr block, PhySession &s)
 {
+    const ChannelParams &params = s.cfg->params;
     LatencyBand tc = s.cal->band(s.scenario->csc);
     LatencyBand tb = s.cal->band(s.scenario->csb);
     LatencyBand dram = s.cal->dramBand;
     {
         std::vector<LatencyBand *> used = {&tc, &tb, &dram};
-        claimGaps(used, s.params.gapClaim);
+        claimGaps(used, params.gapClaim);
     }
     int last_seq = -1;
 
@@ -430,7 +411,7 @@ paritySpyBody(ThreadApi api, VAddr block, PhySession &s)
         bool started = false;
         while (!started && !s.trojanDone) {
             co_await api.flush(block);
-            co_await api.spin(s.params.ts);
+            co_await api.spin(params.ts);
             const Tick lat = co_await api.load(block);
             const auto cls =
                 classifySample(static_cast<double>(lat), tc, tb);
@@ -445,13 +426,13 @@ paritySpyBody(ThreadApi api, VAddr block, PhySession &s)
             break;
 
         // Receive the packet's bits.
-        IncrementalTranslator translator(s.params.thold());
+        IncrementalTranslator translator(params.thold());
         translator.feed(SampleClass::boundary);
         BitString bits;
         int out_of_band = 0;
-        while (out_of_band < s.params.endN) {
+        while (out_of_band < params.endN) {
             co_await api.flush(block);
-            co_await api.spin(s.params.ts);
+            co_await api.spin(params.ts);
             const Tick lat = co_await api.load(block);
             const auto cls =
                 classifySample(static_cast<double>(lat), tc, tb);
@@ -491,7 +472,7 @@ paritySpyBody(ThreadApi api, VAddr block, PhySession &s)
                 static_cast<Tick>(ackSamples + 4) * s.period;
             while (api.now() < until) {
                 co_await api.load(block);
-                co_await api.spin(s.params.helperGap);
+                co_await api.spin(params.helperGap);
             }
         }
     }
@@ -510,7 +491,7 @@ phyFinalizeSession(PhySession &s)
     PhyResult &r = s.rep.phy;
     r.frames = static_cast<int>(s.frames.size());
 
-    if (s.phy.profile == PhyProfile::legacyParity) {
+    if (s.cfg->phy.profile == PhyProfile::legacyParity) {
         // Parity+NACK accepts packets in order: concatenate them and
         // cut the last packet's zero padding.
         for (const auto &[index, data] : s.accepted)
@@ -522,7 +503,7 @@ phyFinalizeSession(PhySession &s)
         // lost frames stay zero-filled erasures instead of shifting
         // every later chunk out of position.
         const std::size_t chunk_bits =
-            static_cast<std::size_t>(s.phy.frameNibbles) *
+            static_cast<std::size_t>(s.cfg->phy.frameNibbles) *
             hammingDataBits;
         delivered.assign(payload.size(), 0);
         for (const auto &[index, chunk] : s.accepted) {
@@ -539,12 +520,13 @@ phyFinalizeSession(PhySession &s)
 }
 
 /**
- * Publish the per-stage counters into @p reg under
- * `<prefix>ch.phy.*`, next to the common `<prefix>ch.*` set.
+ * Publish the per-stage counters and the profile that ran into
+ * @p reg under `<prefix>ch.phy.*`, next to the common `<prefix>ch.*`
+ * set.
  */
 void
 addPhyCounters(CounterRegistry &reg, const std::string &prefix,
-               const PhyResult &phy)
+               PhyProfile profile, const PhyResult &phy)
 {
     const std::string base = prefix + "ch.phy.";
     reg.counter(base + "frames_sent") = phy.stages.framesSent;
@@ -555,14 +537,7 @@ addPhyCounters(CounterRegistry &reg, const std::string &prefix,
     reg.counter(base + "fec_uncorrectable") =
         phy.stages.fecUncorrectable;
     reg.counter(base + "wire_bits") = phy.rawBitsSent;
-    // The profile the session ran (under adaptive, the one the
-    // controller picked) and, when adaptive, the raw rate it picked
-    // — so report consumers need no side channel.
-    reg.counter(base + "profile") =
-        static_cast<std::uint64_t>(phy.profileUsed);
-    if (phy.rateKbps > 0.0)
-        reg.counter(base + "adapt_rate_kbps") =
-            static_cast<std::uint64_t>(phy.rateKbps);
+    reg.counter(base + "profile") = static_cast<std::uint64_t>(profile);
 }
 
 } // namespace
@@ -589,8 +564,7 @@ runPhyTransmission(const ChannelConfig &cfg_in,
 
     // The parity spy loops until the trojan is done, so the
     // trojan's exit ends that session.
-    const bool parity =
-        session.phy.profile == PhyProfile::legacyParity;
+    const bool parity = cfg.phy.profile == PhyProfile::legacyParity;
     rep.completed = rig.run(
         [&](ThreadApi api) {
             return parity ? parityTrojanBody(api, *pair.crew,
@@ -628,7 +602,8 @@ runPhyTransmission(const ChannelConfig &cfg_in,
     m.retransmits = session.retransmissions;
     rep.counters = rig.host.counters();
     pair.publish(rep.counters, rep.metrics);
-    addPhyCounters(rep.counters, pair.counterPrefix(), rep.phy);
+    addPhyCounters(rep.counters, pair.counterPrefix(), cfg.phy.profile,
+                   rep.phy);
     return std::move(rep);
 }
 

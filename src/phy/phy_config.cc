@@ -11,7 +11,6 @@ phyProfileName(PhyProfile p)
       case PhyProfile::hammingHard: return "hamming-hard";
       case PhyProfile::hammingSoft: return "hamming-soft";
       case PhyProfile::raw: return "raw";
-      case PhyProfile::adaptive: return "adaptive";
     }
     return "?";
 }

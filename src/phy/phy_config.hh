@@ -5,7 +5,7 @@
  * Dependency-free on purpose: `ChannelConfig` embeds a PhyConfig, so
  * this header must not pull any channel machinery in. The stack
  * itself lives in the sibling headers (whiten, interleave, hamming,
- * preamble, soft, frame, adaptive, phy_channel).
+ * preamble, soft, frame, phy_channel).
  */
 
 #ifndef COHERSIM_PHY_PHY_CONFIG_HH
@@ -27,9 +27,8 @@ namespace csim
  * error correction over a framed, whitened, interleaved wire format;
  * `hard` decodes each codeword from hard bit decisions, `soft` runs
  * maximum-likelihood decoding over the spy's per-bit confidence.
- * adaptive picks a hamming profile and the bit period from the
- * calibrated band separation at session start. Every value but raw
- * runs on the coherence vector of a single pair only.
+ * Every value but raw runs on the coherence vector of a single pair
+ * only.
  *
  * The numbers are published (the `ch.phy.profile` counter), so new
  * values are appended.
@@ -40,7 +39,6 @@ enum class PhyProfile : std::uint8_t
     hammingHard = 1,
     hammingSoft = 2,
     raw = 3,
-    adaptive = 4,
 };
 
 const char *phyProfileName(PhyProfile p);

@@ -10,7 +10,6 @@
 #include <cstdint>
 
 #include "common/types.hh"
-#include "phy/phy_config.hh"
 
 namespace csim
 {
@@ -48,12 +47,6 @@ struct PhyResult
     /** Positional bit errors remaining after FEC (or parity). */
     std::uint64_t residualErrors = 0;
     PhyStageStats stages;
-    /** Profile the session ran (adaptive: the one it picked). */
-    PhyProfile profileUsed = PhyProfile::raw;
-    /** Raw rate the adaptive controller picked; 0 = configured. */
-    double rateKbps = 0.0;
-    /** Calibrated band separation the controller acted on. */
-    double bandSeparation = 0.0;
     bool operator==(const PhyResult &) const = default;
 };
 

@@ -15,6 +15,7 @@
 #include <unistd.h>
 #endif
 
+#include "common/logging.hh"
 #include "common/parse.hh"
 #include "prof/profiler.hh"
 
@@ -22,7 +23,7 @@ namespace csim
 {
 
 RunnerOptions
-RunnerOptions::fromArgs(int argc, char **argv)
+RunnerOptions::fromArgs(int argc, char **argv, bool has_quick_grid)
 {
     RunnerOptions opts;
 #ifndef _WIN32
@@ -43,6 +44,12 @@ RunnerOptions::fromArgs(int argc, char **argv)
                 jobs_given = true;
             } else if (arg == "--quiet") {
                 opts.progress = false;
+            } else if (arg == "--quick" && has_quick_grid) {
+                opts.quick = true;
+            } else {
+                throw ConfigError(msgCat(
+                    "unknown argument '", arg, "'; accepted: --jobs N, "
+                    "--quiet", has_quick_grid ? ", --quick" : ""));
             }
         }
         // --jobs wins over CSIM_JOBS; an empty CSIM_JOBS is unset.
@@ -74,11 +81,13 @@ runIndexed(std::size_t n, const std::function<void(std::size_t)> &run_one,
 
     std::atomic<std::size_t> next{0};
     std::vector<std::exception_ptr> errors(n);
+    std::vector<std::vector<logging_detail::LogLine>> logs(n);
     std::mutex mtx;
     std::condition_variable finished;
     std::size_t done = 0;  // guarded by mtx
     const auto work = [&] {
         for (std::size_t i = next++; i < n; i = next++) {
+            logging_detail::threadLog = &logs[i];
             try {
                 // One identical span per job, whatever worker thread
                 // claimed it: nested spans then share the same path
@@ -88,6 +97,7 @@ runIndexed(std::size_t n, const std::function<void(std::size_t)> &run_one,
             } catch (...) {
                 errors[i] = std::current_exception();
             }
+            logging_detail::threadLog = nullptr;
             std::lock_guard<std::mutex> lk(mtx);
             if (++done == n)
                 finished.notify_one();
@@ -129,6 +139,10 @@ runIndexed(std::size_t n, const std::function<void(std::size_t)> &run_one,
     for (std::jthread &t : workers)
         t.join();
 
+    // Each job's warnings in index order, failed jobs' included, so
+    // the output does not depend on --jobs or on run order.
+    for (const auto &log : logs)
+        logging_detail::flushLog(log);
     for (const std::exception_ptr &e : errors)
         if (e)
             std::rethrow_exception(e);

@@ -43,16 +43,20 @@ struct RunnerOptions
     bool progress = false;
     /** Prefix of the progress line (usually the bench name). */
     std::string label;
+    /** `--quick`: run the bench's trimmed grid. */
+    bool quick = false;
 
     /**
-     * Parse `--jobs N` (and `--quiet`) from a bench argv; without
-     * `--jobs`, a non-empty `CSIM_JOBS` environment variable sets the
-     * count. Other arguments are left for the caller. progress defaults to on when stderr is a terminal.
-     * A job count that is not an integer in [0, INT_MAX], or a
-     * trailing `--jobs` with no value, prints the error and exits 2
+     * Parse a bench argv: `--jobs N`, `--quiet` and, when
+     * @p has_quick_grid, `--quick`. Without `--jobs`, a non-empty
+     * `CSIM_JOBS` environment variable sets the count. progress
+     * defaults to on when stderr is a terminal. Any other argument,
+     * a job count that is not an integer in [0, INT_MAX], or a
+     * trailing `--jobs` with no value prints the error and exits 2
      * before any worker starts.
      */
-    static RunnerOptions fromArgs(int argc, char **argv);
+    static RunnerOptions fromArgs(int argc, char **argv,
+                                  bool has_quick_grid = false);
 
     /** Worker count after resolving 0 to the hardware concurrency. */
     int resolvedJobs() const;
@@ -64,9 +68,10 @@ struct RunnerOptions
  * unclaimed index until none is left, so at one worker the jobs run
  * in index order. A job that throws does not stop the others; once
  * all have run, the lowest failing index's exception is rethrown, so
- * the error does not depend on the worker count. With
- * @p opts.progress the caller prints a progress/ETA line to stderr
- * every 250 ms while it waits.
+ * the error does not depend on the worker count. The warn()/inform()
+ * lines a job prints are held and printed after the join, in index
+ * order, before that rethrow. With @p opts.progress the caller
+ * prints a progress/ETA line to stderr every 250 ms while it waits.
  *
  * @return the wall-clock seconds the whole batch took.
  */

@@ -61,7 +61,6 @@ traceTypeName(TraceEventType t)
       case TraceEventType::chSyncSlip: return "ch.sync_slip";
       case TraceEventType::chRetransmitExhausted:
         return "ch.retransmit_exhausted";
-      case TraceEventType::chPhyAdapt: return "ch.phy_adapt";
       case TraceEventType::chPhyPreambleLock:
         return "ch.phy_preamble_lock";
       case TraceEventType::chPhyHeaderBad: return "ch.phy_header_bad";

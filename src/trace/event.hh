@@ -103,7 +103,6 @@ enum class TraceEventType : std::uint8_t
     /** @} */
     /** @name channel PHY stack (src/phy) */
     /** @{ */
-    chPhyAdapt,          //!< a = chosen profile, b = rate (Kbps)
     chPhyPreambleLock,   //!< a = mismatches in the matched window
     chPhyHeaderBad,      //!< a = headers rejected so far
     chPhyFecCorrected,   //!< a = corrected codewords, b = frame seq

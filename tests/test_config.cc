@@ -120,14 +120,23 @@ TEST(FieldRegistry, RejectsOutOfRangeValues)
 
 TEST(FieldRegistry, RejectsBadChoices)
 {
-    ConfigResolver res;
-    try {
-        res.applyOverride("system.flavor", "mesix", "cli");
-        FAIL() << "expected ConfigError";
-    } catch (const ConfigError &e) {
-        const std::string msg = e.what();
-        EXPECT_NE(msg.find("mesix"), std::string::npos);
-        EXPECT_NE(msg.find("moesi"), std::string::npos);
+    // Each refusal names the bad value and lists an accepted one.
+    struct Case
+    {
+        const char *key, *value, *accepted;
+    };
+    for (const Case c : {Case{"system.flavor", "mesix", "moesi"},
+                         Case{"phy.profile", "adaptive", "hamming-hard"}}) {
+        SCOPED_TRACE(c.key);
+        ConfigResolver res;
+        try {
+            res.applyOverride(c.key, c.value, "cli");
+            FAIL() << "expected ConfigError";
+        } catch (const ConfigError &e) {
+            const std::string msg = e.what();
+            EXPECT_NE(msg.find(c.value), std::string::npos);
+            EXPECT_NE(msg.find(c.accepted), std::string::npos);
+        }
     }
 }
 
@@ -502,7 +511,7 @@ TEST(ExperimentSpec, ValidatesCrossFieldConstraints)
     // not ignored.
     for (const PhyProfile profile :
          {PhyProfile::legacyParity, PhyProfile::hammingHard,
-          PhyProfile::hammingSoft, PhyProfile::adaptive}) {
+          PhyProfile::hammingSoft}) {
         const std::string name =
             msgCat("phy.profile = ", phyProfileName(profile));
         ExperimentSpec dirty;
@@ -760,9 +769,6 @@ TEST(FieldRegistry, PhyFieldsResolveWithDocsAndAliases)
     }
     // The short aliases route to the same definitions.
     EXPECT_EQ(reg.find("profile"), reg.find("phy.profile"));
-    // The adaptive controller is a profile value, not a flag.
-    EXPECT_EQ(reg.find("phy.adaptive"), nullptr);
-    EXPECT_EQ(reg.find("adaptive"), nullptr);
 
     ConfigResolver res;
     res.applyOverride("phy.profile", "hamming-soft", "cli");

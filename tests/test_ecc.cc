@@ -129,7 +129,8 @@ TEST(EccSession, DeliversPayloadWithoutNoise)
     const ChannelReport report =
         runTransmission(cfg, payload, &sharedCal());
     EXPECT_TRUE(report.completed);
-    EXPECT_EQ(report.phy.profileUsed, PhyProfile::legacyParity);
+    EXPECT_EQ(report.counters.value("ch.phy.profile"),
+              static_cast<std::uint64_t>(PhyProfile::legacyParity));
     EXPECT_EQ(report.phy.frames, 2);
     EXPECT_EQ(report.phy.residualErrors, 0u);
     EXPECT_EQ(report.received, payload);

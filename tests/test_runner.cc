@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "channel/experiment.hh"
+#include "common/logging.hh"
 #include "config/presets.hh"
 #include "config/resolver.hh"
 #include "runner/json_sink.hh"
@@ -155,6 +156,37 @@ TEST(RunJobs, RethrowsTheLowestFailingIndex)
     }
 }
 
+TEST(RunJobs, WarningsPrintInJobOrder)
+{
+    // At 4 workers job 3 warns first and job 0 last. The output
+    // still lists them in index order, the failed job's included,
+    // so it does not depend on timing or --jobs.
+    constexpr int n = 4;
+    std::mutex mtx;
+    std::condition_variable cv;
+    int turn = n - 1;
+    std::vector<std::function<int()>> jobs;
+    for (int i = 0; i < n; ++i) {
+        jobs.push_back([&, i] {
+            std::unique_lock<std::mutex> lk(mtx);
+            cv.wait_for(lk, std::chrono::seconds(5),
+                        [&] { return turn == i; });
+            warn("job ", i);
+            --turn;
+            cv.notify_all();
+            if (i == 1)
+                throw std::runtime_error("job 1 failed");
+            return i;
+        });
+    }
+    RunnerOptions opts;
+    opts.jobs = n;
+    testing::internal::CaptureStderr();
+    EXPECT_THROW(runJobs(std::move(jobs), opts), std::runtime_error);
+    EXPECT_EQ(testing::internal::GetCapturedStderr(),
+              "warn: job 0\nwarn: job 1\nwarn: job 2\nwarn: job 3\n");
+}
+
 TEST(DeriveSeed, DeterministicAndDecorrelated)
 {
     EXPECT_EQ(deriveSeed(2018, 0), deriveSeed(2018, 0));
@@ -173,7 +205,13 @@ TEST(RunnerOptions, FromArgsParsesJobs)
     EXPECT_EQ(opts.jobs, 7);
     EXPECT_FALSE(opts.progress);
     EXPECT_EQ(opts.resolvedJobs(), 7);
+    EXPECT_FALSE(opts.quick);
     EXPECT_GE(RunnerOptions{}.resolvedJobs(), 1);
+
+    // Only a bench with a quick grid accepts --quick.
+    const char *quick[] = {"bench", "--quick"};
+    EXPECT_TRUE(
+        RunnerOptions::fromArgs(2, const_cast<char **>(quick), true).quick);
 }
 
 TEST(RunnerOptions, JobsFlagWinsOverEnvironmentAndEmptyEnvIsUnset)

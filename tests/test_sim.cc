@@ -12,6 +12,7 @@
 #include <memory>
 #include <vector>
 
+#include "common/logging.hh"
 #include "common/random.hh"
 #include "sim/event_tree.hh"
 #include "sim/memory_backend.hh"
@@ -329,7 +330,7 @@ TEST_F(SimTest, DeterministicAcrossRuns)
         std::vector<SimThread *> threads;
         for (int i = 0; i < 4; ++i) {
             threads.push_back(sched.spawn(
-                "t" + std::to_string(i), i % 4, 0,
+                msgCat("t", i), i % 4, 0,
                 [i](ThreadApi api) -> Task {
                     for (int k = 0; k < 20; ++k) {
                         co_await api.load(
@@ -437,7 +438,7 @@ contendedScheduleDigest(Tick switch_penalty)
     Scheduler sched(&be, 6, params);
     for (int i = 0; i < 24; ++i) {
         const auto seed = deriveSeed(15, static_cast<std::uint64_t>(i));
-        sched.spawn("t" + std::to_string(i), i % 6, 0,
+        sched.spawn(msgCat("t", i), i % 6, 0,
                     randomBody(seed, 10 + (i * 7) % 50,
                                i == 4 ? 3 : invalidCore));
     }

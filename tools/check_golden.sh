@@ -178,8 +178,12 @@ check_all() {
 
     # The defense matrix: pin the quick grid (Table I row 4 against every
     # defense column — §VIII-E mitigations plus the randomized caches).
-    run_case defense_quick stdout "$bench_dir/defense_matrix" --quick \
-        --jobs 1 --quiet
+    # Four workers must match the same golden: each cell's calibration
+    # warnings print with its result, in cell order.
+    for jobs in 1 4; do
+        run_case defense_quick stdout "$bench_dir/defense_matrix" --quick \
+            --jobs "$jobs" --quiet
+    done
 
     # The leakage-vector plugins: pin the quick vector matrix (all four
     # vectors on a quiet machine, with the cross-vector CC-Hunter

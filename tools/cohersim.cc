@@ -444,8 +444,8 @@ cmdTransmit(const Args &args)
                "  --counters FILE  dump the machine-wide counter "
                "totals as JSON\n"
                "  --phy.profile legacy-parity runs the paper's "
-               "parity+NACK chain (Fig. 10); hamming-hard,\n"
-               "  hamming-soft and adaptive run the framed FEC stack "
+               "parity+NACK chain (Fig. 10); hamming-hard and\n"
+               "  hamming-soft run the framed FEC stack "
                "(coherence vector, one pair)\n"
                "  fleet.pairs > 1 or fleet.noise_agents > 0 (e.g. "
                "--preset fleet-quick, or --fleet.pairs 4)\n"
@@ -504,14 +504,8 @@ cmdTransmit(const Args &args)
                   << " retransmission(s), " << rep.phy.residualErrors
                   << " residual error(s)\n";
     } else if (result.kind == ExperimentKind::phy) {
-        const auto ran = static_cast<PhyProfile>(
-            rep.counters.value("ch.phy.profile"));
-        std::cout << "phy:       " << phyProfileName(ran);
-        if (run.channel.phy.profile == PhyProfile::adaptive)
-            std::cout << " (adaptive @ "
-                      << rep.counters.value("ch.phy.adapt_rate_kbps")
-                      << " Kbps)";
-        std::cout << ", "
+        std::cout << "phy:       "
+                  << phyProfileName(run.channel.phy.profile) << ", "
                   << rep.counters.value("ch.phy.frames_accepted")
                   << "/" << rep.counters.value("ch.phy.frames_sent")
                   << " frames, fec "
